@@ -9,8 +9,6 @@ import numpy as np
 
 from manolab import (
     ManifoldSchedule,
-    dim_inner,
-    dim_norm,
     geodesic_oblique,
     geodesic_sphere,
     oblique_normalize,
@@ -28,11 +26,11 @@ def main() -> None:
     print(np.round(theta, 3))
 
     theta_hat = oblique_normalize(theta, axis=0)
-    print("\ncolumn norms after normalization:", dim_norm(theta_hat, 0).values)
+    print("\ncolumn norms after normalization:", np.linalg.norm(theta_hat, axis=0))
 
     direction = rng.standard_normal((4, 3))
     tangent = tangent_project(direction, theta_hat, axis=0)
-    residue = dim_inner(tangent, theta_hat, 0).values
+    residue = (tangent * theta_hat).sum(axis=0)
     print("per-column <tangent, theta_hat> (should be ~0):")
     print(residue)
 

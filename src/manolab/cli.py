@@ -229,13 +229,17 @@ def _cmd_geodesic(args) -> int:
         for _, path in entries:
             with np.load(path) as data:
                 thetas.append(data["theta"])
-        trail = trajectory_geodesics(thetas, args.manifold, axis=args.axis)
+        try:
+            trail = trajectory_geodesics(thetas, args.manifold, axis=args.axis)
+        except ValueError as exc:
+            print(f"{layer}: skipped: {exc}")
+            continue
         for i, d in enumerate(trail.distances):
             rows.append((layer, i, d))
         skipped = f" skipped_pairs={trail.skipped}" if trail.skipped else ""
         print(f"{layer}: mean {args.manifold} distance {trail.mean:.6g}{skipped}")
     if not rows:
-        raise ValueError("no layer had enough snapshots for a trail")
+        raise ValueError("no layer yielded a geodesic distance")
     with open(out / "geodesic.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("layer", "pair_index", "distance"))

@@ -30,7 +30,13 @@ from typing import Callable
 
 import numpy as np
 
-from .manifold import DegenerateSliceError, oblique_normalize, tangent_project
+from .manifold import (
+    DegenerateSliceError,
+    check_slices,
+    project_out,
+    slice_inner,
+    slice_unit,
+)
 from .tensor import EPS_DIV, ShapeMismatchError, as_tensor, svd_values
 
 CONVERGENCE_CSV_HEADER = ("step", "f", "grad_norm", "S_t", "min_sin_phi")
@@ -149,6 +155,64 @@ def softmax_objective(
     )
 
 
+def _check_matrices(name: str, theta: np.ndarray, grad: np.ndarray) -> None:
+    if theta.ndim != 2:
+        raise ValueError(f"{name} expects a matrix parameter")
+    if theta.shape != grad.shape:
+        raise ShapeMismatchError(
+            f"parameter shape {theta.shape} does not match gradient shape {grad.shape}"
+        )
+
+
+def _column_tangent(theta: np.ndarray, grad: np.ndarray):
+    """The column-wise decomposition every quantity here is read from.
+
+    Returns ``(v_hat, v_norms)``: the unit columns of the tangent part v
+    of ``grad`` at theta (projected in two passes) and the norms of v's
+    columns, shaped (1, n).  A degenerate column of theta raises; a
+    vanishing tangent column comes back as zeros, for the caller to
+    reject with ``check_slices`` if it must.
+    """
+    theta_hat, norms = slice_unit(theta, 0)
+    check_slices(norms, 0)
+    v = project_out(project_out(grad, theta_hat, 0), theta_hat, 0)
+    return slice_unit(v, 0)
+
+
+def _alignment(grad: np.ndarray, v_hat: np.ndarray, v_norms: np.ndarray):
+    """``(inner, tangent_norm_sum, lower_bound, gamma)`` for one step,
+    with the identity and the lower bound asserted.
+
+    gamma is the minimum of ||v_j|| / ||g_j|| over columns with
+    nonvanishing gradient.  Columns with (near-)zero gradient are
+    excluded from the minimum; if every column is excluded gamma
+    defaults to 1, which keeps the lower bound at zero because
+    ||grad||_F is itself zero.
+    """
+    g_norms = np.sqrt(slice_inner(grad, grad, 0))
+    active = g_norms >= EPS_DIV
+    if np.any(active):
+        gamma = float(np.min(v_norms[active] / g_norms[active]))
+    else:
+        gamma = 1.0
+    inner = float(np.sum(grad * v_hat))
+    tangent_norm_sum = float(v_norms[v_norms >= EPS_DIV].sum())
+    grad_fro = float(np.sqrt(np.sum(grad * grad)))
+    lower_bound = gamma * grad_fro
+
+    scale = max(1.0, abs(inner))
+    if abs(inner - tangent_norm_sum) > 1e-10 * scale:
+        raise ArithmeticError(
+            f"alignment identity violated: inner={inner!r} vs "
+            f"sum of tangent norms={tangent_norm_sum!r}"
+        )
+    if inner < lower_bound - 1e-10 * scale:
+        raise ArithmeticError(
+            f"alignment lower bound violated: inner={inner!r} < {lower_bound!r}"
+        )
+    return inner, tangent_norm_sum, lower_bound, gamma
+
+
 def mano_simple_step(theta, grad, eta: float, m: int) -> np.ndarray:
     """The momentum-free fixed-axis update: theta - eta*sqrt(m)*vhat.
 
@@ -160,41 +224,14 @@ def mano_simple_step(theta, grad, eta: float, m: int) -> np.ndarray:
     """
     theta = as_tensor(theta)
     grad = as_tensor(grad)
-    if theta.ndim != 2:
-        raise ValueError("mano_simple_step expects a matrix parameter")
-    if theta.shape != grad.shape:
-        raise ShapeMismatchError(
-            f"parameter shape {theta.shape} does not match gradient shape {grad.shape}"
-        )
+    _check_matrices("mano_simple_step", theta, grad)
     if m != theta.shape[0]:
         raise ValueError(
             f"declared row count {m} does not match parameter shape {theta.shape}"
         )
-    theta_hat = oblique_normalize(theta, 0)
-    v = tangent_project(grad, theta_hat, 0)
-    v_hat = oblique_normalize(v, 0)
+    v_hat, v_norms = _column_tangent(theta, grad)
+    check_slices(v_norms, 0)
     return theta - eta * np.sqrt(m) * v_hat
-
-
-def _column_alignment(theta: np.ndarray, grad: np.ndarray):
-    """Column-wise tangent decomposition used by the alignment check.
-
-    Returns (v, v_norms, grad_norms, gamma) where gamma is the minimum
-    of ||v_j|| / ||g_j|| over columns with nonvanishing gradient.
-    Columns with (near-)zero gradient are excluded from the minimum; if
-    every column is excluded gamma defaults to 1, which keeps the lower
-    bound at zero because ||grad||_F is itself zero.
-    """
-    theta_hat = oblique_normalize(theta, 0)
-    v = tangent_project(grad, theta_hat, 0)
-    v_norms = np.sqrt((v * v).sum(axis=0))
-    g_norms = np.sqrt((grad * grad).sum(axis=0))
-    active = g_norms >= EPS_DIV
-    if np.any(active):
-        gamma = float(np.min(v_norms[active] / g_norms[active]))
-    else:
-        gamma = 1.0
-    return v, v_norms, g_norms, gamma
 
 
 def alignment_check(theta, grad) -> tuple[float, float, float]:
@@ -212,32 +249,10 @@ def alignment_check(theta, grad) -> tuple[float, float, float]:
     """
     theta = as_tensor(theta)
     grad = as_tensor(grad)
-    if theta.ndim != 2:
-        raise ValueError("alignment_check expects matrices")
-    if theta.shape != grad.shape:
-        raise ShapeMismatchError(
-            f"parameter shape {theta.shape} does not match gradient shape {grad.shape}"
-        )
-    v, v_norms, _, gamma = _column_alignment(theta, grad)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v_hat = np.divide(
-            v, v_norms[None, :], out=np.zeros_like(v), where=v_norms[None, :] >= EPS_DIV
-        )
-    inner = float(np.sum(grad * v_hat))
-    tangent_norm_sum = float(v_norms[v_norms >= EPS_DIV].sum())
-    grad_fro = float(np.sqrt(np.sum(grad * grad)))
-    lower_bound = gamma * grad_fro
-
-    scale = max(1.0, abs(inner))
-    if abs(inner - tangent_norm_sum) > 1e-10 * scale:
-        raise ArithmeticError(
-            f"alignment identity violated: inner={inner!r} vs "
-            f"sum of tangent norms={tangent_norm_sum!r}"
-        )
-    if inner < lower_bound - 1e-10 * scale:
-        raise ArithmeticError(
-            f"alignment lower bound violated: inner={inner!r} < {lower_bound!r}"
-        )
+    _check_matrices("alignment_check", theta, grad)
+    inner, tangent_norm_sum, lower_bound, _ = _alignment(
+        grad, *_column_tangent(theta, grad)
+    )
     return inner, tangent_norm_sum, lower_bound
 
 
@@ -324,9 +339,12 @@ def run_convergence_experiment(
     the objective's own ``theta0`` when it carries one, otherwise a
     seeded random draw.  At every iterate the TRUE gradient norm is
     recorded even when the step itself uses a noisy gradient (stochastic
-    runs add objective.noise_scale times standard Gaussian noise).  The
-    alignment identity is asserted at every step via alignment_check.
-    A degenerate slice aborts the run with the failing step in the
+    runs add objective.noise_scale times standard Gaussian noise).  Each
+    iteration makes one column decomposition of the gradient it uses,
+    and reads S_t, gamma and the next iterate from it; the alignment
+    identity and lower bound are asserted at every step, as
+    alignment_check does.  A non-finite gradient raises ValueError, and
+    a degenerate slice aborts the run with the failing step in the
     message.
     """
     if steps < 0:
@@ -340,11 +358,12 @@ def run_convergence_experiment(
     # in a measure-zero corner of the objective's own construction).
     rng = np.random.default_rng([seed, 0x1A17])
     if objective.theta0 is not None:
-        theta = objective.theta0.copy()
+        theta = as_tensor(objective.theta0).copy()
     else:
         theta = rng.standard_normal(objective.dims)
 
     count = steps + 1
+    scale = eta * np.sqrt(objective.dims[0])
     f_values = np.empty(count)
     grad_norms = np.empty(count)
     inner_products = np.empty(count)
@@ -356,18 +375,22 @@ def run_convergence_experiment(
             used = grad + objective.noise_scale * rng.standard_normal(grad.shape)
         else:
             used = grad
+        # The gradient comes from a caller-supplied evaluate: check it.
+        used = as_tensor(used)
+        _check_matrices("run_convergence_experiment", theta, used)
         try:
-            inner, _, _ = alignment_check(theta, used)
-            _, _, _, gamma_t = _column_alignment(theta, used)
-            f_values[t] = f_val
-            grad_norms[t] = float(np.sqrt(np.sum(grad * grad)))
-            inner_products[t] = inner
-            min_sin[t] = gamma_t
-            theta = mano_simple_step(theta, used, eta, objective.dims[0])
+            v_hat, v_norms = _column_tangent(theta, used)
+            inner, _, _, gamma_t = _alignment(used, v_hat, v_norms)
+            check_slices(v_norms, 0)
         except DegenerateSliceError as exc:
             raise RuntimeError(
                 f"experiment aborted at step {t}: {exc}"
             ) from exc
+        f_values[t] = f_val
+        grad_norms[t] = float(np.sqrt(np.sum(grad * grad)))
+        inner_products[t] = inner
+        min_sin[t] = gamma_t
+        theta = theta - scale * v_hat
 
     return ConvergenceRun(
         objective=objective.name,

@@ -171,7 +171,9 @@ def trajectory_geodesics(snapshots, manifold: str, axis: int = 0) -> GeodesicTra
     ``snapshots`` is a sequence of same-shape arrays.  Pairs where the
     distance is undefined (zero slice, rank deficiency) are skipped and
     flagged rather than failing the whole trail; reversing the snapshot
-    order reverses the distances but changes nothing else.
+    order reverses the distances but changes nothing else.  A shape the
+    manifold cannot take (a wide matrix on Stiefel) or an axis the
+    snapshots lack raises ValueError up front.
     """
     if manifold not in GEODESIC_MANIFOLDS:
         raise ValueError(
@@ -186,6 +188,15 @@ def trajectory_geodesics(snapshots, manifold: str, axis: int = 0) -> GeodesicTra
             raise ShapeMismatchError(
                 f"snapshot {i} has shape {s.shape}, expected {shape}"
             )
+
+    # Properties of the layer, not of any pair: no pair could pass.
+    if manifold == "stiefel" and (len(shape) != 2 or shape[0] < shape[1]):
+        raise ValueError(
+            f"stiefel distance expects a matrix with at least as many rows "
+            f"as columns, got shape {shape}"
+        )
+    if manifold == "oblique" and not 0 <= axis < len(shape):
+        raise ValueError(f"axis {axis} out of range for snapshots of shape {shape}")
 
     distances: list[float] = []
     skipped: list[int] = []

@@ -6,6 +6,12 @@ unit Euclidean norm.  This module provides slice normalization, tangent
 projection, the axis schedule that decides which axis is active at a
 given step, geodesic distances on three matrix manifolds, and Sinkhorn
 row/column balancing as a point of comparison.
+
+The slice geometry itself is four array-level helpers (``slice_inner``,
+``slice_unit``, ``project_out`` and ``check_slices``) that do no
+coercion or validation.  Every caller in the package goes through them:
+the public operators validate once and then call them, and so do the
+optimizer steps and the convergence runner.
 """
 
 from __future__ import annotations
@@ -14,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    EPS_DIV,
-    ShapeMismatchError,
-    as_tensor,
-    dim_inner,
-    dim_norm,
-    jacobi_svd,
-)
+from .tensor import EPS_DIV, ShapeMismatchError, as_tensor, jacobi_svd
 
 # A slice claimed to be unit-norm may deviate by at most this much.
 UNIT_TOL = 1e-9
@@ -75,6 +74,49 @@ def rotation_axis(schedule: ManifoldSchedule, step: int) -> int:
     return step % schedule.order
 
 
+def slice_inner(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """Inner product of corresponding slices along ``axis``.
+
+    The reduced axis is kept with extent one, so the result broadcasts
+    back against ``a``.
+    """
+    return (a * b).sum(axis=axis, keepdims=True)
+
+
+def slice_unit(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(unit, norms)``: ``a`` with unit slices along ``axis``, and the
+    slice norms with the reduced axis kept.
+
+    Slices with norm below EPS_DIV come back as zeros.  A caller that
+    must not accept them passes ``norms`` to ``check_slices``.
+    """
+    norms = np.sqrt(slice_inner(a, a, axis))
+    return np.divide(a, norms, out=np.zeros_like(a), where=norms >= EPS_DIV), norms
+
+
+def project_out(m: np.ndarray, theta_hat: np.ndarray, axis: int) -> np.ndarray:
+    """One pass of the tangent projection m - theta_hat * <m, theta_hat>."""
+    return m - theta_hat * slice_inner(m, theta_hat, axis)
+
+
+def check_slices(norms: np.ndarray, axis: int) -> None:
+    """Raise DegenerateSliceError for the first slice norm below EPS_DIV.
+
+    ``norms`` is the second value of ``slice_unit``.
+    """
+    bad = norms < EPS_DIV
+    if np.any(bad):
+        values = np.atleast_1d(np.squeeze(norms, axis))
+        idx = np.argwhere(np.atleast_1d(np.squeeze(bad, axis)))[0]
+        index = tuple(int(i) for i in idx) if idx.size > 1 else int(idx[0])
+        raise DegenerateSliceError(axis, index, float(values[tuple(idx)]))
+
+
+def _check_axis(a: np.ndarray, axis: int) -> None:
+    if not 0 <= axis < a.ndim:
+        raise ValueError(f"axis {axis} out of range for order-{a.ndim} tensor")
+
+
 def oblique_normalize(a, axis: int) -> np.ndarray:
     """Scale every slice along ``axis`` to unit Euclidean norm.
 
@@ -82,13 +124,10 @@ def oblique_normalize(a, axis: int) -> np.ndarray:
     callers that want a softer policy must handle that themselves.
     """
     a = as_tensor(a)
-    norms = dim_norm(a, axis)
-    bad = norms.values < EPS_DIV
-    if np.any(bad):
-        idx = np.argwhere(np.atleast_1d(bad))[0]
-        index = tuple(int(i) for i in idx) if idx.size > 1 else int(idx[0])
-        raise DegenerateSliceError(axis, index, float(np.atleast_1d(norms.values)[tuple(idx)]))
-    return a / norms.expand()
+    _check_axis(a, axis)
+    unit, norms = slice_unit(a, axis)
+    check_slices(norms, axis)
+    return unit
 
 
 def tangent_project(m, theta_hat, axis: int) -> np.ndarray:
@@ -109,15 +148,14 @@ def tangent_project(m, theta_hat, axis: int) -> np.ndarray:
         raise ShapeMismatchError(
             f"operand shapes {m.shape} and {theta_hat.shape} differ"
         )
-    norms = dim_norm(theta_hat, axis)
-    if np.any(np.abs(norms.values - 1.0) > UNIT_TOL):
-        worst = float(np.max(np.abs(norms.values - 1.0)))
+    _check_axis(theta_hat, axis)
+    deviation = np.abs(np.sqrt(slice_inner(theta_hat, theta_hat, axis)) - 1.0)
+    if np.any(deviation > UNIT_TOL):
         raise ValueError(
             f"theta_hat slices along axis {axis} deviate from unit norm "
-            f"by up to {worst:.3e} (tolerance {UNIT_TOL:g})"
+            f"by up to {float(np.max(deviation)):.3e} (tolerance {UNIT_TOL:g})"
         )
-    projected = m - theta_hat * dim_inner(m, theta_hat, axis).expand()
-    return projected - theta_hat * dim_inner(projected, theta_hat, axis).expand()
+    return project_out(project_out(m, theta_hat, axis), theta_hat, axis)
 
 
 def geodesic_oblique(x, y, axis: int) -> float:
@@ -130,7 +168,7 @@ def geodesic_oblique(x, y, axis: int) -> float:
     yh = oblique_normalize(y, axis)
     if xh.shape != yh.shape:
         raise ShapeMismatchError(f"operand shapes {xh.shape} and {yh.shape} differ")
-    cos = np.clip(dim_inner(xh, yh, axis).values, -1.0, 1.0)
+    cos = np.clip(slice_inner(xh, yh, axis), -1.0, 1.0)
     arcs = np.arccos(cos)
     return float(np.sqrt(np.sum(arcs * arcs)))
 

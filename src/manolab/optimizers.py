@@ -31,9 +31,10 @@ import numpy as np
 from .manifold import (
     UNIT_TOL,
     ManifoldSchedule,
-    oblique_normalize,
+    check_slices,
+    project_out,
     rotation_axis,
-    tangent_project,
+    slice_unit,
 )
 from .tensor import EPS_DIV, ShapeMismatchError, as_tensor
 
@@ -139,28 +140,20 @@ def _momentum_buffer(state: OptimizerState, theta: np.ndarray) -> np.ndarray:
     return state.momentum
 
 
-def _normalize_or_zero(a: np.ndarray, axis: int) -> np.ndarray:
-    """Slice-normalize along ``axis``; slices with norm below EPS_DIV come
-    back as zeros.  This is the step-level fallback used inside the Mano
-    update so that a degenerate slice contributes nothing rather than
-    blowing up; the strict manifold operator raises instead.
-    """
-    norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
-    return np.divide(a, norms, out=np.zeros_like(a), where=norms >= EPS_DIV)
-
-
 def mano_transform(theta: np.ndarray, direction: np.ndarray, axis: int):
     """The per-matrix work of a Mano step, exposed for tests and benchmarks.
 
     Returns ``(theta_hat, tangent, unit_tangent)`` where theta_hat has
     unit axis slices, tangent is the axis-wise projection of
     ``direction`` onto the tangent space at theta_hat, and unit_tangent
-    is the slice-normalized tangent.  Degenerate slices yield zeros.
+    is the slice-normalized tangent.  Degenerate slices yield zeros, so
+    such a slice contributes nothing to the step rather than blowing it
+    up.  The projection is applied once: this is the arithmetic the
+    11mn FLOP model counts.
     """
-    theta_hat = _normalize_or_zero(theta, axis)
-    inner = (direction * theta_hat).sum(axis=axis, keepdims=True)
-    tangent = direction - theta_hat * inner
-    unit_tangent = _normalize_or_zero(tangent, axis)
+    theta_hat, _ = slice_unit(theta, axis)
+    tangent = project_out(direction, theta_hat, axis)
+    unit_tangent, _ = slice_unit(tangent, axis)
     return theta_hat, tangent, unit_tangent
 
 
@@ -352,11 +345,12 @@ def rsgdm_step(
     """Riemannian heavy-ball on the fixed-axis unit-slice manifold.
 
     ``theta`` must already have unit slices along ``axis`` (within
-    UNIT_TOL, enforced by the tangent projection).  The momentum buffer
-    is transported by projecting it onto the tangent space at the
-    current point before accumulation; the Euclidean retraction step is
-    followed by exact slice renormalization, which raises if the
-    retraction lands on a degenerate slice.
+    UNIT_TOL, checked on entry).  The momentum buffer is transported by
+    projecting it onto the tangent space at the current point before
+    accumulation; like the gradient, it is projected in two passes, as
+    ``tangent_project`` does.  The Euclidean retraction step is followed
+    by exact slice renormalization, which raises if the retraction lands
+    on a degenerate slice.
     """
     theta = as_tensor(theta)
     grad = as_tensor(grad)
@@ -364,19 +358,18 @@ def rsgdm_step(
     _unit_interval("momentum", momentum)
     buf = _momentum_buffer(state, theta)
 
-    slice_norms = np.sqrt((theta * theta).sum(axis=axis))
-    if np.any(np.abs(slice_norms - 1.0) > UNIT_TOL):
-        worst = float(np.max(np.abs(slice_norms - 1.0)))
+    theta_hat, norms = slice_unit(theta, axis)
+    deviation = np.abs(norms - 1.0)
+    if np.any(deviation > UNIT_TOL):
         raise ValueError(
             f"parameter is off the manifold: slice norms along axis {axis} "
-            f"deviate from 1 by up to {worst:.3e}"
+            f"deviate from 1 by up to {float(np.max(deviation)):.3e}"
         )
-    theta_hat = oblique_normalize(theta, axis)
-    transported = tangent_project(buf, theta_hat, axis)
-    riem_grad = tangent_project(grad, theta_hat, axis)
+    transported = project_out(project_out(buf, theta_hat, axis), theta_hat, axis)
+    riem_grad = project_out(project_out(grad, theta_hat, axis), theta_hat, axis)
     m_t = momentum * transported + riem_grad
-    candidate = theta_hat - lr * m_t
-    new_theta = oblique_normalize(candidate, axis)
+    new_theta, norms = slice_unit(theta_hat - lr * m_t, axis)
+    check_slices(norms, axis)
     state.momentum = m_t
     state.step += 1
     return new_theta

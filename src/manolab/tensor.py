@@ -1,17 +1,15 @@
 """Dense float64 tensor helpers.
 
 Everything downstream (manifold operators, optimizer steps, diagnostics)
-is built from the handful of operations here: entry-wise arithmetic with
-shape checking, reductions along a chosen axis, matrix product, RMS, and
-a one-sided Jacobi SVD that does not lean on LAPACK's driver.
+takes its inputs through ``as_tensor``, which validates them (finite
+entries) once.  The rest is RMS and a one-sided Jacobi SVD that does not
+lean on LAPACK's driver.  The slice geometry lives in ``manifold``.
 
-All operations are pure functions on float64 arrays.  Inputs are
-validated (finite entries, matching shapes) and never mutated.
+All operations are pure functions on float64 arrays; inputs are never
+mutated.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,84 +42,6 @@ def as_tensor(values) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains non-finite values")
     return arr
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"operand shapes {a.shape} and {b.shape} differ")
-
-
-def _check_axis(a: np.ndarray, axis: int) -> None:
-    if not 0 <= axis < a.ndim:
-        raise ValueError(f"axis {axis} out of range for order-{a.ndim} tensor")
-
-
-@dataclass(frozen=True)
-class AxisVector:
-    """Per-slice values produced by reducing one axis of a tensor.
-
-    ``axis`` is the index of the reduced axis; ``values`` holds one entry
-    per combination of the kept axes (a plain vector when the source was
-    a matrix).  ``expand`` reinserts the reduced axis with extent one so
-    the values broadcast back against the source tensor.
-    """
-
-    axis: int
-    values: np.ndarray
-
-    def expand(self) -> np.ndarray:
-        return np.expand_dims(self.values, self.axis)
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entry-wise product of two same-shape tensors."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _check_same_shape(a, b)
-    return a * b
-
-
-def eltwise_div(a, b) -> np.ndarray:
-    """Entry-wise quotient; any denominator below ``EPS_DIV`` is an error."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _check_same_shape(a, b)
-    bad = np.abs(b) < EPS_DIV
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ZeroDivisionError(
-            f"denominator magnitude below {EPS_DIV:g} at index {idx}"
-        )
-    return a / b
-
-
-def dim_inner(a, b, axis: int) -> AxisVector:
-    """Inner product of corresponding slices along ``axis``."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    _check_same_shape(a, b)
-    _check_axis(a, axis)
-    return AxisVector(axis=axis, values=(a * b).sum(axis=axis))
-
-
-def dim_norm(a, axis: int) -> AxisVector:
-    """Euclidean norm of each slice along ``axis``."""
-    a = as_tensor(a)
-    _check_axis(a, axis)
-    return AxisVector(axis=axis, values=np.sqrt((a * a).sum(axis=axis)))
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit inner-dimension checking."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects two matrices")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"inner dimensions disagree: {a.shape} @ {b.shape}"
-        )
-    return a @ b
 
 
 def rms(a) -> float:

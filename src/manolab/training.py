@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifold import ManifoldSchedule
+from .manifold import ManifoldSchedule, oblique_normalize
 from .optimizers import (
     AdamWConfig,
     ManoConfig,
@@ -419,8 +419,7 @@ class Trainer:
             # This rule lives on the fixed-axis manifold: project the
             # freshly initialized weights onto it once, up front.
             for i, w in enumerate(self.model.weights):
-                norms = np.sqrt((w * w).sum(axis=0, keepdims=True))
-                self.model.weights[i] = w / norms
+                self.model.weights[i] = oblique_normalize(w, 0)
 
         self.names = self.model.parameter_names()
         self.states = {name: OptimizerState() for name in self.names}

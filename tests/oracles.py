@@ -50,20 +50,6 @@ def scalar_dim_inner(a, b, axis):
     return out
 
 
-def scalar_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += float(a[i, t]) * float(b[t, j])
-            out[i, j] = acc
-    return out
-
-
 def mano_oracle(
     theta,
     grad,

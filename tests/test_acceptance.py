@@ -44,7 +44,7 @@ from manolab.optimizers import (
     mano_transform,
     newton_schulz,
 )
-from manolab.tensor import dim_inner, dim_norm, rms
+from manolab.tensor import rms
 from manolab.training import MlpModel, TrainConfig, Trainer, mlp_forward_backward
 
 from oracles import finite_difference_grads, mano_oracle, ns_quintic_map
@@ -74,8 +74,8 @@ def test_c01_update_tangency():
             theta = rng.standard_normal(shape)
             direction = rng.standard_normal(shape)
             theta_hat, tangent, _ = mano_transform(theta, direction, axis)
-            residue = np.abs(dim_inner(tangent, theta_hat, axis).values)
-            slice_norms = dim_norm(direction, axis).values
+            residue = np.abs((tangent * theta_hat).sum(axis=axis))
+            slice_norms = np.linalg.norm(direction, axis=axis)
             assert np.all(residue <= 1e-10 * slice_norms), (
                 f"instance {i}: worst residue {residue.max():.3e} vs "
                 f"allowance {1e-10 * slice_norms.min():.3e}"

@@ -187,6 +187,29 @@ class TestSpectraAndGeodesic:
             == (tmp_path / "b" / "geodesic.csv").read_bytes()
         )
 
+    def test_stiefel_skips_wide_layer_with_its_reason(self, tmp_path, capsys):
+        """A 32-64-8 net has a wide first layer, which Stiefel cannot take;
+        the tall second layer still gets its trail and the command exits 0."""
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(
+            CONFIG_TEXT.replace("in_dim = 6", "in_dim = 32\nhidden = 64")
+            .replace("out_dim = 3", "out_dim = 8")
+            .replace("total_steps = 40", "total_steps = 31")
+        )
+        snaps = _train(cfg, tmp_path / "run") / "snapshots"
+        capsys.readouterr()
+        code = run_cli(
+            ["geodesic", "--snapshots", str(snaps), "--manifold", "stiefel",
+             "--out", str(tmp_path / "g")]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "layer0.weight: skipped: " in out
+        assert "at least as many rows as columns" in out
+        lines = (tmp_path / "g" / "geodesic.csv").read_text().strip().splitlines()
+        assert lines[1:] and all(line.startswith("layer1.weight,") for line in lines[1:])
+        assert len(lines) == 4  # snapshots at steps 0, 10, 20, 30
+
     def test_missing_snapshot_dir(self, tmp_path, capsys):
         code = run_cli(
             ["spectra", "--snapshots", str(tmp_path / "none"), "--out", str(tmp_path)]

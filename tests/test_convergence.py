@@ -5,6 +5,7 @@ import pytest
 
 from manolab.convergence import (
     CONVERGENCE_CSV_HEADER,
+    SmoothObjective,
     alignment_check,
     mano_simple_step,
     min_grad_bound,
@@ -267,6 +268,41 @@ class TestRunExperiment:
         assert not np.array_equal(det.f_values, sto.f_values)
         # initial point is shared, so the first objective value agrees
         assert det.f_values[0] == sto.f_values[0]
+
+    def test_non_finite_gradient_raises(self):
+        """The runner feeds a caller-supplied gradient into its arithmetic,
+        so a NaN in it must stop the run, not land in the records."""
+        base = quadratic_objective(4, 4, seed=3)
+        calls = []
+
+        def evaluate(theta):
+            f, grad = base.evaluate(theta)
+            calls.append(f)
+            if len(calls) == 4:
+                grad = grad.copy()
+                grad[2, 1] = np.nan
+            return f, grad
+
+        obj = SmoothObjective(
+            dims=(4, 4), evaluate=evaluate, smoothness=1.0, f_inf=0.0,
+            theta0=base.theta0,
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            run_convergence_experiment(obj, 10)
+        assert len(calls) == 4
+
+    def test_radial_gradient_aborts_at_its_step(self):
+        """A gradient parallel to every unit column has no tangent part,
+        so the normalized step is undefined from the first iterate."""
+        obj = SmoothObjective(
+            dims=(3, 3),
+            evaluate=lambda theta: (0.5 * float(np.sum(theta * theta)), theta.copy()),
+            smoothness=1.0,
+            f_inf=0.0,
+            theta0=np.eye(3),
+        )
+        with pytest.raises(RuntimeError, match=r"experiment aborted at step 0: "):
+            run_convergence_experiment(obj, 5)
 
     def test_csv_round_trip(self, tmp_path):
         obj = quadratic_objective(4, 4, seed=6)

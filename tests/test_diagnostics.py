@@ -177,6 +177,16 @@ class TestTrajectoryGeodesics:
         with pytest.raises(ValueError, match="degenerate"):
             trajectory_geodesics(snaps, "oblique")
 
+    def test_wide_stiefel_names_shape_rule(self):
+        rng = np.random.default_rng(5)
+        snaps = [rng.standard_normal((3, 5)) for _ in range(3)]
+        with pytest.raises(ValueError, match="at least as many rows as columns"):
+            trajectory_geodesics(snaps, "stiefel")
+
+    def test_oblique_axis_out_of_range_names_axis(self):
+        with pytest.raises(ValueError, match="axis 2 out of range"):
+            trajectory_geodesics(self._snapshots(3), "oblique", axis=2)
+
     def test_too_few_snapshots(self):
         with pytest.raises(ValueError):
             trajectory_geodesics(self._snapshots(1), "oblique")

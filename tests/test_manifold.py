@@ -6,15 +6,88 @@ import pytest
 from manolab.manifold import (
     DegenerateSliceError,
     ManifoldSchedule,
+    check_slices,
     geodesic_oblique,
     geodesic_sphere,
     geodesic_stiefel_approx,
     oblique_normalize,
+    project_out,
     rotation_axis,
     sinkhorn_normalize,
+    slice_inner,
+    slice_unit,
     tangent_project,
 )
-from manolab.tensor import ShapeMismatchError, dim_inner, dim_norm
+from manolab.tensor import ShapeMismatchError
+
+from oracles import scalar_dim_inner, scalar_dim_norm
+
+
+class TestSliceHelpers:
+    def test_matches_scalar_loops(self):
+        rng = np.random.default_rng(42)
+        for shape in [(4,), (3, 5), (2, 3, 4)]:
+            a = rng.standard_normal(shape)
+            b = rng.standard_normal(shape)
+            for axis in range(len(shape)):
+                unit, norms = slice_unit(a, axis)
+                norms = np.squeeze(norms, axis)
+                inners = np.squeeze(slice_inner(a, b, axis), axis)
+                oracle_n = scalar_dim_norm(a, axis)
+                oracle_i = scalar_dim_inner(a, b, axis)
+                for key, val in oracle_n.items():
+                    got = norms[key] if key else norms
+                    np.testing.assert_allclose(got, val, rtol=1e-13)
+                for key, val in oracle_i.items():
+                    got = inners[key] if key else inners
+                    np.testing.assert_allclose(got, val, rtol=1e-13, atol=1e-13)
+                for val in scalar_dim_norm(unit, axis).values():
+                    np.testing.assert_allclose(val, 1.0, rtol=1e-14)
+
+    def test_three_four_five(self):
+        unit, norms = slice_unit(np.array([[3.0], [4.0]]), 0)
+        np.testing.assert_allclose(norms, [[5.0]])
+        np.testing.assert_allclose(unit, [[0.6], [0.8]])
+
+    def test_inner_of_self_is_squared_norm(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((6, 3))
+        for axis in (0, 1):
+            np.testing.assert_allclose(
+                slice_inner(a, a, axis), slice_unit(a, axis)[1] ** 2, rtol=1e-13
+            )
+
+    def test_degenerate_slices_come_back_zero(self):
+        a = np.ones((4, 3))
+        a[:, 1] = 0.0
+        unit, norms = slice_unit(a, 0)
+        np.testing.assert_array_equal(unit[:, 1], 0.0)
+        np.testing.assert_allclose(unit[:, [0, 2]], 0.5, rtol=1e-15)
+        with pytest.raises(DegenerateSliceError) as err:
+            check_slices(norms, 0)
+        assert (err.value.axis, err.value.index, err.value.norm) == (0, 1, 0.0)
+
+    def test_check_slices_names_index_of_higher_order(self):
+        a = np.ones((2, 3, 4))
+        a[1, :, 2] = 0.0
+        with pytest.raises(DegenerateSliceError) as err:
+            check_slices(slice_unit(a, 1)[1], 1)
+        assert err.value.index == (1, 2)
+        check_slices(slice_unit(np.ones((2, 3, 4)), 1)[1], 1)
+
+    def test_one_projection_pass(self):
+        rng = np.random.default_rng(3)
+        hat = slice_unit(rng.standard_normal((5, 4)), 1)[0]
+        m = rng.standard_normal((5, 4))
+        v = project_out(m, hat, 1)
+        np.testing.assert_allclose(v + hat * (m * hat).sum(axis=1, keepdims=True), m)
+        assert np.all(np.abs((v * hat).sum(axis=1)) <= 1e-12)
+
+    def test_axis_out_of_range(self):
+        with pytest.raises(ValueError):
+            oblique_normalize(np.ones((2, 2)), 2)
+        with pytest.raises(ValueError):
+            tangent_project(np.ones((2, 2)), np.eye(2), 2)
 
 
 class TestObliqueNormalize:
@@ -24,7 +97,7 @@ class TestObliqueNormalize:
         for axis in (0, 1):
             out = oblique_normalize(a, axis)
             np.testing.assert_allclose(
-                dim_norm(out, axis).values, 1.0, rtol=1e-14
+                np.linalg.norm(out, axis=axis), 1.0, rtol=1e-14
             )
 
     def test_idempotent(self):
@@ -57,8 +130,8 @@ class TestTangentProject:
             for axis in (0, 1):
                 hat = oblique_normalize(theta, axis)
                 v = tangent_project(m, hat, axis)
-                inner = dim_inner(v, hat, axis).values
-                m_norms = dim_norm(m, axis).values
+                inner = (v * hat).sum(axis=axis)
+                m_norms = np.linalg.norm(m, axis=axis)
                 assert np.all(np.abs(inner) <= 1e-12 * np.maximum(m_norms, 1e-30))
 
     def test_near_radial_direction_stays_tangent(self):
@@ -71,8 +144,8 @@ class TestTangentProject:
         small = 1e-9 * rng.standard_normal((8, 8))
         m = hat * rng.standard_normal(8)[None, :] + small
         v = tangent_project(m, hat, 0)
-        inner = dim_inner(v, hat, 0).values
-        v_norms = dim_norm(v, 0).values
+        inner = (v * hat).sum(axis=0)
+        v_norms = np.linalg.norm(v, axis=0)
         assert np.all(np.abs(inner) <= 1e-12 * np.maximum(v_norms, 1e-30))
 
     def test_tangent_input_is_fixed_point(self):
