@@ -2,7 +2,9 @@
 
 Normalizes a small matrix onto unit columns, projects a direction onto
 the tangent space, walks the rotating axis schedule, and measures a few
-geodesic distances.  Everything is printed, nothing is plotted.
+geodesic distances.  Ends with Sinkhorn row/column balancing, the
+sum-normalizing cousin of slice normalization, as a point of
+comparison.  Everything is printed, nothing is plotted.
 """
 
 import numpy as np
@@ -13,9 +15,24 @@ from manolab import (
     geodesic_sphere,
     oblique_normalize,
     rotation_axis,
-    sinkhorn_normalize,
     tangent_project,
 )
+
+
+def sinkhorn_normalize(a: np.ndarray, iterations: int) -> np.ndarray:
+    """Alternate row- and column-sum normalization of a positive matrix.
+
+    Each iteration divides every row by its sum, then every column by
+    its sum.  With enough iterations the result approaches a doubly
+    stochastic scaling.
+    """
+    w = np.array(a, dtype=np.float64)
+    if w.ndim != 2 or np.any(w <= 0.0):
+        raise ValueError("sinkhorn_normalize expects a strictly positive matrix")
+    for _ in range(iterations):
+        w /= w.sum(axis=1, keepdims=True)
+        w /= w.sum(axis=0, keepdims=True)
+    return w
 
 
 def main() -> None:
@@ -35,7 +52,7 @@ def main() -> None:
     print(residue)
 
     schedule = ManifoldSchedule()
-    axes = [rotation_axis(schedule, t) for t in range(6)]
+    axes = [rotation_axis(schedule, theta.ndim, t) for t in range(6)]
     print("\nrotating schedule reduces axes:", axes)
 
     other = oblique_normalize(rng.standard_normal((4, 3)), axis=0)

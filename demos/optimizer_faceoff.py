@@ -10,8 +10,8 @@ on a different scale.
 """
 
 from manolab import TrainConfig, Trainer
+from manolab.training import OPTIMIZERS
 
-OPTIMIZERS = ("mano", "muon", "adamw", "sgdm", "rsgdm")
 STEPS = 2000
 
 

@@ -4,8 +4,7 @@ The optimizers in this package live on products of spheres: each slice
 of a weight tensor along one chosen axis is kept at (or steered toward)
 unit Euclidean norm.  This module provides slice normalization, tangent
 projection, the axis schedule that decides which axis is active at a
-given step, geodesic distances on three matrix manifolds, and Sinkhorn
-row/column balancing as a point of comparison.
+given step, and geodesic distances on three matrix manifolds.
 
 The slice geometry itself is four array-level helpers (``slice_inner``,
 ``slice_unit``, ``project_out`` and ``check_slices``) that do no
@@ -46,32 +45,37 @@ class DegenerateSliceError(ValueError):
 class ManifoldSchedule:
     """Which axis is normalized at each optimizer step.
 
-    ``rotating`` cycles through all ``order`` axes (step t uses axis
-    t mod order); ``static`` pins ``fixed_axis`` forever.
+    ``rotating`` cycles through every axis of the tensor (step t of an
+    order-d tensor uses axis t mod d); ``static`` pins ``fixed_axis``
+    forever.  The order comes from the tensor at each step, so one
+    schedule serves tensors of any order.
     """
 
     mode: str = "rotating"
-    order: int = 2
     fixed_axis: int = 0
 
     def __post_init__(self):
         if self.mode not in SCHEDULE_MODES:
             raise ValueError(f"mode must be one of {SCHEDULE_MODES}, got {self.mode!r}")
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
-        if self.mode == "static" and not 0 <= self.fixed_axis < self.order:
-            raise ValueError(
-                f"fixed_axis {self.fixed_axis} out of range for order {self.order}"
-            )
+        if self.fixed_axis < 0:
+            raise ValueError(f"fixed_axis must be non-negative, got {self.fixed_axis}")
 
 
-def rotation_axis(schedule: ManifoldSchedule, step: int) -> int:
-    """Axis normalized at ``step`` under ``schedule``."""
+def rotation_axis(schedule: ManifoldSchedule, order: int, step: int) -> int:
+    """Axis normalized at ``step`` under ``schedule`` for an order-``order``
+    tensor."""
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     if step < 0:
         raise ValueError("step must be non-negative")
     if schedule.mode == "static":
+        if schedule.fixed_axis >= order:
+            raise ValueError(
+                f"fixed_axis {schedule.fixed_axis} out of range for "
+                f"order-{order} tensor"
+            )
         return schedule.fixed_axis
-    return step % schedule.order
+    return step % order
 
 
 def slice_inner(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
@@ -217,25 +221,3 @@ def geodesic_stiefel_approx(x, y) -> float:
     s = jacobi_svd(qx.T @ qy)[1]
     angles = np.arccos(np.clip(s, -1.0, 1.0))
     return float(np.sqrt(np.sum(angles * angles)))
-
-
-def sinkhorn_normalize(a, iterations: int) -> np.ndarray:
-    """Alternate row- and column-sum normalization of a positive matrix.
-
-    Each iteration divides every row by its sum, then every column by
-    its sum.  With enough iterations the result approaches a doubly
-    stochastic scaling (up to the rectangular analogue for non-square
-    input).
-    """
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("sinkhorn_normalize expects a matrix")
-    if np.any(a <= 0.0):
-        raise ValueError("sinkhorn_normalize requires strictly positive entries")
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    w = a.copy()
-    for _ in range(iterations):
-        w /= w.sum(axis=1, keepdims=True)
-        w /= w.sum(axis=0, keepdims=True)
-    return w

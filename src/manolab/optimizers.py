@@ -23,7 +23,6 @@ lets a single unit-norm constraint serve both row and column geometry.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,26 +165,21 @@ def mano_step(
 ) -> np.ndarray:
     """One Mano update on a tensor of any order.
 
-    The schedule's ``order`` must equal the tensor order, so that the
-    rotating axis always names a real axis.  ``lr`` overrides
-    ``cfg.lr`` when given (the training loop passes the scheduled
-    value).  Weight decay is decoupled: it acts on theta directly, not
-    through the manifold machinery.
+    The rotating schedule cycles through all ``theta.ndim`` axes; a
+    static schedule's ``fixed_axis`` must name one of them.  ``lr``
+    overrides ``cfg.lr`` when given (the training loop passes the
+    scheduled value).  Weight decay is decoupled: it acts on theta
+    directly, not through the manifold machinery.
     """
     theta = as_tensor(theta)
     grad = as_tensor(grad)
     _check_pair(theta, grad)
-    if cfg.schedule.order != theta.ndim:
-        raise ValueError(
-            f"schedule covers {cfg.schedule.order} axes but the parameter "
-            f"has order {theta.ndim}"
-        )
+    axis = rotation_axis(cfg.schedule, theta.ndim, state.step)
     eta = cfg.lr if lr is None else lr
     buf = _momentum_buffer(state, theta)
 
     m_t = cfg.momentum * buf + grad
     m_used = cfg.momentum * m_t + grad if cfg.nesterov else m_t
-    axis = rotation_axis(cfg.schedule, state.step)
     _, tangent, unit_tangent = mano_transform(theta, m_used, axis)
 
     n_k = theta.shape[axis]
@@ -195,26 +189,6 @@ def mano_step(
     state.momentum = tangent if cfg.retract_momentum else m_t
     state.step += 1
     return new_theta
-
-
-def mano_tensor_step(
-    theta,
-    grad,
-    state: OptimizerState,
-    cfg: ManoConfig,
-    lr: float | None = None,
-) -> np.ndarray:
-    """Mano with the axis cycling through every axis of the tensor.
-
-    Convenience wrapper that rebuilds the schedule as rotating over all
-    ``theta.ndim`` axes; for matrices this is bit-identical to
-    ``mano_step`` with the default two-axis schedule.
-    """
-    order = as_tensor(theta).ndim
-    cfg = dataclasses.replace(
-        cfg, schedule=ManifoldSchedule(mode="rotating", order=order)
-    )
-    return mano_step(theta, grad, state, cfg, lr)
 
 
 def newton_schulz(g, iterations: int = 5) -> np.ndarray:

@@ -16,11 +16,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .manifold import ManifoldSchedule, oblique_normalize
+from .manifold import SCHEDULE_MODES, ManifoldSchedule, oblique_normalize
 from .optimizers import (
     AdamWConfig,
     ManoConfig,
@@ -42,7 +43,53 @@ EPS_SNR = 1e-12
 
 TASKS = ("linreg", "blobs-classify")
 LOSSES = ("mse", "cross-entropy")
-OPTIMIZERS = ("mano", "muon", "adamw", "sgdm", "rsgdm")
+
+# Optimizer name -> (build, unit_columns).  ``build`` turns a TrainConfig
+# into the weight-matrix step ``(theta, grad, state, lr=...)``.  It runs
+# when a Trainer is built, so the step function is looked up then, not
+# at import: the benchmark's tracer swaps the steps by module attribute.
+# ``unit_columns`` rules keep the weights on the unit-column manifold,
+# so the initial weights are projected onto it once.
+_RULES = {
+    "mano": (
+        lambda c: partial(
+            mano_step,
+            cfg=ManoConfig(
+                lr=c.lr_max,
+                momentum=c.momentum,
+                weight_decay=c.weight_decay,
+                nesterov=c.nesterov,
+                schedule=ManifoldSchedule(mode=c.manifold_mode),
+                retract_momentum=c.retract_momentum,
+            ),
+        ),
+        False,
+    ),
+    "muon": (
+        lambda c: partial(
+            muon_step,
+            cfg=MuonConfig(
+                lr=c.lr_max,
+                momentum=c.momentum,
+                weight_decay=c.weight_decay,
+                nesterov=True,
+            ),
+        ),
+        False,
+    ),
+    "adamw": (
+        lambda c: partial(
+            adamw_step, cfg=AdamWConfig(lr=c.lr_max, weight_decay=c.weight_decay)
+        ),
+        False,
+    ),
+    "sgdm": (
+        lambda c: partial(sgdm_step, momentum=c.momentum, weight_decay=c.weight_decay),
+        False,
+    ),
+    "rsgdm": (lambda c: partial(rsgdm_step, momentum=c.momentum, axis=0), True),
+}
+OPTIMIZERS = tuple(_RULES)
 
 TRAJECTORY_CSV_HEADER = (
     "step",
@@ -326,8 +373,11 @@ class TrainConfig:
             raise ValueError("cadence must be positive")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be non-negative")
-        if self.manifold_mode not in ("rotating", "static"):
-            raise ValueError("manifold_mode must be 'rotating' or 'static'")
+        if self.manifold_mode not in SCHEDULE_MODES:
+            raise ValueError(
+                f"manifold_mode must be one of {SCHEDULE_MODES}, "
+                f"got {self.manifold_mode!r}"
+            )
         self.hidden = tuple(int(h) for h in self.hidden)
 
 
@@ -390,8 +440,10 @@ def load_config(path) -> TrainConfig:
 class Trainer:
     """Owns one training run: model, data split, optimizer states.
 
-    Exposed as a class so tests can poke at ``states`` and ``groups``;
-    normal callers use ``train_run``.
+    Exposed as a class so tests can poke at ``states`` and ``rules``
+    (the step each parameter takes, by name); normal callers use
+    ``train_run``.  Matrices take the configured optimizer's rule and
+    vectors the AdamW rule.
     """
 
     def __init__(self, cfg: TrainConfig, snapshot_dir=None):
@@ -415,62 +467,19 @@ class Trainer:
         self.model = MlpModel(sizes, loss=cfg.loss, seed=cfg.seed + 1)
         self.batch_rng = np.random.default_rng(cfg.seed + 2)
 
-        if cfg.optimizer == "rsgdm":
-            # This rule lives on the fixed-axis manifold: project the
-            # freshly initialized weights onto it once, up front.
+        build, unit_columns = _RULES[cfg.optimizer]
+        if unit_columns:
             for i, w in enumerate(self.model.weights):
                 self.model.weights[i] = oblique_normalize(w, 0)
 
+        matrix_step = build(cfg)
+        vector_step = _RULES["adamw"][0](cfg)
         self.names = self.model.parameter_names()
         self.states = {name: OptimizerState() for name in self.names}
-        self.matrix_cfg = self._matrix_config()
-        self.fallback_cfg = AdamWConfig(
-            lr=cfg.lr_max, weight_decay=cfg.weight_decay
-        )
-
-    def _matrix_config(self):
-        cfg = self.cfg
-        if cfg.optimizer == "mano":
-            schedule = ManifoldSchedule(
-                mode=cfg.manifold_mode, order=2, fixed_axis=0
-            )
-            return ManoConfig(
-                lr=cfg.lr_max,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-                nesterov=cfg.nesterov,
-                schedule=schedule,
-                retract_momentum=cfg.retract_momentum,
-            )
-        if cfg.optimizer == "muon":
-            return MuonConfig(
-                lr=cfg.lr_max,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-                nesterov=True,
-            )
-        if cfg.optimizer == "adamw":
-            return AdamWConfig(lr=cfg.lr_max, weight_decay=cfg.weight_decay)
-        return None  # sgdm and rsgdm take plain keyword arguments
-
-    def _step_matrix(self, name, theta, grad, lr):
-        cfg = self.cfg
-        state = self.states[name]
-        if cfg.optimizer == "mano":
-            return mano_step(theta, grad, state, self.matrix_cfg, lr)
-        if cfg.optimizer == "muon":
-            return muon_step(theta, grad, state, self.matrix_cfg, lr)
-        if cfg.optimizer == "adamw":
-            return adamw_step(theta, grad, state, self.matrix_cfg, lr)
-        if cfg.optimizer == "sgdm":
-            return sgdm_step(
-                theta, grad, state, lr,
-                momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-            )
-        return rsgdm_step(theta, grad, state, lr, momentum=cfg.momentum, axis=0)
-
-    def _step_fallback(self, name, theta, grad, lr):
-        return adamw_step(theta, grad, self.states[name], self.fallback_cfg, lr)
+        self.rules = {
+            name: matrix_step if theta.ndim >= 2 else vector_step
+            for name, theta in zip(self.names, self.model.parameters())
+        }
 
     def _batches(self):
         """Without-replacement batches, reshuffled each epoch, forever."""
@@ -517,10 +526,7 @@ class Trainer:
             deltas = []
             new_params = []
             for name, theta, grad in zip(self.names, params, clipped):
-                if theta.ndim >= 2:
-                    new = self._step_matrix(name, theta, grad, lr_t)
-                else:
-                    new = self._step_fallback(name, theta, grad, lr_t)
+                new = self.rules[name](theta, grad, self.states[name], lr=lr_t)
                 deltas.append(theta - new)
                 new_params.append(new)
 

@@ -122,7 +122,7 @@ class TestManoSimpleStep:
             momentum=0.0,
             weight_decay=0.0,
             rescale_coeff=1.0,
-            schedule=ManifoldSchedule(mode="static", order=2, fixed_axis=0),
+            schedule=ManifoldSchedule(mode="static", fixed_axis=0),
         )
         full = mano_step(theta, grad, OptimizerState(), cfg)
         np.testing.assert_allclose(bare, full, rtol=1e-12, atol=1e-13)

@@ -13,7 +13,6 @@ from manolab.manifold import (
     oblique_normalize,
     project_out,
     rotation_axis,
-    sinkhorn_normalize,
     slice_inner,
     slice_unit,
     tangent_project,
@@ -167,28 +166,28 @@ class TestTangentProject:
 
 class TestSchedule:
     def test_rotating_cycles_all_axes(self):
-        sched = ManifoldSchedule(mode="rotating", order=3)
-        assert [rotation_axis(sched, t) for t in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+        sched = ManifoldSchedule(mode="rotating")
+        assert [rotation_axis(sched, 3, t) for t in range(7)] == [0, 1, 2, 0, 1, 2, 0]
 
     def test_matrix_default_alternates(self):
         sched = ManifoldSchedule()
-        assert [rotation_axis(sched, t) for t in range(4)] == [0, 1, 0, 1]
+        assert [rotation_axis(sched, 2, t) for t in range(4)] == [0, 1, 0, 1]
 
     def test_static_pins_axis(self):
-        sched = ManifoldSchedule(mode="static", order=2, fixed_axis=1)
-        assert {rotation_axis(sched, t) for t in range(5)} == {1}
+        sched = ManifoldSchedule(mode="static", fixed_axis=1)
+        assert {rotation_axis(sched, 2, t) for t in range(5)} == {1}
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            rotation_axis(ManifoldSchedule(), -1)
+            rotation_axis(ManifoldSchedule(), 2, -1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ManifoldSchedule(mode="wobbly")
         with pytest.raises(ValueError):
-            ManifoldSchedule(order=0)
+            ManifoldSchedule(mode="static", fixed_axis=-1)
         with pytest.raises(ValueError):
-            ManifoldSchedule(mode="static", order=2, fixed_axis=2)
+            rotation_axis(ManifoldSchedule(mode="static", fixed_axis=2), 2, 0)
 
 
 class TestGeodesics:
@@ -268,38 +267,3 @@ class TestGeodesics:
     def test_stiefel_wide_rejected(self):
         with pytest.raises(ValueError):
             geodesic_stiefel_approx(np.ones((2, 4)), np.ones((2, 4)))
-
-
-class TestSinkhorn:
-    def test_one_iteration_frozen(self):
-        """[[1,2],[3,4]] after one row pass then one column pass, worked
-        out by hand with exact fractions."""
-        out = sinkhorn_normalize([[1.0, 2.0], [3.0, 4.0]], 1)
-        expected = [[7.0 / 16.0, 14.0 / 26.0], [9.0 / 16.0, 12.0 / 26.0]]
-        np.testing.assert_allclose(out, expected, rtol=1e-15)
-
-    def test_columns_sum_to_one_after_any_iteration(self):
-        rng = np.random.default_rng(42)
-        a = rng.random((5, 5)) + 0.1
-        for iterations in (1, 3, 10):
-            out = sinkhorn_normalize(a, iterations)
-            np.testing.assert_allclose(out.sum(axis=0), 1.0, rtol=1e-13)
-
-    def test_converges_to_doubly_stochastic(self):
-        rng = np.random.default_rng(7)
-        a = rng.random((6, 6)) + 0.05
-        out = sinkhorn_normalize(a, 60)
-        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-10)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-10)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sinkhorn_normalize([[1.0, 0.0], [2.0, 3.0]], 2)
-        with pytest.raises(ValueError):
-            sinkhorn_normalize([[1.0, -2.0], [2.0, 3.0]], 2)
-
-    def test_zero_iterations_is_copy(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = sinkhorn_normalize(a, 0)
-        np.testing.assert_array_equal(out, a)
-        assert out is not a

@@ -26,7 +26,6 @@ from manolab.optimizers import (
     clip_global_grad_norm,
     cosine_warmup_lr,
     mano_step,
-    mano_tensor_step,
     mano_transform,
     muon_step,
     newton_schulz,
@@ -51,14 +50,13 @@ def _run_mano_pair(shape, seed, steps=3, **flags):
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(shape)
     buf = np.zeros(shape)
-    order = len(shape)
     mode = flags.pop("mode", "rotating")
     fixed_axis = flags.pop("fixed_axis", 0)
     cfg = ManoConfig(
         lr=3e-2,
         momentum=0.9,
         weight_decay=0.05,
-        schedule=ManifoldSchedule(mode=mode, order=order, fixed_axis=fixed_axis),
+        schedule=ManifoldSchedule(mode=mode, fixed_axis=fixed_axis),
         **flags,
     )
     state = OptimizerState()
@@ -102,17 +100,6 @@ class TestManoStep:
         for i, shape in enumerate([(4, 4), (8, 16), (2, 3, 4)]):
             _run_mano_pair(shape, seed=400 + i, retract_momentum=True)
 
-    def test_tensor_step_matches_matrix_step_exactly(self):
-        """For matrices the any-order wrapper must be bit-identical."""
-        rng = np.random.default_rng(42)
-        theta = rng.standard_normal((6, 5))
-        grad = rng.standard_normal((6, 5))
-        cfg = ManoConfig(lr=1e-2)
-        s1, s2 = OptimizerState(), OptimizerState()
-        out_a = mano_step(theta, grad, s1, cfg)
-        out_b = mano_tensor_step(theta, grad, s2, cfg)
-        np.testing.assert_array_equal(out_a, out_b)
-
     def test_update_rms_is_rescale_coeff(self):
         """With decay off, the applied update divided by lr has RMS equal
         to the rescale coefficient, whatever the shape and axis."""
@@ -150,9 +137,9 @@ class TestManoStep:
         np.testing.assert_array_equal(a, b)
 
     def test_schedule_order_must_match(self):
-        cfg = ManoConfig(schedule=ManifoldSchedule(order=2))
+        cfg = ManoConfig(schedule=ManifoldSchedule(mode="static", fixed_axis=2))
         with pytest.raises(ValueError, match="order"):
-            mano_step(np.ones((2, 2, 2)), np.ones((2, 2, 2)), OptimizerState(), cfg)
+            mano_step(np.ones((2, 2)), np.ones((2, 2)), OptimizerState(), cfg)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from manolab import training
 from manolab.training import (
+    OPTIMIZERS,
     TRAJECTORY_CSV_HEADER,
     MlpModel,
     TrainConfig,
@@ -196,6 +198,8 @@ class TestTrainConfig:
             _small_cfg(batch_size=0)
         with pytest.raises(ValueError):
             _small_cfg(task="blobs-classify")  # needs cross-entropy
+        with pytest.raises(ValueError, match="manifold_mode"):
+            _small_cfg(manifold_mode="wobbly")
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -258,6 +262,32 @@ class TestTrainer:
             else:
                 assert state.momentum is not None
                 assert state.exp_avg is None
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_step_functions_looked_up_when_built(self, monkeypatch, optimizer):
+        """Tracing swaps ``training.<name>_step`` by module attribute before
+        it builds a Trainer.  The swapped step must then run once per
+        matrix per step, and the swapped AdamW once per bias per step."""
+        calls = []
+
+        def counting(name):
+            original = getattr(training, name)
+
+            def counted(theta, grad, state, *args, **kwargs):
+                calls.append((name, np.ndim(theta)))
+                return original(theta, grad, state, *args, **kwargs)
+
+            return counted
+
+        for name in {f"{optimizer}_step", "adamw_step"}:
+            monkeypatch.setattr(training, name, counting(name))
+        trainer = Trainer(
+            _small_cfg(optimizer=optimizer, hidden=(5,), total_steps=3, warmup_steps=1)
+        )
+        trainer.run()
+        assert calls.count((f"{optimizer}_step", 2)) == 2 * 3
+        assert calls.count(("adamw_step", 1)) == 2 * 3
+        assert len(calls) == 4 * 3
 
     def test_recorded_global_norm_respects_clip(self):
         """At every recorded step the per-layer gradient norms recombine
