@@ -195,9 +195,14 @@ def geodesic_sphere(x, y) -> float:
 def _polar_factor(x: np.ndarray) -> np.ndarray:
     """Nearest matrix with orthonormal columns (polar retraction)."""
     u, s, vt = jacobi_svd(x)
-    if s[-1] * s[-1] < 1e-12:
+    # Relative to the largest, so the verdict does not depend on the
+    # scale of x: sigma_min / sigma_max < 1e-6 is a Gram eigenvalue ratio
+    # below 1e-12.  A zero matrix has no polar factor.
+    if s[0] == 0.0 or s[-1] < 1e-6 * s[0]:
+        ratio = (s[-1] / s[0]) ** 2 if s[0] else 0.0
         raise ValueError(
-            f"rank-deficient input: smallest Gram eigenvalue {s[-1]**2:.3e} < 1e-12"
+            f"rank-deficient input: smallest Gram eigenvalue is {ratio:.3e} "
+            "of the largest (< 1e-12)"
         )
     return u @ vt
 

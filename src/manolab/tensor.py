@@ -3,7 +3,11 @@
 Everything downstream (manifold operators, optimizer steps, diagnostics)
 takes its inputs through ``as_tensor``, which validates them (finite
 entries) once.  The rest is RMS and a one-sided Jacobi SVD that does not
-lean on LAPACK's driver.  The slice geometry lives in ``manifold``.
+call LAPACK's SVD.  The SVD rotates all disjoint column pairs of a
+round at once (the odd-even parallel ordering), so its Python work per
+sweep is linear in the number of columns, and the rotations are batched
+matmuls written in place through one preallocated buffer.  The slice
+geometry lives in ``manifold``.
 
 All operations are pure functions on float64 arrays; inputs are never
 mutated.
@@ -16,9 +20,11 @@ import numpy as np
 # Denominators with magnitude below this are treated as exact zeros.
 EPS_DIV = 1e-30
 
-# One-sided Jacobi stopping rule: sweep until the Frobenius mass of the
-# off-diagonal part of the Gram matrix drops below this fraction of the
-# squared Frobenius norm of the input, or the sweep cap is hit.
+# One-sided Jacobi stopping rule: sweep until every column pair visited in
+# a sweep has |<a_p, a_q>| <= JACOBI_TOL * |a_p| |a_q| (the relative test
+# of Demmel & Veselic, which also bounds the Frobenius mass of the Gram
+# matrix's off-diagonal part by JACOBI_TOL times the squared Frobenius
+# norm of the input), or the sweep cap is hit.
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 60
 
@@ -56,11 +62,29 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-sided Jacobi SVD of a matrix.
 
     Returns ``(u, s, vt)`` with singular values in descending order and
-    ``a ~= u @ diag(s) @ vt``.  Column pairs of the working matrix are
-    rotated until the off-diagonal Gram mass is negligible relative to
-    the squared input norm (``JACOBI_TOL``), capped at
-    ``JACOBI_MAX_SWEEPS`` sweeps.  Matrices with more columns than rows
-    are handled by factoring the transpose.
+    ``a ~= u @ diag(s) @ vt``; all three are fresh arrays.  The ``r``
+    working columns (the columns of a tall or square matrix, the rows of
+    a wide one, which is factored as its transpose) are rotated in pairs
+    until every pair is orthogonal to ``JACOBI_TOL`` relative to its two
+    norms, capped at ``JACOBI_MAX_SWEEPS`` sweeps.  The relative test is
+    what keeps tiny singular values accurate relative to their own size
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 1992).
+
+    A sweep is the odd-even ordering (Luk & Park 1989, equivalent to
+    Brent & Luk's round-robin): ``r`` rounds that alternately pair
+    positions (0, 1), (2, 3), ... and (1, 2), (3, 4), ..., each rotated
+    pair written back swapped, so that every pair meets once per sweep.
+    The pairs of a round are disjoint, so a round is a handful of numpy
+    calls: two row reductions for the 2x2 Gram blocks, vector arithmetic
+    for the rotation angles (the classical Jacobi angle), and one batched
+    2x2 matmul each that rotates the columns and the accumulated right
+    factor into a preallocated buffer, copied back in place.  Transient
+    memory is the working copy, the ``r x r`` right factor and the
+    buffer.
+
+    A zero matrix gives zero singular values and identity-like factors.
+    A zero singular value gives a zero singular vector on the long side:
+    a zero column of ``u``, or a zero row of ``vt`` for a wide matrix.
     """
     a = as_tensor(a)
     if a.ndim != 2:
@@ -71,55 +95,101 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"matrix {a.shape} too large for the desk-scale Jacobi loop "
             f"(min side capped at {JACOBI_MAX_DIM})"
         )
-    if m < n:
-        # a = (u_b s vt_b)^T of its transpose: swap the roles of u and v.
-        u_b, s, vt_b = jacobi_svd(a.T)
-        return vt_b.T, s, u_b.T
-
-    w = a.copy()
-    v = np.eye(n)
-    total = float(np.sum(w * w))
-    if total < EPS_DIV:
+    # Rows of w are the r working columns: the columns of a tall matrix,
+    # the rows of a wide one (which is factored as its transpose).
+    wide = m < n
+    r, length = (m, n) if wide else (n, m)
+    if float(np.vdot(a, a)) < EPS_DIV:
         # Zero matrix: all singular values are zero, any orthonormal
         # factors will do.
-        return np.eye(m, n), np.zeros(n), np.eye(n)
+        return np.eye(m, r), np.zeros(r), np.eye(r, n)
 
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(w[:, p] @ w[:, q])
-                off += apq * apq
-                if apq == 0.0:
-                    continue
-                app = float(w[:, p] @ w[:, p])
-                aqq = float(w[:, q] @ w[:, q])
-                zeta = (aqq - app) / (2.0 * apq)
-                # the sign must not vanish at zeta == 0 (equal-norm
-                # columns still need a 45-degree rotation)
-                sign = 1.0 if zeta >= 0.0 else -1.0
-                t = sign / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.hypot(1.0, t)
-                s_ = c * t
-                wp = w[:, p].copy()
-                w[:, p] = c * wp - s_ * w[:, q]
-                w[:, q] = s_ * wp + c * w[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s_ * v[:, q]
-                v[:, q] = s_ * vp + c * v[:, q]
-        if np.sqrt(2.0 * off) <= JACOBI_TOL * total:
-            break
+    w = a.copy() if wide else a.T.copy()
+    v = np.eye(r)
+    _jacobi_sweeps(w, v)
 
-    sigma = np.sqrt((w * w).sum(axis=0))
+    sigma = np.sqrt(np.einsum("ij,ij->i", w, w))
     order = np.argsort(sigma)[::-1]
     sigma = sigma[order]
-    w = w[:, order]
-    v = v[:, order]
-    u = np.zeros((m, n))
-    for j in range(n):
-        if sigma[j] >= EPS_DIV:
-            u[:, j] = w[:, j] / sigma[j]
-    return u, sigma, v.T
+    w = w.take(order, axis=0)  # take, unlike w[order], needs no temporary
+    v = v.take(order, axis=0)
+    zero = sigma < EPS_DIV
+    w[zero] = 0.0
+    w /= np.where(zero, 1.0, sigma)[:, None]
+    if wide:
+        return v.T, sigma, w
+    return w.T, sigma, v
+
+
+def _jacobi_sweeps(w: np.ndarray, v: np.ndarray) -> None:
+    """Jacobi sweeps over the rows of ``w``, in place.
+
+    Every rotation of a row pair of ``w`` is applied to the same rows of
+    ``v``.  The temporaries (the rotation buffer and the views into
+    ``w``, ``v`` and the buffer) live in this frame and are freed on
+    return.
+    """
+    r, length = w.shape
+    norms = np.empty(r)
+    dots = np.empty(r // 2)
+    rot = np.empty((r // 2, 2, 2))
+    buf = np.empty(r // 2 * 2 * length)
+    # The two kinds of round differ only in where the first pair starts;
+    # their views are made once.
+    rounds = []
+    for first in (0, 1):
+        k = (r - first) // 2
+        block = w[first:first + 2 * k]
+        sq = norms[: 2 * k]
+        rounds.append((
+            block,
+            block[0::2],
+            block[1::2],
+            sq,
+            sq[0::2],
+            sq[1::2],
+            dots[:k],
+            rot[:k],
+            block.reshape(k, 2, length),
+            v[first:first + 2 * k].reshape(k, 2, r),
+            buf[: k * 2 * length].reshape(k, 2, length),
+            buf[: k * 2 * r].reshape(k, 2, r),
+        ))
+
+    tol2 = JACOBI_TOL * JACOBI_TOL
+    with np.errstate(invalid="ignore"):
+        for _ in range(JACOBI_MAX_SWEEPS):
+            converged = True
+            for i in range(r):
+                block, p, q, sq, app, aqq, apq, rt, pw, pv, bw, bv = rounds[i % 2]
+                if len(apq) == 0:
+                    continue
+                # the 2x2 Gram block of every pair in the round
+                np.einsum("ij,ij->i", block, block, out=sq)
+                np.einsum("ij,ij->i", p, q, out=apq)
+                if converged:
+                    converged = not (apq * apq > tol2 * (app * aqq)).any()
+                # t = tan of the rotation angle: the root of smaller
+                # magnitude of t^2 + 2 zeta t - 1 = 0, zeta = tau / (2 apq),
+                # written without dividing by apq; +-1 (45 degrees) at
+                # tau == 0, so equal-norm columns still rotate
+                tau = aqq - app
+                h = np.hypot(tau, 2.0 * apq)
+                t = (2.0 * apq) / (tau + np.copysign(h, tau))
+                t[h == 0.0] = 0.0  # 0/0: orthogonal, equal norms; swap only
+                c = 1.0 / np.hypot(1.0, t)
+                # rows (s, c) and (c, -s) with s = c t: the pair rotated
+                # and written back swapped
+                np.multiply(c, t, out=rt[:, 0, 0])
+                np.negative(rt[:, 0, 0], out=rt[:, 1, 1])
+                rt[:, 0, 1] = c
+                rt[:, 1, 0] = c
+                np.matmul(rt, pw, out=bw)
+                pw[...] = bw
+                np.matmul(rt, pv, out=bv)
+                pv[...] = bv
+            if converged:
+                return
 
 
 def svd_values(a) -> np.ndarray:

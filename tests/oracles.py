@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from manolab.tensor import JACOBI_MAX_SWEEPS, JACOBI_TOL
+
 EPS = 1e-30
 
 
@@ -224,3 +226,65 @@ def ns_quintic_map(x, coeffs, iterations):
     for _ in range(iterations):
         x = a * x + b * x**3 + c * x**5
     return x
+
+
+def scalar_jacobi_svd(a):
+    """One-sided Jacobi SVD as a cyclic-by-rows pair loop.
+
+    The package's original loop, kept as the reference for the batched
+    kernel in ``manolab.tensor.jacobi_svd``: one column pair at a time,
+    in the order (0, 1), (0, 2), ..., (n-2, n-1), with the same rotation
+    formula, stopping rule, zero-matrix and zero-sigma conventions and
+    descending order.  Only the input coercion differs (no validation).
+    """
+    a = np.array(a, dtype=np.float64)
+    m, n = a.shape
+    if m < n:
+        # a = (u_b s vt_b)^T of its transpose: swap the roles of u and v.
+        u_b, s, vt_b = scalar_jacobi_svd(a.T)
+        return vt_b.T, s, u_b.T
+
+    w = a.copy()
+    v = np.eye(n)
+    total = float(np.sum(w * w))
+    if total < EPS:
+        # Zero matrix: all singular values are zero, any orthonormal
+        # factors will do.
+        return np.eye(m, n), np.zeros(n), np.eye(n)
+
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = float(w[:, p] @ w[:, q])
+                off += apq * apq
+                if apq == 0.0:
+                    continue
+                app = float(w[:, p] @ w[:, p])
+                aqq = float(w[:, q] @ w[:, q])
+                zeta = (aqq - app) / (2.0 * apq)
+                # the sign must not vanish at zeta == 0 (equal-norm
+                # columns still need a 45-degree rotation)
+                sign = 1.0 if zeta >= 0.0 else -1.0
+                t = sign / (abs(zeta) + np.hypot(1.0, zeta))
+                c = 1.0 / np.hypot(1.0, t)
+                s_ = c * t
+                wp = w[:, p].copy()
+                w[:, p] = c * wp - s_ * w[:, q]
+                w[:, q] = s_ * wp + c * w[:, q]
+                vp = v[:, p].copy()
+                v[:, p] = c * vp - s_ * v[:, q]
+                v[:, q] = s_ * vp + c * v[:, q]
+        if np.sqrt(2.0 * off) <= JACOBI_TOL * total:
+            break
+
+    sigma = np.sqrt((w * w).sum(axis=0))
+    order = np.argsort(sigma)[::-1]
+    sigma = sigma[order]
+    w = w[:, order]
+    v = v[:, order]
+    u = np.zeros((m, n))
+    for j in range(n):
+        if sigma[j] >= EPS:
+            u[:, j] = w[:, j] / sigma[j]
+    return u, sigma, v.T

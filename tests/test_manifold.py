@@ -258,11 +258,23 @@ class TestGeodesics:
         d = geodesic_stiefel_approx(x, y)
         assert geodesic_stiefel_approx(4.0 * x, y) == pytest.approx(d, rel=1e-10)
         assert geodesic_stiefel_approx(y, x) == pytest.approx(d, rel=1e-10)
+        # the rank test is relative, so tiny and huge scales pass too
+        for scale in (1e-7, 1e7):
+            assert geodesic_stiefel_approx(scale * x, y) == pytest.approx(d, rel=1e-10)
+            assert geodesic_stiefel_approx(y, scale * x) == pytest.approx(d, rel=1e-10)
 
     def test_stiefel_rank_deficient_rejected(self):
         x = np.ones((5, 2))  # rank one
         with pytest.raises(ValueError, match="rank-deficient"):
             geodesic_stiefel_approx(x, np.eye(5)[:, :2])
+        # near rank one (sigma_min / sigma_max about 1e-10) at a large
+        # scale: the absolute Gram eigenvalue is large, the ratio is not
+        near = np.ones((5, 2))
+        near[0, 1] += 1e-10
+        with pytest.raises(ValueError, match="rank-deficient"):
+            geodesic_stiefel_approx(1e7 * near, np.eye(5)[:, :2])
+        with pytest.raises(ValueError, match="rank-deficient"):
+            geodesic_stiefel_approx(np.zeros((5, 2)), np.eye(5)[:, :2])
 
     def test_stiefel_wide_rejected(self):
         with pytest.raises(ValueError):
