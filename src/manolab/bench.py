@@ -113,29 +113,13 @@ class FlopModel:
         return [self.row(m, n) for m, n in shapes]
 
 
-def _bytes_mano(m: int, n: int) -> int:
-    # Seven full float64 passes over the matrix: read theta twice
-    # (normalize, final combine), write and re-read theta_hat, read the
-    # direction, write and re-read the tangent, write the result.
-    return 8 * 7 * m * n
-
-
-def _bytes_newton_schulz(m: int, n: int, iterations: int) -> int:
-    if m > n:
-        m, n = n, m
-    # Per iteration: stream X twice for the Gram, touch the two m x m
-    # intermediates, and write the new X.
-    per_iter = 8 * (3 * m * n + 4 * m * m)
-    return iterations * per_iter + 8 * 2 * m * n
-
-
 @dataclass
 class BenchResult:
     """Timing summary for one kernel at one shape.
 
     Times are nanoseconds over ``repetitions`` timed calls (after a
-    fixed warmup); ``flops`` and ``bytes_touched`` come from the models
-    above, not from counters.
+    fixed warmup); ``flops`` comes from the model above, not from
+    counters.
     """
 
     kernel: str
@@ -145,7 +129,6 @@ class BenchResult:
     median_ns: float
     p95_ns: float
     flops: int
-    bytes_touched: int
 
     def __post_init__(self):
         if self.repetitions < MIN_REPETITIONS:
@@ -164,7 +147,6 @@ class BenchResult:
             "median_ns": self.median_ns,
             "p95_ns": self.p95_ns,
             "flops": self.flops,
-            "bytes_touched": self.bytes_touched,
         }
 
 
@@ -199,12 +181,10 @@ def bench_kernels(
                 def call():
                     mano_transform(theta, direction, 0)
                 flops = flops_mano(m, n)
-                touched = _bytes_mano(m, n)
             else:
                 def call():
                     newton_schulz(direction, ns_iterations)
                 flops = flops_newton_schulz(m, n, ns_iterations)
-                touched = _bytes_newton_schulz(m, n, ns_iterations)
             for _ in range(WARMUP_REPETITIONS):
                 call()
             samples = np.empty(repetitions)
@@ -221,7 +201,6 @@ def bench_kernels(
                     median_ns=float(np.median(samples)),
                     p95_ns=float(np.percentile(samples, 95)),
                     flops=flops,
-                    bytes_touched=touched,
                 )
             )
     return results

@@ -10,7 +10,9 @@ The slice geometry itself is four array-level helpers (``slice_inner``,
 ``slice_unit``, ``project_out`` and ``check_slices``) that do no
 coercion or validation.  Every caller in the package goes through them:
 the public operators validate once and then call them, and so do the
-optimizer steps and the convergence runner.
+optimizer steps and the convergence runner.  ``check_unit`` is the one
+test that a point is on the manifold, shared by ``tangent_project`` and
+the Riemannian heavy-ball step.
 """
 
 from __future__ import annotations
@@ -116,6 +118,18 @@ def check_slices(norms: np.ndarray, axis: int) -> None:
         raise DegenerateSliceError(axis, index, float(values[tuple(idx)]))
 
 
+def check_unit(norms: np.ndarray, axis: int) -> None:
+    """Raise ValueError if a slice norm (e.g. the second value of
+    ``slice_unit``) deviates from 1 by more than UNIT_TOL."""
+    deviation = np.abs(norms - 1.0)
+    if np.any(deviation > UNIT_TOL):
+        raise ValueError(
+            f"point is off the manifold: slices along axis {axis} deviate from "
+            f"unit norm by up to {float(np.max(deviation)):.3e} "
+            f"(tolerance {UNIT_TOL:g})"
+        )
+
+
 def _check_axis(a: np.ndarray, axis: int) -> None:
     if not 0 <= axis < a.ndim:
         raise ValueError(f"axis {axis} out of range for order-{a.ndim} tensor")
@@ -153,12 +167,7 @@ def tangent_project(m, theta_hat, axis: int) -> np.ndarray:
             f"operand shapes {m.shape} and {theta_hat.shape} differ"
         )
     _check_axis(theta_hat, axis)
-    deviation = np.abs(np.sqrt(slice_inner(theta_hat, theta_hat, axis)) - 1.0)
-    if np.any(deviation > UNIT_TOL):
-        raise ValueError(
-            f"theta_hat slices along axis {axis} deviate from unit norm "
-            f"by up to {float(np.max(deviation)):.3e} (tolerance {UNIT_TOL:g})"
-        )
+    check_unit(np.sqrt(slice_inner(theta_hat, theta_hat, axis)), axis)
     return project_out(project_out(m, theta_hat, axis), theta_hat, axis)
 
 

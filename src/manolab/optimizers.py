@@ -6,6 +6,13 @@ value, mutating only its OptimizerState (momentum buffers, moment
 estimates, step counter).  This keeps the update rules testable against
 scalar-loop oracles without dragging a training loop along.
 
+The five steps share one skeleton, so each keeps only its own checks
+and direction map: ``_arrays`` coerces and shape-checks the inputs,
+``_buffer`` reads a state buffer (zeros on first use), ``_heavy_ball``
+accumulates momentum and ``_decoupled`` applies the decayed update.
+Every check runs before a step writes its state, so a step that raises
+leaves the state as it was.
+
 Mano in one step, for a matrix theta with the active axis k:
 
     M    <- mu * M + g                      (heavy-ball accumulation)
@@ -28,9 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifold import (
-    UNIT_TOL,
     ManifoldSchedule,
     check_slices,
+    check_unit,
     project_out,
     rotation_axis,
     slice_unit,
@@ -40,13 +47,6 @@ from .tensor import EPS_DIV, ShapeMismatchError, as_tensor
 # Quintic iteration coefficients for the orthogonalizing polynomial
 # a*x + b*x^3 + c*x^5 applied to singular values.
 NS_COEFFS = (3.4445, -4.7750, 2.0315)
-
-
-def _check_pair(theta: np.ndarray, grad: np.ndarray) -> None:
-    if theta.shape != grad.shape:
-        raise ShapeMismatchError(
-            f"parameter shape {theta.shape} does not match gradient shape {grad.shape}"
-        )
 
 
 def _positive(name: str, value: float) -> None:
@@ -128,15 +128,42 @@ class OptimizerState:
     exp_avg_sq: np.ndarray | None = None
 
 
-def _momentum_buffer(state: OptimizerState, theta: np.ndarray) -> np.ndarray:
-    if state.momentum is None:
-        state.momentum = np.zeros_like(theta)
-    elif state.momentum.shape != theta.shape:
+def _arrays(theta, grad) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce a step's inputs and check that their shapes agree."""
+    theta = as_tensor(theta)
+    grad = as_tensor(grad)
+    if theta.shape != grad.shape:
         raise ShapeMismatchError(
-            f"momentum buffer shape {state.momentum.shape} does not match "
+            f"parameter shape {theta.shape} does not match gradient shape {grad.shape}"
+        )
+    return theta, grad
+
+
+def _buffer(state: OptimizerState, name: str, theta: np.ndarray) -> np.ndarray:
+    """The state buffer ``name``, or zeros like theta; ``state`` is not written."""
+    buf = getattr(state, name)
+    if buf is None:
+        return np.zeros_like(theta)
+    if buf.shape != theta.shape:
+        raise ShapeMismatchError(
+            f"{name} buffer shape {buf.shape} does not match "
             f"parameter shape {theta.shape}"
         )
-    return state.momentum
+    return buf
+
+
+def _heavy_ball(buf, grad, mu: float, nesterov: bool = False):
+    """``(m_t, m_used)``: momentum, and the direction (Nesterov look-ahead
+    if asked for)."""
+    m_t = mu * buf + grad
+    return m_t, (mu * m_t + grad if nesterov else m_t)
+
+
+def _decoupled(state: OptimizerState, theta, direction, eta, weight_decay):
+    """The update with weight decay decoupled from ``direction`` (Loshchilov
+    & Hutter, "Decoupled Weight Decay Regularization", 2019); counts the step."""
+    state.step += 1
+    return theta - eta * (direction + weight_decay * theta)
 
 
 def mano_transform(theta: np.ndarray, direction: np.ndarray, axis: int):
@@ -171,23 +198,16 @@ def mano_step(
     scheduled value).  Weight decay is decoupled: it acts on theta
     directly, not through the manifold machinery.
     """
-    theta = as_tensor(theta)
-    grad = as_tensor(grad)
-    _check_pair(theta, grad)
+    theta, grad = _arrays(theta, grad)
     axis = rotation_axis(cfg.schedule, theta.ndim, state.step)
     eta = cfg.lr if lr is None else lr
-    buf = _momentum_buffer(state, theta)
+    buf = _buffer(state, "momentum", theta)
 
-    m_t = cfg.momentum * buf + grad
-    m_used = cfg.momentum * m_t + grad if cfg.nesterov else m_t
+    m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
     _, tangent, unit_tangent = mano_transform(theta, m_used, axis)
-
-    n_k = theta.shape[axis]
-    scaled = cfg.rescale_coeff * np.sqrt(n_k) * unit_tangent
-    new_theta = theta - eta * (scaled + cfg.weight_decay * theta)
-
+    scaled = cfg.rescale_coeff * np.sqrt(theta.shape[axis]) * unit_tangent
+    new_theta = _decoupled(state, theta, scaled, eta, cfg.weight_decay)
     state.momentum = tangent if cfg.retract_momentum else m_t
-    state.step += 1
     return new_theta
 
 
@@ -233,25 +253,21 @@ def muon_step(
     Mano update; weight decay is decoupled.  A zero momentum signal
     yields a zero update (plus decay) rather than an error.
     """
-    theta = as_tensor(theta)
-    grad = as_tensor(grad)
+    theta, grad = _arrays(theta, grad)
     if theta.ndim != 2:
         raise ValueError("muon_step expects a matrix parameter")
-    _check_pair(theta, grad)
     eta = cfg.lr if lr is None else lr
-    buf = _momentum_buffer(state, theta)
+    buf = _buffer(state, "momentum", theta)
 
-    m_t = cfg.momentum * buf + grad
-    m_used = cfg.momentum * m_t + grad if cfg.nesterov else m_t
+    m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
     if float(np.sqrt(np.sum(m_used * m_used))) < EPS_DIV:
         ortho = np.zeros_like(theta)
     else:
         ortho = newton_schulz(m_used, cfg.ns_iterations)
 
     scale = cfg.rescale_coeff * np.sqrt(max(theta.shape))
-    new_theta = theta - eta * (scale * ortho + cfg.weight_decay * theta)
+    new_theta = _decoupled(state, theta, scale * ortho, eta, cfg.weight_decay)
     state.momentum = m_t
-    state.step += 1
     return new_theta
 
 
@@ -263,28 +279,18 @@ def adamw_step(
     lr: float | None = None,
 ) -> np.ndarray:
     """Bias-corrected Adam moments with decoupled weight decay."""
-    theta = as_tensor(theta)
-    grad = as_tensor(grad)
-    _check_pair(theta, grad)
+    theta, grad = _arrays(theta, grad)
     eta = cfg.lr if lr is None else lr
-    if state.exp_avg is None:
-        state.exp_avg = np.zeros_like(theta)
-        state.exp_avg_sq = np.zeros_like(theta)
-    elif state.exp_avg.shape != theta.shape:
-        raise ShapeMismatchError(
-            f"moment shape {state.exp_avg.shape} does not match parameter "
-            f"shape {theta.shape}"
-        )
+    avg, sq = _buffer(state, "exp_avg", theta), _buffer(state, "exp_avg_sq", theta)
 
     t = state.step + 1
-    state.exp_avg = cfg.beta1 * state.exp_avg + (1.0 - cfg.beta1) * grad
-    state.exp_avg_sq = cfg.beta2 * state.exp_avg_sq + (1.0 - cfg.beta2) * grad * grad
-    m_hat = state.exp_avg / (1.0 - cfg.beta1**t)
-    s_hat = state.exp_avg_sq / (1.0 - cfg.beta2**t)
+    # Rebinding state and local at once frees each old moment right away.
+    state.exp_avg = avg = cfg.beta1 * avg + (1.0 - cfg.beta1) * grad
+    state.exp_avg_sq = sq = cfg.beta2 * sq + (1.0 - cfg.beta2) * grad * grad
+    m_hat = avg / (1.0 - cfg.beta1**t)
+    s_hat = sq / (1.0 - cfg.beta2**t)
     update = m_hat / (np.sqrt(s_hat) + cfg.eps)
-    new_theta = theta - eta * (update + cfg.weight_decay * theta)
-    state.step = t
-    return new_theta
+    return _decoupled(state, theta, update, eta, cfg.weight_decay)
 
 
 def sgdm_step(
@@ -296,15 +302,11 @@ def sgdm_step(
     weight_decay: float = 0.0,
 ) -> np.ndarray:
     """Plain heavy-ball step with decoupled weight decay."""
-    theta = as_tensor(theta)
-    grad = as_tensor(grad)
-    _check_pair(theta, grad)
+    theta, grad = _arrays(theta, grad)
     _unit_interval("momentum", momentum)
-    buf = _momentum_buffer(state, theta)
-    m_t = momentum * buf + grad
-    new_theta = theta - lr * (m_t + weight_decay * theta)
+    m_t, _ = _heavy_ball(_buffer(state, "momentum", theta), grad, momentum)
+    new_theta = _decoupled(state, theta, m_t, lr, weight_decay)
     state.momentum = m_t
-    state.step += 1
     return new_theta
 
 
@@ -326,22 +328,15 @@ def rsgdm_step(
     by exact slice renormalization, which raises if the retraction lands
     on a degenerate slice.
     """
-    theta = as_tensor(theta)
-    grad = as_tensor(grad)
-    _check_pair(theta, grad)
+    theta, grad = _arrays(theta, grad)
     _unit_interval("momentum", momentum)
-    buf = _momentum_buffer(state, theta)
-
     theta_hat, norms = slice_unit(theta, axis)
-    deviation = np.abs(norms - 1.0)
-    if np.any(deviation > UNIT_TOL):
-        raise ValueError(
-            f"parameter is off the manifold: slice norms along axis {axis} "
-            f"deviate from 1 by up to {float(np.max(deviation)):.3e}"
-        )
+    check_unit(norms, axis)
+    buf = _buffer(state, "momentum", theta)
+
     transported = project_out(project_out(buf, theta_hat, axis), theta_hat, axis)
     riem_grad = project_out(project_out(grad, theta_hat, axis), theta_hat, axis)
-    m_t = momentum * transported + riem_grad
+    m_t, _ = _heavy_ball(transported, riem_grad, momentum)
     new_theta, norms = slice_unit(theta_hat - lr * m_t, axis)
     check_slices(norms, axis)
     state.momentum = m_t

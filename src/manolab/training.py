@@ -41,8 +41,11 @@ from .tensor import EPS_DIV, rms
 # a large but finite ratio.
 EPS_SNR = 1e-12
 
-TASKS = ("linreg", "blobs-classify")
-LOSSES = ("mse", "cross-entropy")
+# Each task and the loss its targets call for: real targets for
+# regression, integer labels for classification.
+_TASK_LOSS = {"linreg": "mse", "blobs-classify": "cross-entropy"}
+TASKS = tuple(_TASK_LOSS)
+LOSSES = tuple(_TASK_LOSS.values())
 
 # Optimizer name -> (build, unit_columns).  ``build`` turns a TrainConfig
 # into the weight-matrix step ``(theta, grad, state, lr=...)``.  It runs
@@ -164,6 +167,25 @@ def make_dataset(
     return Dataset(features=x, targets=labels.astype(np.int64))
 
 
+def _loss(kind: str, out: np.ndarray, targets) -> tuple[float, np.ndarray]:
+    """``(loss, dz)``: the mean loss of the outputs and its gradient in them.
+
+    mse averages over batch and output entries; cross-entropy is the
+    stable softmax form averaged over the batch, with integer labels.
+    """
+    if kind == "mse":
+        diff = out - targets
+        return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+    batch = out.shape[0]
+    shifted = out - out.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(batch), targets]
+    dz = np.exp(shifted - log_z[:, None])
+    dz[np.arange(batch), targets] -= 1.0
+    dz /= batch
+    return float(np.mean(log_z - picked)), dz
+
+
 class MlpModel:
     """Dense tanh network with an identity output layer.
 
@@ -220,14 +242,7 @@ class MlpModel:
         return acts
 
     def evaluate_loss(self, features: np.ndarray, targets: np.ndarray) -> float:
-        out = self.forward(features)
-        if self.loss == "mse":
-            diff = out - targets
-            return float(np.mean(diff * diff))
-        shifted = out - out.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        picked = shifted[np.arange(out.shape[0]), targets]
-        return float(np.mean(log_z - picked))
+        return _loss(self.loss, self.forward(features), targets)[0]
 
 
 def mlp_forward_backward(model: MlpModel, features, targets):
@@ -259,20 +274,11 @@ def mlp_forward_backward(model: MlpModel, features, targets):
             raise ValueError(
                 f"targets must match output shape {out.shape}, got {targets.shape}"
             )
-        diff = out - targets
-        loss = float(np.mean(diff * diff))
-        dz = 2.0 * diff / diff.size
     else:
         targets = np.asarray(targets)
         if targets.shape != (batch,):
             raise ValueError(f"labels must be ({batch},), got {targets.shape}")
-        shifted = out - out.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        picked = shifted[np.arange(batch), targets]
-        loss = float(np.mean(log_z - picked))
-        dz = np.exp(shifted - log_z[:, None])
-        dz[np.arange(batch), targets] -= 1.0
-        dz /= batch
+    loss, dz = _loss(model.loss, out, targets)
 
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.weights)
@@ -361,8 +367,8 @@ class TrainConfig:
             raise ValueError(
                 f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
             )
-        if self.task == "blobs-classify" and self.loss != "cross-entropy":
-            raise ValueError("blobs-classify requires the cross-entropy loss")
+        if self.loss != _TASK_LOSS[self.task]:
+            raise ValueError(f"{self.task} requires the {_TASK_LOSS[self.task]} loss")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if not 0 < self.warmup_steps < self.total_steps:
@@ -411,14 +417,8 @@ def load_config(path) -> TrainConfig:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    kinds = {
-        "int": int,
-        "float": float,
-        "str": str,
-        "bool": bool,
-        "tuple[int, ...]": tuple,
-    }
+    # Each key is parsed as the type of its field's default.
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
     values = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
@@ -428,12 +428,12 @@ def load_config(path) -> TrainConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in fields:
+        if key not in kinds:
             raise ValueError(
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                f"{', '.join(sorted(fields))}"
+                f"{', '.join(sorted(kinds))}"
             )
-        values[key] = _parse_config_value(key, value, kinds[str(fields[key])])
+        values[key] = _parse_config_value(key, value, kinds[key])
     return TrainConfig(**values)
 
 

@@ -109,27 +109,27 @@ class TestBenchResult:
             BenchResult(
                 kernel="mano", shape=(4, 4), repetitions=MIN_REPETITIONS - 1,
                 mean_ns=1.0, median_ns=1.0, p95_ns=1.0,
-                flops=10, bytes_touched=10,
+                flops=10,
             )
         with pytest.raises(ValueError):
             BenchResult(
                 kernel="mano", shape=(4, 4), repetitions=100,
                 mean_ns=0.0, median_ns=1.0, p95_ns=1.0,
-                flops=10, bytes_touched=10,
+                flops=10,
             )
 
     def test_to_dict_keys(self):
         r = BenchResult(
             kernel="mano", shape=(4, 4), repetitions=100,
             mean_ns=2.0, median_ns=1.5, p95_ns=3.0,
-            flops=176, bytes_touched=896,
+            flops=176,
         )
         d = r.to_dict()
         assert d["kernel"] == "mano"
         assert d["shape"] == [4, 4]
         assert set(d) == {
             "kernel", "shape", "repetitions", "mean_ns", "median_ns",
-            "p95_ns", "flops", "bytes_touched",
+            "p95_ns", "flops",
         }
 
 

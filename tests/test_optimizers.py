@@ -45,6 +45,51 @@ from oracles import (
 MANO_SHAPES = [(4, 4), (16, 8), (8, 16), (3,), (2, 3, 4)]
 
 
+# Each step called with default settings: (theta, grad, state).
+_STEP_CALLS = {
+    "mano_step": lambda th, g, s: mano_step(th, g, s, ManoConfig()),
+    "muon_step": lambda th, g, s: muon_step(th, g, s, MuonConfig()),
+    "adamw_step": lambda th, g, s: adamw_step(th, g, s, AdamWConfig()),
+    "sgdm_step": lambda th, g, s: sgdm_step(th, g, s, 1e-2),
+    "rsgdm_step": lambda th, g, s: rsgdm_step(th, g, s, 1e-2),
+}
+
+# One raising call per step, plus a shape mismatch for each.
+_RAISING_CALLS = {
+    **{
+        f"{name}-shape-mismatch": lambda s, call=call: call(
+            np.eye(3, 2), np.ones((2, 3)), s
+        )
+        for name, call in _STEP_CALLS.items()
+    },
+    "mano_step-static-axis-2": lambda s: mano_step(
+        np.ones((2, 2)),
+        np.ones((2, 2)),
+        s,
+        ManoConfig(schedule=ManifoldSchedule(mode="static", fixed_axis=2)),
+    ),
+    "muon_step-vector": lambda s: muon_step(np.ones(4), np.ones(4), s, MuonConfig()),
+    "sgdm_step-momentum-1": lambda s: sgdm_step(
+        np.ones((2, 2)), np.ones((2, 2)), s, 1e-2, momentum=1.0
+    ),
+    "rsgdm_step-off-manifold": lambda s: rsgdm_step(
+        np.ones((3, 2)), np.ones((3, 2)), s, 0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _RAISING_CALLS.values(), ids=_RAISING_CALLS.keys())
+def test_raising_step_leaves_state_untouched(call):
+    """Every step validates before it writes its state."""
+    state = OptimizerState()
+    with pytest.raises(ValueError):
+        call(state)
+    assert state.step == 0
+    assert state.momentum is None
+    assert state.exp_avg is None
+    assert state.exp_avg_sq is None
+
+
 def _run_mano_pair(shape, seed, steps=3, **flags):
     """Drive mano_step and the oracle side by side for a few steps."""
     rng = np.random.default_rng(seed)
@@ -146,9 +191,24 @@ class TestManoStep:
             mano_step(np.ones((2, 3)), np.ones((3, 2)), OptimizerState(), ManoConfig())
 
     def test_stale_momentum_buffer_rejected(self):
-        state = OptimizerState(momentum=np.zeros((3, 3)))
-        with pytest.raises(ShapeMismatchError):
-            mano_step(np.ones((2, 2)), np.ones((2, 2)), state, ManoConfig())
+        """Every step rejects a state buffer shaped for another parameter,
+        including an AdamW second moment that would merely broadcast."""
+        theta = np.eye(2)  # unit columns, so rsgdm gets past its own check
+        stale = [
+            ("mano_step", OptimizerState(momentum=np.zeros((3, 3)))),
+            ("muon_step", OptimizerState(momentum=np.zeros((3, 3)))),
+            ("sgdm_step", OptimizerState(momentum=np.zeros((3, 3)))),
+            ("rsgdm_step", OptimizerState(momentum=np.zeros((3, 3)))),
+            ("adamw_step", OptimizerState(exp_avg=np.zeros((3, 3)))),
+            (
+                "adamw_step",
+                OptimizerState(exp_avg=np.zeros((2, 2)), exp_avg_sq=np.zeros((1, 2))),
+            ),
+        ]
+        for name, state in stale:
+            with pytest.raises(ShapeMismatchError, match="buffer shape"):
+                _STEP_CALLS[name](theta, theta, state)
+            assert state.step == 0
 
 
 class TestManoTransform:

@@ -198,6 +198,8 @@ class TestTrainConfig:
             _small_cfg(batch_size=0)
         with pytest.raises(ValueError):
             _small_cfg(task="blobs-classify")  # needs cross-entropy
+        with pytest.raises(ValueError, match="linreg requires the mse loss"):
+            _small_cfg(loss="cross-entropy")
         with pytest.raises(ValueError, match="manifold_mode"):
             _small_cfg(manifold_mode="wobbly")
 
