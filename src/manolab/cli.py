@@ -139,10 +139,12 @@ def _cmd_converge(args) -> int:
         steps=args.steps,
     )
     observed = run.min_grad_norm()
+    # A bound many orders above the observed value holds only vacuously.
+    ratio = f"bound/observed={bound / observed:.3g}" if observed > 0.0 else "observed=0"
     if observed <= bound:
-        print(f"bound check: {observed:.6g} <= {bound:.6g} HOLDS")
+        print(f"bound check: {observed:.6g} <= {bound:.6g} HOLDS ({ratio})")
         return 0
-    print(f"bound check: {observed:.6g} > {bound:.6g} VIOLATED")
+    print(f"bound check: {observed:.6g} > {bound:.6g} VIOLATED ({ratio})")
     return 2
 
 

@@ -8,16 +8,19 @@ scalar-loop oracles without dragging a training loop along.
 
 The five steps share one skeleton, so each keeps only its own checks
 and direction map: ``_arrays`` coerces and shape-checks the inputs,
-``_buffer`` reads a state buffer (zeros on first use), ``_heavy_ball``
-accumulates momentum and ``_decoupled`` applies the decayed update.
-Every check runs before a step writes its state, so a step that raises
-leaves the state as it was.
+``_buffer`` checks a state buffer, ``_heavy_ball`` accumulates momentum
+into it in place and ``_decoupled`` writes the decayed update into one
+new array.  Every check runs before a step writes its state, so a step
+that raises leaves the state as it was.  On a warm state the Mano,
+AdamW and SGD-M steps hold at most two new parameter-sized arrays at
+once, the returned one included.
 
 Mano in one step, for a matrix theta with the active axis k:
 
     M    <- mu * M + g                      (heavy-ball accumulation)
-    hat  =  theta with unit axis-k slices
-    v    =  M - hat * <M, hat>_k            (tangent projection)
+    v    =  M - theta * <M, theta>_k / ||theta||_k^2
+                                            (tangent projection at the
+                                             unit-slice point theta/||theta||_k)
     vhat =  v with unit axis-k slices
     theta <- theta - lr * (0.2 * sqrt(n_k) * vhat + wd * theta)
 
@@ -30,6 +33,7 @@ lets a single unit-norm constraint serve both row and column geometry.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,8 +122,10 @@ class OptimizerState:
     """Per-parameter mutable state.
 
     ``momentum`` serves the heavy-ball optimizers; ``exp_avg`` and
-    ``exp_avg_sq`` serve AdamW.  Buffers start as None and are
-    zero-initialized on first use so a fresh state works for any rule.
+    ``exp_avg_sq`` serve AdamW.  Buffers start as None and are made on
+    first use, so a fresh state works for any rule.  The state owns its
+    buffers: a step updates them in place, so an array handed in as a
+    buffer is overwritten (pass a copy to keep it).
     """
 
     step: int = 0
@@ -139,31 +145,82 @@ def _arrays(theta, grad) -> tuple[np.ndarray, np.ndarray]:
     return theta, grad
 
 
-def _buffer(state: OptimizerState, name: str, theta: np.ndarray) -> np.ndarray:
-    """The state buffer ``name``, or zeros like theta; ``state`` is not written."""
+def _buffer(state: OptimizerState, name: str, theta: np.ndarray) -> np.ndarray | None:
+    """The state buffer ``name`` checked against theta, or None if there is
+    none yet; ``state`` is not written."""
     buf = getattr(state, name)
     if buf is None:
-        return np.zeros_like(theta)
+        return None
     if buf.shape != theta.shape:
         raise ShapeMismatchError(
             f"{name} buffer shape {buf.shape} does not match "
             f"parameter shape {theta.shape}"
         )
+    if buf.dtype != theta.dtype:
+        raise TypeError(f"{name} buffer dtype {buf.dtype} is not {theta.dtype}")
     return buf
 
 
 def _heavy_ball(buf, grad, mu: float, nesterov: bool = False):
     """``(m_t, m_used)``: momentum, and the direction (Nesterov look-ahead
-    if asked for)."""
-    m_t = mu * buf + grad
-    return m_t, (mu * m_t + grad if nesterov else m_t)
+    if asked for).
+
+    ``m_t = mu * buf + grad`` is accumulated into ``buf`` in place; with
+    no buffer it is ``0.0 + grad``, a copy of grad (adding 0.0 turns -0.0
+    into 0.0, as ``mu * 0 + grad`` would).  The look-ahead is a new array.
+    """
+    if buf is None:
+        m_t = np.add(grad, 0.0)
+    else:
+        m_t = buf
+        m_t *= mu
+        m_t += grad
+    if not nesterov:
+        return m_t, m_t
+    m_used = np.multiply(m_t, mu)
+    m_used += grad
+    return m_t, m_used
 
 
 def _decoupled(state: OptimizerState, theta, direction, eta, weight_decay):
-    """The update with weight decay decoupled from ``direction`` (Loshchilov
-    & Hutter, "Decoupled Weight Decay Regularization", 2019); counts the step."""
+    """``theta - eta * (direction + weight_decay * theta)``, written into one
+    new array: the update with weight decay decoupled from ``direction``
+    (Loshchilov & Hutter, "Decoupled Weight Decay Regularization", 2019).
+    Counts the step."""
     state.step += 1
-    return theta - eta * (direction + weight_decay * theta)
+    out = np.multiply(theta, weight_decay)
+    out += direction
+    out *= eta
+    return np.subtract(theta, out, out=out)
+
+
+def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int):
+    """``(tangent, inv_norms)``: the projection of ``direction`` onto the
+    tangent space at the unit-slice point theta/||theta||, and the
+    reciprocals of the tangent's slice norms (reduced axis kept).
+
+    The projection is ``direction - theta * <direction, theta> / ||theta||^2``,
+    slice by slice along ``axis``, so the unit-slice point is never
+    formed.  ``einsum`` takes the slice sums without a product array and
+    scales theta by the coefficients without a broadcast buffer, so
+    ``tangent`` is the only parameter-sized array made.  As in
+    ``slice_unit``, a theta slice with norm below EPS_DIV is not
+    projected out, and a tangent slice with norm below EPS_DIV gets a
+    zero reciprocal, so it contributes nothing to the step.
+    """
+    full = string.ascii_letters[: theta.ndim]
+    kept = full.replace(full[axis], "")
+    slice_sums = f"{full},{full}->{kept}"
+    sq = np.einsum(slice_sums, theta, theta)
+    coef = np.divide(
+        np.einsum(slice_sums, direction, theta), sq,
+        out=np.zeros_like(sq), where=np.sqrt(sq) >= EPS_DIV,
+    )
+    tangent = np.einsum(f"{full},{kept}->{full}", theta, coef)
+    np.subtract(direction, tangent, out=tangent)
+    norms = np.sqrt(np.einsum(slice_sums, tangent, tangent))
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= EPS_DIV)
+    return tangent, np.expand_dims(inv, axis)
 
 
 def mano_transform(theta: np.ndarray, direction: np.ndarray, axis: int):
@@ -175,12 +232,12 @@ def mano_transform(theta: np.ndarray, direction: np.ndarray, axis: int):
     is the slice-normalized tangent.  Degenerate slices yield zeros, so
     such a slice contributes nothing to the step rather than blowing it
     up.  The projection is applied once: this is the arithmetic the
-    11mn FLOP model counts.
+    11mn FLOP model counts.  The step itself never forms theta_hat; it
+    is made here only to be returned.
     """
+    tangent, inv = _mano_kernel(theta, direction, axis)
     theta_hat, _ = slice_unit(theta, axis)
-    tangent = project_out(direction, theta_hat, axis)
-    unit_tangent, _ = slice_unit(tangent, axis)
-    return theta_hat, tangent, unit_tangent
+    return theta_hat, tangent, tangent * inv
 
 
 def mano_step(
@@ -204,11 +261,18 @@ def mano_step(
     buf = _buffer(state, "momentum", theta)
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
-    _, tangent, unit_tangent = mano_transform(theta, m_used, axis)
-    scaled = cfg.rescale_coeff * np.sqrt(theta.shape[axis]) * unit_tangent
-    new_theta = _decoupled(state, theta, scaled, eta, cfg.weight_decay)
-    state.momentum = tangent if cfg.retract_momentum else m_t
-    return new_theta
+    tangent, inv = _mano_kernel(theta, m_used, axis)
+    del m_used  # a Nesterov look-ahead is freed before the update is made
+    inv *= cfg.rescale_coeff * np.sqrt(theta.shape[axis])
+    if cfg.retract_momentum:
+        # The tangent becomes the momentum, so the spent accumulator
+        # holds the scaled direction.
+        state.momentum = tangent
+        scaled = np.multiply(tangent, inv, out=m_t)
+    else:
+        state.momentum = m_t
+        scaled = np.multiply(tangent, inv, out=tangent)
+    return _decoupled(state, theta, scaled, eta, cfg.weight_decay)
 
 
 def newton_schulz(g, iterations: int = 5) -> np.ndarray:
@@ -260,15 +324,14 @@ def muon_step(
     buf = _buffer(state, "momentum", theta)
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
-    if float(np.sqrt(np.sum(m_used * m_used))) < EPS_DIV:
+    state.momentum = m_t
+    if float(np.sqrt(np.vdot(m_used, m_used))) < EPS_DIV:
         ortho = np.zeros_like(theta)
     else:
         ortho = newton_schulz(m_used, cfg.ns_iterations)
-
-    scale = cfg.rescale_coeff * np.sqrt(max(theta.shape))
-    new_theta = _decoupled(state, theta, scale * ortho, eta, cfg.weight_decay)
-    state.momentum = m_t
-    return new_theta
+    del m_used
+    ortho *= cfg.rescale_coeff * np.sqrt(max(theta.shape))
+    return _decoupled(state, theta, ortho, eta, cfg.weight_decay)
 
 
 def adamw_step(
@@ -284,12 +347,26 @@ def adamw_step(
     avg, sq = _buffer(state, "exp_avg", theta), _buffer(state, "exp_avg_sq", theta)
 
     t = state.step + 1
-    # Rebinding state and local at once frees each old moment right away.
-    state.exp_avg = avg = cfg.beta1 * avg + (1.0 - cfg.beta1) * grad
-    state.exp_avg_sq = sq = cfg.beta2 * sq + (1.0 - cfg.beta2) * grad * grad
-    m_hat = avg / (1.0 - cfg.beta1**t)
-    s_hat = sq / (1.0 - cfg.beta2**t)
-    update = m_hat / (np.sqrt(s_hat) + cfg.eps)
+    if avg is None:
+        state.exp_avg = avg = np.zeros_like(theta)
+    if sq is None:
+        state.exp_avg_sq = sq = np.zeros_like(theta)
+    # The moments move in place; one scratch array carries each addend,
+    # then the denominator sqrt(s_hat) + eps, and is freed before the
+    # update is written.
+    scratch = np.multiply(grad, 1.0 - cfg.beta1)
+    avg *= cfg.beta1
+    avg += scratch
+    np.multiply(grad, 1.0 - cfg.beta2, out=scratch)
+    scratch *= grad
+    sq *= cfg.beta2
+    sq += scratch
+    np.divide(sq, 1.0 - cfg.beta2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += cfg.eps
+    update = np.divide(avg, 1.0 - cfg.beta1**t)
+    update /= scratch
+    del scratch
     return _decoupled(state, theta, update, eta, cfg.weight_decay)
 
 
@@ -305,9 +382,8 @@ def sgdm_step(
     theta, grad = _arrays(theta, grad)
     _unit_interval("momentum", momentum)
     m_t, _ = _heavy_ball(_buffer(state, "momentum", theta), grad, momentum)
-    new_theta = _decoupled(state, theta, m_t, lr, weight_decay)
     state.momentum = m_t
-    return new_theta
+    return _decoupled(state, theta, m_t, lr, weight_decay)
 
 
 def rsgdm_step(
@@ -334,7 +410,10 @@ def rsgdm_step(
     check_unit(norms, axis)
     buf = _buffer(state, "momentum", theta)
 
-    transported = project_out(project_out(buf, theta_hat, axis), theta_hat, axis)
+    transported = (
+        None if buf is None
+        else project_out(project_out(buf, theta_hat, axis), theta_hat, axis)
+    )
     riem_grad = project_out(project_out(grad, theta_hat, axis), theta_hat, axis)
     m_t, _ = _heavy_ball(transported, riem_grad, momentum)
     new_theta, norms = slice_unit(theta_hat - lr * m_t, axis)

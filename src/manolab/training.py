@@ -523,15 +523,17 @@ class Trainer:
             )
 
             params = self.model.parameters()
-            deltas = []
-            new_params = []
-            for name, theta, grad in zip(self.names, params, clipped):
-                new = self.rules[name](theta, grad, self.states[name], lr=lr_t)
-                deltas.append(theta - new)
-                new_params.append(new)
+            new_params = [
+                self.rules[name](theta, grad, self.states[name], lr=lr_t)
+                for name, theta, grad in zip(self.names, params, clipped)
+            ]
 
             record_now = (t % cfg.cadence == 0) or (t == cfg.total_steps - 1)
-            if snapshotting and t % cfg.snapshot_every == 0:
+            snapshot_now = snapshotting and t % cfg.snapshot_every == 0
+            # Only records and snapshots read the applied updates.
+            if record_now or snapshot_now:
+                deltas = [theta - new for theta, new in zip(params, new_params)]
+            if snapshot_now:
                 for name, theta, grad, delta in zip(
                     self.names, params, clipped, deltas
                 ):

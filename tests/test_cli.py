@@ -2,6 +2,7 @@
 contract, and byte determinism of the file outputs."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,7 +68,12 @@ class TestConverge:
         args = ["converge", "--m", "8", "--steps", "50"]
         code = run_cli(args + ["--out", str(tmp_path / "a")])
         assert code == 0
-        assert "HOLDS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "HOLDS" in out
+        observed, bound, ratio = re.search(
+            r"bound check: (\S+) <= (\S+) HOLDS \(bound/observed=(\S+)\)", out
+        ).groups()
+        assert float(ratio) == pytest.approx(float(bound) / float(observed), rel=1e-2)
         code = run_cli(args + ["--out", str(tmp_path / "b")])
         assert code == 0
         assert (

@@ -9,6 +9,7 @@ schedule endpoints) and the error contract.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,46 +55,142 @@ _STEP_CALLS = {
     "rsgdm_step": lambda th, g, s: rsgdm_step(th, g, s, 1e-2),
 }
 
-# One raising call per step, plus a shape mismatch for each.
+def _live(step=3, **shapes):
+    """A warm state whose named buffers are filled with distinct values."""
+    rng = np.random.default_rng(step)
+    return OptimizerState(
+        step=step, **{name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    )
+
+
+_MANO_AXIS_2 = ManoConfig(schedule=ManifoldSchedule(mode="static", fixed_axis=2))
+
+# One raising call per step, plus a shape mismatch for each:
+# (call, the state it starts from).
 _RAISING_CALLS = {
     **{
-        f"{name}-shape-mismatch": lambda s, call=call: call(
-            np.eye(3, 2), np.ones((2, 3)), s
+        f"{name}-shape-mismatch": (
+            lambda s, call=call: call(np.eye(3, 2), np.ones((2, 3)), s),
+            OptimizerState,
         )
         for name, call in _STEP_CALLS.items()
     },
-    "mano_step-static-axis-2": lambda s: mano_step(
-        np.ones((2, 2)),
-        np.ones((2, 2)),
-        s,
-        ManoConfig(schedule=ManifoldSchedule(mode="static", fixed_axis=2)),
+    "mano_step-static-axis-2": (
+        lambda s: mano_step(np.ones((2, 2)), np.ones((2, 2)), s, _MANO_AXIS_2),
+        OptimizerState,
     ),
-    "muon_step-vector": lambda s: muon_step(np.ones(4), np.ones(4), s, MuonConfig()),
-    "sgdm_step-momentum-1": lambda s: sgdm_step(
-        np.ones((2, 2)), np.ones((2, 2)), s, 1e-2, momentum=1.0
+    "muon_step-vector": (
+        lambda s: muon_step(np.ones(4), np.ones(4), s, MuonConfig()),
+        OptimizerState,
     ),
-    "rsgdm_step-off-manifold": lambda s: rsgdm_step(
-        np.ones((3, 2)), np.ones((3, 2)), s, 0.1
+    "sgdm_step-momentum-1": (
+        lambda s: sgdm_step(np.ones((2, 2)), np.ones((2, 2)), s, 1e-2, momentum=1.0),
+        OptimizerState,
+    ),
+    "rsgdm_step-off-manifold": (
+        lambda s: rsgdm_step(np.ones((3, 2)), np.ones((3, 2)), s, 0.1),
+        OptimizerState,
+    ),
+    # Live, correctly shaped buffers: a step that updated one in place
+    # before a later check raised would show here.
+    "mano_step-static-axis-2-live": (
+        lambda s: mano_step(np.ones((2, 2)), np.ones((2, 2)), s, _MANO_AXIS_2),
+        lambda: _live(momentum=(2, 2)),
+    ),
+    "rsgdm_step-off-manifold-live": (
+        lambda s: rsgdm_step(np.ones((3, 2)), np.ones((3, 2)), s, 0.1),
+        lambda: _live(momentum=(3, 2)),
+    ),
+    "sgdm_step-momentum-1-live": (
+        lambda s: sgdm_step(np.ones((2, 2)), np.ones((2, 2)), s, 1e-2, momentum=1.0),
+        lambda: _live(momentum=(2, 2)),
+    ),
+    "adamw_step-exp_avg_sq-shape-live": (
+        lambda s: adamw_step(np.ones((2, 2)), np.ones((2, 2)), s, AdamWConfig()),
+        lambda: _live(exp_avg=(2, 2), exp_avg_sq=(1, 2)),
     ),
 }
 
 
-@pytest.mark.parametrize("call", _RAISING_CALLS.values(), ids=_RAISING_CALLS.keys())
-def test_raising_step_leaves_state_untouched(call):
-    """Every step validates before it writes its state."""
-    state = OptimizerState()
+def _buffers(state):
+    return {
+        name: None if buf is None else (buf.shape, buf.tobytes())
+        for name, buf in vars(state).items()
+        if name != "step"
+    }
+
+
+@pytest.mark.parametrize(
+    "call, make_state", _RAISING_CALLS.values(), ids=_RAISING_CALLS.keys()
+)
+def test_raising_step_leaves_state_untouched(call, make_state):
+    """Every step validates before it writes its state, including the
+    buffers it would update in place."""
+    state = make_state()
+    step, before = state.step, _buffers(state)
     with pytest.raises(ValueError):
         call(state)
-    assert state.step == 0
-    assert state.momentum is None
-    assert state.exp_avg is None
-    assert state.exp_avg_sq is None
+    assert state.step == step
+    assert _buffers(state) == before
 
 
-def _run_mano_pair(shape, seed, steps=3, **flags):
-    """Drive mano_step and the oracle side by side for a few steps."""
+def _mano_on(axis, nesterov=False):
+    cfg = ManoConfig(
+        nesterov=nesterov, schedule=ManifoldSchedule(mode="static", fixed_axis=axis)
+    )
+    return lambda th, g, s: mano_step(th, g, s, cfg)
+
+
+# Warm steps whose transient peak is bounded: the Mano cases cover both
+# axes of a matrix, with and without the Nesterov look-ahead.
+_LEAN_STEPS = {
+    "mano_step-axis-0": _mano_on(0),
+    "mano_step-axis-1": _mano_on(1),
+    "mano_step-axis-0-nesterov": _mano_on(0, nesterov=True),
+    "mano_step-axis-1-nesterov": _mano_on(1, nesterov=True),
+    "adamw_step": _STEP_CALLS["adamw_step"],
+    "sgdm_step": _STEP_CALLS["sgdm_step"],
+}
+
+
+@pytest.mark.parametrize("call", _LEAN_STEPS.values(), ids=_LEAN_STEPS.keys())
+def test_transient_memory_within_two_parameters(call):
+    """Peak traced allocation of one step on a warm state, above its level
+    at entry and counting the returned array, stays within twice the
+    parameter's bytes.  32 KiB on top cover the per-slice vectors
+    (a few hundred entries each) and einsum's own workspace."""
+    rng = np.random.default_rng(8)
+    theta = rng.standard_normal((256, 192))
+    grad = rng.standard_normal((256, 192))
+    state = OptimizerState()
+    for _ in range(2):
+        call(theta, grad, state)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        new_theta = call(theta, grad, state)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert new_theta.shape == theta.shape
+    assert peak <= 2 * theta.nbytes + 32 * 1024, (
+        f"peak {peak} B is {peak / theta.nbytes:.2f}x the parameter's bytes"
+    )
+
+
+def _run_mano_pair(shape, seed, steps=3, edit=None, **flags):
+    """Drive mano_step and the oracle side by side for a few steps.
+
+    ``edit(theta, grads)``, if given, shapes the start point and the
+    per-step gradients in place before the run.  Returns the parameter
+    at the start and after each step.
+    """
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(shape)
+    grads = [rng.standard_normal(shape) for _ in range(steps)]
+    if edit is not None:
+        edit(theta, grads)
     buf = np.zeros(shape)
     mode = flags.pop("mode", "rotating")
     fixed_axis = flags.pop("fixed_axis", 0)
@@ -106,9 +203,10 @@ def _run_mano_pair(shape, seed, steps=3, **flags):
     )
     state = OptimizerState()
     oracle_theta = theta.copy()
-    for t in range(steps):
-        grad = rng.standard_normal(shape)
+    history = [theta]
+    for t, grad in enumerate(grads):
         theta = mano_step(theta, grad, state, cfg)
+        history.append(theta)
         oracle_theta, buf = mano_oracle(
             oracle_theta,
             grad,
@@ -126,8 +224,51 @@ def _run_mano_pair(shape, seed, steps=3, **flags):
         np.testing.assert_allclose(theta, oracle_theta, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(state.momentum, buf, rtol=1e-12, atol=1e-12)
     assert state.step == steps
+    return history
 
 
+def _zero_column(theta, grads):
+    theta[:, 2] = 0.0
+
+
+# Column 1 of theta is (1, -1, 1, 1) and the first gradient's column is
+# three times it.  Both sides compute that slice exactly: its tangent is
+# zero, so the slice takes only the decay at step 0.
+_PARALLEL_COLUMN = np.array([1.0, -1.0, 1.0, 1.0])
+
+
+def _parallel_column(theta, grads):
+    theta[:, 1] = _PARALLEL_COLUMN
+    grads[0][:, 1] = 3.0 * _PARALLEL_COLUMN
+
+
+def _decay_only_on_parallel_column(history):
+    """The radial slice moves by the decay alone (lr 3e-2, decay 0.05)."""
+    start, first = history[0][:, 1], history[1][:, 1]
+    np.testing.assert_array_equal(start, _PARALLEL_COLUMN)
+    np.testing.assert_allclose(first, start * (1.0 - 3e-2 * 0.05), rtol=1e-15)
+
+
+# Degenerate and flag-combination cases: (shape, flags, extra check).
+_MANO_EDGE_CASES = {
+    "zero-theta-column": ((5, 4), dict(edit=_zero_column), None),
+    "zero-theta-column-static": (
+        (5, 4), dict(edit=_zero_column, mode="static"), None
+    ),
+    "parallel-momentum-slice": (
+        (4, 3),
+        dict(edit=_parallel_column, mode="static", fixed_axis=0),
+        _decay_only_on_parallel_column,
+    ),
+    "nesterov-retract-matrix": (
+        (8, 16), dict(nesterov=True, retract_momentum=True), None
+    ),
+    "nesterov-retract-order-3": (
+        (2, 3, 4), dict(nesterov=True, retract_momentum=True, steps=4), None
+    ),
+    "order-3-static-axis-1": ((3, 4, 2), dict(mode="static", fixed_axis=1), None),
+    "order-3-static-axis-2": ((3, 4, 2), dict(mode="static", fixed_axis=2), None),
+}
 class TestManoStep:
     def test_matches_oracle_all_shapes(self):
         for i, shape in enumerate(MANO_SHAPES):
@@ -144,6 +285,14 @@ class TestManoStep:
     def test_matches_oracle_retract_momentum(self):
         for i, shape in enumerate([(4, 4), (8, 16), (2, 3, 4)]):
             _run_mano_pair(shape, seed=400 + i, retract_momentum=True)
+
+    @pytest.mark.parametrize(
+        "shape, flags, check", _MANO_EDGE_CASES.values(), ids=_MANO_EDGE_CASES.keys()
+    )
+    def test_matches_oracle_edge_cases(self, shape, flags, check):
+        history = _run_mano_pair(shape, seed=500, **flags)
+        if check is not None:
+            check(history)
 
     def test_update_rms_is_rescale_coeff(self):
         """With decay off, the applied update divided by lr has RMS equal
@@ -209,6 +358,11 @@ class TestManoStep:
             with pytest.raises(ShapeMismatchError, match="buffer shape"):
                 _STEP_CALLS[name](theta, theta, state)
             assert state.step == 0
+        # A buffer is updated in place, so it must have the parameter's dtype.
+        state = OptimizerState(momentum=np.zeros((2, 2), dtype=np.float32))
+        with pytest.raises(TypeError, match="buffer dtype"):
+            _STEP_CALLS["sgdm_step"](theta, theta, state)
+        assert state.step == 0
 
 
 class TestManoTransform:
