@@ -25,6 +25,7 @@ as 6mnB.  Overheads below are relative to that.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -139,15 +140,7 @@ class BenchResult:
             raise ValueError("timings must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "shape": list(self.shape),
-            "repetitions": self.repetitions,
-            "mean_ns": self.mean_ns,
-            "median_ns": self.median_ns,
-            "p95_ns": self.p95_ns,
-            "flops": self.flops,
-        }
+        return dict(dataclasses.asdict(self), shape=list(self.shape))
 
 
 def bench_kernels(

@@ -5,9 +5,10 @@ a flat config file, ``converge`` runs a rate experiment and checks the
 bound, ``bench`` times kernels, ``spectra`` and ``geodesic`` digest
 snapshot directories, and ``flops`` prints the arithmetic model.
 
-Exit codes: 0 on success, 1 for usage or validation problems, 2 when a
-checked assertion (the convergence bound) fails.  All file outputs are
-byte-deterministic for a fixed invocation except for measured timings.
+Exit codes: 0 on success, 1 for usage or validation problems or a
+diverged training run, 2 when a checked assertion (the convergence
+bound) fails.  All file outputs are byte-deterministic for a fixed
+invocation except for measured timings.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -28,9 +28,13 @@ from .convergence import (
 )
 from .diagnostics import spectrum_report, trajectory_geodesics
 from .manifold import GEODESIC_MANIFOLDS
-from .training import load_config, train_run, write_trajectory_csv
-
-SNAPSHOT_PATTERN = re.compile(r"^step(\d+)_(.+)\.npz$")
+from .training import (
+    TrainingDiverged,
+    load_config,
+    load_snapshots,
+    train_run,
+    write_trajectory_csv,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--n", type=int, default=None, help="column count (default m)")
     p_conv.add_argument("--steps", type=int, required=True)
     p_conv.add_argument("--c", type=float, default=1.0, help="step-size scale")
-    p_conv.add_argument("--stochastic", action="store_true")
-    p_conv.add_argument("--noise", type=float, default=0.0)
+    p_conv.add_argument(
+        "--noise", type=float, default=0.0,
+        help="standard deviation of the Gaussian noise added to each gradient",
+    )
     p_conv.add_argument("--seed", type=int, default=0)
     p_conv.add_argument("--out", required=True)
 
@@ -110,12 +116,12 @@ def _cmd_train(args) -> int:
 def _cmd_converge(args) -> int:
     n = args.n if args.n is not None else args.m
     if args.objective == "quadratic":
-        objective = quadratic_objective(args.m, n, seed=args.seed, noise_scale=args.noise)
+        objective = quadratic_objective(
+            args.m, n, seed=args.seed, noise_scale=args.noise, step_scale=args.c
+        )
     else:
         objective = softmax_objective(args.m, n, seed=args.seed, noise_scale=args.noise)
-    run = run_convergence_experiment(
-        objective, args.steps, c=args.c, stochastic=args.stochastic, seed=args.seed
-    )
+    run = run_convergence_experiment(objective, args.steps, c=args.c, seed=args.seed)
     out = _outdir(args.out)
     run.to_csv(out / "convergence.csv")
     print(f"wrote {out / 'convergence.csv'}")
@@ -123,7 +129,7 @@ def _cmd_converge(args) -> int:
         f"objective={run.objective} steps={run.steps} eta={run.eta:.6g} "
         f"min_grad_norm={run.min_grad_norm():.6g} realized_gamma={run.realized_gamma:.6g}"
     )
-    if args.stochastic or args.m != n:
+    if objective.noise_scale > 0.0 or args.m != n:
         print("bound check skipped (needs a deterministic square run)")
         return 0
     if run.realized_gamma <= 0.0:
@@ -183,25 +189,11 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _load_snapshots(directory: str) -> list[tuple[int, str, Path]]:
-    root = Path(directory)
-    if not root.is_dir():
-        raise FileNotFoundError(f"snapshot directory not found: {root}")
-    found = []
-    for path in sorted(root.iterdir()):
-        match = SNAPSHOT_PATTERN.match(path.name)
-        if match:
-            found.append((int(match.group(1)), match.group(2), path))
-    if not found:
-        raise ValueError(f"no snapshot files (step*_*.npz) in {root}")
-    return found
-
-
 def _cmd_spectra(args) -> int:
     import numpy as np
 
     reports = []
-    for step, layer, path in _load_snapshots(args.snapshots):
+    for step, layer, path in load_snapshots(args.snapshots):
         with np.load(path) as data:
             report = spectrum_report(
                 data["grad"], data["momentum"], data["update"],
@@ -218,7 +210,7 @@ def _cmd_geodesic(args) -> int:
     import numpy as np
 
     by_layer: dict[str, list[tuple[int, Path]]] = {}
-    for step, layer, path in _load_snapshots(args.snapshots):
+    for step, layer, path in load_snapshots(args.snapshots):
         by_layer.setdefault(layer, []).append((step, path))
     out = _outdir(args.out)
     rows = []
@@ -236,8 +228,7 @@ def _cmd_geodesic(args) -> int:
         except ValueError as exc:
             print(f"{layer}: skipped: {exc}")
             continue
-        for i, d in enumerate(trail.distances):
-            rows.append((layer, i, d))
+        rows.extend((layer, i, d) for i, d in enumerate(trail.distances))
         skipped = f" skipped_pairs={trail.skipped}" if trail.skipped else ""
         print(f"{layer}: mean {args.manifold} distance {trail.mean:.6g}{skipped}")
     if not rows:
@@ -245,8 +236,7 @@ def _cmd_geodesic(args) -> int:
     with open(out / "geodesic.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("layer", "pair_index", "distance"))
-        for layer, i, d in rows:
-            writer.writerow((layer, i, repr(float(d))))
+        writer.writerows(rows)
     print(f"wrote {out / 'geodesic.csv'}")
     return 0
 
@@ -292,7 +282,9 @@ def run_cli(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, NotADirectoryError, KeyError) as exc:
+    except (
+        ValueError, FileNotFoundError, NotADirectoryError, KeyError, TrainingDiverged
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,8 +49,8 @@ class SmoothObjective:
     ``evaluate`` returns ``(f(theta), grad f(theta))``.  ``smoothness``
     is a Lipschitz constant of the gradient and ``f_inf`` a lower bound
     of f; both enter the convergence bound.  ``noise_scale`` is the
-    standard deviation of the optional additive gradient noise used by
-    stochastic runs.
+    standard deviation of the Gaussian noise a run adds to every
+    gradient it steps with; at 0 the run is deterministic.
     """
 
     dims: tuple[int, int]
@@ -89,6 +89,8 @@ def quadratic_objective(
         raise ValueError("smoothness must be positive")
     if step_scale <= 0.0:
         raise ValueError("step_scale must be positive")
+    if not noise_scale >= 0.0:
+        raise ValueError("noise_scale must be non-negative")
     rng = np.random.default_rng(seed)
     theta0 = rng.standard_normal((m, n))
     directions = rng.standard_normal((m, n))
@@ -130,6 +132,8 @@ def softmax_objective(
         raise ValueError("need a positive feature dim and at least two classes")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
+    if not noise_scale >= 0.0:
+        raise ValueError("noise_scale must be non-negative")
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n_samples, m))
     labels = rng.integers(0, n, n_samples)
@@ -299,7 +303,6 @@ class ConvergenceRun:
     objective: str
     steps: int
     eta: float
-    stochastic: bool
     seed: int
     f_values: np.ndarray = field(repr=False)
     grad_norms: np.ndarray = field(repr=False)
@@ -314,23 +317,21 @@ class ConvergenceRun:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CONVERGENCE_CSV_HEADER)
-            for t in range(len(self.f_values)):
-                writer.writerow(
-                    [
-                        t,
-                        repr(float(self.f_values[t])),
-                        repr(float(self.grad_norms[t])),
-                        repr(float(self.inner_products[t])),
-                        repr(float(self.min_sin_phi[t])),
-                    ]
+            writer.writerows(
+                zip(
+                    range(len(self.f_values)),
+                    self.f_values,
+                    self.grad_norms,
+                    self.inner_products,
+                    self.min_sin_phi,
                 )
+            )
 
 
 def run_convergence_experiment(
     objective: SmoothObjective,
     steps: int,
     c: float = 1.0,
-    stochastic: bool = False,
     seed: int = 0,
 ) -> ConvergenceRun:
     """Run the momentum-free update for ``steps``+1 iterations.
@@ -338,8 +339,9 @@ def run_convergence_experiment(
     The step size is c / sqrt(steps + 1) throughout.  The start point is
     the objective's own ``theta0`` when it carries one, otherwise a
     seeded random draw.  At every iterate the TRUE gradient norm is
-    recorded even when the step itself uses a noisy gradient (stochastic
-    runs add objective.noise_scale times standard Gaussian noise).  Each
+    recorded even when the step itself uses a noisy gradient: a positive
+    objective.noise_scale adds that many standard Gaussians to each
+    gradient, drawn from a generator seeded by ``seed``.  Each
     iteration makes one column decomposition of the gradient it uses,
     and reads S_t, gamma and the next iterate from it; the alignment
     identity and lower bound are asserted at every step, as
@@ -363,6 +365,7 @@ def run_convergence_experiment(
         theta = rng.standard_normal(objective.dims)
 
     count = steps + 1
+    noise = objective.noise_scale
     scale = eta * np.sqrt(objective.dims[0])
     f_values = np.empty(count)
     grad_norms = np.empty(count)
@@ -371,8 +374,8 @@ def run_convergence_experiment(
 
     for t in range(count):
         f_val, grad = objective.evaluate(theta)
-        if stochastic:
-            used = grad + objective.noise_scale * rng.standard_normal(grad.shape)
+        if noise > 0.0:
+            used = grad + noise * rng.standard_normal(grad.shape)
         else:
             used = grad
         # The gradient comes from a caller-supplied evaluate: check it.
@@ -396,7 +399,6 @@ def run_convergence_experiment(
         objective=objective.name,
         steps=steps,
         eta=float(eta),
-        stochastic=stochastic,
         seed=seed,
         f_values=f_values,
         grad_norms=grad_norms,

@@ -10,7 +10,7 @@ answers both from tensor snapshots, using only the package's own SVD.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +103,9 @@ class SpectrumReport:
     spearman_rho: float
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "layer": self.layer,
-            "sigma_grad": [float(s) for s in self.sigma_grad],
-            "sigma_momentum": [float(s) for s in self.sigma_momentum],
-            "sigma_update": [float(s) for s in self.sigma_update],
-            "spearman_rho": float(self.spearman_rho),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """The fields by name, each spectrum as a list of floats, for JSON."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 
 def spectrum_report(

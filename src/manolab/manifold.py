@@ -8,11 +8,20 @@ given step, and geodesic distances on three matrix manifolds.
 
 The slice geometry itself is four array-level helpers (``slice_inner``,
 ``slice_unit``, ``project_out`` and ``check_slices``) that do no
-coercion or validation.  Every caller in the package goes through them:
-the public operators validate once and then call them, and so do the
-optimizer steps and the convergence runner.  ``check_unit`` is the one
-test that a point is on the manifold, shared by ``tangent_project`` and
-the Riemannian heavy-ball step.
+coercion or validation.  The public operators validate once and then
+call them, and so do the Riemannian heavy-ball step and the convergence
+runner.  ``check_unit`` is the one test that a point is on the
+manifold, shared by ``tangent_project`` and the Riemannian heavy-ball
+step.
+
+``mano_step`` and ``mano_transform`` project through their own kernel,
+``optimizers._mano_kernel``: it divides by the squared slice norms
+instead of forming the unit-slice point, and sums and scales slices
+with ``einsum``, so the tangent is its only parameter-sized array.  The
+two stay apart: ``einsum`` pays off on large weights but not on small
+ones, the helpers' broadcast multiply allocates an iterator buffer that
+alone breaks the Mano step's memory bound, and the convergence runner's
+small matrices run slower through the kernel's division.
 """
 
 from __future__ import annotations

@@ -94,18 +94,6 @@ _RULES = {
 }
 OPTIMIZERS = tuple(_RULES)
 
-TRAJECTORY_CSV_HEADER = (
-    "step",
-    "train_loss",
-    "eval_loss",
-    "lr",
-    "layer",
-    "grad_norm",
-    "grad_var",
-    "grad_snr",
-    "update_rms",
-)
-
 
 class TrainingDiverged(RuntimeError):
     """Loss or gradients went non-finite; carries the failing step."""
@@ -317,19 +305,6 @@ class TrajectoryRecord:
     grad_snr: float
     update_rms: float
 
-    def as_row(self) -> list:
-        return [
-            self.step,
-            repr(self.train_loss),
-            repr(self.eval_loss),
-            repr(self.lr),
-            self.layer,
-            repr(self.grad_norm),
-            repr(self.grad_var),
-            repr(self.grad_snr),
-            repr(self.update_rms),
-        ]
-
 
 @dataclass
 class TrainConfig:
@@ -490,6 +465,8 @@ class Trainer:
                 yield order[start : start + self.cfg.batch_size]
 
     def _snapshot(self, step, name, theta, grad, delta):
+        """Write ``step{step:06d}_{name}.npz``, the file ``load_snapshots``
+        reads back."""
         state = self.states[name]
         momentum = state.momentum
         if momentum is None:
@@ -567,9 +544,26 @@ def train_run(cfg: TrainConfig, snapshot_dir=None) -> list[TrajectoryRecord]:
     return Trainer(cfg, snapshot_dir=snapshot_dir).run()
 
 
+def load_snapshots(directory) -> list[tuple[int, str, Path]]:
+    """``(step, layer, path)`` for every file ``Trainer._snapshot`` wrote
+    in ``directory``, in file-name order."""
+    root = Path(directory)
+    if not root.is_dir():
+        raise FileNotFoundError(f"snapshot directory not found: {root}")
+    found = []
+    for path in sorted(root.glob("step*_*.npz")):
+        step, _, layer = path.name[len("step") : -len(".npz")].partition("_")
+        if step.isdecimal() and layer:
+            found.append((int(step), layer, path))
+    if not found:
+        raise ValueError(f"no snapshot files (step*_*.npz) in {root}")
+    return found
+
+
 def write_trajectory_csv(records, path) -> None:
+    """One header row of field names, then one row per record; the csv
+    module writes each float as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_CSV_HEADER)
-        for record in records:
-            writer.writerow(record.as_row())
+        writer.writerow(f.name for f in dataclasses.fields(TrajectoryRecord))
+        writer.writerows(map(dataclasses.astuple, records))

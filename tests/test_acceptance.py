@@ -176,7 +176,7 @@ def test_c04_alignment_identity():
         # the runner asserts the same identity internally, including on
         # noisy gradients; a stochastic run completing is itself a check
         noisy = quadratic_objective(8, 8, seed=3, noise_scale=0.05)
-        run = run_convergence_experiment(noisy, 200, stochastic=True, seed=3)
+        run = run_convergence_experiment(noisy, 200, seed=3)
         assert len(run.f_values) == 201
 
         det = run_convergence_experiment(quadratic_objective(8, 8, seed=4), 200)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from manolab.cli import run_cli
+from manolab.convergence import quadratic_objective, run_convergence_experiment
 
 
 CONFIG_TEXT = """
@@ -53,6 +54,19 @@ class TestTrain:
         b = _train(config_path, tmp_path / "b")
         assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_exits_one_naming_step(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(
+            "task = linreg\nin_dim = 4\nout_dim = 2\noptimizer = sgdm\n"
+            "lr_max = 1e30\nclip_norm = 1e300\ntotal_steps = 40\n"
+            "warmup_steps = 8\n"
+        )
+        code = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: training diverged at step \d+: ", err)
+
     def test_missing_config_exits_one_naming_path(self, tmp_path, capsys):
         code = run_cli(
             ["train", "--config", str(tmp_path / "ghost.cfg"), "--out", str(tmp_path)]
@@ -88,11 +102,36 @@ class TestConverge:
 
     def test_stochastic_skips_bound(self, tmp_path, capsys):
         code = run_cli(
-            ["converge", "--m", "6", "--steps", "20", "--stochastic",
+            ["converge", "--m", "6", "--steps", "20",
              "--noise", "0.1", "--out", str(tmp_path)]
         )
         assert code == 0
         assert "skipped" in capsys.readouterr().out
+
+    def test_noise_alone_makes_the_run_stochastic(self, tmp_path):
+        args = ["converge", "--m", "6", "--steps", "20", "--out"]
+        assert run_cli(args + [str(tmp_path / "a")]) == 0
+        assert run_cli(args + [str(tmp_path / "b"), "--noise", "0.1"]) == 0
+        assert (
+            (tmp_path / "a" / "convergence.csv").read_bytes()
+            != (tmp_path / "b" / "convergence.csv").read_bytes()
+        )
+
+    def test_quadratic_target_follows_step_scale(self, tmp_path):
+        """--c places the quadratic's target for that step scale, as the
+        library does when told the same scale."""
+        code = run_cli(
+            ["converge", "--m", "8", "--steps", "50", "--c", "2",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        run = run_convergence_experiment(
+            quadratic_objective(8, 8, step_scale=2.0), 50, c=2.0
+        )
+        run.to_csv(tmp_path / "library.csv")
+        assert (tmp_path / "convergence.csv").read_bytes() == (
+            tmp_path / "library.csv"
+        ).read_bytes()
 
     def test_rectangular_skips_bound(self, tmp_path, capsys):
         code = run_cli(

@@ -5,6 +5,7 @@ import pytest
 
 from manolab.convergence import (
     CONVERGENCE_CSV_HEADER,
+    ConvergenceRun,
     SmoothObjective,
     alignment_check,
     mano_simple_step,
@@ -97,6 +98,12 @@ class TestObjectives:
             quadratic_objective(0, 4)
         with pytest.raises(ValueError):
             softmax_objective(4, 1)
+
+    @pytest.mark.parametrize("factory", [quadratic_objective, softmax_objective])
+    @pytest.mark.parametrize("noise", [-0.1, float("nan")])
+    def test_noise_scale_must_be_non_negative(self, factory, noise):
+        with pytest.raises(ValueError, match="noise_scale must be non-negative"):
+            factory(4, 4, noise_scale=noise)
 
 
 class TestManoSimpleStep:
@@ -233,11 +240,14 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.inner_products, b.inner_products)
 
     def test_noise_scale_zero_matches_deterministic(self):
+        """With no noise the run is deterministic: from the objective's
+        own start point, the experiment seed changes no record."""
         obj = quadratic_objective(5, 5, seed=4, noise_scale=0.0)
-        det = run_convergence_experiment(obj, 40, stochastic=False, seed=3)
-        sto = run_convergence_experiment(obj, 40, stochastic=True, seed=3)
-        np.testing.assert_array_equal(det.f_values, sto.f_values)
-        np.testing.assert_array_equal(det.grad_norms, sto.grad_norms)
+        a = run_convergence_experiment(obj, 40, seed=3)
+        b = run_convergence_experiment(obj, 40, seed=8)
+        np.testing.assert_array_equal(a.f_values, b.f_values)
+        np.testing.assert_array_equal(a.grad_norms, b.grad_norms)
+        np.testing.assert_array_equal(a.inner_products, b.inner_products)
 
     def test_records_have_expected_length_and_gamma(self):
         obj = quadratic_objective(4, 4, seed=1)
@@ -262,9 +272,10 @@ class TestRunExperiment:
         assert run.min_grad_norm() <= bound
 
     def test_stochastic_run_differs_from_deterministic(self):
+        """A positive noise scale is what makes a run stochastic."""
         obj = quadratic_objective(5, 5, seed=4, noise_scale=0.5)
-        det = run_convergence_experiment(obj, 40, stochastic=False, seed=3)
-        sto = run_convergence_experiment(obj, 40, stochastic=True, seed=3)
+        det = run_convergence_experiment(quadratic_objective(5, 5, seed=4), 40, seed=3)
+        sto = run_convergence_experiment(obj, 40, seed=3)
         assert not np.array_equal(det.f_values, sto.f_values)
         # initial point is shared, so the first objective value agrees
         assert det.f_values[0] == sto.f_values[0]
@@ -315,3 +326,20 @@ class TestRunExperiment:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == pytest.approx(float(run.f_values[0]), rel=1e-15)
+
+    def test_csv_row_bytes(self, tmp_path):
+        """Every float is written as its shortest round-trip repr."""
+        run = ConvergenceRun(
+            objective="x", steps=1, eta=1.0, seed=0,
+            f_values=np.array([0.1 + 0.2, 2.0]),
+            grad_norms=np.array([1e-300, 0.5]),
+            inner_products=np.array([2.5e-08, -0.0]),
+            min_sin_phi=np.array([np.float64(1) / 3, 1.0]),
+        )
+        path = tmp_path / "out.csv"
+        run.to_csv(path)
+        assert path.read_bytes() == (
+            b"step,f,grad_norm,S_t,min_sin_phi\r\n"
+            b"0,0.30000000000000004,1e-300,2.5e-08,0.3333333333333333\r\n"
+            b"1,2.0,0.5,-0.0,1.0\r\n"
+        )

@@ -119,7 +119,7 @@ class TestSpectrumReport:
     def test_json_round_trip(self):
         grad, mom, upd = self._triple(5)
         report = spectrum_report(grad, mom, upd, step=7, layer="w")
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert set(data) == {
             "step", "layer", "sigma_grad", "sigma_momentum",
             "sigma_update", "spearman_rho",

@@ -134,20 +134,23 @@ def test_raising_step_leaves_state_untouched(call, make_state):
     assert _buffers(state) == before
 
 
-def _mano_on(axis, nesterov=False):
+def _mano_on(axis, **flags):
     cfg = ManoConfig(
-        nesterov=nesterov, schedule=ManifoldSchedule(mode="static", fixed_axis=axis)
+        schedule=ManifoldSchedule(mode="static", fixed_axis=axis), **flags
     )
     return lambda th, g, s: mano_step(th, g, s, cfg)
 
 
 # Warm steps whose transient peak is bounded: the Mano cases cover both
-# axes of a matrix, with and without the Nesterov look-ahead.
+# axes of a matrix, plain, with the Nesterov look-ahead, and with the
+# tangent kept as the momentum.
 _LEAN_STEPS = {
     "mano_step-axis-0": _mano_on(0),
     "mano_step-axis-1": _mano_on(1),
     "mano_step-axis-0-nesterov": _mano_on(0, nesterov=True),
     "mano_step-axis-1-nesterov": _mano_on(1, nesterov=True),
+    "mano_step-axis-0-retract": _mano_on(0, retract_momentum=True),
+    "mano_step-axis-1-retract": _mano_on(1, retract_momentum=True),
     "adamw_step": _STEP_CALLS["adamw_step"],
     "sgdm_step": _STEP_CALLS["sgdm_step"],
 }

@@ -9,13 +9,14 @@ import pytest
 from manolab import training
 from manolab.training import (
     OPTIMIZERS,
-    TRAJECTORY_CSV_HEADER,
     MlpModel,
     TrainConfig,
     Trainer,
     TrainingDiverged,
+    TrajectoryRecord,
     grad_stats,
     load_config,
+    load_snapshots,
     make_dataset,
     mlp_forward_backward,
     train_run,
@@ -330,6 +331,27 @@ class TestTrainer:
             assert set(data.files) == {"theta", "grad", "momentum", "update"}
             assert data["theta"].shape == (6, 4)
 
+    def test_load_snapshots_reads_back_what_the_trainer_wrote(self, tmp_path):
+        cfg = _small_cfg(hidden=(4,), total_steps=20, snapshot_every=10)
+        train_run(cfg, snapshot_dir=tmp_path)
+        written = sorted(tmp_path.iterdir())
+        # Names the trainer never writes are passed over.
+        for name in ("step_x.npz", "step12_.npz", "step1a_x.npz", "step3_x.npy",
+                     "notes.txt"):
+            (tmp_path / name).write_bytes(b"")
+        found = load_snapshots(tmp_path)
+        assert [path for _, _, path in found] == written
+        assert [(step, layer) for step, layer, _ in found] == [
+            (0, "layer0.weight"), (0, "layer1.weight"),
+            (10, "layer0.weight"), (10, "layer1.weight"),
+        ]
+
+    def test_load_snapshots_missing_or_empty_directory(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="not found"):
+            load_snapshots(tmp_path / "none")
+        with pytest.raises(ValueError, match="no snapshot files"):
+            load_snapshots(tmp_path)
+
     def test_records_cover_all_parameters(self):
         cfg = _small_cfg(hidden=(5,))
         records = train_run(cfg)
@@ -367,5 +389,22 @@ class TestTrainer:
         path = tmp_path / "t.csv"
         write_trajectory_csv(records, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(TRAJECTORY_CSV_HEADER)
+        assert lines[0] == (
+            "step,train_loss,eval_loss,lr,layer,grad_norm,grad_var,grad_snr,update_rms"
+        )
         assert len(lines) == len(records) + 1
+
+    def test_trajectory_row_bytes(self, tmp_path):
+        """Every float is written as its shortest round-trip repr,
+        an np.float64 too."""
+        record = TrajectoryRecord(
+            step=7, train_loss=0.1 + 0.2, eval_loss=1e-300, lr=2.5e-08,
+            layer="layer0.weight", grad_norm=np.float64(0.1) * 3, grad_var=0.0,
+            grad_snr=1e12, update_rms=np.float64(123456789.125),
+        )
+        path = tmp_path / "t.csv"
+        write_trajectory_csv([record], path)
+        assert path.read_bytes().split(b"\r\n")[1] == (
+            b"7,0.30000000000000004,1e-300,2.5e-08,layer0.weight,"
+            b"0.30000000000000004,0.0,1000000000000.0,123456789.125"
+        )
