@@ -8,11 +8,11 @@ of the weight across snapshots.
 """
 
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from manolab import TrainConfig, Trainer, spectrum_report, trajectory_geodesics
+from manolab.training import load_snapshots
 
 
 def main() -> None:
@@ -31,14 +31,15 @@ def main() -> None:
         seed=0,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        Trainer(cfg, snapshot_dir=Path(tmp)).run()
-        snapshots = sorted(Path(tmp).glob("step*_layer0.weight.npz"))
+        Trainer(cfg, snapshot_dir=tmp).run()
         thetas = []
-        for path in snapshots:
+        for step, layer, path in load_snapshots(tmp):
+            if layer != "layer0.weight":
+                continue
             with np.load(path) as data:
                 report = spectrum_report(
                     data["grad"], data["momentum"], data["update"],
-                    step=int(path.name[4:10]), layer="layer0.weight",
+                    step=step, layer=layer,
                 )
                 thetas.append(data["theta"])
             print(f"step {report.step:>4}")

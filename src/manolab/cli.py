@@ -107,7 +107,11 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     out = _outdir(args.out)
     snapshot_dir = out / "snapshots" if cfg.snapshot_every > 0 else None
-    records = train_run(cfg, snapshot_dir=snapshot_dir)
+    try:
+        records = train_run(cfg, snapshot_dir=snapshot_dir)
+    except TrainingDiverged as exc:
+        write_trajectory_csv(exc.records, out / "trajectory.csv")
+        raise
     write_trajectory_csv(records, out / "trajectory.csv")
     print(f"wrote {out / 'trajectory.csv'} ({len(records)} records)")
     return 0

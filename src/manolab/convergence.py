@@ -38,6 +38,7 @@ from .manifold import (
     slice_unit,
 )
 from .tensor import EPS_DIV, ShapeMismatchError, as_tensor, svd_values
+from .training import _loss
 
 CONVERGENCE_CSV_HEADER = ("step", "f", "grad_norm", "S_t", "min_sin_phi")
 
@@ -93,9 +94,8 @@ def quadratic_objective(
         raise ValueError("noise_scale must be non-negative")
     rng = np.random.default_rng(seed)
     theta0 = rng.standard_normal((m, n))
-    directions = rng.standard_normal((m, n))
-    directions /= np.sqrt((directions**2).sum(axis=0, keepdims=True))
-    start_sq = (theta0**2).sum(axis=0, keepdims=True)
+    directions, _ = slice_unit(rng.standard_normal((m, n)), 0)
+    start_sq = slice_inner(theta0, theta0, 0)
     target = directions * np.sqrt(start_sq + 0.5 * step_scale**2 * m)
 
     def evaluate(theta: np.ndarray):
@@ -125,8 +125,9 @@ def softmax_objective(
     theta is m x n (feature dim by class count); features and labels are
     drawn once from a seeded generator.  The smoothness constant is the
     spectral bound sigma_max(X)^2 / (2 N), which dominates the Hessian
-    of mean softmax cross-entropy in the logits.  f_inf is taken as 0,
-    a valid lower bound for cross-entropy.
+    of mean softmax cross-entropy in the logits; ``training._loss``
+    computes that loss.  f_inf is taken as 0, a valid lower bound for
+    cross-entropy.
     """
     if m < 1 or n < 2:
         raise ValueError("need a positive feature dim and at least two classes")
@@ -140,14 +141,8 @@ def softmax_objective(
     smoothness = float(svd_values(features)[0] ** 2) / (2.0 * n_samples)
 
     def evaluate(theta: np.ndarray):
-        logits = features @ theta
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        loss = float(np.mean(log_z - shifted[np.arange(n_samples), labels]))
-        probs = np.exp(shifted - log_z[:, None])
-        probs[np.arange(n_samples), labels] -= 1.0
-        grad = features.T @ probs / n_samples
-        return loss, grad
+        loss, dz = _loss("cross-entropy", features @ theta, labels)
+        return loss, features.T @ dz
 
     return SmoothObjective(
         dims=(m, n),

@@ -21,7 +21,8 @@ with ``einsum``, so the tangent is its only parameter-sized array.  The
 two stay apart: ``einsum`` pays off on large weights but not on small
 ones, the helpers' broadcast multiply allocates an iterator buffer that
 alone breaks the Mano step's memory bound, and the convergence runner's
-small matrices run slower through the kernel's division.
+small matrices run slower through the kernel's division.  That kernel
+is the only slice arithmetic outside this module.
 """
 
 from __future__ import annotations

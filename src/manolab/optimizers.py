@@ -40,6 +40,7 @@ import numpy as np
 
 from .manifold import (
     ManifoldSchedule,
+    _check_axis,
     check_slices,
     check_unit,
     project_out,
@@ -56,6 +57,11 @@ NS_COEFFS = (3.4445, -4.7750, 2.0315)
 def _positive(name: str, value: float) -> None:
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _non_negative(name: str, value: float) -> None:
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def _unit_interval(name: str, value: float) -> None:
@@ -76,8 +82,7 @@ class ManoConfig:
     def __post_init__(self):
         _positive("lr", self.lr)
         _unit_interval("momentum", self.momentum)
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
+        _non_negative("weight_decay", self.weight_decay)
         _positive("rescale_coeff", self.rescale_coeff)
 
 
@@ -93,8 +98,7 @@ class MuonConfig:
     def __post_init__(self):
         _positive("lr", self.lr)
         _unit_interval("momentum", self.momentum)
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
+        _non_negative("weight_decay", self.weight_decay)
         if self.ns_iterations < 1:
             raise ValueError("ns_iterations must be at least 1")
         _positive("rescale_coeff", self.rescale_coeff)
@@ -113,8 +117,7 @@ class AdamWConfig:
         _unit_interval("beta1", self.beta1)
         _unit_interval("beta2", self.beta2)
         _positive("eps", self.eps)
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
+        _non_negative("weight_decay", self.weight_decay)
 
 
 @dataclass
@@ -233,8 +236,10 @@ def mano_transform(theta: np.ndarray, direction: np.ndarray, axis: int):
     such a slice contributes nothing to the step rather than blowing it
     up.  The projection is applied once: this is the arithmetic the
     11mn FLOP model counts.  The step itself never forms theta_hat; it
-    is made here only to be returned.
+    is made here only to be returned.  Inputs are checked as a step's are.
     """
+    theta, direction = _arrays(theta, direction)
+    _check_axis(theta, axis)
     tangent, inv = _mano_kernel(theta, direction, axis)
     theta_hat, _ = slice_unit(theta, axis)
     return theta_hat, tangent, tangent * inv
@@ -381,6 +386,7 @@ def sgdm_step(
     """Plain heavy-ball step with decoupled weight decay."""
     theta, grad = _arrays(theta, grad)
     _unit_interval("momentum", momentum)
+    _non_negative("weight_decay", weight_decay)
     m_t, _ = _heavy_ball(_buffer(state, "momentum", theta), grad, momentum)
     state.momentum = m_t
     return _decoupled(state, theta, m_t, lr, weight_decay)

@@ -1,13 +1,15 @@
 """Dense float64 tensor helpers.
 
 Everything downstream (manifold operators, optimizer steps, diagnostics)
-takes its inputs through ``as_tensor``, which validates them (finite
-entries) once.  The rest is RMS and a one-sided Jacobi SVD that does not
-call LAPACK's SVD.  The SVD rotates all disjoint column pairs of a
-round at once (the odd-even parallel ordering), so its Python work per
-sweep is linear in the number of columns, and the rotations are batched
-matmuls written in place through one preallocated buffer.  The slice
-geometry lives in ``manifold``.
+takes its inputs through ``as_tensor``, which rejects non-finite
+entries.  Each entry point scans its own inputs, so a training step
+scans every gradient three times (divergence check, clipping, step).
+The rest is RMS and a one-sided Jacobi SVD that does not call LAPACK's
+SVD.  The SVD rotates all disjoint column pairs of a round at once (the
+odd-even parallel ordering), so its Python work per sweep is linear in
+the number of columns, and the rotations are batched matmuls written in
+place through one preallocated buffer.  The slice geometry lives in
+``manifold``.
 
 All operations are pure functions on float64 arrays; inputs are never
 mutated.

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifold import SCHEDULE_MODES, ManifoldSchedule, oblique_normalize
+from .manifold import SCHEDULE_MODES, ManifoldSchedule, oblique_normalize, slice_unit
 from .optimizers import (
     AdamWConfig,
     ManoConfig,
@@ -96,10 +96,12 @@ OPTIMIZERS = tuple(_RULES)
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or gradients went non-finite; carries the failing step."""
+    """Loss or gradients went non-finite; carries the failing step and the
+    records made before it."""
 
-    def __init__(self, step: int, detail: str):
+    def __init__(self, step: int, detail: str, records=()):
         self.step = step
+        self.records = list(records)
         super().__init__(f"training diverged at step {step}: {detail}")
 
 
@@ -134,6 +136,8 @@ def make_dataset(
     d_in, d_out = dims
     if d_in < 1 or d_out < 1:
         raise ValueError("dims must be positive")
+    if not noise >= 0.0:
+        raise ValueError("noise must be non-negative")
     rng = np.random.default_rng(seed)
     if task == "linreg":
         x = rng.standard_normal((n_samples, d_in))
@@ -147,8 +151,7 @@ def make_dataset(
         q, _ = np.linalg.qr(rng.standard_normal((d_in, d_out)))
         directions = q.T
     else:
-        raw = rng.standard_normal((d_out, d_in))
-        directions = raw / np.sqrt((raw * raw).sum(axis=1, keepdims=True))
+        directions, _ = slice_unit(rng.standard_normal((d_out, d_in)), 1)
     centers = separation * directions
     labels = rng.integers(0, d_out, n_samples)
     x = centers[labels] + rng.standard_normal((n_samples, d_in))
@@ -203,23 +206,17 @@ class MlpModel:
 
     def parameters(self) -> list[np.ndarray]:
         """Flat parameter list, weight then bias per layer."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def parameter_names(self) -> list[str]:
-        out = []
-        for i in range(len(self.weights)):
-            out.extend((f"layer{i}.weight", f"layer{i}.bias"))
-        return out
+        kinds = ("weight", "bias")
+        return [f"layer{i}.{k}" for i in range(len(self.weights)) for k in kinds]
 
     def set_parameters(self, params) -> None:
         if len(params) != 2 * len(self.weights):
             raise ValueError("parameter count mismatch")
-        for i in range(len(self.weights)):
-            self.weights[i] = params[2 * i]
-            self.biases[i] = params[2 * i + 1]
+        self.weights[:] = params[0::2]
+        self.biases[:] = params[1::2]
 
     def forward(self, features: np.ndarray) -> np.ndarray:
         acts = features
@@ -268,17 +265,12 @@ def mlp_forward_backward(model: MlpModel, features, targets):
             raise ValueError(f"labels must be ({batch},), got {targets.shape}")
     loss, dz = _loss(model.loss, out, targets)
 
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.weights)
+    grads = [None] * (2 * len(model.weights))
     for i in range(last, -1, -1):
-        grads_w[i] = acts[i].T @ dz
-        grads_b[i] = dz.sum(axis=0)
+        grads[2 * i] = acts[i].T @ dz
+        grads[2 * i + 1] = dz.sum(axis=0)
         if i > 0:
             dz = (dz @ model.weights[i].T) * (1.0 - acts[i] * acts[i])
-
-    grads = []
-    for gw, gb in zip(grads_w, grads_b):
-        grads.extend((gw, gb))
     return loss, grads
 
 
@@ -371,12 +363,8 @@ def _parse_config_value(name: str, text: str, kind):
         if lowered in ("false", "0", "no"):
             return False
         raise ValueError(f"cannot parse boolean for {name!r}: {text!r}")
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    if kind is str:
-        return text
+    if kind in (int, float, str):
+        return kind(text)
     # the only remaining field type is the tuple of hidden widths
     if text in ("", "()"):
         return ()
@@ -492,7 +480,9 @@ class Trainer:
             if not np.isfinite(loss) or not all(
                 np.all(np.isfinite(g)) for g in grads
             ):
-                raise TrainingDiverged(t, f"non-finite loss or gradient (loss={loss})")
+                raise TrainingDiverged(
+                    t, f"non-finite loss or gradient (loss={loss})", records
+                )
 
             clipped, _ = clip_global_grad_norm(grads, cfg.clip_norm)
             lr_t = cosine_warmup_lr(

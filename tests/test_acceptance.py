@@ -402,6 +402,7 @@ def test_c09_flop_model():
             )
 
 
+@pytest.mark.slow
 def test_c10_kernel_benchmark():
     """Measured on this host in float64: at 2048x2048 the normalization
     transform's median is at most a third of the five-iteration

@@ -65,7 +65,15 @@ class TestTrain:
         code = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert re.match(r"error: training diverged at step \d+: ", err)
+        assert re.match(r"error: training diverged at step 6: ", err)
+        # The records made before the failing step are still written.
+        lines = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
+        assert lines[0].startswith("step,train_loss,eval_loss,lr,layer,")
+        # cadence 50: only step 0 was recorded, one row per parameter
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "0"]
+        assert [line.split(",")[4] for line in lines[1:]] == [
+            "layer0.weight", "layer0.bias"
+        ]
 
     def test_missing_config_exits_one_naming_path(self, tmp_path, capsys):
         code = run_cli(

@@ -87,6 +87,12 @@ _RAISING_CALLS = {
         lambda s: sgdm_step(np.ones((2, 2)), np.ones((2, 2)), s, 1e-2, momentum=1.0),
         OptimizerState,
     ),
+    "sgdm_step-negative-decay": (
+        lambda s: sgdm_step(
+            np.ones((2, 2)), np.ones((2, 2)), s, 1e-2, weight_decay=-5.0
+        ),
+        OptimizerState,
+    ),
     "rsgdm_step-off-manifold": (
         lambda s: rsgdm_step(np.ones((3, 2)), np.ones((3, 2)), s, 0.1),
         OptimizerState,
@@ -103,6 +109,12 @@ _RAISING_CALLS = {
     ),
     "sgdm_step-momentum-1-live": (
         lambda s: sgdm_step(np.ones((2, 2)), np.ones((2, 2)), s, 1e-2, momentum=1.0),
+        lambda: _live(momentum=(2, 2)),
+    ),
+    "sgdm_step-negative-decay-live": (
+        lambda s: sgdm_step(
+            np.ones((2, 2)), np.ones((2, 2)), s, 1e-2, weight_decay=-5.0
+        ),
         lambda: _live(momentum=(2, 2)),
     ),
     "adamw_step-exp_avg_sq-shape-live": (
@@ -391,6 +403,33 @@ class TestManoTransform:
         hat, tangent, unit = mano_transform(theta, direction, 0)
         np.testing.assert_array_equal(hat, 0.0)
         np.testing.assert_array_equal(unit, 0.0)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ShapeMismatchError):
+            mano_transform(np.ones((3, 4)), np.ones((1, 4)), 0)
+
+    @pytest.mark.parametrize("axis", [2, -1])
+    def test_rejects_out_of_range_axis(self, axis):
+        with pytest.raises(ValueError, match="out of range"):
+            mano_transform(np.ones((3, 4)), np.ones((3, 4)), axis)
+
+    def test_rejects_non_finite_inputs(self):
+        theta = np.ones((3, 4))
+        bad = theta.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            mano_transform(theta, bad, 0)
+        with pytest.raises(ValueError, match="non-finite"):
+            mano_transform(bad, theta, 0)
+
+    def test_coerces_lists(self):
+        rng = np.random.default_rng(5)
+        theta = rng.standard_normal((3, 4))
+        direction = rng.standard_normal((3, 4))
+        expected = mano_transform(theta, direction, 1)
+        got = mano_transform(theta.tolist(), direction.tolist(), 1)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestNewtonSchulz:

@@ -61,6 +61,12 @@ class TestMakeDataset:
         with pytest.raises(ValueError):
             make_dataset("clustering", 10, (2, 2))
 
+    @pytest.mark.parametrize("task", ["linreg", "blobs-classify"])
+    @pytest.mark.parametrize("noise", [-1.0, float("nan")])
+    def test_noise_must_be_non_negative(self, task, noise):
+        with pytest.raises(ValueError, match="noise must be non-negative"):
+            make_dataset(task, 10, (2, 2), noise=noise)
+
 
 class TestMlpModel:
     def test_init_scale_and_seeding(self):
