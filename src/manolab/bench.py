@@ -32,20 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizers import mano_transform, newton_schulz
+from .tensor import _positive
 
 MIN_REPETITIONS = 100
 WARMUP_REPETITIONS = 10
 BENCH_KERNELS = ("mano", "newton_schulz")
 
 
-def _check_dims(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be positive, got ({m}, {n})")
-
-
 def flops_mano(m: int, n: int) -> int:
     """Arithmetic cost of one normalized-update transform: 11mn."""
-    _check_dims(m, n)
+    _positive("m", m)
+    _positive("n", n)
     return 11 * m * n
 
 
@@ -55,9 +52,9 @@ def flops_newton_schulz(m: int, n: int, iterations: int = 5) -> int:
     The iteration runs on the orientation with rows <= columns, so the
     dimensions are swapped if needed before counting.
     """
-    _check_dims(m, n)
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
+    _positive("m", m)
+    _positive("n", n)
+    _positive("iterations", iterations)
     if m > n:
         m, n = n, m
     per_iter = 2 * m * m * n + 2 * m**3 + m * m + 2 * m * m * n + 2 * m * n
@@ -66,9 +63,9 @@ def flops_newton_schulz(m: int, n: int, iterations: int = 5) -> int:
 
 def flops_baseline(m: int, n: int, batch: int) -> int:
     """Forward plus backward cost of an m x n parameter at batch size B."""
-    _check_dims(m, n)
-    if batch < 1:
-        raise ValueError("batch must be positive")
+    _positive("m", m)
+    _positive("n", n)
+    _positive("batch", batch)
     return 6 * m * n * batch
 
 
@@ -132,12 +129,12 @@ class BenchResult:
     flops: int
 
     def __post_init__(self):
-        if self.repetitions < MIN_REPETITIONS:
+        if not self.repetitions >= MIN_REPETITIONS:
             raise ValueError(
                 f"need at least {MIN_REPETITIONS} repetitions, got {self.repetitions}"
             )
-        if min(self.mean_ns, self.median_ns, self.p95_ns) <= 0.0:
-            raise ValueError("timings must be positive")
+        for name in ("mean_ns", "median_ns", "p95_ns"):
+            _positive(name, getattr(self, name))
 
     def to_dict(self) -> dict:
         return dict(dataclasses.asdict(self), shape=list(self.shape))
@@ -158,14 +155,17 @@ def bench_kernels(
     monotonic nanosecond clock.  Timings on a shared machine wobble;
     compare medians, not means.
     """
-    if repetitions < MIN_REPETITIONS:
-        raise ValueError(f"need at least {MIN_REPETITIONS} repetitions")
+    if not repetitions >= MIN_REPETITIONS:
+        raise ValueError(
+            f"need at least {MIN_REPETITIONS} repetitions, got {repetitions}"
+        )
     for kernel in kernels:
         if kernel not in BENCH_KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}")
     results: list[BenchResult] = []
     for m, n in shapes:
-        _check_dims(m, n)
+        _positive("m", m)
+        _positive("n", n)
         rng = np.random.default_rng([seed, m, n])
         theta = rng.standard_normal((m, n))
         direction = rng.standard_normal((m, n))

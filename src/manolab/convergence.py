@@ -37,7 +37,14 @@ from .manifold import (
     slice_inner,
     slice_unit,
 )
-from .tensor import EPS_DIV, ShapeMismatchError, as_tensor, svd_values
+from .tensor import (
+    EPS_DIV,
+    ShapeMismatchError,
+    _non_negative,
+    _positive,
+    as_tensor,
+    svd_values,
+)
 from .training import _loss
 
 CONVERGENCE_CSV_HEADER = ("step", "f", "grad_norm", "S_t", "min_sin_phi")
@@ -84,14 +91,11 @@ def quadratic_objective(
     budget, so the growing norms cross the target's mid-run.  Pass the
     run's step-size scale as ``step_scale`` if it is not the default 1.
     """
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be positive")
-    if smoothness <= 0.0:
-        raise ValueError("smoothness must be positive")
-    if step_scale <= 0.0:
-        raise ValueError("step_scale must be positive")
-    if not noise_scale >= 0.0:
-        raise ValueError("noise_scale must be non-negative")
+    _positive("m", m)
+    _positive("n", n)
+    _positive("smoothness", smoothness)
+    _positive("step_scale", step_scale)
+    _non_negative("noise_scale", noise_scale)
     rng = np.random.default_rng(seed)
     theta0 = rng.standard_normal((m, n))
     directions, _ = slice_unit(rng.standard_normal((m, n)), 0)
@@ -129,12 +133,11 @@ def softmax_objective(
     computes that loss.  f_inf is taken as 0, a valid lower bound for
     cross-entropy.
     """
-    if m < 1 or n < 2:
-        raise ValueError("need a positive feature dim and at least two classes")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    if not noise_scale >= 0.0:
-        raise ValueError("noise_scale must be non-negative")
+    _positive("m", m)
+    if not n >= 2:
+        raise ValueError(f"n must be at least 2 (two classes), got {n}")
+    _positive("n_samples", n_samples)
+    _non_negative("noise_scale", noise_scale)
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n_samples, m))
     labels = rng.integers(0, n, n_samples)
@@ -224,6 +227,7 @@ def mano_simple_step(theta, grad, eta: float, m: int) -> np.ndarray:
     theta = as_tensor(theta)
     grad = as_tensor(grad)
     _check_matrices("mano_simple_step", theta, grad)
+    _positive("eta", eta)
     if m != theta.shape[0]:
         raise ValueError(
             f"declared row count {m} does not match parameter shape {theta.shape}"
@@ -271,18 +275,13 @@ def min_grad_bound(
     C2 = smoothness * m^(3/2) * c / (2 * gamma), valid for square m x m
     parameters under the step size c / sqrt(steps + 1).
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if smoothness <= 0.0:
-        raise ValueError("smoothness must be positive")
-    if m < 1:
-        raise ValueError("m must be positive")
-    if f0 < f_inf:
-        raise ValueError("f0 must be at least f_inf")
+    _positive("gamma", gamma)
+    _positive("c", c)
+    _non_negative("steps", steps)
+    _positive("smoothness", smoothness)
+    _positive("m", m)
+    if not f0 >= f_inf:
+        raise ValueError(f"f0 must be at least f_inf, got f0={f0}, f_inf={f_inf}")
     c1 = (f0 - f_inf) / (np.sqrt(m) * gamma * c)
     c2 = smoothness * m**1.5 * c / (2.0 * gamma)
     return float((c1 + c2) / np.sqrt(steps + 1))
@@ -344,10 +343,8 @@ def run_convergence_experiment(
     a degenerate slice aborts the run with the failing step in the
     message.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    _non_negative("steps", steps)
+    _positive("c", c)
     eta = c / np.sqrt(steps + 1)
     # Domain-separate from the objective's own generator: objectives are
     # seeded with plain integers, so an experiment sharing the seed must

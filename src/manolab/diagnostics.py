@@ -22,7 +22,7 @@ from .manifold import (
     geodesic_sphere,
     geodesic_stiefel_approx,
 )
-from .tensor import ShapeMismatchError, as_tensor, jacobi_svd
+from .tensor import ShapeMismatchError, _matching, as_tensor, jacobi_svd
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -43,8 +43,8 @@ def spearman_rho(x, y) -> float:
     (1.0); exactly one constant sequence carries no ordering information
     (0.0).  Sequences shorter than 2 are an error.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
+    x = as_tensor(x).ravel()
+    y = as_tensor(y).ravel()
     if x.size != y.size:
         raise ShapeMismatchError(f"lengths {x.size} and {y.size} differ")
     if x.size < 2:
@@ -70,10 +70,7 @@ def match_singular_vectors(u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
     so the pairing is deterministic).  Returns ``match`` with
     ``match[i] = j``.
     """
-    u_a = as_tensor(u_a)
-    u_b = as_tensor(u_b)
-    if u_a.shape != u_b.shape:
-        raise ShapeMismatchError(f"operand shapes {u_a.shape} and {u_b.shape} differ")
+    u_a, u_b = _matching(u_a, u_b)
     r = u_a.shape[1]
     scores = np.abs(u_a.T @ u_b)
     match = np.full(r, -1, dtype=np.int64)
@@ -119,17 +116,9 @@ def spectrum_report(
     vectors carry.  Identical update and momentum therefore give
     rho = 1 exactly.
     """
-    grad = as_tensor(grad)
-    momentum = as_tensor(momentum)
-    update = as_tensor(update)
-    for name, a in (("grad", grad), ("momentum", momentum), ("update", update)):
-        if a.ndim != 2:
-            raise ValueError(f"{name} must be a matrix, got order {a.ndim}")
-    if not (grad.shape == momentum.shape == update.shape):
-        raise ShapeMismatchError(
-            f"shapes differ: grad {grad.shape}, momentum {momentum.shape}, "
-            f"update {update.shape}"
-        )
+    grad, momentum, update = _matching(grad, momentum, update)
+    if grad.ndim != 2:
+        raise ValueError(f"spectra expect matrices, got order {grad.ndim}")
     _, sigma_grad, _ = jacobi_svd(grad)
     u_mom, sigma_mom, _ = jacobi_svd(momentum)
     u_upd, sigma_upd, _ = jacobi_svd(update)
@@ -171,15 +160,10 @@ def trajectory_geodesics(snapshots, manifold: str, axis: int = 0) -> GeodesicTra
         raise ValueError(
             f"manifold must be one of {GEODESIC_MANIFOLDS}, got {manifold!r}"
         )
-    snaps = [as_tensor(s) for s in snapshots]
+    snaps = _matching(*snapshots)
     if len(snaps) < 2:
         raise ValueError("need at least two snapshots")
     shape = snaps[0].shape
-    for i, s in enumerate(snaps[1:], start=1):
-        if s.shape != shape:
-            raise ShapeMismatchError(
-                f"snapshot {i} has shape {s.shape}, expected {shape}"
-            )
 
     # Properties of the layer, not of any pair: no pair could pass.
     if manifold == "stiefel" and (len(shape) != 2 or shape[0] < shape[1]):

@@ -31,7 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import EPS_DIV, ShapeMismatchError, as_tensor, jacobi_svd
+from .tensor import (
+    EPS_DIV,
+    ShapeMismatchError,
+    _matching,
+    _non_negative,
+    _positive,
+    as_tensor,
+    jacobi_svd,
+)
 
 # A slice claimed to be unit-norm may deviate by at most this much.
 UNIT_TOL = 1e-9
@@ -69,17 +77,14 @@ class ManifoldSchedule:
     def __post_init__(self):
         if self.mode not in SCHEDULE_MODES:
             raise ValueError(f"mode must be one of {SCHEDULE_MODES}, got {self.mode!r}")
-        if self.fixed_axis < 0:
-            raise ValueError(f"fixed_axis must be non-negative, got {self.fixed_axis}")
+        _non_negative("fixed_axis", self.fixed_axis)
 
 
 def rotation_axis(schedule: ManifoldSchedule, order: int, step: int) -> int:
     """Axis normalized at ``step`` under ``schedule`` for an order-``order``
     tensor."""
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
-    if step < 0:
-        raise ValueError("step must be non-negative")
+    _positive("order", order)
+    _non_negative("step", step)
     if schedule.mode == "static":
         if schedule.fixed_axis >= order:
             raise ValueError(
@@ -170,12 +175,7 @@ def tangent_project(m, theta_hat, axis: int) -> np.ndarray:
     tangent part whenever ``m`` is nearly radial; the second pass cuts
     the residue down to order eps times the tangent part itself.
     """
-    m = as_tensor(m)
-    theta_hat = as_tensor(theta_hat)
-    if m.shape != theta_hat.shape:
-        raise ShapeMismatchError(
-            f"operand shapes {m.shape} and {theta_hat.shape} differ"
-        )
+    m, theta_hat = _matching(m, theta_hat)
     _check_axis(theta_hat, axis)
     check_unit(np.sqrt(slice_inner(theta_hat, theta_hat, axis)), axis)
     return project_out(project_out(m, theta_hat, axis), theta_hat, axis)
@@ -199,10 +199,7 @@ def geodesic_oblique(x, y, axis: int) -> float:
 def geodesic_sphere(x, y) -> float:
     """Great-circle distance between x and y on the Frobenius-norm sphere
     (whole-tensor normalization)."""
-    x = as_tensor(x)
-    y = as_tensor(y)
-    if x.shape != y.shape:
-        raise ShapeMismatchError(f"operand shapes {x.shape} and {y.shape} differ")
+    x, y = _matching(x, y)
     nx = float(np.sqrt(np.sum(x * x)))
     ny = float(np.sqrt(np.sum(y * y)))
     if nx < EPS_DIV or ny < EPS_DIV:
@@ -232,12 +229,9 @@ def geodesic_stiefel_approx(x, y) -> float:
     values sigma_i of Qx^T Qy.  Exact when the retracted points share a
     geodesic of the embedded metric; an approximation otherwise.
     """
-    x = as_tensor(x)
-    y = as_tensor(y)
-    if x.ndim != 2 or y.ndim != 2:
+    x, y = _matching(x, y)
+    if x.ndim != 2:
         raise ValueError("stiefel distance expects matrices")
-    if x.shape != y.shape:
-        raise ShapeMismatchError(f"operand shapes {x.shape} and {y.shape} differ")
     if x.shape[0] < x.shape[1]:
         raise ValueError("stiefel distance expects at least as many rows as columns")
     qx = _polar_factor(x)

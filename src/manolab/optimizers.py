@@ -7,11 +7,13 @@ estimates, step counter).  This keeps the update rules testable against
 scalar-loop oracles without dragging a training loop along.
 
 The five steps share one skeleton, so each keeps only its own checks
-and direction map: ``_arrays`` coerces and shape-checks the inputs,
-``_buffer`` checks a state buffer, ``_heavy_ball`` accumulates momentum
-into it in place and ``_decoupled`` writes the decayed update into one
-new array.  Every check runs before a step writes its state, so a step
-that raises leaves the state as it was.  On a warm state the Mano,
+and direction map.  The input checks come from ``tensor``:
+``_matching`` coerces and shape-checks the arrays, and ``_positive``
+rejects a non-positive or NaN learning rate.  ``_buffer`` checks a
+state buffer, ``_heavy_ball`` accumulates momentum into it in place
+and ``_decoupled`` writes the decayed update into one new array.  Every
+check runs before a step writes its state, so a step that raises
+leaves the state as it was.  On a warm state the Mano,
 AdamW and SGD-M steps hold at most two new parameter-sized arrays at
 once, the returned one included.
 
@@ -47,26 +49,19 @@ from .manifold import (
     rotation_axis,
     slice_unit,
 )
-from .tensor import EPS_DIV, ShapeMismatchError, as_tensor
+from .tensor import (
+    EPS_DIV,
+    ShapeMismatchError,
+    _matching,
+    _non_negative,
+    _positive,
+    _unit_interval,
+    as_tensor,
+)
 
 # Quintic iteration coefficients for the orthogonalizing polynomial
 # a*x + b*x^3 + c*x^5 applied to singular values.
 NS_COEFFS = (3.4445, -4.7750, 2.0315)
-
-
-def _positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
-def _non_negative(name: str, value: float) -> None:
-    if not value >= 0.0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-
-
-def _unit_interval(name: str, value: float) -> None:
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"{name} must lie in [0, 1), got {value}")
 
 
 @dataclass
@@ -99,8 +94,7 @@ class MuonConfig:
         _positive("lr", self.lr)
         _unit_interval("momentum", self.momentum)
         _non_negative("weight_decay", self.weight_decay)
-        if self.ns_iterations < 1:
-            raise ValueError("ns_iterations must be at least 1")
+        _positive("ns_iterations", self.ns_iterations)
         _positive("rescale_coeff", self.rescale_coeff)
 
 
@@ -135,17 +129,6 @@ class OptimizerState:
     momentum: np.ndarray | None = None
     exp_avg: np.ndarray | None = None
     exp_avg_sq: np.ndarray | None = None
-
-
-def _arrays(theta, grad) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a step's inputs and check that their shapes agree."""
-    theta = as_tensor(theta)
-    grad = as_tensor(grad)
-    if theta.shape != grad.shape:
-        raise ShapeMismatchError(
-            f"parameter shape {theta.shape} does not match gradient shape {grad.shape}"
-        )
-    return theta, grad
 
 
 def _buffer(state: OptimizerState, name: str, theta: np.ndarray) -> np.ndarray | None:
@@ -238,7 +221,7 @@ def mano_transform(theta: np.ndarray, direction: np.ndarray, axis: int):
     11mn FLOP model counts.  The step itself never forms theta_hat; it
     is made here only to be returned.  Inputs are checked as a step's are.
     """
-    theta, direction = _arrays(theta, direction)
+    theta, direction = _matching(theta, direction)
     _check_axis(theta, axis)
     tangent, inv = _mano_kernel(theta, direction, axis)
     theta_hat, _ = slice_unit(theta, axis)
@@ -260,9 +243,10 @@ def mano_step(
     scheduled value).  Weight decay is decoupled: it acts on theta
     directly, not through the manifold machinery.
     """
-    theta, grad = _arrays(theta, grad)
+    theta, grad = _matching(theta, grad)
     axis = rotation_axis(cfg.schedule, theta.ndim, state.step)
     eta = cfg.lr if lr is None else lr
+    _positive("lr", eta)
     buf = _buffer(state, "momentum", theta)
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
@@ -292,8 +276,7 @@ def newton_schulz(g, iterations: int = 5) -> np.ndarray:
     g = as_tensor(g)
     if g.ndim != 2:
         raise ValueError("newton_schulz expects a matrix")
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
+    _positive("iterations", iterations)
     fro = float(np.sqrt(np.sum(g * g)))
     if fro < EPS_DIV:
         raise ValueError("newton_schulz undefined for a zero matrix")
@@ -322,10 +305,11 @@ def muon_step(
     Mano update; weight decay is decoupled.  A zero momentum signal
     yields a zero update (plus decay) rather than an error.
     """
-    theta, grad = _arrays(theta, grad)
+    theta, grad = _matching(theta, grad)
     if theta.ndim != 2:
         raise ValueError("muon_step expects a matrix parameter")
     eta = cfg.lr if lr is None else lr
+    _positive("lr", eta)
     buf = _buffer(state, "momentum", theta)
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
@@ -347,8 +331,9 @@ def adamw_step(
     lr: float | None = None,
 ) -> np.ndarray:
     """Bias-corrected Adam moments with decoupled weight decay."""
-    theta, grad = _arrays(theta, grad)
+    theta, grad = _matching(theta, grad)
     eta = cfg.lr if lr is None else lr
+    _positive("lr", eta)
     avg, sq = _buffer(state, "exp_avg", theta), _buffer(state, "exp_avg_sq", theta)
 
     t = state.step + 1
@@ -384,7 +369,8 @@ def sgdm_step(
     weight_decay: float = 0.0,
 ) -> np.ndarray:
     """Plain heavy-ball step with decoupled weight decay."""
-    theta, grad = _arrays(theta, grad)
+    theta, grad = _matching(theta, grad)
+    _positive("lr", lr)
     _unit_interval("momentum", momentum)
     _non_negative("weight_decay", weight_decay)
     m_t, _ = _heavy_ball(_buffer(state, "momentum", theta), grad, momentum)
@@ -410,7 +396,8 @@ def rsgdm_step(
     by exact slice renormalization, which raises if the retraction lands
     on a degenerate slice.
     """
-    theta, grad = _arrays(theta, grad)
+    theta, grad = _matching(theta, grad)
+    _positive("lr", lr)
     _unit_interval("momentum", momentum)
     theta_hat, norms = slice_unit(theta, axis)
     check_unit(norms, axis)
@@ -442,8 +429,7 @@ def cosine_warmup_lr(
     ``step < warmup_steps``; afterwards the rate follows a half cosine
     from lr_max down to ``min_ratio * lr_max`` at ``total_steps``.
     """
-    if total_steps <= 0:
-        raise ValueError("total_steps must be positive")
+    _positive("total_steps", total_steps)
     if not 0 < warmup_steps < total_steps:
         raise ValueError("warmup_steps must lie strictly between 0 and total_steps")
     if not 0 <= step <= total_steps:
@@ -463,11 +449,17 @@ def clip_global_grad_norm(grads, max_norm: float):
 
     Returns ``(clipped, total_norm)`` where total_norm is the pre-clip
     joint norm.  When the norm is already within ``max_norm`` the input
-    arrays are returned unchanged (no copies).
+    arrays are returned unchanged (no copies).  If the sum of squares
+    overflows, the norm is taken again with every entry divided by the
+    largest magnitude first.
     """
     _positive("max_norm", max_norm)
     grads = [as_tensor(g) for g in grads]
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    with np.errstate(over="ignore"):
+        total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    if total == np.inf:
+        big = max(float(np.max(np.abs(g))) for g in grads if g.size)
+        total = big * float(np.sqrt(sum(float(np.sum((g / big) ** 2)) for g in grads)))
     if total <= max_norm:
         return grads, total
     scale = max_norm / total

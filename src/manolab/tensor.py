@@ -1,11 +1,14 @@
-"""Dense float64 tensor helpers.
+"""Dense float64 tensor helpers and the package's input checks.
 
 Everything downstream (manifold operators, optimizer steps, diagnostics)
 takes its inputs through ``as_tensor``, which rejects non-finite
-entries.  Each entry point scans its own inputs, so a training step
-scans every gradient three times (divergence check, clipping, step).
-The rest is RMS and a one-sided Jacobi SVD that does not call LAPACK's
-SVD.  The SVD rotates all disjoint column pairs of a round at once (the
+entries; ``_matching`` does that for operands that must share a shape.
+Scalar arguments go through ``_positive``, ``_non_negative`` and
+``_unit_interval``, which are written so that NaN fails every one of
+them.  Each public entry point checks its own inputs, so a training
+step scans every gradient three times (divergence check, clipping,
+step).  The rest is RMS and a one-sided Jacobi SVD that does not call
+LAPACK's SVD.  The SVD rotates all disjoint column pairs of a round at once (the
 odd-even parallel ordering), so its Python work per sweep is linear in
 the number of columns, and the rotations are batched matmuls written in
 place through one preallocated buffer.  The slice geometry lives in
@@ -50,6 +53,33 @@ def as_tensor(values) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains non-finite values")
     return arr
+
+
+def _matching(*operands) -> list[np.ndarray]:
+    """Every operand through ``as_tensor``; ShapeMismatchError unless all
+    shapes agree."""
+    arrays = [as_tensor(a) for a in operands]
+    if any(a.shape != arrays[0].shape for a in arrays):
+        shapes = ", ".join(str(a.shape) for a in arrays)
+        raise ShapeMismatchError(f"operand shapes {shapes} differ")
+    return arrays
+
+
+# Scalar range checks.  Each is written as ``not <in range>``, so NaN,
+# which fails every comparison, is rejected too.
+def _positive(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _non_negative(name: str, value: float) -> None:
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def _unit_interval(name: str, value: float) -> None:
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1), got {value}")
 
 
 def rms(a) -> float:

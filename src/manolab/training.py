@@ -35,7 +35,7 @@ from .optimizers import (
     rsgdm_step,
     sgdm_step,
 )
-from .tensor import EPS_DIV, rms
+from .tensor import _non_negative, _positive, rms
 
 # Gradient SNR denominators get this floor so constant gradients report
 # a large but finite ratio.
@@ -131,13 +131,12 @@ def make_dataset(
     """
     if task not in TASKS:
         raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    _positive("n_samples", n_samples)
     d_in, d_out = dims
-    if d_in < 1 or d_out < 1:
-        raise ValueError("dims must be positive")
-    if not noise >= 0.0:
-        raise ValueError("noise must be non-negative")
+    _positive("d_in", d_in)
+    _positive("d_out", d_out)
+    _non_negative("noise", noise)
+    _non_negative("separation", separation)
     rng = np.random.default_rng(seed)
     if task == "linreg":
         x = rng.standard_normal((n_samples, d_in))
@@ -243,8 +242,7 @@ def mlp_forward_backward(model: MlpModel, features, targets):
             f"features must be (batch, {model.layer_sizes[0]}), got {features.shape}"
         )
     batch = features.shape[0]
-    if batch < 1:
-        raise ValueError("empty batch")
+    _positive("batch", batch)
 
     acts = [features]
     last = len(model.weights) - 1
@@ -336,16 +334,14 @@ class TrainConfig:
             )
         if self.loss != _TASK_LOSS[self.task]:
             raise ValueError(f"{self.task} requires the {_TASK_LOSS[self.task]} loss")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        _positive("batch_size", self.batch_size)
         if not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("warmup_steps must lie strictly inside (0, total_steps)")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError("eval_fraction must lie in (0, 1)")
-        if self.cadence < 1:
-            raise ValueError("cadence must be positive")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be non-negative")
+        _positive("cadence", self.cadence)
+        _non_negative("snapshot_every", self.snapshot_every)
+        _positive("clip_norm", self.clip_norm)
         if self.manifold_mode not in SCHEDULE_MODES:
             raise ValueError(
                 f"manifold_mode must be one of {SCHEDULE_MODES}, "

@@ -61,6 +61,13 @@ class TestSpearmanRho:
         with pytest.raises(ValueError):
             spearman_rho(np.arange(3.0), np.arange(4.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            spearman_rho([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            spearman_rho([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+
 
 class TestMatchSingularVectors:
     def test_identity_match(self):

@@ -10,6 +10,7 @@ schedule endpoints) and the error contract.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,17 @@ def _live(step=3, **shapes):
 
 _MANO_AXIS_2 = ManoConfig(schedule=ManifoldSchedule(mode="static", fixed_axis=2))
 
+# Each step on a valid 2x2 point (unit columns, so rsgdm_step accepts
+# it) with the effective learning rate given: (state, lr).
+_POINT = (np.eye(2), np.ones((2, 2)))
+_LR_CALLS = {
+    "mano_step": lambda s, lr: mano_step(*_POINT, s, ManoConfig(), lr=lr),
+    "muon_step": lambda s, lr: muon_step(*_POINT, s, MuonConfig(), lr=lr),
+    "adamw_step": lambda s, lr: adamw_step(*_POINT, s, AdamWConfig(), lr=lr),
+    "sgdm_step": lambda s, lr: sgdm_step(*_POINT, s, lr),
+    "rsgdm_step": lambda s, lr: rsgdm_step(*_POINT, s, lr),
+}
+
 # One raising call per step, plus a shape mismatch for each:
 # (call, the state it starts from).
 _RAISING_CALLS = {
@@ -97,6 +109,16 @@ _RAISING_CALLS = {
         lambda s: rsgdm_step(np.ones((3, 2)), np.ones((3, 2)), s, 0.1),
         OptimizerState,
     ),
+    # The effective learning rate: cfg.lr overridden by the lr argument,
+    # or the lr argument of the two config-free steps.
+    **{
+        f"{name}-lr-{tag}": (
+            lambda s, call=call, lr=lr: call(s, lr),
+            OptimizerState,
+        )
+        for name, call in _LR_CALLS.items()
+        for tag, lr in (("negative", -1.0), ("zero", 0.0), ("nan", np.nan))
+    },
     # Live, correctly shaped buffers: a step that updated one in place
     # before a later check raised would show here.
     "mano_step-static-axis-2-live": (
@@ -121,6 +143,13 @@ _RAISING_CALLS = {
         lambda s: adamw_step(np.ones((2, 2)), np.ones((2, 2)), s, AdamWConfig()),
         lambda: _live(exp_avg=(2, 2), exp_avg_sq=(1, 2)),
     ),
+    **{
+        f"{name}-lr-nan-live": (
+            lambda s, call=call: call(s, np.nan),
+            lambda: _live(momentum=(2, 2), exp_avg=(2, 2), exp_avg_sq=(2, 2)),
+        )
+        for name, call in _LR_CALLS.items()
+    },
 }
 
 
@@ -699,6 +728,18 @@ class TestClipGlobalGradNorm:
         clipped, total = clip_global_grad_norm(grads, 1.0)
         assert total == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_array_equal(clipped[0], grads[0])
+
+    def test_overflowing_squares_still_clip_to_cap(self):
+        """Entries of 1e200 overflow g*g; the joint norm (2.06e200 here) is
+        taken on the rescaled entries instead, without a warning."""
+        grads = [np.full((2, 2), 1e200), np.array([3e199, -4e199])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clipped, total = clip_global_grad_norm(grads, 1.0)
+        assert math.isfinite(total)
+        assert total == pytest.approx(math.sqrt(4.0 + 0.25) * 1e200, rel=1e-12)
+        new_total = math.sqrt(sum(float(np.sum(g * g)) for g in clipped))
+        assert new_total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConfigValidation:

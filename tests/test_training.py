@@ -67,6 +67,11 @@ class TestMakeDataset:
         with pytest.raises(ValueError, match="noise must be non-negative"):
             make_dataset(task, 10, (2, 2), noise=noise)
 
+    @pytest.mark.parametrize("separation", [-1.0, float("nan")])
+    def test_separation_must_be_non_negative(self, separation):
+        with pytest.raises(ValueError, match="separation must be non-negative"):
+            make_dataset("blobs-classify", 10, (2, 2), separation=separation)
+
 
 class TestMlpModel:
     def test_init_scale_and_seeding(self):
@@ -228,6 +233,15 @@ class TestTrainConfig:
         assert cfg.hidden == (8, 4)
         assert cfg.nesterov is True
         assert cfg.lr_max == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("clip_norm", ["0", "-1.0", "nan"])
+    def test_load_config_rejects_bad_clip_norm(self, tmp_path, clip_norm):
+        """A bad clip_norm fails at load and is named, rather than at the
+        first clipped step as a max_norm error."""
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"clip_norm = {clip_norm}\n")
+        with pytest.raises(ValueError, match="clip_norm must be positive"):
+            load_config(path)
 
     def test_load_config_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
