@@ -109,9 +109,23 @@ def slice_unit(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     slice norms with the reduced axis kept.
 
     Slices with norm below EPS_DIV come back as zeros.  A caller that
-    must not accept them passes ``norms`` to ``check_slices``.
+    must not accept them passes ``norms`` to ``check_slices``.  A slice
+    whose sum of squares overflows has its norm taken again with its
+    entries divided by their largest magnitude first, so finite input
+    has finite norms; every other slice keeps the plain sum.
     """
-    norms = np.sqrt(slice_inner(a, a, axis))
+    # Raising on overflow costs less per call than scanning the norms
+    # for inf, and this runs in every iteration of the convergence lab.
+    try:
+        with np.errstate(over="raise"):
+            norms = np.sqrt(slice_inner(a, a, axis))
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(slice_inner(a, a, axis))
+        huge = np.isinf(norms)
+        big = np.where(huge, np.max(np.abs(a), axis=axis, keepdims=True), 1.0)
+        scaled = a / big
+        norms = np.where(huge, big * np.sqrt(slice_inner(scaled, scaled, axis)), norms)
     return np.divide(a, norms, out=np.zeros_like(a), where=norms >= EPS_DIV), norms
 
 

@@ -52,6 +52,7 @@ from .manifold import (
 from .tensor import (
     EPS_DIV,
     ShapeMismatchError,
+    _fraction,
     _matching,
     _non_negative,
     _positive,
@@ -435,8 +436,7 @@ def cosine_warmup_lr(
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     _positive("lr_max", lr_max)
-    if not 0.0 <= min_ratio <= 1.0:
-        raise ValueError("min_ratio must lie in [0, 1]")
+    _fraction("min_ratio", min_ratio)
     if step < warmup_steps:
         return lr_max * (step + 1) / warmup_steps
     lr_min = min_ratio * lr_max

@@ -3,11 +3,11 @@
 Everything downstream (manifold operators, optimizer steps, diagnostics)
 takes its inputs through ``as_tensor``, which rejects non-finite
 entries; ``_matching`` does that for operands that must share a shape.
-Scalar arguments go through ``_positive``, ``_non_negative`` and
-``_unit_interval``, which are written so that NaN fails every one of
-them.  Each public entry point checks its own inputs, so a training
-step scans every gradient three times (divergence check, clipping,
-step).  The rest is RMS and a one-sided Jacobi SVD that does not call
+Scalar arguments go through ``_positive``, ``_non_negative``,
+``_unit_interval`` and ``_fraction``, which are written so that NaN
+fails every one of them.  Each public entry point checks its own
+inputs, so a training step scans every gradient three times
+(divergence check, clipping, step).  The rest is RMS and a one-sided Jacobi SVD that does not call
 LAPACK's SVD.  The SVD rotates all disjoint column pairs of a round at once (the
 odd-even parallel ordering), so its Python work per sweep is linear in
 the number of columns, and the rotations are batched matmuls written in
@@ -80,6 +80,11 @@ def _non_negative(name: str, value: float) -> None:
 def _unit_interval(name: str, value: float) -> None:
     if not 0.0 <= value < 1.0:
         raise ValueError(f"{name} must lie in [0, 1), got {value}")
+
+
+def _fraction(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 def rms(a) -> float:

@@ -35,7 +35,7 @@ from .optimizers import (
     rsgdm_step,
     sgdm_step,
 )
-from .tensor import _non_negative, _positive, rms
+from .tensor import _fraction, _non_negative, _positive, _unit_interval, rms
 
 # Gradient SNR denominators get this floor so constant gradients report
 # a large but finite ratio.
@@ -211,11 +211,11 @@ class MlpModel:
         kinds = ("weight", "bias")
         return [f"layer{i}.{k}" for i in range(len(self.weights)) for k in kinds]
 
-    def set_parameters(self, params) -> None:
-        if len(params) != 2 * len(self.weights):
-            raise ValueError("parameter count mismatch")
-        self.weights[:] = params[0::2]
-        self.biases[:] = params[1::2]
+    def set_parameter(self, index: int, value: np.ndarray) -> None:
+        """Put ``value`` in the place of parameter ``index`` (in
+        ``parameters()`` order)."""
+        owner = self.biases if index % 2 else self.weights
+        owner[index // 2] = value
 
     def forward(self, features: np.ndarray) -> np.ndarray:
         acts = features
@@ -334,20 +334,27 @@ class TrainConfig:
             )
         if self.loss != _TASK_LOSS[self.task]:
             raise ValueError(f"{self.task} requires the {_TASK_LOSS[self.task]} loss")
-        _positive("batch_size", self.batch_size)
+        self.hidden = tuple(int(h) for h in self.hidden)
+        # Each numeric field is checked here, under its own key, rather
+        # than later by whatever it is passed to under another name.
+        for key in ("n_samples", "in_dim", "out_dim", "total_steps", "batch_size",
+                    "lr_max", "clip_norm", "cadence"):
+            _positive(key, getattr(self, key))
+        for width in self.hidden:
+            _positive("hidden", width)
+        for key in ("weight_decay", "snapshot_every", "noise", "separation"):
+            _non_negative(key, getattr(self, key))
+        _unit_interval("momentum", self.momentum)
+        _fraction("min_ratio", self.min_ratio)
         if not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("warmup_steps must lie strictly inside (0, total_steps)")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ValueError("eval_fraction must lie in (0, 1)")
-        _positive("cadence", self.cadence)
-        _non_negative("snapshot_every", self.snapshot_every)
-        _positive("clip_norm", self.clip_norm)
         if self.manifold_mode not in SCHEDULE_MODES:
             raise ValueError(
                 f"manifold_mode must be one of {SCHEDULE_MODES}, "
                 f"got {self.manifold_mode!r}"
             )
-        self.hidden = tuple(int(h) for h in self.hidden)
 
 
 def _parse_config_value(name: str, text: str, kind):
@@ -460,68 +467,73 @@ class Trainer:
         path = self.snapshot_dir / f"step{step:06d}_{name}.npz"
         np.savez(path, theta=theta, grad=grad, momentum=momentum, update=delta)
 
-    def run(self) -> list[TrajectoryRecord]:
+    def _step(self, t: int, idx, snapshotting: bool, records: list) -> None:
+        """Training step ``t`` on the batch ``idx``, one layer at a time.
+
+        Each parameter's new value replaces the old one in the model as
+        soon as its step returns, and on a record or snapshot step that
+        layer's update is formed, written and reduced to its RMS right
+        there.  So the step holds at most one layer's old value and
+        update at once, and nothing it makes outlives it but the new
+        parameters, the optimizer state and the records.
+        """
         cfg = self.cfg
+        loss, grads = mlp_forward_backward(
+            self.model, self.train_x[idx], self.train_y[idx]
+        )
+        if not np.isfinite(loss) or not all(np.all(np.isfinite(g)) for g in grads):
+            raise TrainingDiverged(
+                t, f"non-finite loss or gradient (loss={loss})", records
+            )
+        # Rebinding drops the raw gradients wherever clipping copied them.
+        grads, _ = clip_global_grad_norm(grads, cfg.clip_norm)
+        lr_t = cosine_warmup_lr(
+            t, cfg.total_steps, cfg.warmup_steps, cfg.lr_max, cfg.min_ratio
+        )
+        record_now = (t % cfg.cadence == 0) or (t == cfg.total_steps - 1)
+        snapshot_now = snapshotting and t % cfg.snapshot_every == 0
+
+        update_rms = []
+        for i, (name, grad) in enumerate(zip(self.names, grads)):
+            theta = self.model.parameters()[i]
+            new = self.rules[name](theta, grad, self.states[name], lr=lr_t)
+            self.model.set_parameter(i, new)
+            if not (record_now or snapshot_now):
+                continue
+            # Only records and snapshots read the applied update, and it
+            # is dropped before the next layer steps.
+            delta = theta - new
+            if snapshot_now and theta.ndim >= 2:
+                self._snapshot(t, name, theta, grad, delta)
+            if record_now:
+                update_rms.append(rms(delta) if delta.size else 0.0)
+            del delta
+        if not record_now:
+            return
+        eval_loss = self.model.evaluate_loss(self.eval_x, self.eval_y)
+        for name, (norm, var, snr), u in zip(self.names, grad_stats(grads), update_rms):
+            records.append(
+                TrajectoryRecord(
+                    step=t,
+                    train_loss=loss,
+                    eval_loss=eval_loss,
+                    lr=float(lr_t),
+                    layer=name,
+                    grad_norm=norm,
+                    grad_var=var,
+                    grad_snr=snr,
+                    update_rms=u,
+                )
+            )
+
+    def run(self) -> list[TrajectoryRecord]:
         records: list[TrajectoryRecord] = []
-        snapshotting = cfg.snapshot_every > 0 and self.snapshot_dir is not None
+        snapshotting = self.cfg.snapshot_every > 0 and self.snapshot_dir is not None
         if snapshotting:
             self.snapshot_dir.mkdir(parents=True, exist_ok=True)
         batches = self._batches()
-
-        for t in range(cfg.total_steps):
-            idx = next(batches)
-            loss, grads = mlp_forward_backward(
-                self.model, self.train_x[idx], self.train_y[idx]
-            )
-            if not np.isfinite(loss) or not all(
-                np.all(np.isfinite(g)) for g in grads
-            ):
-                raise TrainingDiverged(
-                    t, f"non-finite loss or gradient (loss={loss})", records
-                )
-
-            clipped, _ = clip_global_grad_norm(grads, cfg.clip_norm)
-            lr_t = cosine_warmup_lr(
-                t, cfg.total_steps, cfg.warmup_steps, cfg.lr_max, cfg.min_ratio
-            )
-
-            params = self.model.parameters()
-            new_params = [
-                self.rules[name](theta, grad, self.states[name], lr=lr_t)
-                for name, theta, grad in zip(self.names, params, clipped)
-            ]
-
-            record_now = (t % cfg.cadence == 0) or (t == cfg.total_steps - 1)
-            snapshot_now = snapshotting and t % cfg.snapshot_every == 0
-            # Only records and snapshots read the applied updates.
-            if record_now or snapshot_now:
-                deltas = [theta - new for theta, new in zip(params, new_params)]
-            if snapshot_now:
-                for name, theta, grad, delta in zip(
-                    self.names, params, clipped, deltas
-                ):
-                    if theta.ndim >= 2:
-                        self._snapshot(t, name, theta, grad, delta)
-
-            self.model.set_parameters(new_params)
-
-            if record_now:
-                eval_loss = self.model.evaluate_loss(self.eval_x, self.eval_y)
-                stats = grad_stats(clipped)
-                for name, (norm, var, snr), delta in zip(self.names, stats, deltas):
-                    records.append(
-                        TrajectoryRecord(
-                            step=t,
-                            train_loss=loss,
-                            eval_loss=eval_loss,
-                            lr=float(lr_t),
-                            layer=name,
-                            grad_norm=norm,
-                            grad_var=var,
-                            grad_snr=snr,
-                            update_rms=rms(delta) if delta.size else 0.0,
-                        )
-                    )
+        for t in range(self.cfg.total_steps):
+            self._step(t, next(batches), snapshotting, records)
         return records
 
 

@@ -41,6 +41,7 @@ from manolab.optimizers import (
 from manolab.tensor import (
     ShapeMismatchError,
     _matching,
+    _fraction,
     _non_negative,
     _positive,
     _unit_interval,
@@ -121,7 +122,12 @@ _ENTRY_POINTS = [
         ("n_samples", "noise", "separation"),
     ),
     (_dataset_dims, {}, ("d_in", "d_out")),
-    (TrainConfig, {}, ("batch_size", "cadence", "snapshot_every", "clip_norm")),
+    (
+        TrainConfig,
+        {},
+        ("batch_size", "cadence", "snapshot_every", "clip_norm", "lr_max",
+         "min_ratio", "weight_decay", "momentum", "noise", "separation"),
+    ),
 ]
 _NAN_CASES = {
     f"{fn.__name__.strip('_')}-{name}": (fn, kwargs, name)
@@ -168,6 +174,11 @@ class TestScalarChecks:
         with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\), got"):
             _unit_interval("x", value)
 
+    @pytest.mark.parametrize("value", [-0.1, 1.5, np.nan, np.inf])
+    def test_fraction(self, value):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], got"):
+            _fraction("x", value)
+
     def test_in_range_values_pass(self):
         _positive("x", 1e-300)
         _positive("x", 3)
@@ -175,6 +186,8 @@ class TestScalarChecks:
         _non_negative("x", 0)
         _unit_interval("x", 0.0)
         _unit_interval("x", 0.999)
+        _fraction("x", 0.0)
+        _fraction("x", 1.0)
 
 
 class TestMatching:

@@ -113,6 +113,23 @@ class TestObliqueNormalize:
         assert err.value.axis == 0
         assert err.value.index == 1
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_overflowing_slices_still_reach_unit_norm(self, axis):
+        """Entries of 1e200 square to inf; the slices must still come out
+        unit, not zero, and without an overflow warning."""
+        out = oblique_normalize(np.full((2, 2), 1e200), axis)
+        np.testing.assert_allclose(out, np.sqrt(0.5), rtol=1e-15)
+
+    def test_overflow_rescale_leaves_other_slices_untouched(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4, 3))
+        plain = oblique_normalize(a, 0)
+        a[:, 1] *= 1e300
+        unit, norms = slice_unit(a, 0)
+        assert np.all(np.isfinite(norms))
+        np.testing.assert_allclose(unit[:, 1], plain[:, 1], rtol=1e-14)
+        np.testing.assert_array_equal(unit[:, [0, 2]], plain[:, [0, 2]])
+
     def test_input_unchanged(self):
         a = np.arange(1.0, 7.0).reshape(2, 3)
         a0 = a.copy()

@@ -2,6 +2,7 @@
 and full training runs (determinism, clipping, divergence, fallbacks)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,34 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="clip_norm must be positive"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("lr_max", "nan", "must be positive"),
+            ("lr_max", "0", "must be positive"),
+            ("in_dim", "0", "must be positive"),
+            ("out_dim", "0", "must be positive"),
+            ("n_samples", "0", "must be positive"),
+            ("total_steps", "0", "must be positive"),
+            ("hidden", "8,0", "must be positive"),
+            ("momentum", "1.5", r"must lie in \[0, 1\)"),
+            ("momentum", "nan", r"must lie in \[0, 1\)"),
+            ("weight_decay", "-0.1", "must be non-negative"),
+            ("min_ratio", "1.5", r"must lie in \[0, 1\]"),
+            ("min_ratio", "nan", r"must lie in \[0, 1\]"),
+            ("noise", "-1", "must be non-negative"),
+            ("separation", "nan", "must be non-negative"),
+        ],
+    )
+    def test_load_config_names_bad_numeric_key(self, tmp_path, key, text, message):
+        """A numeric field out of range fails at load under its own key,
+        not later under the name of whatever it is passed to (``lr``,
+        ``d_in``, ``n_samples`` of the dataset, ``momentum`` of a step)."""
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = {text}\n")
+        with pytest.raises(ValueError, match=rf"^{key} {message}, got"):
+            load_config(path)
+
     def test_load_config_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("learning_rate = 3\n")
@@ -323,6 +352,74 @@ class TestTrainer:
         for step, norms in by_step.items():
             total = math.sqrt(sum(n * n for n in norms))
             assert total <= 1.0 + 1e-9
+
+    def test_step_holds_one_layer_at_a_time(self, tmp_path):
+        """Traced memory of a run with one 256-wide hidden layer, every
+        other step a record-and-snapshot step and clipping in every step.
+
+        Between steps only the parameters, the optimizer state and the
+        dataset are live.  A record-and-snapshot step holds on top of
+        that the gradients and at most four arrays the size of the
+        largest layer: its old value, the output of its step and its
+        update, plus a copy ``np.savez`` or ``rms`` makes of one of them.
+        64 KiB of slack cover the batch, the activations and Python
+        objects.
+        """
+        cfg = _small_cfg(
+            n_samples=128, in_dim=256, hidden=(256,), out_dim=256,
+            total_steps=5, warmup_steps=1, cadence=2, snapshot_every=2,
+            clip_norm=1e-3,
+        )
+        # A small run first, so the modules a snapshot imports on first
+        # use are not counted.
+        train_run(
+            _small_cfg(total_steps=2, warmup_steps=1, snapshot_every=1),
+            snapshot_dir=tmp_path / "warm-up",
+        )
+        live, peaks = [], []
+        tracemalloc.start()
+        try:
+            trainer = Trainer(cfg, snapshot_dir=tmp_path / "run")
+            draws = trainer._batches
+
+            def watched():
+                # A batch is drawn as a step begins: the live set then is
+                # what the previous step left behind.
+                for idx in draws():
+                    current, peak = tracemalloc.get_traced_memory()
+                    live.append(current)
+                    peaks.append(peak)
+                    tracemalloc.reset_peak()
+                    yield idx
+
+            trainer._batches = watched
+            trainer.run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        params = trainer.model.parameters()
+        param_bytes = sum(p.nbytes for p in params)
+        state_bytes = sum(
+            buf.nbytes
+            for state in trainer.states.values()
+            for buf in (state.momentum, state.exp_avg, state.exp_avg_sq)
+            if buf is not None
+        )
+        data = trainer.dataset
+        data_bytes = data.features.nbytes + data.targets.nbytes + data.w_star.nbytes
+        layer = max(p.nbytes for p in params)
+        slack = 64 * 1024
+        held = param_bytes + state_bytes + data_bytes
+        # live[t] is the live set as step t begins; the state exists
+        # from step 1 on.  peaks[t + 1] is the peak of step t.
+        assert max(live[1:]) <= held + slack, (
+            f"{(max(live[1:]) - held) / layer:.2f} layers live between steps"
+        )
+        record_peak = max(peaks[t + 1] for t in (0, 2, 4))
+        assert record_peak <= held + param_bytes + 4 * layer + slack, (
+            f"{(record_peak - held - param_bytes) / layer:.2f} layers above "
+            "parameters, state, dataset and gradients"
+        )
 
     def test_rsgdm_weights_stay_unit_column(self):
         cfg = _small_cfg(optimizer="rsgdm", total_steps=25)
