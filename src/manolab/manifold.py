@@ -22,7 +22,8 @@ two stay apart: ``einsum`` pays off on large weights but not on small
 ones, the helpers' broadcast multiply allocates an iterator buffer that
 alone breaks the Mano step's memory bound, and the convergence runner's
 small matrices run slower through the kernel's division.  That kernel
-is the only slice arithmetic outside this module.
+is the only slice arithmetic outside this module; for slices whose sums
+overflow it falls back on ``slice_unit``.
 """
 
 from __future__ import annotations

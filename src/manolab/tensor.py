@@ -15,7 +15,7 @@ place through one preallocated buffer.  The slice geometry lives in
 ``manifold``.
 
 All operations are pure functions on float64 arrays; inputs are never
-mutated.
+mutated, except by ``_rms_in_place``, which says so.
 """
 
 from __future__ import annotations
@@ -90,9 +90,23 @@ def _fraction(name: str, value: float) -> None:
 def rms(a) -> float:
     """Root mean square over all entries."""
     a = as_tensor(a)
-    if a.size == 0:
+    return _root_mean(np.multiply(a, a))
+
+
+def _rms_in_place(a: np.ndarray) -> float:
+    """``rms(a)`` of a float64 array, with its checks and its bits, from
+    squares written over ``a`` rather than into a new array.  Its
+    non-finite check makes no array either: the smallest and largest
+    entries are finite only if every entry is."""
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise ValueError("tensor contains non-finite values")
+    return _root_mean(np.multiply(a, a, out=a))
+
+
+def _root_mean(squares: np.ndarray) -> float:
+    if squares.size == 0:
         raise ValueError("rms of an empty tensor is undefined")
-    return float(np.sqrt(np.mean(a * a)))
+    return float(np.sqrt(np.mean(squares)))
 
 
 def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

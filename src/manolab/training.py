@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import zipfile
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -35,7 +36,7 @@ from .optimizers import (
     rsgdm_step,
     sgdm_step,
 )
-from .tensor import _fraction, _non_negative, _positive, _unit_interval, rms
+from .tensor import _fraction, _non_negative, _positive, _rms_in_place, _unit_interval
 
 # Gradient SNR denominators get this floor so constant gradients report
 # a large but finite ratio.
@@ -465,7 +466,7 @@ class Trainer:
         if momentum is None:
             momentum = np.zeros_like(theta)
         path = self.snapshot_dir / f"step{step:06d}_{name}.npz"
-        np.savez(path, theta=theta, grad=grad, momentum=momentum, update=delta)
+        _savez(path, theta=theta, grad=grad, momentum=momentum, update=delta)
 
     def _step(self, t: int, idx, snapshotting: bool, records: list) -> None:
         """Training step ``t`` on the batch ``idx``, one layer at a time.
@@ -501,12 +502,13 @@ class Trainer:
             if not (record_now or snapshot_now):
                 continue
             # Only records and snapshots read the applied update, and it
-            # is dropped before the next layer steps.
+            # is dropped before the next layer steps.  The snapshot is
+            # written first, so the RMS can square the update in place.
             delta = theta - new
             if snapshot_now and theta.ndim >= 2:
                 self._snapshot(t, name, theta, grad, delta)
             if record_now:
-                update_rms.append(rms(delta) if delta.size else 0.0)
+                update_rms.append(_rms_in_place(delta) if delta.size else 0.0)
             del delta
         if not record_now:
             return
@@ -535,6 +537,22 @@ class Trainer:
         for t in range(self.cfg.total_steps):
             self._step(t, next(batches), snapshotting, records)
         return records
+
+
+def _savez(path, **members) -> None:
+    """``np.savez(path, **members)``, byte for byte, written from each
+    array's own buffer: the same zip layout (stored, zip64, fixed member
+    date) and ``.npy`` headers, without the copy ``np.savez`` makes of
+    every array it writes."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for key, array in members.items():
+            header = np.lib.format.header_data_from_array_1_0(array)
+            # An F-ordered array is stored in F order: its transpose's
+            # C-ordered buffer.
+            data = array.T if header["fortran_order"] else np.ascontiguousarray(array)
+            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(data.reshape(-1))
 
 
 def train_run(cfg: TrainConfig, snapshot_dir=None) -> list[TrajectoryRecord]:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manolab import optimizers
 from manolab.manifold import DegenerateSliceError, ManifoldSchedule
 from manolab.optimizers import (
     NS_COEFFS,
@@ -197,15 +198,9 @@ _LEAN_STEPS = {
 }
 
 
-@pytest.mark.parametrize("call", _LEAN_STEPS.values(), ids=_LEAN_STEPS.keys())
-def test_transient_memory_within_two_parameters(call):
+def _warm_step_peak(call, theta, grad):
     """Peak traced allocation of one step on a warm state, above its level
-    at entry and counting the returned array, stays within twice the
-    parameter's bytes.  32 KiB on top cover the per-slice vectors
-    (a few hundred entries each) and einsum's own workspace."""
-    rng = np.random.default_rng(8)
-    theta = rng.standard_normal((256, 192))
-    grad = rng.standard_normal((256, 192))
+    at entry and counting the returned array."""
     state = OptimizerState()
     for _ in range(2):
         call(theta, grad, state)
@@ -218,7 +213,40 @@ def test_transient_memory_within_two_parameters(call):
     finally:
         tracemalloc.stop()
     assert new_theta.shape == theta.shape
+    return peak
+
+
+@pytest.mark.parametrize("call", _LEAN_STEPS.values(), ids=_LEAN_STEPS.keys())
+def test_transient_memory_within_two_parameters(call):
+    """A warm step's peak stays within twice the parameter's bytes.
+    32 KiB on top cover the per-slice vectors (a few hundred entries
+    each) and einsum's own workspace."""
+    rng = np.random.default_rng(8)
+    theta = rng.standard_normal((256, 192))
+    peak = _warm_step_peak(call, theta, rng.standard_normal((256, 192)))
     assert peak <= 2 * theta.nbytes + 32 * 1024, (
+        f"peak {peak} B is {peak / theta.nbytes:.2f}x the parameter's bytes"
+    )
+
+
+_ONE_ARRAY_STEPS = {
+    name: _LEAN_STEPS[name]
+    for name in ("mano_step-axis-0", "mano_step-axis-1",
+                 "mano_step-axis-0-retract", "mano_step-axis-1-retract")
+}
+
+
+@pytest.mark.parametrize("call", _ONE_ARRAY_STEPS.values(), ids=_ONE_ARRAY_STEPS.keys())
+def test_transient_memory_within_one_parameter(call):
+    """A warm plain or retracting Mano step makes one parameter-sized
+    array, the one it returns: the decayed update is written into the
+    tangent (or the spent accumulator), with the decay term formed in a
+    scratch of ``_DECAY_BLOCK`` entries.  32 KiB on top as above."""
+    rng = np.random.default_rng(8)
+    theta = rng.standard_normal((256, 192))
+    peak = _warm_step_peak(call, theta, rng.standard_normal((256, 192)))
+    scratch = optimizers._DECAY_BLOCK * theta.itemsize
+    assert peak <= theta.nbytes + scratch + 32 * 1024, (
         f"peak {peak} B is {peak / theta.nbytes:.2f}x the parameter's bytes"
     )
 
@@ -451,6 +479,42 @@ class TestManoTransform:
         with pytest.raises(ValueError, match="non-finite"):
             mano_transform(bad, theta, 0)
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_overflowing_theta_slices_are_projected(self, axis):
+        """Entries of 1e200 square to inf inside einsum, without a warning.
+        The projection is scale invariant in theta, so the tangent must
+        be the one at theta = ones."""
+        tangent = mano_transform(np.full((2, 2), 1e200), np.eye(2), axis)[1]
+        expected = mano_transform(np.ones((2, 2)), np.eye(2), axis)[1]
+        np.testing.assert_array_equal(expected, [[0.5, -0.5], [-0.5, 0.5]])
+        np.testing.assert_allclose(tangent, expected, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("theta_scale", [1.0, 1e150, 1e200])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_overflowing_direction_and_tangent_norms(self, axis, theta_scale):
+        """A direction of size 1e200 overflows the tangent's squared norms,
+        and with theta at 1e150 or 1e200 its inner products with theta
+        too.  The tangent is scale invariant in theta and linear in the
+        direction, so it must match the unscaled one."""
+        rng = np.random.default_rng(6)
+        theta = rng.standard_normal((4, 3))
+        direction = rng.standard_normal((4, 3))
+        _, tangent, unit = mano_transform(theta_scale * theta, 1e200 * direction, axis)
+        _, plain_tangent, plain_unit = mano_transform(theta, direction, axis)
+        np.testing.assert_allclose(unit, plain_unit, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(tangent / 1e200, plain_tangent, rtol=1e-14, atol=1e-15)
+
+    def test_overflow_rescale_leaves_other_slices_untouched(self):
+        rng = np.random.default_rng(5)
+        theta = rng.standard_normal((4, 3))
+        direction = rng.standard_normal((4, 3))
+        _, plain_tangent, plain_unit = mano_transform(theta, direction, 0)
+        theta[:, 1] *= 1e300
+        _, tangent, unit = mano_transform(theta, direction, 0)
+        np.testing.assert_allclose(unit[:, 1], plain_unit[:, 1], rtol=1e-14)
+        np.testing.assert_array_equal(tangent[:, [0, 2]], plain_tangent[:, [0, 2]])
+        np.testing.assert_array_equal(unit[:, [0, 2]], plain_unit[:, [0, 2]])
+
     def test_coerces_lists(self):
         rng = np.random.default_rng(5)
         theta = rng.standard_normal((3, 4))
@@ -512,16 +576,24 @@ class TestNewtonSchulz:
 class TestMuonStep:
     def test_composition_oracle_momentum_free(self):
         """With momentum 0 one step is exactly
-        theta - lr*(coeff*sqrt(max(m,n))*orthogonalized(g) + wd*theta)."""
+        theta - lr*(coeff*sqrt(max(m,n))*orthogonalized(g) + wd*theta),
+        on square, wide and tall matrices.
+
+        For a tall matrix ``newton_schulz`` returns a transposed view, into
+        which the decay cannot be written through a flat view.  The step
+        must still apply the decay, and return a C-ordered array: an
+        F-ordered one would give later snapshots different bytes."""
         rng = np.random.default_rng(42)
-        theta = rng.standard_normal((4, 4))
-        grad = rng.standard_normal((4, 4))
         cfg = MuonConfig(lr=2e-2, momentum=0.0, weight_decay=0.1)
-        got = muon_step(theta, grad, OptimizerState(), cfg)
-        expected = theta - cfg.lr * (
-            0.2 * 2.0 * newton_schulz(grad, 5) + 0.1 * theta
-        )
-        np.testing.assert_array_equal(got, expected)
+        for shape in [(4, 4), (4, 16), (16, 4)]:
+            theta = rng.standard_normal(shape)
+            grad = rng.standard_normal(shape)
+            got = muon_step(theta, grad, OptimizerState(), cfg)
+            expected = theta - cfg.lr * (
+                0.2 * math.sqrt(max(shape)) * newton_schulz(grad, 5) + 0.1 * theta
+            )
+            np.testing.assert_array_equal(got, expected)
+            assert got.flags.c_contiguous, shape
 
     def test_momentum_accumulates_like_sgdm(self):
         rng = np.random.default_rng(13)

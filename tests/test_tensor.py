@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from manolab.tensor import as_tensor, jacobi_svd, rms, svd_values
+from manolab.tensor import _rms_in_place, as_tensor, jacobi_svd, rms, svd_values
 import oracles
 from oracles import scalar_jacobi_svd
 
@@ -47,6 +47,19 @@ class TestRms:
 
     def test_constant_tensor(self):
         assert rms(np.full((3, 3), -2.0)) == pytest.approx(2.0, rel=1e-15)
+
+    def test_in_place_variant_has_the_same_bits_and_checks(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 5))
+        scratch = a.copy()
+        assert _rms_in_place(scratch) == rms(a)
+        np.testing.assert_array_equal(scratch, a * a)
+        for bad in (np.inf, -np.inf, np.nan):
+            a[2, 3] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                _rms_in_place(a)
+        with pytest.raises(ValueError, match="empty"):
+            _rms_in_place(np.zeros(0))
 
 
 class TestJacobiSvd:

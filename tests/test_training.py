@@ -359,11 +359,12 @@ class TestTrainer:
 
         Between steps only the parameters, the optimizer state and the
         dataset are live.  A record-and-snapshot step holds on top of
-        that the gradients and at most four arrays the size of the
-        largest layer: its old value, the output of its step and its
-        update, plus a copy ``np.savez`` or ``rms`` makes of one of them.
-        64 KiB of slack cover the batch, the activations and Python
-        objects.
+        that the gradients and at most two arrays the size of the
+        largest layer: its old value and its update.  The step writes
+        its output into the one array it makes, the snapshot is written
+        from the arrays' own buffers and the RMS squares the update in
+        place.  64 KiB of slack cover the batch, the activations and
+        Python objects.
         """
         cfg = _small_cfg(
             n_samples=128, in_dim=256, hidden=(256,), out_dim=256,
@@ -416,7 +417,7 @@ class TestTrainer:
             f"{(max(live[1:]) - held) / layer:.2f} layers live between steps"
         )
         record_peak = max(peaks[t + 1] for t in (0, 2, 4))
-        assert record_peak <= held + param_bytes + 4 * layer + slack, (
+        assert record_peak <= held + param_bytes + 2 * layer + slack, (
             f"{(record_peak - held - param_bytes) / layer:.2f} layers above "
             "parameters, state, dataset and gradients"
         )
@@ -447,6 +448,25 @@ class TestTrainer:
         with np.load(tmp_path / files[0]) as data:
             assert set(data.files) == {"theta", "grad", "momentum", "update"}
             assert data["theta"].shape == (6, 4)
+
+    def test_snapshot_file_matches_np_savez_byte_for_byte(self, tmp_path):
+        """The trainer writes each member from the array's buffer; the file
+        must be the one ``np.savez`` writes, for C-ordered, F-ordered and
+        1-D members, with an AdamW state's ``exp_avg`` as the momentum."""
+        cfg = _small_cfg(optimizer="adamw", in_dim=5, out_dim=3)
+        trainer = Trainer(cfg, snapshot_dir=tmp_path)
+        rng = np.random.default_rng(3)
+        state = trainer.states["layer0.weight"]
+        state.exp_avg = rng.standard_normal((5, 3))
+        theta = rng.standard_normal((5, 3))
+        grad = rng.standard_normal((3, 5)).T
+        delta = rng.standard_normal(15)
+        assert grad.flags.f_contiguous and not grad.flags.c_contiguous
+        trainer._snapshot(7, "layer0.weight", theta, grad, delta)
+        expected = tmp_path / "expected.npz"
+        np.savez(expected, theta=theta, grad=grad, momentum=state.exp_avg, update=delta)
+        written = tmp_path / "step000007_layer0.weight.npz"
+        assert written.read_bytes() == expected.read_bytes()
 
     def test_load_snapshots_reads_back_what_the_trainer_wrote(self, tmp_path):
         cfg = _small_cfg(hidden=(4,), total_steps=20, snapshot_every=10)
