@@ -11,12 +11,11 @@ and direction map.  The input checks come from ``tensor``:
 ``_matching`` coerces and shape-checks the arrays, and ``_positive``
 rejects a non-positive or NaN learning rate.  ``_buffer`` checks a
 state buffer, ``_heavy_ball`` accumulates momentum into it in place
-and ``_decoupled`` writes the decayed update into the direction array
-the step hands over.  Every check runs before a step writes its state,
-so a step that raises leaves the state as it was.  On a warm state a
-plain or retracting Mano step and an SGD-M step hold one new
-parameter-sized array, the returned one; a Nesterov Mano step and an
-AdamW step hold at most two.
+and ``_decoupled`` writes the decayed update into one new array.  Every
+check runs before a step writes its state, so a step that raises
+leaves the state as it was.  On a warm state the Mano,
+AdamW and SGD-M steps hold at most two new parameter-sized arrays at
+once, the returned one included.
 
 Mano in one step, for a matrix theta with the active axis k:
 
@@ -65,10 +64,6 @@ from .tensor import (
 # Quintic iteration coefficients for the orthogonalizing polynomial
 # a*x + b*x^3 + c*x^5 applied to singular values.
 NS_COEFFS = (3.4445, -4.7750, 2.0315)
-
-# Entries of the decay term ``_decoupled`` forms at a time: a 64 KiB
-# float64 scratch, small enough to stay in cache.
-_DECAY_BLOCK = 8192
 
 
 @dataclass
@@ -175,37 +170,16 @@ def _heavy_ball(buf, grad, mu: float, nesterov: bool = False):
     return m_t, m_used
 
 
-def _decoupled(state: OptimizerState, theta, direction, eta, weight_decay, out=None):
-    """``theta - eta * (direction + weight_decay * theta)``: the update with
-    weight decay decoupled from ``direction`` (Loshchilov & Hutter,
-    "Decoupled Weight Decay Regularization", 2019).  Counts the step.
-
-    The update is written into ``out`` if the step passes a new array
-    (SGD-M, whose direction is its own state), and otherwise into
-    ``direction``, which the step hands over.  In that case the decay
-    term is formed ``_DECAY_BLOCK`` entries at a time in one small
-    scratch array, so no parameter-sized array is made here, and adding
-    it to the direction gives the same bits as adding the direction to
-    it.  A direction that is not C-contiguous (Muon's on a tall matrix)
-    is copied first, so the update has theta's layout.
-    """
+def _decoupled(state: OptimizerState, theta, direction, eta, weight_decay):
+    """``theta - eta * (direction + weight_decay * theta)``, written into one
+    new array: the update with weight decay decoupled from ``direction``
+    (Loshchilov & Hutter, "Decoupled Weight Decay Regularization", 2019).
+    Counts the step."""
     state.step += 1
-    if out is not None:
-        np.multiply(theta, weight_decay, out=out)
-        out += direction
-        out *= eta
-        return np.subtract(theta, out, out=out)
-    if not direction.flags.c_contiguous:
-        direction = np.ascontiguousarray(direction)
-    flat_theta, flat_dir = theta.reshape(-1), direction.reshape(-1)
-    scratch = np.empty(min(flat_theta.size, _DECAY_BLOCK), dtype=theta.dtype)
-    for start in range(0, flat_theta.size, _DECAY_BLOCK):
-        block = slice(start, start + _DECAY_BLOCK)
-        th, dst = flat_theta[block], flat_dir[block]
-        dst += np.multiply(th, weight_decay, out=scratch[: th.size])
-        dst *= eta
-        np.subtract(th, dst, out=dst)
-    return direction
+    out = np.multiply(theta, weight_decay)
+    out += direction
+    out *= eta
+    return np.subtract(theta, out, out=out)
 
 
 def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int):
@@ -249,7 +223,7 @@ def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int):
     norms = np.sqrt(np.einsum(slice_sums, tangent, tangent))
     huge = np.isinf(norms)
     if huge.any():
-        norms[huge] = np.squeeze(slice_unit(tangent, axis)[1], axis)[huge]
+        norms = np.where(huge, np.squeeze(slice_unit(tangent, axis)[1], axis), norms)
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= EPS_DIV)
     return tangent, np.expand_dims(inv, axis)
 
@@ -420,9 +394,7 @@ def sgdm_step(
     _non_negative("weight_decay", weight_decay)
     m_t, _ = _heavy_ball(_buffer(state, "momentum", theta), grad, momentum)
     state.momentum = m_t
-    # The direction is the momentum state itself, so the update gets the
-    # step's one new array.
-    return _decoupled(state, theta, m_t, lr, weight_decay, out=np.empty_like(theta))
+    return _decoupled(state, theta, m_t, lr, weight_decay)
 
 
 def rsgdm_step(

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manolab import optimizers
 from manolab.manifold import DegenerateSliceError, ManifoldSchedule
 from manolab.optimizers import (
     NS_COEFFS,
@@ -198,9 +197,15 @@ _LEAN_STEPS = {
 }
 
 
-def _warm_step_peak(call, theta, grad):
+@pytest.mark.parametrize("call", _LEAN_STEPS.values(), ids=_LEAN_STEPS.keys())
+def test_transient_memory_within_two_parameters(call):
     """Peak traced allocation of one step on a warm state, above its level
-    at entry and counting the returned array."""
+    at entry and counting the returned array, stays within twice the
+    parameter's bytes.  32 KiB on top cover the per-slice vectors
+    (a few hundred entries each) and einsum's own workspace."""
+    rng = np.random.default_rng(8)
+    theta = rng.standard_normal((256, 192))
+    grad = rng.standard_normal((256, 192))
     state = OptimizerState()
     for _ in range(2):
         call(theta, grad, state)
@@ -213,40 +218,7 @@ def _warm_step_peak(call, theta, grad):
     finally:
         tracemalloc.stop()
     assert new_theta.shape == theta.shape
-    return peak
-
-
-@pytest.mark.parametrize("call", _LEAN_STEPS.values(), ids=_LEAN_STEPS.keys())
-def test_transient_memory_within_two_parameters(call):
-    """A warm step's peak stays within twice the parameter's bytes.
-    32 KiB on top cover the per-slice vectors (a few hundred entries
-    each) and einsum's own workspace."""
-    rng = np.random.default_rng(8)
-    theta = rng.standard_normal((256, 192))
-    peak = _warm_step_peak(call, theta, rng.standard_normal((256, 192)))
     assert peak <= 2 * theta.nbytes + 32 * 1024, (
-        f"peak {peak} B is {peak / theta.nbytes:.2f}x the parameter's bytes"
-    )
-
-
-_ONE_ARRAY_STEPS = {
-    name: _LEAN_STEPS[name]
-    for name in ("mano_step-axis-0", "mano_step-axis-1",
-                 "mano_step-axis-0-retract", "mano_step-axis-1-retract")
-}
-
-
-@pytest.mark.parametrize("call", _ONE_ARRAY_STEPS.values(), ids=_ONE_ARRAY_STEPS.keys())
-def test_transient_memory_within_one_parameter(call):
-    """A warm plain or retracting Mano step makes one parameter-sized
-    array, the one it returns: the decayed update is written into the
-    tangent (or the spent accumulator), with the decay term formed in a
-    scratch of ``_DECAY_BLOCK`` entries.  32 KiB on top as above."""
-    rng = np.random.default_rng(8)
-    theta = rng.standard_normal((256, 192))
-    peak = _warm_step_peak(call, theta, rng.standard_normal((256, 192)))
-    scratch = optimizers._DECAY_BLOCK * theta.itemsize
-    assert peak <= theta.nbytes + scratch + 32 * 1024, (
         f"peak {peak} B is {peak / theta.nbytes:.2f}x the parameter's bytes"
     )
 
@@ -490,15 +462,19 @@ class TestManoTransform:
         np.testing.assert_allclose(tangent, expected, rtol=1e-15, atol=1e-15)
 
     @pytest.mark.parametrize("theta_scale", [1.0, 1e150, 1e200])
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_overflowing_direction_and_tangent_norms(self, axis, theta_scale):
+    @pytest.mark.parametrize(
+        "shape,axis", [((4, 3), 0), ((4, 3), 1), ((5,), 0)],
+        ids=["4x3-axis-0", "4x3-axis-1", "5-axis-0"],
+    )
+    def test_overflowing_direction_and_tangent_norms(self, shape, axis, theta_scale):
         """A direction of size 1e200 overflows the tangent's squared norms,
         and with theta at 1e150 or 1e200 its inner products with theta
         too.  The tangent is scale invariant in theta and linear in the
-        direction, so it must match the unscaled one."""
+        direction, so it must match the unscaled one.  A vector's slice
+        sums are scalars, which the rescue must handle too."""
         rng = np.random.default_rng(6)
-        theta = rng.standard_normal((4, 3))
-        direction = rng.standard_normal((4, 3))
+        theta = rng.standard_normal(shape)
+        direction = rng.standard_normal(shape)
         _, tangent, unit = mano_transform(theta_scale * theta, 1e200 * direction, axis)
         _, plain_tangent, plain_unit = mano_transform(theta, direction, axis)
         np.testing.assert_allclose(unit, plain_unit, rtol=1e-14, atol=1e-15)
@@ -579,10 +555,11 @@ class TestMuonStep:
         theta - lr*(coeff*sqrt(max(m,n))*orthogonalized(g) + wd*theta),
         on square, wide and tall matrices.
 
-        For a tall matrix ``newton_schulz`` returns a transposed view, into
-        which the decay cannot be written through a flat view.  The step
-        must still apply the decay, and return a C-ordered array: an
-        F-ordered one would give later snapshots different bytes."""
+        For a tall matrix ``newton_schulz`` returns a transposed view, and
+        a flat ``reshape(-1)`` of it is a copy, so an update written
+        through one would lose the decay.  The step must apply the decay
+        and return a C-ordered array: an F-ordered one would give later
+        snapshots different bytes."""
         rng = np.random.default_rng(42)
         cfg = MuonConfig(lr=2e-2, momentum=0.0, weight_decay=0.1)
         for shape in [(4, 4), (4, 16), (16, 4)]:

@@ -360,11 +360,11 @@ class TestTrainer:
         Between steps only the parameters, the optimizer state and the
         dataset are live.  A record-and-snapshot step holds on top of
         that the gradients and at most two arrays the size of the
-        largest layer: its old value and its update.  The step writes
-        its output into the one array it makes, the snapshot is written
+        largest layer: the Mano step's tangent and output while it runs,
+        then the old value and the update.  The snapshot is written
         from the arrays' own buffers and the RMS squares the update in
-        place.  64 KiB of slack cover the batch, the activations and
-        Python objects.
+        place, so neither adds a copy.  64 KiB of slack cover the batch,
+        the activations and Python objects.
         """
         cfg = _small_cfg(
             n_samples=128, in_dim=256, hidden=(256,), out_dim=256,
