@@ -23,7 +23,8 @@ ones, the helpers' broadcast multiply allocates an iterator buffer that
 alone breaks the Mano step's memory bound, and the convergence runner's
 small matrices run slower through the kernel's division.  That kernel
 is the only slice arithmetic outside this module; for slices whose sums
-overflow it falls back on ``slice_unit``.
+overflow it falls back on ``tensor._norm``, which takes every norm of
+an input in this module.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .tensor import (
     ShapeMismatchError,
     _matching,
     _non_negative,
+    _norm,
     _positive,
     as_tensor,
     jacobi_svd,
@@ -110,23 +112,10 @@ def slice_unit(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     slice norms with the reduced axis kept.
 
     Slices with norm below EPS_DIV come back as zeros.  A caller that
-    must not accept them passes ``norms`` to ``check_slices``.  A slice
-    whose sum of squares overflows has its norm taken again with its
-    entries divided by their largest magnitude first, so finite input
-    has finite norms; every other slice keeps the plain sum.
+    must not accept them passes ``norms`` to ``check_slices``.  The norms
+    come from ``tensor._norm``, so finite input has finite norms.
     """
-    # Raising on overflow costs less per call than scanning the norms
-    # for inf, and this runs in every iteration of the convergence lab.
-    try:
-        with np.errstate(over="raise"):
-            norms = np.sqrt(slice_inner(a, a, axis))
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(slice_inner(a, a, axis))
-        huge = np.isinf(norms)
-        big = np.where(huge, np.max(np.abs(a), axis=axis, keepdims=True), 1.0)
-        scaled = a / big
-        norms = np.where(huge, big * np.sqrt(slice_inner(scaled, scaled, axis)), norms)
+    norms = _norm(a, axis)
     return np.divide(a, norms, out=np.zeros_like(a), where=norms >= EPS_DIV), norms
 
 
@@ -192,7 +181,7 @@ def tangent_project(m, theta_hat, axis: int) -> np.ndarray:
     """
     m, theta_hat = _matching(m, theta_hat)
     _check_axis(theta_hat, axis)
-    check_unit(np.sqrt(slice_inner(theta_hat, theta_hat, axis)), axis)
+    check_unit(_norm(theta_hat, axis), axis)
     return project_out(project_out(m, theta_hat, axis), theta_hat, axis)
 
 
@@ -215,8 +204,8 @@ def geodesic_sphere(x, y) -> float:
     """Great-circle distance between x and y on the Frobenius-norm sphere
     (whole-tensor normalization)."""
     x, y = _matching(x, y)
-    nx = float(np.sqrt(np.sum(x * x)))
-    ny = float(np.sqrt(np.sum(y * y)))
+    nx = float(_norm(x))
+    ny = float(_norm(y))
     if nx < EPS_DIV or ny < EPS_DIV:
         raise ValueError("sphere distance undefined for a zero tensor")
     cos = float(np.clip(np.sum(x * y) / (nx * ny), -1.0, 1.0))

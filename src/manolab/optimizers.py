@@ -56,6 +56,7 @@ from .tensor import (
     _fraction,
     _matching,
     _non_negative,
+    _norm,
     _positive,
     _unit_interval,
     as_tensor,
@@ -198,9 +199,10 @@ def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int):
 
     ``einsum`` overflows to inf or NaN without a warning, so the
     slice-sized sums are tested instead.  Only the slices whose sums
-    overflowed take them again, through ``slice_unit``, which divides a
-    slice by its largest entry first; every other slice keeps the plain
-    sums.
+    overflowed take them again: theta's through ``slice_unit`` and the
+    tangent's through ``tensor._norm``, which divide a slice by its
+    largest entry first.  Every other slice keeps the plain sums, which
+    make no product array.
     """
     full = string.ascii_letters[: theta.ndim]
     kept = full.replace(full[axis], "")
@@ -223,7 +225,7 @@ def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int):
     norms = np.sqrt(np.einsum(slice_sums, tangent, tangent))
     huge = np.isinf(norms)
     if huge.any():
-        norms = np.where(huge, np.squeeze(slice_unit(tangent, axis)[1], axis), norms)
+        norms = np.where(huge, np.squeeze(_norm(tangent, axis), axis), norms)
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= EPS_DIV)
     return tangent, np.expand_dims(inv, axis)
 
@@ -296,7 +298,7 @@ def newton_schulz(g, iterations: int = 5) -> np.ndarray:
     if g.ndim != 2:
         raise ValueError("newton_schulz expects a matrix")
     _positive("iterations", iterations)
-    fro = float(np.sqrt(np.sum(g * g)))
+    fro = float(_norm(g))
     if fro < EPS_DIV:
         raise ValueError("newton_schulz undefined for a zero matrix")
     a, b, c = NS_COEFFS
@@ -468,16 +470,15 @@ def clip_global_grad_norm(grads, max_norm: float):
     Returns ``(clipped, total_norm)`` where total_norm is the pre-clip
     joint norm.  When the norm is already within ``max_norm`` the input
     arrays are returned unchanged (no copies).  If the sum of squares
-    overflows, the norm is taken again with every entry divided by the
-    largest magnitude first.
+    overflows, the norm is taken again by ``tensor._norm`` over all the
+    entries at once.
     """
     _positive("max_norm", max_norm)
     grads = [as_tensor(g) for g in grads]
     with np.errstate(over="ignore"):
         total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     if total == np.inf:
-        big = max(float(np.max(np.abs(g))) for g in grads if g.size)
-        total = big * float(np.sqrt(sum(float(np.sum((g / big) ** 2)) for g in grads)))
+        total = float(_norm(np.concatenate([g.ravel() for g in grads])))
     if total <= max_norm:
         return grads, total
     scale = max_norm / total

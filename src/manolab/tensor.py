@@ -7,12 +7,13 @@ Scalar arguments go through ``_positive``, ``_non_negative``,
 ``_unit_interval`` and ``_fraction``, which are written so that NaN
 fails every one of them.  Each public entry point checks its own
 inputs, so a training step scans every gradient three times
-(divergence check, clipping, step).  The rest is RMS and a one-sided Jacobi SVD that does not call
-LAPACK's SVD.  The SVD rotates all disjoint column pairs of a round at once (the
-odd-even parallel ordering), so its Python work per sweep is linear in
-the number of columns, and the rotations are batched matmuls written in
-place through one preallocated buffer.  The slice geometry lives in
-``manifold``.
+(divergence check, clipping, step).  ``_norm`` is the package's one
+overflow-safe norm.  The rest is RMS and a one-sided Jacobi SVD that
+does not call LAPACK's SVD.  The SVD rotates all disjoint column pairs
+of a round at once (the odd-even parallel ordering), so its Python work
+per sweep is linear in the number of columns, and the rotations are
+batched matmuls written in place through one preallocated buffer.  The
+slice geometry lives in ``manifold``.
 
 All operations are pure functions on float64 arrays; inputs are never
 mutated, except by ``_rms_in_place``, which says so.
@@ -87,6 +88,24 @@ def _fraction(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _norm(a: np.ndarray, axis: int | None = None):
+    """Euclidean norm of ``a``, or of its slices along ``axis`` (reduced
+    axis kept).  Only a norm whose sum of squares overflows is taken again,
+    from its entries divided by their largest magnitude (Blue, 1978)."""
+    keep = axis is not None
+    try:  # raising on overflow costs less per call than scanning for inf
+        with np.errstate(over="raise"):
+            return np.sqrt((a * a).sum(axis=axis, keepdims=keep))
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((a * a).sum(axis=axis, keepdims=keep))
+        huge = np.isinf(norms)
+        big = np.where(huge, np.abs(a).max(axis=axis, keepdims=keep), 1.0)
+        scaled = a / big
+        rescued = big * np.sqrt((scaled * scaled).sum(axis=axis, keepdims=keep))
+        return np.where(huge, rescued, norms)
+
+
 def rms(a) -> float:
     """Root mean square over all entries."""
     a = as_tensor(a)
@@ -133,7 +152,10 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     memory is the working copy, the ``r x r`` right factor and the
     buffer.
 
-    A zero matrix gives zero singular values and identity-like factors.
+    The sweeps run on a copy scaled by a power of two, so a matrix of any
+    finite norm factors as well as one of norm 1.  A matrix with norm
+    below EPS_DIV is the zero matrix: zero singular values and
+    identity-like factors.
     A zero singular value gives a zero singular vector on the long side:
     a zero column of ``u``, or a zero row of ``vt`` for a wide matrix.
     """
@@ -150,23 +172,31 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the rows of a wide one (which is factored as its transpose).
     wide = m < n
     r, length = (m, n) if wide else (n, m)
-    if float(np.vdot(a, a)) < EPS_DIV:
+    fro = float(_norm(a))
+    if fro < EPS_DIV:
         # Zero matrix: all singular values are zero, any orthonormal
         # factors will do.
         return np.eye(m, r), np.zeros(r), np.eye(r, n)
 
+    # The sweeps run on a copy scaled by the power of two 2**-e that puts
+    # its norm in [0.5, 1), so their squares cannot overflow and a tiny
+    # matrix is not lost to underflow.  The scaling is exact, and so is
+    # undoing it on sigma; the vectors are normalized by the scaled one.
+    e = np.frexp(fro)[1]
     w = a.copy() if wide else a.T.copy()
+    np.ldexp(w, -e, out=w)
     v = np.eye(r)
     _jacobi_sweeps(w, v)
 
-    sigma = np.sqrt(np.einsum("ij,ij->i", w, w))
-    order = np.argsort(sigma)[::-1]
-    sigma = sigma[order]
+    scaled = np.sqrt(np.einsum("ij,ij->i", w, w))
+    order = np.argsort(scaled)[::-1]
+    scaled = scaled[order]
+    sigma = np.ldexp(scaled, e)
     w = w.take(order, axis=0)  # take, unlike w[order], needs no temporary
     v = v.take(order, axis=0)
     zero = sigma < EPS_DIV
     w[zero] = 0.0
-    w /= np.where(zero, 1.0, sigma)[:, None]
+    w /= np.where(zero, 1.0, scaled)[:, None]
     if wide:
         return v.T, sigma, w
     return w.T, sigma, v

@@ -458,13 +458,10 @@ class Trainer:
 
     def _snapshot(self, step, name, theta, grad, delta):
         """Write ``step{step:06d}_{name}.npz``, the file ``load_snapshots``
-        reads back."""
+        reads back.  It runs after the layer's step, and every rule has
+        written ``momentum`` or, for AdamW, ``exp_avg`` by then."""
         state = self.states[name]
-        momentum = state.momentum
-        if momentum is None:
-            momentum = state.exp_avg
-        if momentum is None:
-            momentum = np.zeros_like(theta)
+        momentum = state.momentum if state.momentum is not None else state.exp_avg
         path = self.snapshot_dir / f"step{step:06d}_{name}.npz"
         _savez(path, theta=theta, grad=grad, momentum=momentum, update=delta)
 

@@ -3,7 +3,10 @@ points that call them.
 
 Every scalar range check is written so that NaN fails it; the
 parametrized test below passes NaN to each scalar each entry point
-checks and expects a ValueError that names that scalar.
+checks and expects a ValueError that names that scalar.  A second
+table scales the array input of each entry point that takes a norm far
+past where its squares overflow or vanish, and expects the answer of
+the unscaled input.
 """
 
 import numpy as np
@@ -24,7 +27,8 @@ from manolab.convergence import (
     run_convergence_experiment,
     softmax_objective,
 )
-from manolab.manifold import ManifoldSchedule, rotation_axis
+from manolab.diagnostics import spectrum_report
+from manolab.manifold import ManifoldSchedule, geodesic_sphere, rotation_axis
 from manolab.optimizers import (
     AdamWConfig,
     ManoConfig,
@@ -45,6 +49,7 @@ from manolab.tensor import (
     _non_negative,
     _positive,
     _unit_interval,
+    svd_values,
 )
 from manolab.training import TrainConfig, make_dataset
 
@@ -156,6 +161,47 @@ def test_entry_point_rejects_nan_scalar(fn, kwargs, name):
 def test_bench_kernels_rejects_nan_before_timing(kwargs, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         bench_kernels(**kwargs)
+
+
+_G, _THETA = np.random.default_rng(8).standard_normal((2, 4, 6))
+_SCALE_CASES = [
+    pytest.param(
+        lambda: newton_schulz(1e200 * _G), lambda: newton_schulz(_G),
+        id="newton_schulz-1e200",
+    ),
+    pytest.param(
+        lambda: muon_step(_THETA, 1e200 * _G, OptimizerState(), MuonConfig()),
+        lambda: muon_step(_THETA, _G, OptimizerState(), MuonConfig()),
+        id="muon_step-1e200",
+    ),
+    pytest.param(
+        lambda: geodesic_sphere(1e200 * _THETA, _G),
+        lambda: geodesic_sphere(_THETA, _G),
+        id="geodesic_sphere-1e200",
+    ),
+    *(
+        pytest.param(
+            lambda s=s: svd_values(s * _G), lambda s=s: s * svd_values(_G),
+            id=f"svd_values-{s:g}",
+        )
+        for s in (1e-16, 1e-25, 1e200)
+    ),
+    pytest.param(
+        lambda: spectrum_report(1e200 * _G, _G, _G).sigma_grad,
+        lambda: 1e200 * svd_values(_G),
+        id="spectrum_report-1e200",
+    ),
+]
+
+
+@pytest.mark.parametrize("scaled, plain", _SCALE_CASES)
+def test_entry_point_answers_at_any_scale(scaled, plain):
+    """Squares of entries at 1e200 overflow and the squared norm of a
+    matrix at 1e-16 falls below EPS_DIV; neither may change the answer.
+    Newton-Schulz and the sphere distance are scale invariant, a Muon
+    step on a fresh state is too, and singular values scale with the
+    matrix."""
+    np.testing.assert_allclose(scaled(), plain(), rtol=1e-13, atol=0.0)
 
 
 class TestScalarChecks:

@@ -176,6 +176,12 @@ class TestTangentProject:
         with pytest.raises(ValueError, match="unit norm"):
             tangent_project(np.ones((4, 4)), theta, 0)
 
+    def test_rejects_overflowing_theta_hat(self):
+        """The squared slice norms overflow; theta_hat must still be
+        rejected, and without an overflow warning."""
+        with pytest.raises(ValueError, match="unit norm"):
+            tangent_project(np.ones((4, 4)), np.full((4, 4), 1e200), 0)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             tangent_project(np.ones((3, 2)), np.ones((2, 3)), 0)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from manolab.tensor import _rms_in_place, as_tensor, jacobi_svd, rms, svd_values
+from manolab.tensor import _norm, _rms_in_place, as_tensor, jacobi_svd, rms, svd_values
 import oracles
 from oracles import scalar_jacobi_svd
 
@@ -34,6 +34,20 @@ class TestAsTensor:
         rms(a)
         jacobi_svd(a)
         np.testing.assert_array_equal(a, a0)
+
+
+class TestNorm:
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_plain_path_keeps_the_plain_bits(self, axis):
+        a = np.random.default_rng(9).standard_normal((4, 5))
+        keep = axis is not None
+        expected = np.sqrt((a * a).sum(axis=axis, keepdims=keep))
+        np.testing.assert_array_equal(_norm(a, axis), expected)
+
+    def test_overflowing_norm_is_taken_from_scaled_entries(self):
+        """3e200 and 4e200 square to inf; the norm is still 5e200, and
+        without an overflow warning."""
+        assert float(_norm(np.array([3e200, -4e200]))) == pytest.approx(5e200, rel=1e-15)
 
 
 class TestRms:
