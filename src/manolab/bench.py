@@ -145,7 +145,6 @@ def bench_kernels(
     repetitions: int = MIN_REPETITIONS,
     seed: int = 0,
     kernels=BENCH_KERNELS,
-    ns_iterations: int = 5,
 ) -> list[BenchResult]:
     """Time the normalized-update transform and/or the quintic.
 
@@ -176,8 +175,8 @@ def bench_kernels(
                 flops = flops_mano(m, n)
             else:
                 def call():
-                    newton_schulz(direction, ns_iterations)
-                flops = flops_newton_schulz(m, n, ns_iterations)
+                    newton_schulz(direction)
+                flops = flops_newton_schulz(m, n)
             for _ in range(WARMUP_REPETITIONS):
                 call()
             samples = np.empty(repetitions)

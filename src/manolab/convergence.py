@@ -33,14 +33,15 @@ import numpy as np
 from .manifold import (
     DegenerateSliceError,
     check_slices,
-    project_out,
     slice_inner,
     slice_unit,
+    tangent_part,
 )
 from .tensor import (
     EPS_DIV,
-    ShapeMismatchError,
+    _matching,
     _non_negative,
+    _norm,
     _positive,
     as_tensor,
     svd_values,
@@ -157,15 +158,6 @@ def softmax_objective(
     )
 
 
-def _check_matrices(name: str, theta: np.ndarray, grad: np.ndarray) -> None:
-    if theta.ndim != 2:
-        raise ValueError(f"{name} expects a matrix parameter")
-    if theta.shape != grad.shape:
-        raise ShapeMismatchError(
-            f"parameter shape {theta.shape} does not match gradient shape {grad.shape}"
-        )
-
-
 def _column_tangent(theta: np.ndarray, grad: np.ndarray):
     """The column-wise decomposition every quantity here is read from.
 
@@ -177,8 +169,7 @@ def _column_tangent(theta: np.ndarray, grad: np.ndarray):
     """
     theta_hat, norms = slice_unit(theta, 0)
     check_slices(norms, 0)
-    v = project_out(project_out(grad, theta_hat, 0), theta_hat, 0)
-    return slice_unit(v, 0)
+    return slice_unit(tangent_part(grad, theta_hat, 0), 0)
 
 
 def _alignment(grad: np.ndarray, v_hat: np.ndarray, v_norms: np.ndarray):
@@ -191,7 +182,7 @@ def _alignment(grad: np.ndarray, v_hat: np.ndarray, v_norms: np.ndarray):
     defaults to 1, which keeps the lower bound at zero because
     ||grad||_F is itself zero.
     """
-    g_norms = np.sqrt(slice_inner(grad, grad, 0))
+    g_norms = _norm(grad, 0)
     active = g_norms >= EPS_DIV
     if np.any(active):
         gamma = float(np.min(v_norms[active] / g_norms[active]))
@@ -199,7 +190,7 @@ def _alignment(grad: np.ndarray, v_hat: np.ndarray, v_norms: np.ndarray):
         gamma = 1.0
     inner = float(np.sum(grad * v_hat))
     tangent_norm_sum = float(v_norms[v_norms >= EPS_DIV].sum())
-    grad_fro = float(np.sqrt(np.sum(grad * grad)))
+    grad_fro = float(_norm(grad))
     lower_bound = gamma * grad_fro
 
     scale = max(1.0, abs(inner))
@@ -215,26 +206,21 @@ def _alignment(grad: np.ndarray, v_hat: np.ndarray, v_norms: np.ndarray):
     return inner, tangent_norm_sum, lower_bound, gamma
 
 
-def mano_simple_step(theta, grad, eta: float, m: int) -> np.ndarray:
-    """The momentum-free fixed-axis update: theta - eta*sqrt(m)*vhat.
+def mano_simple_step(theta, grad, eta: float) -> np.ndarray:
+    """The momentum-free fixed-axis update: theta - eta*sqrt(m)*vhat,
+    with m the row count of theta (the extent of the reduced axis).
 
-    ``m`` is the reduced-axis extent (row count) and must agree with the
-    parameter shape; it is passed explicitly because it also fixes the
-    rescale factor.  Degenerate columns (of theta, or of the projected
-    gradient) raise: this step has no zero-contribution fallback, the
-    caller is expected to exclude such instances.
+    Degenerate columns (of theta, or of the projected gradient) raise:
+    this step has no zero-contribution fallback, the caller is expected
+    to exclude such instances.
     """
-    theta = as_tensor(theta)
-    grad = as_tensor(grad)
-    _check_matrices("mano_simple_step", theta, grad)
+    theta, grad = _matching(theta, grad)
+    if theta.ndim != 2:
+        raise ValueError("mano_simple_step expects a matrix parameter")
     _positive("eta", eta)
-    if m != theta.shape[0]:
-        raise ValueError(
-            f"declared row count {m} does not match parameter shape {theta.shape}"
-        )
     v_hat, v_norms = _column_tangent(theta, grad)
     check_slices(v_norms, 0)
-    return theta - eta * np.sqrt(m) * v_hat
+    return theta - eta * np.sqrt(theta.shape[0]) * v_hat
 
 
 def alignment_check(theta, grad) -> tuple[float, float, float]:
@@ -250,9 +236,9 @@ def alignment_check(theta, grad) -> tuple[float, float, float]:
     Columns whose tangent part vanishes (radial or zero gradient)
     contribute zero to ``inner`` and drive gamma, hence the bound, down.
     """
-    theta = as_tensor(theta)
-    grad = as_tensor(grad)
-    _check_matrices("alignment_check", theta, grad)
+    theta, grad = _matching(theta, grad)
+    if theta.ndim != 2:
+        raise ValueError("alignment_check expects a matrix parameter")
     inner, tangent_norm_sum, lower_bound, _ = _alignment(
         grad, *_column_tangent(theta, grad)
     )
@@ -371,8 +357,7 @@ def run_convergence_experiment(
         else:
             used = grad
         # The gradient comes from a caller-supplied evaluate: check it.
-        used = as_tensor(used)
-        _check_matrices("run_convergence_experiment", theta, used)
+        theta, used = _matching(theta, used)
         try:
             v_hat, v_norms = _column_tangent(theta, used)
             inner, _, _, gamma_t = _alignment(used, v_hat, v_norms)
@@ -382,7 +367,7 @@ def run_convergence_experiment(
                 f"experiment aborted at step {t}: {exc}"
             ) from exc
         f_values[t] = f_val
-        grad_norms[t] = float(np.sqrt(np.sum(grad * grad)))
+        grad_norms[t] = float(_norm(grad))
         inner_products[t] = inner
         min_sin[t] = gamma_t
         theta = theta - scale * v_hat

@@ -6,13 +6,13 @@ unit Euclidean norm.  This module provides slice normalization, tangent
 projection, the axis schedule that decides which axis is active at a
 given step, and geodesic distances on three matrix manifolds.
 
-The slice geometry itself is four array-level helpers (``slice_inner``,
-``slice_unit``, ``project_out`` and ``check_slices``) that do no
-coercion or validation.  The public operators validate once and then
-call them, and so do the Riemannian heavy-ball step and the convergence
-runner.  ``check_unit`` is the one test that a point is on the
-manifold, shared by ``tangent_project`` and the Riemannian heavy-ball
-step.
+The slice geometry itself is five array-level helpers (``slice_inner``,
+``slice_unit``, ``project_out``, its two-pass form ``tangent_part`` and
+``check_slices``) that do no coercion or validation.  The public
+operators validate once and then call them, and so do the Riemannian
+heavy-ball step and the convergence runner.  ``check_unit`` is the
+one test that a point is on the manifold, shared by ``tangent_project``
+and the Riemannian heavy-ball step.
 
 ``mano_step`` and ``mano_transform`` project through their own kernel,
 ``optimizers._mano_kernel``: it divides by the squared slice norms
@@ -124,6 +124,12 @@ def project_out(m: np.ndarray, theta_hat: np.ndarray, axis: int) -> np.ndarray:
     return m - theta_hat * slice_inner(m, theta_hat, axis)
 
 
+def tangent_part(m: np.ndarray, theta_hat: np.ndarray, axis: int) -> np.ndarray:
+    """The tangent part of ``m`` at the unit-slice point ``theta_hat``:
+    ``project_out`` applied twice (``tangent_project`` says why)."""
+    return project_out(project_out(m, theta_hat, axis), theta_hat, axis)
+
+
 def check_slices(norms: np.ndarray, axis: int) -> None:
     """Raise DegenerateSliceError for the first slice norm below EPS_DIV.
 
@@ -182,7 +188,7 @@ def tangent_project(m, theta_hat, axis: int) -> np.ndarray:
     m, theta_hat = _matching(m, theta_hat)
     _check_axis(theta_hat, axis)
     check_unit(_norm(theta_hat, axis), axis)
-    return project_out(project_out(m, theta_hat, axis), theta_hat, axis)
+    return tangent_part(m, theta_hat, axis)
 
 
 def geodesic_oblique(x, y, axis: int) -> float:

@@ -36,7 +36,7 @@ lets a single unit-norm constraint serve both row and column geometry.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -45,10 +45,10 @@ from .manifold import (
     _check_axis,
     check_slices,
     check_unit,
-    project_out,
     rotation_axis,
     slice_inner,
     slice_unit,
+    tangent_part,
 )
 from .tensor import (
     EPS_DIV,
@@ -66,19 +66,23 @@ from .tensor import (
 # a*x + b*x^3 + c*x^5 applied to singular values.
 NS_COEFFS = (3.4445, -4.7750, 2.0315)
 
+# The learning rate is the ``lr`` argument of each step, which the
+# training loop takes from its schedule, so no config holds one.  The
+# configs still accept an ``lr`` keyword and drop it, because the
+# benchmark's self-test (``manobench/tests``) builds them with one.
+
 
 @dataclass
 class ManoConfig:
-    lr: float = 1e-3
     momentum: float = 0.95
     weight_decay: float = 0.1
     rescale_coeff: float = 0.2
     nesterov: bool = False
     schedule: ManifoldSchedule = field(default_factory=ManifoldSchedule)
     retract_momentum: bool = False
+    lr: InitVar[float | None] = None  # dropped (see above)
 
-    def __post_init__(self):
-        _positive("lr", self.lr)
+    def __post_init__(self, lr):
         _unit_interval("momentum", self.momentum)
         _non_negative("weight_decay", self.weight_decay)
         _positive("rescale_coeff", self.rescale_coeff)
@@ -86,15 +90,14 @@ class ManoConfig:
 
 @dataclass
 class MuonConfig:
-    lr: float = 1e-3
     momentum: float = 0.95
     weight_decay: float = 0.1
     nesterov: bool = True
     ns_iterations: int = 5
     rescale_coeff: float = 0.2
+    lr: InitVar[float | None] = None  # dropped (see above)
 
-    def __post_init__(self):
-        _positive("lr", self.lr)
+    def __post_init__(self, lr):
         _unit_interval("momentum", self.momentum)
         _non_negative("weight_decay", self.weight_decay)
         _positive("ns_iterations", self.ns_iterations)
@@ -103,14 +106,13 @@ class MuonConfig:
 
 @dataclass
 class AdamWConfig:
-    lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.95
     eps: float = 1e-8
     weight_decay: float = 0.1
+    lr: InitVar[float | None] = None  # dropped (see above)
 
-    def __post_init__(self):
-        _positive("lr", self.lr)
+    def __post_init__(self, lr):
         _unit_interval("beta1", self.beta1)
         _unit_interval("beta2", self.beta2)
         _positive("eps", self.eps)
@@ -254,20 +256,18 @@ def mano_step(
     grad,
     state: OptimizerState,
     cfg: ManoConfig,
-    lr: float | None = None,
+    lr: float,
 ) -> np.ndarray:
     """One Mano update on a tensor of any order.
 
     The rotating schedule cycles through all ``theta.ndim`` axes; a
-    static schedule's ``fixed_axis`` must name one of them.  ``lr``
-    overrides ``cfg.lr`` when given (the training loop passes the
-    scheduled value).  Weight decay is decoupled: it acts on theta
-    directly, not through the manifold machinery.
+    static schedule's ``fixed_axis`` must name one of them.  Weight
+    decay is decoupled: it acts on theta directly, not through the
+    manifold machinery.
     """
     theta, grad = _matching(theta, grad)
     axis = rotation_axis(cfg.schedule, theta.ndim, state.step)
-    eta = cfg.lr if lr is None else lr
-    _positive("lr", eta)
+    _positive("lr", lr)
     buf = _buffer(state, "momentum", theta)
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
@@ -282,7 +282,7 @@ def mano_step(
     else:
         state.momentum = m_t
         scaled = np.multiply(tangent, inv, out=tangent)
-    return _decoupled(state, theta, scaled, eta, cfg.weight_decay)
+    return _decoupled(state, theta, scaled, lr, cfg.weight_decay)
 
 
 def newton_schulz(g, iterations: int = 5) -> np.ndarray:
@@ -317,7 +317,7 @@ def muon_step(
     grad,
     state: OptimizerState,
     cfg: MuonConfig,
-    lr: float | None = None,
+    lr: float,
 ) -> np.ndarray:
     """Momentum followed by orthogonalization of the update direction.
 
@@ -329,8 +329,7 @@ def muon_step(
     theta, grad = _matching(theta, grad)
     if theta.ndim != 2:
         raise ValueError("muon_step expects a matrix parameter")
-    eta = cfg.lr if lr is None else lr
-    _positive("lr", eta)
+    _positive("lr", lr)
     buf = _buffer(state, "momentum", theta)
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
@@ -341,7 +340,7 @@ def muon_step(
         ortho = newton_schulz(m_used, cfg.ns_iterations)
     del m_used
     ortho *= cfg.rescale_coeff * np.sqrt(max(theta.shape))
-    return _decoupled(state, theta, ortho, eta, cfg.weight_decay)
+    return _decoupled(state, theta, ortho, lr, cfg.weight_decay)
 
 
 def adamw_step(
@@ -349,12 +348,11 @@ def adamw_step(
     grad,
     state: OptimizerState,
     cfg: AdamWConfig,
-    lr: float | None = None,
+    lr: float,
 ) -> np.ndarray:
     """Bias-corrected Adam moments with decoupled weight decay."""
     theta, grad = _matching(theta, grad)
-    eta = cfg.lr if lr is None else lr
-    _positive("lr", eta)
+    _positive("lr", lr)
     avg, sq = _buffer(state, "exp_avg", theta), _buffer(state, "exp_avg_sq", theta)
 
     t = state.step + 1
@@ -378,7 +376,7 @@ def adamw_step(
     update = np.divide(avg, 1.0 - cfg.beta1**t)
     update /= scratch
     del scratch
-    return _decoupled(state, theta, update, eta, cfg.weight_decay)
+    return _decoupled(state, theta, update, lr, cfg.weight_decay)
 
 
 def sgdm_step(
@@ -424,11 +422,8 @@ def rsgdm_step(
     check_unit(norms, axis)
     buf = _buffer(state, "momentum", theta)
 
-    transported = (
-        None if buf is None
-        else project_out(project_out(buf, theta_hat, axis), theta_hat, axis)
-    )
-    riem_grad = project_out(project_out(grad, theta_hat, axis), theta_hat, axis)
+    transported = None if buf is None else tangent_part(buf, theta_hat, axis)
+    riem_grad = tangent_part(grad, theta_hat, axis)
     m_t, _ = _heavy_ball(transported, riem_grad, momentum)
     new_theta, norms = slice_unit(theta_hat - lr * m_t, axis)
     check_slices(norms, axis)

@@ -42,6 +42,10 @@ from .tensor import _fraction, _non_negative, _positive, _rms_in_place, _unit_in
 # a large but finite ratio.
 EPS_SNR = 1e-12
 
+# The share of the samples held out for the eval loss, taken from the
+# end of the dataset.
+EVAL_FRACTION = 0.2
+
 # Each task and the loss its targets call for: real targets for
 # regression, integer labels for classification.
 _TASK_LOSS = {"linreg": "mse", "blobs-classify": "cross-entropy"}
@@ -59,7 +63,6 @@ _RULES = {
         lambda c: partial(
             mano_step,
             cfg=ManoConfig(
-                lr=c.lr_max,
                 momentum=c.momentum,
                 weight_decay=c.weight_decay,
                 nesterov=c.nesterov,
@@ -73,7 +76,6 @@ _RULES = {
         lambda c: partial(
             muon_step,
             cfg=MuonConfig(
-                lr=c.lr_max,
                 momentum=c.momentum,
                 weight_decay=c.weight_decay,
                 nesterov=True,
@@ -82,9 +84,7 @@ _RULES = {
         False,
     ),
     "adamw": (
-        lambda c: partial(
-            adamw_step, cfg=AdamWConfig(lr=c.lr_max, weight_decay=c.weight_decay)
-        ),
+        lambda c: partial(adamw_step, cfg=AdamWConfig(weight_decay=c.weight_decay)),
         False,
     ),
     "sgdm": (
@@ -318,7 +318,6 @@ class TrainConfig:
     manifold_mode: str = "rotating"
     retract_momentum: bool = False
     cadence: int = 50
-    eval_fraction: float = 0.2
     snapshot_every: int = 0
     noise: float = 0.0
     separation: float = 10.0
@@ -349,8 +348,6 @@ class TrainConfig:
         _fraction("min_ratio", self.min_ratio)
         if not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("warmup_steps must lie strictly inside (0, total_steps)")
-        if not 0.0 < self.eval_fraction < 1.0:
-            raise ValueError("eval_fraction must lie in (0, 1)")
         if self.manifold_mode not in SCHEDULE_MODES:
             raise ValueError(
                 f"manifold_mode must be one of {SCHEDULE_MODES}, "
@@ -421,10 +418,10 @@ class Trainer:
             cfg.task, cfg.n_samples, dims, seed=cfg.seed,
             noise=cfg.noise, separation=cfg.separation,
         )
-        n_eval = max(1, int(round(cfg.n_samples * cfg.eval_fraction)))
+        n_eval = max(1, int(round(cfg.n_samples * EVAL_FRACTION)))
         n_train = cfg.n_samples - n_eval
         if n_train < 1:
-            raise ValueError("eval_fraction leaves no training samples")
+            raise ValueError(f"n_samples = {cfg.n_samples} leaves no training samples")
         self.train_x = self.dataset.features[:n_train]
         self.train_y = self.dataset.targets[:n_train]
         self.eval_x = self.dataset.features[n_train:]

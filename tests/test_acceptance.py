@@ -94,9 +94,9 @@ def test_c02_update_rms():
             parity = (i // 5) % 2
             theta = rng.standard_normal(shape)
             grad = rng.standard_normal(shape)
-            cfg = ManoConfig(lr=1.0, momentum=0.0, weight_decay=0.0)
+            cfg = ManoConfig(momentum=0.0, weight_decay=0.0)
             state = OptimizerState(step=parity)
-            new_theta = mano_step(theta, grad, state, cfg)
+            new_theta = mano_step(theta, grad, state, cfg, 1.0)
             assert rms(theta - new_theta) == pytest.approx(0.2, abs=1e-12)
 
 
@@ -105,8 +105,8 @@ def _drive_against_oracle(shape, seed, momentum, weight_decay, nesterov,
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(shape)
     buf = np.zeros(shape)
+    lr = 1e-2
     cfg = ManoConfig(
-        lr=1e-2,
         momentum=momentum,
         weight_decay=weight_decay,
         nesterov=nesterov,
@@ -116,11 +116,11 @@ def _drive_against_oracle(shape, seed, momentum, weight_decay, nesterov,
     oracle_theta = theta.copy()
     for t in range(steps):
         grad = rng.standard_normal(shape)
-        theta = mano_step(theta, grad, state, cfg)
+        theta = mano_step(theta, grad, state, cfg, lr)
         oracle_theta, buf = mano_oracle(
             oracle_theta, grad, buf, t,
             mu=momentum, weight_decay=weight_decay,
-            rescale=cfg.rescale_coeff, eta=cfg.lr, nesterov=nesterov,
+            rescale=cfg.rescale_coeff, eta=lr, nesterov=nesterov,
         )
         np.testing.assert_allclose(theta, oracle_theta, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(state.momentum, buf, rtol=1e-12, atol=1e-12)
@@ -171,7 +171,7 @@ def test_c04_alignment_identity():
                 scale = max(1.0, abs(inner))
                 assert abs(inner - tangent_sum) <= 1e-10 * scale, f"step {t}"
                 assert inner >= lower - 1e-10 * scale, f"step {t}"
-                theta = mano_simple_step(theta, grad, eta, objective.dims[0])
+                theta = mano_simple_step(theta, grad, eta)
 
         # the runner asserts the same identity internally, including on
         # noisy gradients; a stochastic run completing is itself a check
@@ -498,7 +498,6 @@ def test_c12_ablation_plumbing():
                 theta = rng.standard_normal(shape)
                 buf = np.zeros(shape)
                 cfg = ManoConfig(
-                    lr=1e-2,
                     momentum=0.9,
                     weight_decay=0.05,
                     schedule=(
@@ -510,7 +509,7 @@ def test_c12_ablation_plumbing():
                 oracle_theta = theta.copy()
                 for t in range(3):
                     grad = rng.standard_normal(shape)
-                    theta = mano_step(theta, grad, state, cfg)
+                    theta = mano_step(theta, grad, state, cfg, 1e-2)
                     oracle_theta, buf = mano_oracle(
                         oracle_theta, grad, buf, t,
                         mu=0.9, weight_decay=0.05, rescale=0.2, eta=1e-2,

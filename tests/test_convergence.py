@@ -112,7 +112,7 @@ class TestManoSimpleStep:
         for shape in [(4, 4), (8, 3), (16, 16)]:
             theta = rng.standard_normal(shape)
             grad = rng.standard_normal(shape)
-            got = mano_simple_step(theta, grad, 0.05, shape[0])
+            got = mano_simple_step(theta, grad, 0.05)
             expected = mano_simple_oracle(theta, grad, 0.05)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-13)
 
@@ -123,15 +123,14 @@ class TestManoSimpleStep:
         theta = rng.standard_normal((8, 8))
         grad = rng.standard_normal((8, 8))
         eta = 0.03
-        bare = mano_simple_step(theta, grad, eta, 8)
+        bare = mano_simple_step(theta, grad, eta)
         cfg = ManoConfig(
-            lr=eta,
             momentum=0.0,
             weight_decay=0.0,
             rescale_coeff=1.0,
             schedule=ManifoldSchedule(mode="static", fixed_axis=0),
         )
-        full = mano_step(theta, grad, OptimizerState(), cfg)
+        full = mano_step(theta, grad, OptimizerState(), cfg, eta)
         np.testing.assert_allclose(bare, full, rtol=1e-12, atol=1e-13)
 
     def test_step_length_is_eta_sqrt_m_per_column_root(self):
@@ -140,7 +139,7 @@ class TestManoSimpleStep:
         rng = np.random.default_rng(10)
         theta = rng.standard_normal((9, 5))
         grad = rng.standard_normal((9, 5))
-        new = mano_simple_step(theta, grad, 0.01, 9)
+        new = mano_simple_step(theta, grad, 0.01)
         moved = np.sqrt(((new - theta) ** 2).sum(axis=0))
         np.testing.assert_allclose(moved, 0.01 * 3.0, rtol=1e-12)
 
@@ -150,11 +149,7 @@ class TestManoSimpleStep:
         hat = oblique_normalize(theta, 0)
         grad = hat * np.array([1.0, 2.0, 3.0, 4.0])[None, :]
         with pytest.raises(DegenerateSliceError):
-            mano_simple_step(theta, grad, 0.01, 5)
-
-    def test_row_count_must_match(self):
-        with pytest.raises(ValueError):
-            mano_simple_step(np.ones((4, 4)), np.ones((4, 4)), 0.01, 5)
+            mano_simple_step(theta, grad, 0.01)
 
 
 class TestAlignmentCheck:

@@ -21,6 +21,7 @@ from manolab.bench import (
     overhead_ratio,
 )
 from manolab.convergence import (
+    alignment_check,
     mano_simple_step,
     min_grad_bound,
     quadratic_objective,
@@ -99,7 +100,7 @@ _ENTRY_POINTS = [
     ),
     (
         mano_simple_step,
-        {"theta": np.eye(2), "grad": np.ones((2, 2)), "eta": 0.1, "m": 2},
+        {"theta": np.eye(2), "grad": np.ones((2, 2)), "eta": 0.1},
         ("eta",),
     ),
     (
@@ -170,8 +171,8 @@ _SCALE_CASES = [
         id="newton_schulz-1e200",
     ),
     pytest.param(
-        lambda: muon_step(_THETA, 1e200 * _G, OptimizerState(), MuonConfig()),
-        lambda: muon_step(_THETA, _G, OptimizerState(), MuonConfig()),
+        lambda: muon_step(_THETA, 1e200 * _G, OptimizerState(), MuonConfig(), 1e-3),
+        lambda: muon_step(_THETA, _G, OptimizerState(), MuonConfig(), 1e-3),
         id="muon_step-1e200",
     ),
     pytest.param(
@@ -191,6 +192,11 @@ _SCALE_CASES = [
         lambda: 1e200 * svd_values(_G),
         id="spectrum_report-1e200",
     ),
+    pytest.param(
+        lambda: alignment_check(_THETA, 1e200 * _G),
+        lambda: 1e200 * np.array(alignment_check(_THETA, _G)),
+        id="alignment_check-1e200",
+    ),
 ]
 
 
@@ -199,8 +205,8 @@ def test_entry_point_answers_at_any_scale(scaled, plain):
     """Squares of entries at 1e200 overflow and the squared norm of a
     matrix at 1e-16 falls below EPS_DIV; neither may change the answer.
     Newton-Schulz and the sphere distance are scale invariant, a Muon
-    step on a fresh state is too, and singular values scale with the
-    matrix."""
+    step on a fresh state is too, and singular values and the alignment
+    triple scale with the matrix and the gradient."""
     np.testing.assert_allclose(scaled(), plain(), rtol=1e-13, atol=0.0)
 
 

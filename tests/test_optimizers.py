@@ -8,6 +8,7 @@ schedule endpoints) and the error contract.
 """
 
 import dataclasses
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -49,9 +50,9 @@ MANO_SHAPES = [(4, 4), (16, 8), (8, 16), (3,), (2, 3, 4)]
 
 # Each step called with default settings: (theta, grad, state).
 _STEP_CALLS = {
-    "mano_step": lambda th, g, s: mano_step(th, g, s, ManoConfig()),
-    "muon_step": lambda th, g, s: muon_step(th, g, s, MuonConfig()),
-    "adamw_step": lambda th, g, s: adamw_step(th, g, s, AdamWConfig()),
+    "mano_step": lambda th, g, s: mano_step(th, g, s, ManoConfig(), lr=1e-3),
+    "muon_step": lambda th, g, s: muon_step(th, g, s, MuonConfig(), lr=1e-3),
+    "adamw_step": lambda th, g, s: adamw_step(th, g, s, AdamWConfig(), lr=1e-3),
     "sgdm_step": lambda th, g, s: sgdm_step(th, g, s, 1e-2),
     "rsgdm_step": lambda th, g, s: rsgdm_step(th, g, s, 1e-2),
 }
@@ -67,7 +68,7 @@ def _live(step=3, **shapes):
 _MANO_AXIS_2 = ManoConfig(schedule=ManifoldSchedule(mode="static", fixed_axis=2))
 
 # Each step on a valid 2x2 point (unit columns, so rsgdm_step accepts
-# it) with the effective learning rate given: (state, lr).
+# it) with the learning rate given: (state, lr).
 _POINT = (np.eye(2), np.ones((2, 2)))
 _LR_CALLS = {
     "mano_step": lambda s, lr: mano_step(*_POINT, s, ManoConfig(), lr=lr),
@@ -88,11 +89,11 @@ _RAISING_CALLS = {
         for name, call in _STEP_CALLS.items()
     },
     "mano_step-static-axis-2": (
-        lambda s: mano_step(np.ones((2, 2)), np.ones((2, 2)), s, _MANO_AXIS_2),
+        lambda s: mano_step(np.ones((2, 2)), np.ones((2, 2)), s, _MANO_AXIS_2, 1e-3),
         OptimizerState,
     ),
     "muon_step-vector": (
-        lambda s: muon_step(np.ones(4), np.ones(4), s, MuonConfig()),
+        lambda s: muon_step(np.ones(4), np.ones(4), s, MuonConfig(), 1e-3),
         OptimizerState,
     ),
     "sgdm_step-momentum-1": (
@@ -109,8 +110,7 @@ _RAISING_CALLS = {
         lambda s: rsgdm_step(np.ones((3, 2)), np.ones((3, 2)), s, 0.1),
         OptimizerState,
     ),
-    # The effective learning rate: cfg.lr overridden by the lr argument,
-    # or the lr argument of the two config-free steps.
+    # A bad lr argument, which every step takes.
     **{
         f"{name}-lr-{tag}": (
             lambda s, call=call, lr=lr: call(s, lr),
@@ -122,7 +122,7 @@ _RAISING_CALLS = {
     # Live, correctly shaped buffers: a step that updated one in place
     # before a later check raised would show here.
     "mano_step-static-axis-2-live": (
-        lambda s: mano_step(np.ones((2, 2)), np.ones((2, 2)), s, _MANO_AXIS_2),
+        lambda s: mano_step(np.ones((2, 2)), np.ones((2, 2)), s, _MANO_AXIS_2, 1e-3),
         lambda: _live(momentum=(2, 2)),
     ),
     "rsgdm_step-off-manifold-live": (
@@ -140,7 +140,7 @@ _RAISING_CALLS = {
         lambda: _live(momentum=(2, 2)),
     ),
     "adamw_step-exp_avg_sq-shape-live": (
-        lambda s: adamw_step(np.ones((2, 2)), np.ones((2, 2)), s, AdamWConfig()),
+        lambda s: adamw_step(np.ones((2, 2)), np.ones((2, 2)), s, AdamWConfig(), 1e-3),
         lambda: _live(exp_avg=(2, 2), exp_avg_sq=(1, 2)),
     ),
     **{
@@ -179,7 +179,7 @@ def _mano_on(axis, **flags):
     cfg = ManoConfig(
         schedule=ManifoldSchedule(mode="static", fixed_axis=axis), **flags
     )
-    return lambda th, g, s: mano_step(th, g, s, cfg)
+    return lambda th, g, s: mano_step(th, g, s, cfg, 1e-3)
 
 
 # Warm steps whose transient peak is bounded: the Mano cases cover both
@@ -238,8 +238,8 @@ def _run_mano_pair(shape, seed, steps=3, edit=None, **flags):
     buf = np.zeros(shape)
     mode = flags.pop("mode", "rotating")
     fixed_axis = flags.pop("fixed_axis", 0)
+    lr = 3e-2
     cfg = ManoConfig(
-        lr=3e-2,
         momentum=0.9,
         weight_decay=0.05,
         schedule=ManifoldSchedule(mode=mode, fixed_axis=fixed_axis),
@@ -249,7 +249,7 @@ def _run_mano_pair(shape, seed, steps=3, edit=None, **flags):
     oracle_theta = theta.copy()
     history = [theta]
     for t, grad in enumerate(grads):
-        theta = mano_step(theta, grad, state, cfg)
+        theta = mano_step(theta, grad, state, cfg, lr)
         history.append(theta)
         oracle_theta, buf = mano_oracle(
             oracle_theta,
@@ -259,7 +259,7 @@ def _run_mano_pair(shape, seed, steps=3, edit=None, **flags):
             mu=cfg.momentum,
             weight_decay=cfg.weight_decay,
             rescale=cfg.rescale_coeff,
-            eta=cfg.lr,
+            eta=lr,
             nesterov=cfg.nesterov,
             retract=cfg.retract_momentum,
             mode=mode,
@@ -344,12 +344,12 @@ class TestManoStep:
         rng = np.random.default_rng(42)
         for shape in [(4, 4), (16, 8), (8, 16), (64, 64)]:
             for step_parity in (0, 1):
-                cfg = ManoConfig(lr=1e-2, weight_decay=0.0)
+                cfg = ManoConfig(weight_decay=0.0)
                 state = OptimizerState(step=step_parity)
                 theta = rng.standard_normal(shape)
                 grad = rng.standard_normal(shape)
-                new = mano_step(theta, grad, state, cfg)
-                assert rms((theta - new) / cfg.lr) == pytest.approx(
+                new = mano_step(theta, grad, state, cfg, 1e-2)
+                assert rms((theta - new) / 1e-2) == pytest.approx(
                     cfg.rescale_coeff, rel=1e-13
                 )
 
@@ -361,27 +361,21 @@ class TestManoStep:
         theta[:, 2] = 0.0
         grad = rng.standard_normal((5, 4))
         grad[:, 2] = 0.0  # tangent of a zero slice is the direction itself
-        cfg = ManoConfig(lr=1e-2, weight_decay=0.5)
-        new = mano_step(theta, grad, OptimizerState(), cfg)
+        cfg = ManoConfig(weight_decay=0.5)
+        new = mano_step(theta, grad, OptimizerState(), cfg, 1e-2)
         np.testing.assert_allclose(new[:, 2], 0.0, atol=1e-15)
         assert np.all(np.isfinite(new))
-
-    def test_lr_argument_overrides_config(self):
-        rng = np.random.default_rng(6)
-        theta = rng.standard_normal((4, 4))
-        grad = rng.standard_normal((4, 4))
-        a = mano_step(theta, grad, OptimizerState(), ManoConfig(lr=1e-2), lr=5e-3)
-        b = mano_step(theta, grad, OptimizerState(), ManoConfig(lr=5e-3))
-        np.testing.assert_array_equal(a, b)
 
     def test_schedule_order_must_match(self):
         cfg = ManoConfig(schedule=ManifoldSchedule(mode="static", fixed_axis=2))
         with pytest.raises(ValueError, match="order"):
-            mano_step(np.ones((2, 2)), np.ones((2, 2)), OptimizerState(), cfg)
+            mano_step(np.ones((2, 2)), np.ones((2, 2)), OptimizerState(), cfg, 1e-3)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            mano_step(np.ones((2, 3)), np.ones((3, 2)), OptimizerState(), ManoConfig())
+            mano_step(
+                np.ones((2, 3)), np.ones((3, 2)), OptimizerState(), ManoConfig(), 1e-3
+            )
 
     def test_stale_momentum_buffer_rejected(self):
         """Every step rejects a state buffer shaped for another parameter,
@@ -561,12 +555,12 @@ class TestMuonStep:
         and return a C-ordered array: an F-ordered one would give later
         snapshots different bytes."""
         rng = np.random.default_rng(42)
-        cfg = MuonConfig(lr=2e-2, momentum=0.0, weight_decay=0.1)
+        cfg = MuonConfig(momentum=0.0, weight_decay=0.1)
         for shape in [(4, 4), (4, 16), (16, 4)]:
             theta = rng.standard_normal(shape)
             grad = rng.standard_normal(shape)
-            got = muon_step(theta, grad, OptimizerState(), cfg)
-            expected = theta - cfg.lr * (
+            got = muon_step(theta, grad, OptimizerState(), cfg, 2e-2)
+            expected = theta - 2e-2 * (
                 0.2 * math.sqrt(max(shape)) * newton_schulz(grad, 5) + 0.1 * theta
             )
             np.testing.assert_array_equal(got, expected)
@@ -575,12 +569,12 @@ class TestMuonStep:
     def test_momentum_accumulates_like_sgdm(self):
         rng = np.random.default_rng(13)
         theta = rng.standard_normal((5, 3))
-        cfg = MuonConfig(lr=1e-2, momentum=0.9, nesterov=False)
+        cfg = MuonConfig(momentum=0.9, nesterov=False)
         state = OptimizerState()
         expected_buf = np.zeros((5, 3))
         for _ in range(4):
             grad = rng.standard_normal((5, 3))
-            theta = muon_step(theta, grad, state, cfg)
+            theta = muon_step(theta, grad, state, cfg, 1e-2)
             expected_buf = 0.9 * expected_buf + grad
         np.testing.assert_allclose(state.momentum, expected_buf, rtol=1e-13)
 
@@ -588,20 +582,20 @@ class TestMuonStep:
         rng = np.random.default_rng(19)
         theta = rng.standard_normal((4, 16))
         grad = rng.standard_normal((4, 16))
-        cfg = MuonConfig(lr=1e-2, momentum=0.0, weight_decay=0.0)
-        got = muon_step(theta, grad, OptimizerState(), cfg)
-        expected = theta - cfg.lr * 0.2 * 4.0 * newton_schulz(grad, 5)
+        cfg = MuonConfig(momentum=0.0, weight_decay=0.0)
+        got = muon_step(theta, grad, OptimizerState(), cfg, 1e-2)
+        expected = theta - 1e-2 * 0.2 * 4.0 * newton_schulz(grad, 5)
         np.testing.assert_allclose(got, expected, rtol=1e-13)
 
     def test_zero_signal_is_pure_decay(self):
         theta = np.ones((3, 3))
-        cfg = MuonConfig(lr=1e-2, momentum=0.5, weight_decay=0.1)
-        new = muon_step(theta, np.zeros((3, 3)), OptimizerState(), cfg)
+        cfg = MuonConfig(momentum=0.5, weight_decay=0.1)
+        new = muon_step(theta, np.zeros((3, 3)), OptimizerState(), cfg, 1e-2)
         np.testing.assert_allclose(new, theta * (1.0 - 1e-2 * 0.1), rtol=1e-14)
 
     def test_requires_matrix(self):
         with pytest.raises(ValueError):
-            muon_step(np.ones(4), np.ones(4), OptimizerState(), MuonConfig())
+            muon_step(np.ones(4), np.ones(4), OptimizerState(), MuonConfig(), 1e-3)
 
 
 class TestAdamW:
@@ -609,17 +603,17 @@ class TestAdamW:
         rng = np.random.default_rng(42)
         for shape in [(1,), (4, 4), (6, 2)]:
             theta = rng.standard_normal(shape)
-            cfg = AdamWConfig(lr=1e-2, beta1=0.9, beta2=0.95, weight_decay=0.1)
+            cfg = AdamWConfig(beta1=0.9, beta2=0.95, weight_decay=0.1)
             state = OptimizerState()
             o_theta = theta.copy()
             o_avg = np.zeros(shape)
             o_sq = np.zeros(shape)
             for t in range(4):
                 grad = rng.standard_normal(shape)
-                theta = adamw_step(theta, grad, state, cfg)
+                theta = adamw_step(theta, grad, state, cfg, 1e-2)
                 o_theta, o_avg, o_sq = adamw_oracle(
                     o_theta, grad, o_avg, o_sq, t,
-                    cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay, cfg.lr,
+                    cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay, 1e-2,
                 )
                 np.testing.assert_allclose(theta, o_theta, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(state.exp_avg, o_avg, rtol=1e-12)
@@ -627,10 +621,10 @@ class TestAdamW:
 
     def test_zero_gradient_decays_geometrically(self):
         theta = np.array([1.0])
-        cfg = AdamWConfig(lr=1e-2, weight_decay=0.1)
+        cfg = AdamWConfig(weight_decay=0.1)
         state = OptimizerState()
         for t in range(1, 6):
-            theta = adamw_step(theta, np.zeros(1), state, cfg)
+            theta = adamw_step(theta, np.zeros(1), state, cfg, 1e-2)
             assert theta[0] == pytest.approx((1.0 - 1e-2 * 0.1) ** t, rel=1e-12)
 
     def test_first_step_is_signlike(self):
@@ -638,8 +632,8 @@ class TestAdamW:
         the eps regularizer."""
         theta = np.zeros(3)
         grad = np.array([0.5, -2.0, 1e-3])
-        cfg = AdamWConfig(lr=1e-2, weight_decay=0.0)
-        new = adamw_step(theta, grad, OptimizerState(), cfg)
+        cfg = AdamWConfig(weight_decay=0.0)
+        new = adamw_step(theta, grad, OptimizerState(), cfg, 1e-2)
         np.testing.assert_allclose(new, -1e-2 * np.sign(grad), rtol=1e-4)
 
 
@@ -794,8 +788,6 @@ class TestClipGlobalGradNorm:
 class TestConfigValidation:
     def test_mano_config(self):
         with pytest.raises(ValueError):
-            ManoConfig(lr=0.0)
-        with pytest.raises(ValueError):
             ManoConfig(momentum=1.0)
         with pytest.raises(ValueError):
             ManoConfig(weight_decay=-0.1)
@@ -812,7 +804,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AdamWConfig(eps=0.0)
 
+    def test_learning_rate_lives_in_the_step_call(self):
+        """Every step takes ``lr`` as a required argument and no step
+        config holds one, so the scheduled rate is the only rate."""
+        for step in (mano_step, muon_step, adamw_step, sgdm_step, rsgdm_step):
+            lr = inspect.signature(step).parameters["lr"]
+            assert lr.default is inspect.Parameter.empty, step.__name__
+        for step, config in (
+            (mano_step, ManoConfig), (muon_step, MuonConfig), (adamw_step, AdamWConfig)
+        ):
+            assert "lr" not in {f.name for f in dataclasses.fields(config)}
+            with pytest.raises(TypeError, match="lr"):
+                step(*_POINT, OptimizerState(), config())
+
     def test_configs_are_plain_dataclasses(self):
-        cfg = ManoConfig(lr=1e-3)
-        clone = dataclasses.replace(cfg, lr=2e-3)
-        assert clone.lr == 2e-3 and cfg.lr == 1e-3
+        cfg = ManoConfig(weight_decay=1e-3)
+        clone = dataclasses.replace(cfg, weight_decay=2e-3)
+        assert clone.weight_decay == 2e-3 and cfg.weight_decay == 1e-3
