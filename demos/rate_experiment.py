@@ -8,7 +8,7 @@ the smallest gradient norm by roughly sqrt(10).
 
 import numpy as np
 
-from manolab import min_grad_bound, quadratic_objective, run_convergence_experiment
+from manolab import quadratic_objective, run_convergence_experiment
 
 M = 16
 HORIZONS = (100, 1000, 10000)
@@ -22,16 +22,8 @@ def main() -> None:
         objective = quadratic_objective(M, M, seed=0)
         run = run_convergence_experiment(objective, steps, c=1.0, seed=0)
         observed = run.min_grad_norm()
-        bound = min_grad_bound(
-            f0=float(run.f_values[0]),
-            f_inf=objective.f_inf,
-            smoothness=objective.smoothness,
-            m=M,
-            gamma=run.realized_gamma,
-            c=1.0,
-            steps=steps,
-        )
-        holds = "holds" if observed <= bound else "VIOLATED"
+        verdict, bound = run.bound_check(objective, c=1.0)
+        holds = verdict if verdict == "holds" else verdict.upper()
         print(f"{steps:>6} {observed:>14.4e} {bound:>12.4e} "
               f"{run.realized_gamma:>16.4e}  bound {holds}")
         minima.append(observed)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizers import mano_transform, newton_schulz
+from .optimizers import NS_ITERATIONS, mano_transform, newton_schulz
 from .tensor import _positive
 
 MIN_REPETITIONS = 100
@@ -46,7 +46,7 @@ def flops_mano(m: int, n: int) -> int:
     return 11 * m * n
 
 
-def flops_newton_schulz(m: int, n: int, iterations: int = 5) -> int:
+def flops_newton_schulz(m: int, n: int, iterations: int = NS_ITERATIONS) -> int:
     """Arithmetic cost of the quintic orthogonalization.
 
     The iteration runs on the orientation with rows <= columns, so the
@@ -70,7 +70,7 @@ def flops_baseline(m: int, n: int, batch: int) -> int:
 
 
 def overhead_ratio(
-    kernel: str, m: int, n: int, batch: int, iterations: int = 5
+    kernel: str, m: int, n: int, batch: int, iterations: int = NS_ITERATIONS
 ) -> float:
     """Optimizer arithmetic as a fraction of the training-step baseline.
 
@@ -91,7 +91,7 @@ class FlopModel:
     """The three counts above bundled with fixed iteration and batch
     parameters, convenient for tabulating several shapes at once."""
 
-    ns_iterations: int = 5
+    ns_iterations: int = NS_ITERATIONS
     batch: int = 32
 
     def row(self, m: int, n: int) -> dict:

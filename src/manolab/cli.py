@@ -21,13 +21,13 @@ from pathlib import Path
 
 from .bench import BENCH_KERNELS, FlopModel, bench_kernels
 from .convergence import (
-    min_grad_bound,
     quadratic_objective,
     run_convergence_experiment,
     softmax_objective,
 )
 from .diagnostics import spectrum_report, trajectory_geodesics
 from .manifold import GEODESIC_MANIFOLDS
+from .optimizers import NS_ITERATIONS
 from .training import (
     TrainingDiverged,
     load_config,
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flops.add_argument("--m", type=int, required=True)
     p_flops.add_argument("--n", type=int, default=None)
     p_flops.add_argument("--batch", type=int, default=32)
-    p_flops.add_argument("--ns-iterations", type=int, default=5)
+    p_flops.add_argument("--ns-iterations", type=int, default=NS_ITERATIONS)
     p_flops.add_argument("--out", default=None, help="optional JSON output directory")
 
     return parser
@@ -133,29 +133,19 @@ def _cmd_converge(args) -> int:
         f"objective={run.objective} steps={run.steps} eta={run.eta:.6g} "
         f"min_grad_norm={run.min_grad_norm():.6g} realized_gamma={run.realized_gamma:.6g}"
     )
-    if objective.noise_scale > 0.0 or args.m != n:
+    verdict, bound = run.bound_check(objective, args.c)
+    if verdict == "skipped":
         print("bound check skipped (needs a deterministic square run)")
         return 0
-    if run.realized_gamma <= 0.0:
+    if verdict == "vacuous":
         print("bound vacuous: realized gamma is zero")
         return 0
-    bound = min_grad_bound(
-        f0=float(run.f_values[0]),
-        f_inf=objective.f_inf,
-        smoothness=objective.smoothness,
-        m=args.m,
-        gamma=run.realized_gamma,
-        c=args.c,
-        steps=args.steps,
-    )
     observed = run.min_grad_norm()
     # A bound many orders above the observed value holds only vacuously.
     ratio = f"bound/observed={bound / observed:.3g}" if observed > 0.0 else "observed=0"
-    if observed <= bound:
-        print(f"bound check: {observed:.6g} <= {bound:.6g} HOLDS ({ratio})")
-        return 0
-    print(f"bound check: {observed:.6g} > {bound:.6g} VIOLATED ({ratio})")
-    return 2
+    rel = "<=" if verdict == "holds" else ">"
+    print(f"bound check: {observed:.6g} {rel} {bound:.6g} {verdict.upper()} ({ratio})")
+    return 0 if verdict == "holds" else 2
 
 
 def _parse_shapes(text: str) -> list[tuple[int, int]]:
@@ -287,7 +277,8 @@ def run_cli(argv) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (
-        ValueError, FileNotFoundError, NotADirectoryError, KeyError, TrainingDiverged
+        ValueError, FileNotFoundError, NotADirectoryError, KeyError,
+        RuntimeError,  # TrainingDiverged, or an aborted convergence experiment
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

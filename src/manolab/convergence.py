@@ -19,7 +19,7 @@ eta = C / sqrt(T+1) then gives
 with C1 = (f0 - f_inf) / (sqrt(m) * gamma * C) and
 C2 = L * m^(3/2) * C / (2 * gamma), for square m x m parameters.  The
 runner records everything needed to check both facts on a concrete run,
-using the realized (observed) gamma rather than an a-priori one.
+and ``ConvergenceRun.bound_check`` judges the bound at the realized gamma.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .manifold import (
 )
 from .tensor import (
     EPS_DIV,
+    ShapeMismatchError,
     _matching,
     _non_negative,
     _norm,
@@ -173,8 +174,8 @@ def _column_tangent(theta: np.ndarray, grad: np.ndarray):
 
 
 def _alignment(grad: np.ndarray, v_hat: np.ndarray, v_norms: np.ndarray):
-    """``(inner, tangent_norm_sum, lower_bound, gamma)`` for one step,
-    with the identity and the lower bound asserted.
+    """``(inner, tangent_norm_sum, lower_bound, gamma, ||grad||_F)`` for
+    one step, with the identity and the lower bound asserted.
 
     gamma is the minimum of ||v_j|| / ||g_j|| over columns with
     nonvanishing gradient.  Columns with (near-)zero gradient are
@@ -203,7 +204,7 @@ def _alignment(grad: np.ndarray, v_hat: np.ndarray, v_norms: np.ndarray):
         raise ArithmeticError(
             f"alignment lower bound violated: inner={inner!r} < {lower_bound!r}"
         )
-    return inner, tangent_norm_sum, lower_bound, gamma
+    return inner, tangent_norm_sum, lower_bound, gamma, grad_fro
 
 
 def mano_simple_step(theta, grad, eta: float) -> np.ndarray:
@@ -239,10 +240,7 @@ def alignment_check(theta, grad) -> tuple[float, float, float]:
     theta, grad = _matching(theta, grad)
     if theta.ndim != 2:
         raise ValueError("alignment_check expects a matrix parameter")
-    inner, tangent_norm_sum, lower_bound, _ = _alignment(
-        grad, *_column_tangent(theta, grad)
-    )
-    return inner, tangent_norm_sum, lower_bound
+    return _alignment(grad, *_column_tangent(theta, grad))[:3]
 
 
 def min_grad_bound(
@@ -276,9 +274,8 @@ def min_grad_bound(
 @dataclass
 class ConvergenceRun:
     """Per-step record of one experiment: objective value, true-gradient
-    norm, alignment inner product, and minimum column sine, plus the
-    realized gamma (the running minimum of the latter) and the run
-    configuration."""
+    norm, alignment inner product, and minimum column sine, plus the run
+    configuration.  The realized gamma is the smallest of those sines."""
 
     objective: str
     steps: int
@@ -288,10 +285,30 @@ class ConvergenceRun:
     grad_norms: np.ndarray = field(repr=False)
     inner_products: np.ndarray = field(repr=False)
     min_sin_phi: np.ndarray = field(repr=False)
-    realized_gamma: float = 0.0
+
+    @property
+    def realized_gamma(self) -> float:
+        return float(self.min_sin_phi.min())
 
     def min_grad_norm(self) -> float:
         return float(self.grad_norms.min())
+
+    def bound_check(self, objective: SmoothObjective, c: float):
+        """``(verdict, bound)`` for this run of ``objective`` at step scale c.
+
+        "skipped" (a noisy or non-square objective) and "vacuous" (a zero
+        realized gamma) come with bound None; otherwise min_grad_bound at
+        the realized gamma "holds" or is "violated"."""
+        m, n = objective.dims
+        if objective.noise_scale > 0.0 or m != n:
+            return "skipped", None
+        if self.realized_gamma <= 0.0:
+            return "vacuous", None
+        bound = min_grad_bound(
+            float(self.f_values[0]), objective.f_inf, objective.smoothness,
+            m, self.realized_gamma, c, self.steps,
+        )
+        return ("holds" if self.min_grad_norm() <= bound else "violated"), bound
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -325,9 +342,9 @@ def run_convergence_experiment(
     iteration makes one column decomposition of the gradient it uses,
     and reads S_t, gamma and the next iterate from it; the alignment
     identity and lower bound are asserted at every step, as
-    alignment_check does.  A non-finite gradient raises ValueError, and
-    a degenerate slice aborts the run with the failing step in the
-    message.
+    alignment_check does.  A non-finite gradient raises ValueError, a
+    misshapen one ShapeMismatchError, and a degenerate slice aborts the
+    run with the failing step in the message.
     """
     _non_negative("steps", steps)
     _positive("c", c)
@@ -356,18 +373,20 @@ def run_convergence_experiment(
             used = grad + noise * rng.standard_normal(grad.shape)
         else:
             used = grad
-        # The gradient comes from a caller-supplied evaluate: check it.
-        theta, used = _matching(theta, used)
+        # Check the caller's gradient; theta is finite if the last one was.
+        used = as_tensor(used)
+        if used.shape != theta.shape:
+            raise ShapeMismatchError(f"gradient shape {used.shape} != {theta.shape}")
         try:
             v_hat, v_norms = _column_tangent(theta, used)
-            inner, _, _, gamma_t = _alignment(used, v_hat, v_norms)
+            inner, _, _, gamma_t, used_fro = _alignment(used, v_hat, v_norms)
             check_slices(v_norms, 0)
         except DegenerateSliceError as exc:
             raise RuntimeError(
                 f"experiment aborted at step {t}: {exc}"
             ) from exc
         f_values[t] = f_val
-        grad_norms[t] = float(_norm(grad))
+        grad_norms[t] = float(_norm(grad)) if noise > 0.0 else used_fro
         inner_products[t] = inner
         min_sin[t] = gamma_t
         theta = theta - scale * v_hat
@@ -381,5 +400,4 @@ def run_convergence_experiment(
         grad_norms=grad_norms,
         inner_products=inner_products,
         min_sin_phi=min_sin,
-        realized_gamma=float(min_sin.min()),
     )

@@ -214,8 +214,12 @@ def geodesic_sphere(x, y) -> float:
     ny = float(_norm(y))
     if nx < EPS_DIV or ny < EPS_DIV:
         raise ValueError("sphere distance undefined for a zero tensor")
-    cos = float(np.clip(np.sum(x * y) / (nx * ny), -1.0, 1.0))
-    return float(np.arccos(cos))
+    scale = nx * ny
+    if np.isfinite(scale):
+        cos = np.sum(x * y) / scale
+    else:  # no |x_i y_i| exceeds nx * ny, so only then can x * y overflow
+        cos = np.sum((x / nx) * (y / ny))
+    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
 def _polar_factor(x: np.ndarray) -> np.ndarray:

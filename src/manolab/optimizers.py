@@ -65,6 +65,8 @@ from .tensor import (
 # Quintic iteration coefficients for the orthogonalizing polynomial
 # a*x + b*x^3 + c*x^5 applied to singular values.
 NS_COEFFS = (3.4445, -4.7750, 2.0315)
+# Rounds of it in every default: the Muon step, the FLOP model, the CLI.
+NS_ITERATIONS = 5
 
 # The learning rate is the ``lr`` argument of each step, which the
 # training loop takes from its schedule, so no config holds one.  The
@@ -93,7 +95,7 @@ class MuonConfig:
     momentum: float = 0.95
     weight_decay: float = 0.1
     nesterov: bool = True
-    ns_iterations: int = 5
+    ns_iterations: int = NS_ITERATIONS
     rescale_coeff: float = 0.2
     lr: InitVar[float | None] = None  # dropped (see above)
 
@@ -285,7 +287,7 @@ def mano_step(
     return _decoupled(state, theta, scaled, lr, cfg.weight_decay)
 
 
-def newton_schulz(g, iterations: int = 5) -> np.ndarray:
+def newton_schulz(g, iterations: int = NS_ITERATIONS) -> np.ndarray:
     """Approximate orthogonalization by the quintic iteration.
 
     The input is Frobenius-normalized, transposed if it has more rows

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from manolab.cli import run_cli
-from manolab.convergence import quadratic_objective, run_convergence_experiment
+from manolab.convergence import (
+    ConvergenceRun,
+    quadratic_objective,
+    run_convergence_experiment,
+)
 
 
 CONFIG_TEXT = """
@@ -156,6 +160,34 @@ class TestConverge:
         )
         assert code == 0
         assert "bound" in capsys.readouterr().out
+
+    def test_aborted_experiment_exits_one(self, tmp_path, capsys):
+        """A one-row parameter has no tangent direction, so the runner
+        aborts at step 0: an error line and exit 1, not a traceback."""
+        code = run_cli(["converge", "--m", "1", "--steps", "5", "--out", str(tmp_path)])
+        assert code == 1
+        assert re.match(
+            r"error: experiment aborted at step 0: ", capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "verdict, bound, code, line",
+        [
+            ("violated", 1e-30, 2, r"bound check: \S+ > 1e-30 VIOLATED \(bound/observed="),
+            ("vacuous", None, 0, r"bound vacuous: realized gamma is zero$"),
+        ],
+        ids=["violated", "vacuous"],
+    )
+    def test_prints_the_runs_verdict(
+        self, tmp_path, capsys, monkeypatch, verdict, bound, code, line
+    ):
+        """The command prints the verdict the run gives and exits by it."""
+        monkeypatch.setattr(
+            ConvergenceRun, "bound_check", lambda run, objective, c: (verdict, bound)
+        )
+        args = ["converge", "--m", "6", "--steps", "20", "--out", str(tmp_path)]
+        assert run_cli(args) == code
+        assert re.search(line, capsys.readouterr().out, re.MULTILINE)
 
 
 class TestBench:

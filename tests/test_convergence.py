@@ -1,5 +1,7 @@
 """Convergence-lab tests: objectives, the bare update, alignment, bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from manolab.convergence import (
 )
 from manolab.manifold import DegenerateSliceError, oblique_normalize
 from manolab.optimizers import ManifoldSchedule, ManoConfig, OptimizerState, mano_step
+from manolab.tensor import ShapeMismatchError
 
 from oracles import finite_difference_grads, mano_simple_oracle
 
@@ -225,6 +228,62 @@ class TestMinGradBound:
             min_grad_bound(0.0, 1.0, 1.0, 4, 0.5, 1.0, 10)  # f0 < f_inf
 
 
+def _hand_run(min_sin=(0.5, 0.25), f0=1.0) -> ConvergenceRun:
+    """A one-step run whose minimum gradient norm is 1 and gamma 1/4."""
+    return ConvergenceRun(
+        objective="x", steps=1, eta=1.0, seed=0,
+        f_values=np.array([f0, 0.5]),
+        grad_norms=np.array([2.0, 1.0]),
+        inner_products=np.array([1.0, 0.5]),
+        min_sin_phi=np.array(min_sin),
+    )
+
+
+def _hand_objective(dims=(4, 4), noise=0.0, smoothness=1.0, f_inf=0.0):
+    return SmoothObjective(
+        dims=dims, evaluate=lambda theta: (0.0, theta), smoothness=smoothness,
+        f_inf=f_inf, noise_scale=noise,
+    )
+
+
+class TestBoundCheck:
+    """The run judges its own bound; each of its five outcomes."""
+
+    @pytest.mark.parametrize(
+        "objective",
+        [_hand_objective(noise=0.1), _hand_objective(dims=(4, 3))],
+        ids=["noisy", "rectangular"],
+    )
+    def test_skipped(self, objective):
+        assert _hand_run().bound_check(objective, 1.0) == ("skipped", None)
+
+    def test_vacuous_from_one_zero_sine(self):
+        run = _hand_run(min_sin=(0.5, 0.0))
+        assert run.bound_check(_hand_objective(), 1.0) == ("vacuous", None)
+
+    def test_holds(self):
+        # C1 = 1 / (2 * 0.25) = 2, C2 = 8 / (2 * 0.25) = 16: 18 / sqrt(2) >= 1
+        expected = min_grad_bound(1.0, 0.0, 1.0, 4, 0.25, 1.0, 1)
+        assert expected == pytest.approx(18.0 / np.sqrt(2.0), rel=1e-15)
+        assert _hand_run().bound_check(_hand_objective(), 1.0) == ("holds", expected)
+
+    def test_violated(self):
+        """With f0 = f_inf only C2 is left, and a tiny smoothness puts it
+        below the observed minimum gradient norm of 1."""
+        objective = _hand_objective(smoothness=1e-6, f_inf=1.0)
+        verdict, bound = _hand_run(f0=1.0).bound_check(objective, 1.0)
+        assert verdict == "violated"
+        assert bound == min_grad_bound(1.0, 1.0, 1e-6, 4, 0.25, 1.0, 1) < 1.0
+
+    def test_realized_gamma_is_derived_not_stored(self):
+        names = [f.name for f in dataclasses.fields(ConvergenceRun)]
+        assert "realized_gamma" not in names
+        assert len(names) == 8
+        assert _hand_run().realized_gamma == 0.25
+        with pytest.raises(AttributeError):
+            _hand_run().realized_gamma = 1.0
+
+
 class TestRunExperiment:
     def test_deterministic_and_reproducible(self):
         obj = quadratic_objective(6, 6, seed=4)
@@ -265,6 +324,7 @@ class TestRunExperiment:
             steps=400,
         )
         assert run.min_grad_norm() <= bound
+        assert run.bound_check(obj, 1.0) == ("holds", bound)
 
     def test_stochastic_run_differs_from_deterministic(self):
         """A positive noise scale is what makes a run stochastic."""
@@ -310,6 +370,16 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"experiment aborted at step 0: "):
             run_convergence_experiment(obj, 5)
 
+    def test_misshapen_gradient_raises(self):
+        obj = SmoothObjective(
+            dims=(4, 4),
+            evaluate=lambda theta: (0.0, np.ones((4, 3))),
+            smoothness=1.0,
+            f_inf=0.0,
+        )
+        with pytest.raises(ShapeMismatchError, match=r"\(4, 3\) != \(4, 4\)"):
+            run_convergence_experiment(obj, 5)
+
     def test_csv_round_trip(self, tmp_path):
         obj = quadratic_objective(4, 4, seed=6)
         run = run_convergence_experiment(obj, 20, seed=7)
@@ -331,6 +401,7 @@ class TestRunExperiment:
             inner_products=np.array([2.5e-08, -0.0]),
             min_sin_phi=np.array([np.float64(1) / 3, 1.0]),
         )
+        assert run.realized_gamma == np.float64(1) / 3
         path = tmp_path / "out.csv"
         run.to_csv(path)
         assert path.read_bytes() == (

@@ -180,6 +180,11 @@ _SCALE_CASES = [
         lambda: geodesic_sphere(_THETA, _G),
         id="geodesic_sphere-1e200",
     ),
+    pytest.param(
+        lambda: geodesic_sphere(1e200 * _THETA, 1e200 * _G),
+        lambda: geodesic_sphere(_THETA, _G),
+        id="geodesic_sphere-1e200-both",
+    ),
     *(
         pytest.param(
             lambda s=s: svd_values(s * _G), lambda s=s: s * svd_values(_G),
