@@ -5,7 +5,9 @@ optimizers.  First: how does the singular value spectrum of the applied
 update relate to the spectra of the raw gradient and the momentum
 buffer?  Second: how far does the parameter actually travel, measured
 on the manifold the optimizer pretends it lives on?  This module
-answers both from tensor snapshots, using only the package's own SVD.
+answers both from tensor snapshots.  Every factorization goes through
+``tensor.jacobi_svd``, LAPACK's ``gesdd`` behind the package's input
+checks.
 """
 
 from __future__ import annotations

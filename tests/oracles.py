@@ -14,9 +14,14 @@ import math
 
 import numpy as np
 
-from manolab.tensor import JACOBI_MAX_SWEEPS, JACOBI_TOL
-
 EPS = 1e-30
+
+# One-sided Jacobi stopping rule of ``scalar_jacobi_svd``: sweep until the
+# off-diagonal mass of the Gram matrix, sqrt(2 * sum of squared column
+# inner products), is at most JACOBI_TOL times the squared Frobenius norm
+# of the input, or the sweep cap is hit.
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 60
 
 
 def slice_groups(shape, axis):
@@ -231,11 +236,14 @@ def ns_quintic_map(x, coeffs, iterations):
 def scalar_jacobi_svd(a):
     """One-sided Jacobi SVD as a cyclic-by-rows pair loop.
 
-    The package's original loop, kept as the reference for the batched
-    kernel in ``manolab.tensor.jacobi_svd``: one column pair at a time,
-    in the order (0, 1), (0, 2), ..., (n-2, n-1), with the same rotation
-    formula, stopping rule, zero-matrix and zero-sigma conventions and
-    descending order.  Only the input coercion differs (no validation).
+    The independent reference for ``manolab.tensor.jacobi_svd``, which
+    is LAPACK's ``gesdd`` through numpy: plane rotations of one column
+    pair at a time, in the order (0, 1), (0, 2), ..., (n-2, n-1), until
+    the off-diagonal mass meets ``JACOBI_TOL`` or ``JACOBI_MAX_SWEEPS``
+    sweeps have run.  Singular values come out descending.  A zero
+    matrix gives zero singular values and identity-like factors, and a
+    zero singular value gives a zero singular vector on the long side
+    (LAPACK gives an orthonormal one instead).  No input validation.
     """
     a = np.array(a, dtype=np.float64)
     m, n = a.shape

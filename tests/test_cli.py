@@ -250,6 +250,30 @@ class TestSpectraAndGeodesic:
             == (tmp_path / "b" / "spectra.json").read_bytes()
         )
 
+    def test_spectra_of_a_512_wide_layer(self, tmp_path):
+        """A hand-written three-step snapshot set for one 512x512 layer
+        reports a full spectrum per tensor.  The time is not asserted;
+        the Jacobi loop this SVD replaced took 33-37 s per report at
+        this width."""
+        rng = np.random.default_rng(0)
+        snapshots = tmp_path / "snapshots"
+        snapshots.mkdir()
+        for step in (0, 10, 20):
+            np.savez(
+                snapshots / f"step{step:06d}_layer0.weight.npz",
+                **{k: rng.standard_normal((512, 512))
+                   for k in ("theta", "grad", "momentum", "update")},
+            )
+        code = run_cli(
+            ["spectra", "--snapshots", str(snapshots), "--out", str(tmp_path / "s")]
+        )
+        assert code == 0
+        reports = json.loads((tmp_path / "s" / "spectra.json").read_text())
+        assert [r["step"] for r in reports] == [0, 10, 20]
+        for report in reports:
+            for key in ("sigma_grad", "sigma_momentum", "sigma_update"):
+                assert len(report[key]) == 512
+
     def test_geodesic_output(self, snapshot_dir, tmp_path, capsys):
         code = run_cli(
             ["geodesic", "--snapshots", str(snapshot_dir), "--manifold", "oblique",

@@ -1,8 +1,9 @@
 """Tensor primitive tests: frozen values, error paths, and properties.
 
-The SVD tests compare the package's batched one-sided Jacobi kernel
-against numpy's LAPACK-backed SVD, which shares no code with it, and
-against the scalar pair loop in ``oracles.scalar_jacobi_svd``.
+The SVD tests check the package's checked wrapper around LAPACK's
+``gesdd`` against closed forms, reconstruction and orthonormality, and
+against the independent one-sided Jacobi pair loop in
+``oracles.scalar_jacobi_svd``, which shares no code with it.
 """
 
 import tracemalloc
@@ -122,9 +123,14 @@ class TestJacobiSvd:
         u, s, vt = jacobi_svd(np.zeros((4, 3)))
         np.testing.assert_array_equal(s, np.zeros(3))
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError, match="too large"):
-            jacobi_svd(np.zeros((600, 600)))
+    def test_factors_beyond_the_old_size_cap(self):
+        """A 600x600 matrix, wider than the 512 the Jacobi loop accepted,
+        factors with orthonormal factors that reconstruct it."""
+        a = _random((600, 600))
+        u, s, vt = jacobi_svd(a)
+        assert np.abs(u * s @ vt - a).max() <= 1e-12 * s[0]
+        np.testing.assert_allclose(u.T @ u, np.eye(600), atol=1e-12)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(600), atol=1e-12)
 
     def test_ill_conditioned(self):
         """Spread of ten orders of magnitude still reconstructs."""
@@ -203,26 +209,29 @@ class TestJacobiAgainstOracle:
         _assert_orthonormal_factors(u, s, vt)
 
     @pytest.mark.parametrize("case", ["zero-column", "zero-row-wide"])
-    def test_zero_column_gives_zero_sigma_and_vector(self, case):
-        """Pairs with a zero column are orthogonal (apq = 0) and only
-        swapped, so the column stays exactly zero: its singular value is
-        0 and its singular vector on the long side is the zero vector."""
+    def test_zero_column_gives_negligible_sigma(self, case):
+        """LAPACK's convention for a zero column: its singular value is
+        zero to max(m, n) eps sigma_max, not exactly, and both factors
+        stay orthonormal, the long side's vector for it included."""
         a = ORACLE_CASES[case]()
         u, s, vt = jacobi_svd(a)
-        assert s[-1] == 0.0 and s[-2] > 0.0
-        long_side = vt[-1] if a.shape[0] < a.shape[1] else u[:, -1]
-        np.testing.assert_array_equal(long_side, 0.0)
-        _assert_orthonormal_factors(u, s, vt)
+        assert s[-1] <= max(a.shape) * np.finfo(float).eps * s[0]
+        assert s[-2] > 1e-3 * s[0]
+        k = len(s)
+        np.testing.assert_allclose(u.T @ u, np.eye(k), atol=1e-12)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(k), atol=1e-12)
 
     @pytest.mark.parametrize("grading", ["decreasing", "increasing", "shuffled"])
     @pytest.mark.parametrize("shape", [(12, 8), (8, 8)])
     def test_relative_accuracy_on_graded_columns(self, shape, grading, monkeypatch):
-        """A = B D with cond(B) = 10 and D spanning 1 to 1e-12: every
-        singular value, the tiny ones included, matches the scalar loop
-        run to the sweep cap to 1e-12 relative, the accuracy one-sided
-        Jacobi promises.  A stopping rule that measures the off-diagonal
-        mass against the whole matrix cannot see the tiny columns and
-        fails this on the increasing and shuffled gradings."""
+        """The oracle alone, run to its sweep cap: A = B D with
+        cond(B) = 10 and D spanning 1 to 1e-12 gives every singular
+        value, the tiny ones included, to 1e-12 relative whatever the
+        column order, the accuracy one-sided Jacobi promises (Demmel &
+        Veselic 1992).  LAPACK's ``gesdd``, accurate to about
+        eps sigma_max, moves the smallest by up to 3e-5 relative under the
+        same reversal.  The library promises only that absolute accuracy,
+        which is asserted here too."""
         m, n = shape
         rng = np.random.default_rng(17)
         q1, _ = np.linalg.qr(rng.standard_normal((m, m)))
@@ -234,16 +243,23 @@ class TestJacobiAgainstOracle:
         elif grading == "shuffled":
             d = rng.permutation(d)
         a = b * d
-        s = svd_values(a)
         monkeypatch.setattr(oracles, "JACOBI_TOL", 0.0)
         s_ref = oracles.scalar_jacobi_svd(a)[1]
+        s_reversed = oracles.scalar_jacobi_svd(a[:, ::-1])[1]
         assert s_ref[-1] < 1e-11
-        np.testing.assert_allclose(s, s_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(s_reversed, s_ref, rtol=1e-12, atol=0.0)
+        eps = np.finfo(float).eps
+        assert np.abs(svd_values(a) - s_ref).max() <= max(shape) * eps * s_ref[0]
 
     @pytest.mark.parametrize("shape", [(32, 64), (128, 32)])
     def test_transient_memory_within_four_inputs(self, shape):
         """Peak traced allocation of one call, above its level at entry,
-        stays within four times the input's bytes."""
+        stays within four times the input's bytes.  ``tracemalloc`` sees
+        only what numpy allocates through Python's allocator, the three
+        returned factors.  numpy's linalg gufunc allocates its own copy
+        of the input and LAPACK's ``gesdd`` workspace outside it, so this
+        does not bound the call's full transient (``CHANGES.md`` gives
+        that memory at 32x64 and 512x512)."""
         a = _random(shape)
         jacobi_svd(a)
         tracemalloc.start()
