@@ -13,7 +13,7 @@ SHAPES = [(256, 256), (512, 512), (1024, 1024), (1024, 256)]
 
 
 def main() -> None:
-    model = FlopModel(ns_iterations=5, batch=32)
+    model = FlopModel(batch=32)
     print(f"{'shape':>12} {'normalize':>12} {'newton-schulz':>14} "
           f"{'baseline':>14} {'norm/base':>10} {'ns/base':>10}")
     for row in model.table(SHAPES):

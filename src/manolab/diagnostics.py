@@ -19,7 +19,6 @@ import numpy as np
 
 from .manifold import (
     GEODESIC_MANIFOLDS,
-    DegenerateSliceError,
     geodesic_oblique,
     geodesic_sphere,
     geodesic_stiefel_approx,
@@ -187,7 +186,7 @@ def trajectory_geodesics(snapshots, manifold: str, axis: int = 0) -> GeodesicTra
                 d = geodesic_sphere(x, y)
             else:
                 d = geodesic_stiefel_approx(x, y)
-        except (DegenerateSliceError, ValueError):
+        except ValueError:
             skipped.append(i)
             continue
         distances.append(d)

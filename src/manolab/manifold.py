@@ -201,6 +201,12 @@ def geodesic_oblique(x, y, axis: int) -> float:
     yh = oblique_normalize(y, axis)
     if xh.shape != yh.shape:
         raise ShapeMismatchError(f"operand shapes {xh.shape} and {yh.shape} differ")
+    return _arc_distance(xh, yh, axis)
+
+
+def _arc_distance(xh: np.ndarray, yh: np.ndarray, axis: int) -> float:
+    """The Euclidean norm of the arcs arccos(<x_j, y_j>) between
+    corresponding unit slices."""
     cos = np.clip(slice_inner(xh, yh, axis), -1.0, 1.0)
     arcs = np.arccos(cos)
     return float(np.sqrt(np.sum(arcs * arcs)))
@@ -238,18 +244,17 @@ def _polar_factor(x: np.ndarray) -> np.ndarray:
 
 
 def geodesic_stiefel_approx(x, y) -> float:
-    """Distance between the polar retractions of x and y, measured through
-    principal angles: sqrt(sum of arccos(sigma_i)^2) for the singular
-    values sigma_i of Qx^T Qy.  Exact when the retracted points share a
-    geodesic of the embedded metric; an approximation otherwise.
+    """Column-arc distance between the polar retractions Qx and Qy of x
+    and y: sqrt(sum of arccos(<qx_j, qy_j>)^2) over the columns.
+
+    The Stiefel manifold lies inside the product of unit spheres that
+    its columns live on, so this is a lower bound on the geodesic
+    distance of the embedded metric.  Unlike principal angles, it sees
+    a rotation inside the column span and tells square frames apart.
     """
     x, y = _matching(x, y)
     if x.ndim != 2:
         raise ValueError("stiefel distance expects matrices")
     if x.shape[0] < x.shape[1]:
         raise ValueError("stiefel distance expects at least as many rows as columns")
-    qx = _polar_factor(x)
-    qy = _polar_factor(y)
-    s = jacobi_svd(qx.T @ qy)[1]
-    angles = np.arccos(np.clip(s, -1.0, 1.0))
-    return float(np.sqrt(np.sum(angles * angles)))
+    return _arc_distance(_polar_factor(x), _polar_factor(y), 0)

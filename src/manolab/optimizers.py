@@ -4,7 +4,9 @@ Every step function is functional in the parameter: it takes
 ``(theta, grad, state, config, lr)`` and returns the new parameter
 value, mutating only its OptimizerState (momentum buffers, moment
 estimates, step counter).  This keeps the update rules testable against
-scalar-loop oracles without dragging a training loop along.
+scalar-loop oracles without dragging a training loop along.  A config
+holds only what a run can vary; the values no run varies (the rescale
+coefficient, AdamW's betas and epsilon) are module constants.
 
 The five steps share one skeleton, so each keeps only its own checks
 and direction map.  The input checks come from ``tensor``:
@@ -24,11 +26,11 @@ Mano in one step, for a matrix theta with the active axis k:
                                             (tangent projection at the
                                              unit-slice point theta/||theta||_k)
     vhat =  v with unit axis-k slices
-    theta <- theta - lr * (0.2 * sqrt(n_k) * vhat + wd * theta)
+    theta <- theta - lr * (RESCALE_COEFF * sqrt(n_k) * vhat + wd * theta)
 
 where n_k is the extent of the reduced axis.  A unit-slice matrix with
 n_k-entry slices has RMS 1/sqrt(n_k), so the rescale pins the RMS of the
-normalized term to the coefficient (0.2) regardless of shape.  The axis
+normalized term to RESCALE_COEFF (0.2) regardless of shape.  The axis
 k alternates between steps under the rotating schedule, which is what
 lets a single unit-norm constraint serve both row and column geometry.
 """
@@ -67,6 +69,12 @@ from .tensor import (
 NS_COEFFS = (3.4445, -4.7750, 2.0315)
 # Rounds of it in every default: the Muon step, the FLOP model, the CLI.
 NS_ITERATIONS = 5
+# The RMS that Mano and Muon give every update before decay (Liu et al.,
+# "Muon is Scalable for LLM Training", 2025).
+RESCALE_COEFF = 0.2
+# AdamW's (beta1, beta2) and the epsilon added to sqrt(s_hat).
+ADAM_BETAS = (0.9, 0.95)
+ADAM_EPS = 1e-8
 
 # The learning rate is the ``lr`` argument of each step, which the
 # training loop takes from its schedule, so no config holds one.  The
@@ -78,7 +86,6 @@ NS_ITERATIONS = 5
 class ManoConfig:
     momentum: float = 0.95
     weight_decay: float = 0.1
-    rescale_coeff: float = 0.2
     nesterov: bool = False
     schedule: ManifoldSchedule = field(default_factory=ManifoldSchedule)
     retract_momentum: bool = False
@@ -87,37 +94,27 @@ class ManoConfig:
     def __post_init__(self, lr):
         _unit_interval("momentum", self.momentum)
         _non_negative("weight_decay", self.weight_decay)
-        _positive("rescale_coeff", self.rescale_coeff)
 
 
 @dataclass
 class MuonConfig:
     momentum: float = 0.95
     weight_decay: float = 0.1
-    nesterov: bool = True
     ns_iterations: int = NS_ITERATIONS
-    rescale_coeff: float = 0.2
     lr: InitVar[float | None] = None  # dropped (see above)
 
     def __post_init__(self, lr):
         _unit_interval("momentum", self.momentum)
         _non_negative("weight_decay", self.weight_decay)
         _positive("ns_iterations", self.ns_iterations)
-        _positive("rescale_coeff", self.rescale_coeff)
 
 
 @dataclass
 class AdamWConfig:
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
     weight_decay: float = 0.1
     lr: InitVar[float | None] = None  # dropped (see above)
 
     def __post_init__(self, lr):
-        _unit_interval("beta1", self.beta1)
-        _unit_interval("beta2", self.beta2)
-        _positive("eps", self.eps)
         _non_negative("weight_decay", self.weight_decay)
 
 
@@ -263,7 +260,8 @@ def mano_step(
     """One Mano update on a tensor of any order.
 
     The rotating schedule cycles through all ``theta.ndim`` axes; a
-    static schedule's ``fixed_axis`` must name one of them.  Weight
+    static schedule's ``fixed_axis`` must name one of them.  The
+    normalized tangent is rescaled to RMS ``RESCALE_COEFF``.  Weight
     decay is decoupled: it acts on theta directly, not through the
     manifold machinery.
     """
@@ -275,7 +273,7 @@ def mano_step(
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
     tangent, inv = _mano_kernel(theta, m_used, axis)
     del m_used  # a Nesterov look-ahead is freed before the update is made
-    inv *= cfg.rescale_coeff * np.sqrt(theta.shape[axis])
+    inv *= RESCALE_COEFF * np.sqrt(theta.shape[axis])
     if cfg.retract_momentum:
         # The tangent becomes the momentum, so the spent accumulator
         # holds the scaled direction.
@@ -321,10 +319,10 @@ def muon_step(
     cfg: MuonConfig,
     lr: float,
 ) -> np.ndarray:
-    """Momentum followed by orthogonalization of the update direction.
+    """Nesterov momentum followed by orthogonalization of the update direction.
 
     The orthogonalized direction is rescaled by
-    ``rescale_coeff * sqrt(max(m, n))`` so its RMS is comparable to the
+    ``RESCALE_COEFF * sqrt(max(m, n))`` so its RMS is comparable to the
     Mano update; weight decay is decoupled.  A zero momentum signal
     yields a zero update (plus decay) rather than an error.
     """
@@ -334,14 +332,14 @@ def muon_step(
     _positive("lr", lr)
     buf = _buffer(state, "momentum", theta)
 
-    m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
+    m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, nesterov=True)
     state.momentum = m_t
     if float(np.sqrt(np.vdot(m_used, m_used))) < EPS_DIV:
         ortho = np.zeros_like(theta)
     else:
         ortho = newton_schulz(m_used, cfg.ns_iterations)
     del m_used
-    ortho *= cfg.rescale_coeff * np.sqrt(max(theta.shape))
+    ortho *= RESCALE_COEFF * np.sqrt(max(theta.shape))
     return _decoupled(state, theta, ortho, lr, cfg.weight_decay)
 
 
@@ -357,6 +355,7 @@ def adamw_step(
     _positive("lr", lr)
     avg, sq = _buffer(state, "exp_avg", theta), _buffer(state, "exp_avg_sq", theta)
 
+    beta1, beta2 = ADAM_BETAS
     t = state.step + 1
     if avg is None:
         state.exp_avg = avg = np.zeros_like(theta)
@@ -365,17 +364,17 @@ def adamw_step(
     # The moments move in place; one scratch array carries each addend,
     # then the denominator sqrt(s_hat) + eps, and is freed before the
     # update is written.
-    scratch = np.multiply(grad, 1.0 - cfg.beta1)
-    avg *= cfg.beta1
+    scratch = np.multiply(grad, 1.0 - beta1)
+    avg *= beta1
     avg += scratch
-    np.multiply(grad, 1.0 - cfg.beta2, out=scratch)
+    np.multiply(grad, 1.0 - beta2, out=scratch)
     scratch *= grad
-    sq *= cfg.beta2
+    sq *= beta2
     sq += scratch
-    np.divide(sq, 1.0 - cfg.beta2**t, out=scratch)
+    np.divide(sq, 1.0 - beta2**t, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += cfg.eps
-    update = np.divide(avg, 1.0 - cfg.beta1**t)
+    scratch += ADAM_EPS
+    update = np.divide(avg, 1.0 - beta1**t)
     update /= scratch
     del scratch
     return _decoupled(state, theta, update, lr, cfg.weight_decay)
@@ -405,12 +404,11 @@ def rsgdm_step(
     state: OptimizerState,
     lr: float,
     momentum: float = 0.95,
-    axis: int = 0,
 ) -> np.ndarray:
-    """Riemannian heavy-ball on the fixed-axis unit-slice manifold.
+    """Riemannian heavy-ball on the manifold of unit columns (axis 0).
 
-    ``theta`` must already have unit slices along ``axis`` (within
-    UNIT_TOL, checked on entry).  The momentum buffer is transported by
+    ``theta`` must already have unit columns (within UNIT_TOL, checked
+    on entry).  The momentum buffer is transported by
     projecting it onto the tangent space at the current point before
     accumulation; like the gradient, it is projected in two passes, as
     ``tangent_project`` does.  The Euclidean retraction step is followed
@@ -420,15 +418,15 @@ def rsgdm_step(
     theta, grad = _matching(theta, grad)
     _positive("lr", lr)
     _unit_interval("momentum", momentum)
-    theta_hat, norms = slice_unit(theta, axis)
-    check_unit(norms, axis)
+    theta_hat, norms = slice_unit(theta, 0)
+    check_unit(norms, 0)
     buf = _buffer(state, "momentum", theta)
 
-    transported = None if buf is None else tangent_part(buf, theta_hat, axis)
-    riem_grad = tangent_part(grad, theta_hat, axis)
+    transported = None if buf is None else tangent_part(buf, theta_hat, 0)
+    riem_grad = tangent_part(grad, theta_hat, 0)
     m_t, _ = _heavy_ball(transported, riem_grad, momentum)
-    new_theta, norms = slice_unit(theta_hat - lr * m_t, axis)
-    check_slices(norms, axis)
+    new_theta, norms = slice_unit(theta_hat - lr * m_t, 0)
+    check_slices(norms, 0)
     state.momentum = m_t
     state.step += 1
     return new_theta

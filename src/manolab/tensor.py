@@ -18,10 +18,14 @@ mutated, except by ``_rms_in_place``, which says so.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Denominators with magnitude below this are treated as exact zeros.
 EPS_DIV = 1e-30
+# Entries up to this magnitude square and sum without overflow.
+_HUGE = 2.0**300
 
 
 class ShapeMismatchError(ValueError):
@@ -92,26 +96,35 @@ def _norm(a: np.ndarray, axis: int | None = None):
         return np.where(huge, rescued, norms)
 
 
+def _downscale(peak: float) -> float:
+    """1.0 for a largest magnitude ``peak`` up to ``_HUGE``.  Above it,
+    the power of two that brings ``peak`` into [0.5, 1): dividing by it
+    is exact, and the quotient's squares cannot overflow."""
+    if peak <= _HUGE:
+        return 1.0
+    return math.ldexp(1.0, math.frexp(peak)[1])
+
+
 def rms(a) -> float:
     """Root mean square over all entries."""
-    a = as_tensor(a)
-    return _root_mean(np.multiply(a, a))
+    return _rms_in_place(as_tensor(a).copy())
 
 
 def _rms_in_place(a: np.ndarray) -> float:
-    """``rms(a)`` of a float64 array, with its checks and its bits, from
-    squares written over ``a`` rather than into a new array.  Its
-    non-finite check makes no array either: the smallest and largest
-    entries are finite only if every entry is."""
-    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
-        raise ValueError("tensor contains non-finite values")
-    return _root_mean(np.multiply(a, a, out=a))
-
-
-def _root_mean(squares: np.ndarray) -> float:
-    if squares.size == 0:
+    """``rms(a)`` of a float64 array, with its checks, from squares written
+    over ``a`` rather than into a new array.  Its non-finite check makes
+    no array either: the smallest and largest entries are finite only if
+    every entry is.  They also give the largest magnitude, and entries
+    beyond ``_HUGE`` are scaled down before they are squared."""
+    if a.size == 0:
         raise ValueError("rms of an empty tensor is undefined")
-    return float(np.sqrt(np.mean(squares)))
+    lo, hi = a.min(), a.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("tensor contains non-finite values")
+    scale = _downscale(max(-lo, hi))
+    if scale != 1.0:
+        a /= scale
+    return scale * float(np.sqrt(np.mean(np.multiply(a, a, out=a))))
 
 
 def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

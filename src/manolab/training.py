@@ -36,7 +36,15 @@ from .optimizers import (
     rsgdm_step,
     sgdm_step,
 )
-from .tensor import _fraction, _non_negative, _positive, _rms_in_place, _unit_interval
+from .tensor import (
+    _downscale,
+    _fraction,
+    _non_negative,
+    _norm,
+    _positive,
+    _rms_in_place,
+    _unit_interval,
+)
 
 # Gradient SNR denominators get this floor so constant gradients report
 # a large but finite ratio.
@@ -75,11 +83,7 @@ _RULES = {
     "muon": (
         lambda c: partial(
             muon_step,
-            cfg=MuonConfig(
-                momentum=c.momentum,
-                weight_decay=c.weight_decay,
-                nesterov=True,
-            ),
+            cfg=MuonConfig(momentum=c.momentum, weight_decay=c.weight_decay),
         ),
         False,
     ),
@@ -91,7 +95,7 @@ _RULES = {
         lambda c: partial(sgdm_step, momentum=c.momentum, weight_decay=c.weight_decay),
         False,
     ),
-    "rsgdm": (lambda c: partial(rsgdm_step, momentum=c.momentum, axis=0), True),
+    "rsgdm": (lambda c: partial(rsgdm_step, momentum=c.momentum), True),
 }
 OPTIMIZERS = tuple(_RULES)
 
@@ -274,12 +278,15 @@ def mlp_forward_backward(model: MlpModel, features, targets):
 
 
 def grad_stats(grads) -> list[tuple[float, float, float]]:
-    """Per-tensor (Frobenius norm, entry variance, norm/(variance+eps))."""
+    """Per-tensor (Frobenius norm, entry variance, norm/(variance+eps)).
+    A variance beyond the float range reads inf, and its ratio 0."""
     out = []
     for g in grads:
         g = np.asarray(g, dtype=np.float64)
-        norm = float(np.sqrt(np.sum(g * g)))
-        var = float(g.var())
+        norm = float(_norm(g))
+        s = _downscale(norm)  # the norm bounds every deviation from the mean
+        # s * (s * 0) is 0, where (s * s) * 0 would be NaN
+        var = float(g.var()) if s == 1.0 else s * (s * float((g / s).var()))
         out.append((norm, var, norm / (var + EPS_SNR)))
     return out
 

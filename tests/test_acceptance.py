@@ -37,6 +37,7 @@ from manolab.convergence import (
 )
 from manolab.manifold import ManifoldSchedule, rotation_axis
 from manolab.optimizers import (
+    RESCALE_COEFF,
     ManoConfig,
     OptimizerState,
     mano_step,
@@ -120,7 +121,7 @@ def _drive_against_oracle(shape, seed, momentum, weight_decay, nesterov,
         oracle_theta, buf = mano_oracle(
             oracle_theta, grad, buf, t,
             mu=momentum, weight_decay=weight_decay,
-            rescale=cfg.rescale_coeff, eta=lr, nesterov=nesterov,
+            rescale=RESCALE_COEFF, eta=lr, nesterov=nesterov,
         )
         np.testing.assert_allclose(theta, oracle_theta, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(state.momentum, buf, rtol=1e-12, atol=1e-12)

@@ -17,7 +17,13 @@ from manolab.convergence import (
     softmax_objective,
 )
 from manolab.manifold import DegenerateSliceError, oblique_normalize
-from manolab.optimizers import ManifoldSchedule, ManoConfig, OptimizerState, mano_step
+from manolab.optimizers import (
+    RESCALE_COEFF,
+    ManifoldSchedule,
+    ManoConfig,
+    OptimizerState,
+    mano_step,
+)
 from manolab.tensor import ShapeMismatchError
 
 from oracles import finite_difference_grads, mano_simple_oracle
@@ -121,7 +127,7 @@ class TestManoSimpleStep:
 
     def test_agrees_with_full_step_special_case(self):
         """The full optimizer with momentum 0, decay 0, static axis 0 and
-        rescale coefficient 1 reduces to the bare update."""
+        learning rate eta / RESCALE_COEFF reduces to the bare update."""
         rng = np.random.default_rng(6)
         theta = rng.standard_normal((8, 8))
         grad = rng.standard_normal((8, 8))
@@ -130,10 +136,9 @@ class TestManoSimpleStep:
         cfg = ManoConfig(
             momentum=0.0,
             weight_decay=0.0,
-            rescale_coeff=1.0,
             schedule=ManifoldSchedule(mode="static", fixed_axis=0),
         )
-        full = mano_step(theta, grad, OptimizerState(), cfg, eta)
+        full = mano_step(theta, grad, OptimizerState(), cfg, eta / RESCALE_COEFF)
         np.testing.assert_allclose(bare, full, rtol=1e-12, atol=1e-13)
 
     def test_step_length_is_eta_sqrt_m_per_column_root(self):

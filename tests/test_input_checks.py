@@ -50,9 +50,10 @@ from manolab.tensor import (
     _non_negative,
     _positive,
     _unit_interval,
+    rms,
     svd_values,
 )
-from manolab.training import TrainConfig, make_dataset
+from manolab.training import TrainConfig, grad_stats, make_dataset
 
 
 def _dataset_dims(d_in=2, d_out=2):
@@ -202,6 +203,13 @@ _SCALE_CASES = [
         lambda: 1e200 * np.array(alignment_check(_THETA, _G)),
         id="alignment_check-1e200",
     ),
+    pytest.param(lambda: rms(1e200 * _G), lambda: 1e200 * rms(_G), id="rms-1e200"),
+    # The variance, about 1e400, is beyond the float range.
+    pytest.param(
+        lambda: grad_stats([1e200 * _G])[0],
+        lambda: (1e200 * grad_stats([_G])[0][0], np.inf, 0.0),
+        id="grad_stats-1e200",
+    ),
 ]
 
 
@@ -210,8 +218,8 @@ def test_entry_point_answers_at_any_scale(scaled, plain):
     """Squares of entries at 1e200 overflow and the squared norm of a
     matrix at 1e-16 falls below EPS_DIV; neither may change the answer.
     Newton-Schulz and the sphere distance are scale invariant, a Muon
-    step on a fresh state is too, and singular values and the alignment
-    triple scale with the matrix and the gradient."""
+    step on a fresh state is too, and singular values, the alignment
+    triple, the RMS and the gradient norm scale with their input."""
     np.testing.assert_allclose(scaled(), plain(), rtol=1e-13, atol=0.0)
 
 

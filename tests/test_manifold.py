@@ -286,6 +286,39 @@ class TestGeodesics:
             assert geodesic_stiefel_approx(scale * x, y) == pytest.approx(d, rel=1e-10)
             assert geodesic_stiefel_approx(y, scale * x) == pytest.approx(d, rel=1e-10)
 
+    @staticmethod
+    def _column_arcs(x, y):
+        """The column-arc distance between polar factors taken from
+        ``np.linalg.svd``."""
+        def polar(a):
+            u, _, vt = np.linalg.svd(a, full_matrices=False)
+            return u @ vt
+
+        qx, qy = polar(x), polar(y)
+        arcs = np.arccos(np.clip((qx * qy).sum(axis=0), -1.0, 1.0))
+        return float(np.sqrt(np.sum(arcs * arcs)))
+
+    def test_stiefel_tells_square_frames_apart(self):
+        """Both polar factors of a square pair are orthogonal, so every
+        principal angle between their spans is zero; the column arcs
+        are not."""
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((6, 6))
+        y = x + 0.3 * rng.standard_normal((6, 6))
+        d = geodesic_stiefel_approx(x, y)
+        assert d > 0.1
+        assert d == pytest.approx(self._column_arcs(x, y), rel=1e-12)
+
+    def test_stiefel_sees_a_rotation_inside_the_span(self):
+        """Turning a 6x3 frame by 0.3 rad in the plane of its first two
+        columns keeps its span and moves each of those columns 0.3 rad."""
+        frame = np.linalg.qr(np.random.default_rng(19).standard_normal((6, 3)))[0]
+        c, s = np.cos(0.3), np.sin(0.3)
+        turned = frame @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        d = geodesic_stiefel_approx(frame, turned)
+        assert d == pytest.approx(0.3 * np.sqrt(2.0), rel=1e-12)
+        assert d == pytest.approx(self._column_arcs(frame, turned), rel=1e-12)
+
     def test_stiefel_rank_deficient_rejected(self):
         x = np.ones((5, 2))  # rank one
         with pytest.raises(ValueError, match="rank-deficient"):

@@ -171,6 +171,13 @@ class TestGradStats:
         assert var == 0.0
         assert snr == pytest.approx(4.0 / 1e-12, rel=1e-12)
 
+    def test_constant_tensor_at_1e200(self):
+        """Entries too large to square still give variance 0, not NaN."""
+        [(norm, var, snr)] = grad_stats([np.full(4, 1e200)])
+        assert norm == pytest.approx(2e200, rel=1e-15)
+        assert var == 0.0
+        assert snr == pytest.approx(2e212, rel=1e-12)
+
     def test_zero_tensor(self):
         [(norm, var, snr)] = grad_stats([np.zeros((2, 3))])
         assert (norm, var, snr) == (0.0, 0.0, 0.0)
