@@ -36,15 +36,7 @@ from .optimizers import (
     rsgdm_step,
     sgdm_step,
 )
-from .tensor import (
-    _downscale,
-    _fraction,
-    _non_negative,
-    _norm,
-    _positive,
-    _rms_in_place,
-    _unit_interval,
-)
+from .tensor import _fraction, _non_negative, _norm, _positive, _rms_in_place, _unit_interval
 
 # Gradient SNR denominators get this floor so constant gradients report
 # a large but finite ratio.
@@ -284,9 +276,8 @@ def grad_stats(grads) -> list[tuple[float, float, float]]:
     for g in grads:
         g = np.asarray(g, dtype=np.float64)
         norm = float(_norm(g))
-        s = _downscale(norm)  # the norm bounds every deviation from the mean
-        # s * (s * 0) is 0, where (s * s) * 0 would be NaN
-        var = float(g.var()) if s == 1.0 else s * (s * float((g / s).var()))
+        with np.errstate(over="ignore"):
+            var = float(g.var())
         out.append((norm, var, norm / (var + EPS_SNR)))
     return out
 
