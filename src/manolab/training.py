@@ -9,6 +9,12 @@ spectrum and geodesic tools.
 
 Everything is seeded and single-threaded deterministic: two runs with
 the same TrainConfig produce bit-identical trajectory records.
+
+The model keeps a ``batch x sum(hidden)`` float64 workspace that
+``mlp_forward_backward`` reuses for the hidden activations and deltas
+on every step, so a warm step allocates no ``batch x width`` array but
+one transient product per hidden layer.  Concurrent
+``mlp_forward_backward`` calls on one model are not supported.
 """
 
 from __future__ import annotations
@@ -180,7 +186,12 @@ class MlpModel:
     drawn from a seeded generator at scale 1/sqrt(fan_in); biases start
     at zero.  ``loss`` selects mean squared error over batch and output
     entries, or softmax cross-entropy averaged over the batch with
-    integer labels.
+    integer labels in [0, n_classes).
+
+    The model also owns ``_workspace``, one float64 ``rows x width``
+    buffer per hidden layer, which ``mlp_forward_backward`` fills with
+    that layer's activations and then its backward delta.  So a model
+    serves one ``mlp_forward_backward`` call at a time.
     """
 
     def __init__(self, layer_sizes, loss: str = "mse", seed: int = 0):
@@ -199,6 +210,7 @@ class MlpModel:
             for a, b in zip(sizes[:-1], sizes[1:])
         ]
         self.biases = [np.zeros(b) for b in sizes[1:]]
+        self._workspace: list[np.ndarray] = []
 
     def parameters(self) -> list[np.ndarray]:
         """Flat parameter list, weight then bias per layer."""
@@ -223,7 +235,45 @@ class MlpModel:
         return acts
 
     def evaluate_loss(self, features: np.ndarray, targets: np.ndarray) -> float:
+        features, targets = self._checked_batch(features, targets)
         return _loss(self.loss, self.forward(features), targets)[0]
+
+    def _checked_batch(self, features, targets):
+        """``(features, targets)`` as arrays, or ValueError unless they
+        are a non-empty batch this model takes: real targets of the
+        output's shape for mse, integer labels in [0, n_classes) for
+        cross-entropy."""
+        d_in, d_out = self.layer_sizes[0], self.layer_sizes[-1]
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != d_in:
+            raise ValueError(f"features must be (batch, {d_in}), got {features.shape}")
+        batch = features.shape[0]
+        _positive("batch", batch)
+        if self.loss == "mse":
+            targets = np.asarray(targets, dtype=np.float64)
+            if targets.shape != (batch, d_out):
+                raise ValueError(
+                    f"targets must match output shape {(batch, d_out)}, "
+                    f"got {targets.shape}"
+                )
+            return features, targets
+        targets = np.asarray(targets)
+        if targets.shape != (batch,):
+            raise ValueError(f"labels must be ({batch},), got {targets.shape}")
+        if (not np.issubdtype(targets.dtype, np.integer)
+                or targets.min() < 0 or targets.max() >= d_out):
+            raise ValueError(
+                f"labels must be integers in [0, {d_out}), got {targets.dtype} "
+                f"labels in [{targets.min()}, {targets.max()}]"
+            )
+        return features, targets
+
+    def _hidden_buffers(self, rows: int) -> list[np.ndarray]:
+        """The first ``rows`` rows of each hidden layer's workspace buffer,
+        made anew only when a batch has more rows than they hold."""
+        if not self._workspace or self._workspace[0].shape[0] < rows:
+            self._workspace = [np.empty((rows, w)) for w in self.layer_sizes[1:-1]]
+        return [buf[:rows] for buf in self._workspace]
 
 
 def mlp_forward_backward(model: MlpModel, features, targets):
@@ -232,32 +282,27 @@ def mlp_forward_backward(model: MlpModel, features, targets):
     Returns ``(loss, grads)`` with grads ordered like
     ``model.parameters()``.  Because both losses are means, duplicating
     every sample leaves loss and gradients unchanged.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.layer_sizes[0]:
-        raise ValueError(
-            f"features must be (batch, {model.layer_sizes[0]}), got {features.shape}"
-        )
-    batch = features.shape[0]
-    _positive("batch", batch)
 
+    Each hidden layer's activations are written into the model's
+    workspace, and its backward delta then over them, so a warm call
+    makes no fresh ``batch x width`` array but one ``dz @ W.T`` at a
+    time.  Every element takes the same operations as in ``z = a @ W +
+    b`` and ``dz = (dz @ W.T) * (1 - a*a)``, so the bits are those of
+    the allocating form.  The loss and gradients returned are fresh
+    arrays; ``features`` is only read.
+    """
+    features, targets = model._checked_batch(features, targets)
     acts = [features]
     last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w + b
-        acts.append(z if i == last else np.tanh(z))
-    out = acts[-1]
-
-    if model.loss == "mse":
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != out.shape:
-            raise ValueError(
-                f"targets must match output shape {out.shape}, got {targets.shape}"
-            )
-    else:
-        targets = np.asarray(targets)
-        if targets.shape != (batch,):
-            raise ValueError(f"labels must be ({batch},), got {targets.shape}")
+    # zip stops at the last hidden layer: the output layer is small, so
+    # it stays a fresh array.
+    for w, b, buf in zip(
+        model.weights, model.biases, model._hidden_buffers(features.shape[0])
+    ):
+        np.matmul(acts[-1], w, out=buf)
+        buf += b
+        acts.append(np.tanh(buf, out=buf))
+    out = acts[-1] @ model.weights[last] + model.biases[last]
     loss, dz = _loss(model.loss, out, targets)
 
     grads = [None] * (2 * len(model.weights))
@@ -265,7 +310,12 @@ def mlp_forward_backward(model: MlpModel, features, targets):
         grads[2 * i] = acts[i].T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
         if i > 0:
-            dz = (dz @ model.weights[i].T) * (1.0 - acts[i] * acts[i])
+            # acts[i] becomes tanh'(z) = 1 - a*a, then the next dz.
+            a = acts[i]
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            a *= dz @ model.weights[i].T
+            dz = a
     return loss, grads
 
 
@@ -466,9 +516,12 @@ class Trainer:
         Each parameter's new value replaces the old one in the model as
         soon as its step returns, and on a record or snapshot step that
         layer's update is formed, written and reduced to its RMS right
-        there.  So the step holds at most one layer's old value and
-        update at once, and nothing it makes outlives it but the new
-        parameters, the optimizer state and the records.
+        there, and its gradient to its statistics.  Its gradient is then
+        dropped.  So the step holds at most one layer's old value and
+        update at once, and the gradients of the layers yet to step;
+        nothing it makes outlives it but the new parameters, the
+        optimizer state and the records.  The model's forward/backward
+        workspace persists across steps.
         """
         cfg = self.cfg
         loss, grads = mlp_forward_backward(
@@ -486,9 +539,16 @@ class Trainer:
         record_now = (t % cfg.cadence == 0) or (t == cfg.total_steps - 1)
         snapshot_now = snapshotting and t % cfg.snapshot_every == 0
 
-        update_rms = []
-        for i, (name, grad) in enumerate(zip(self.names, grads)):
+        stats, update_rms = [], []
+        for i, name in enumerate(self.names):
             theta = self.model.parameters()[i]
+            # The list lets go of the gradient, and rebinding ``grad`` at
+            # the next layer drops it before that layer steps.
+            grad, grads[i] = grads[i], None
+            if record_now:
+                # Before the step, so its temporaries and the step's do
+                # not overlap; no step writes into its gradient.
+                stats.extend(grad_stats([grad]))
             new = self.rules[name](theta, grad, self.states[name], lr=lr_t)
             self.model.set_parameter(i, new)
             if not (record_now or snapshot_now):
@@ -505,7 +565,7 @@ class Trainer:
         if not record_now:
             return
         eval_loss = self.model.evaluate_loss(self.eval_x, self.eval_y)
-        for name, (norm, var, snr), u in zip(self.names, grad_stats(grads), update_rms):
+        for name, (norm, var, snr), u in zip(self.names, stats, update_rms):
             records.append(
                 TrajectoryRecord(
                     step=t,

@@ -3,6 +3,7 @@ and full training runs (determinism, clipping, divergence, fallbacks)."""
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ class TestForwardBackward:
         x = rng.standard_normal((10, 4))
         y = rng.standard_normal((10, 3))
         loss, _ = mlp_forward_backward(model, x, y)
-        assert loss == pytest.approx(model.evaluate_loss(x, y), rel=1e-14)
+        assert loss == model.evaluate_loss(x, y)
 
     @pytest.mark.parametrize("loss", ["mse", "cross-entropy"])
     def test_gradients_match_finite_differences(self, loss):
@@ -160,6 +161,117 @@ class TestForwardBackward:
             mlp_forward_backward(model, np.ones((5, 3)), np.ones((5, 2)))
         with pytest.raises(ValueError):
             mlp_forward_backward(model, np.ones((5, 4)), np.ones((5, 3)))
+
+    @pytest.mark.parametrize(
+        "loss, targets",
+        [("cross-entropy", np.zeros((6, 1), dtype=np.int64)), ("mse", np.zeros(6))],
+    )
+    def test_evaluate_loss_checks_shapes_like_forward_backward(self, loss, targets):
+        """Mis-shaped targets used to broadcast in ``evaluate_loss``."""
+        model = MlpModel((4, 5, 3), loss=loss, seed=0)
+        x = np.ones((6, 4))
+        for call in (model.evaluate_loss, partial(mlp_forward_backward, model)):
+            with pytest.raises(ValueError, match="must"):
+                call(x, targets)
+            with pytest.raises(ValueError, match="features"):
+                call(np.ones((6, 5)), targets)
+
+    @pytest.mark.parametrize("label", [3, 7, -1])
+    def test_labels_outside_the_classes_are_rejected(self, label):
+        model = MlpModel((4, 5, 3), loss="cross-entropy", seed=0)
+        x = np.ones((4, 4))
+        y = np.array([0, 1, 2, label])
+        for call in (model.evaluate_loss, partial(mlp_forward_backward, model)):
+            with pytest.raises(ValueError, match=r"\[0, 3\)"):
+                call(x, y)
+        with pytest.raises(ValueError, match="integers"):
+            model.evaluate_loss(x, y.astype(np.float64))
+
+
+def _allocating_forward_backward(model, features, targets):
+    """The forward/backward pass with fresh arrays throughout:
+    ``z = a @ W + b`` and ``dz = (dz @ W.T) * (1 - a*a)``."""
+    acts = [features]
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        acts.append(z if i == last else np.tanh(z))
+    loss, dz = training._loss(model.loss, acts[-1], targets)
+    grads = [None] * (2 * len(model.weights))
+    for i in range(last, -1, -1):
+        grads[2 * i] = acts[i].T @ dz
+        grads[2 * i + 1] = dz.sum(axis=0)
+        if i > 0:
+            dz = (dz @ model.weights[i].T) * (1.0 - acts[i] * acts[i])
+    return loss, grads
+
+
+class TestWorkspace:
+    """``mlp_forward_backward`` writes the hidden layers' activations and
+    deltas into buffers the model keeps between calls."""
+
+    @pytest.mark.parametrize("loss", ["mse", "cross-entropy"])
+    def test_bits_match_the_allocating_pass_across_batch_sizes(self, loss):
+        rng = np.random.default_rng(11)
+        model = MlpModel((6, 16, 12, 3), loss=loss, seed=5)
+        results = []
+        # 200 rows regrow the buffers; 17 rows then use a view of them.
+        for rows, held in ((64, 64), (200, 200), (17, 200), (64, 200)):
+            x = rng.standard_normal((rows, 6))
+            if loss == "mse":
+                y = rng.standard_normal((rows, 3))
+            else:
+                y = rng.integers(0, 3, rows)
+            x.flags.writeable = False
+            before = x.copy()
+            loss_value, grads = mlp_forward_backward(model, x, y)
+            assert [buf.shape for buf in model._workspace] == [(held, 16), (held, 12)]
+            assert np.array_equal(x, before)
+            want_loss, want_grads = _allocating_forward_backward(model, x, y)
+            assert loss_value == want_loss
+            for got, want in zip(grads, want_grads):
+                assert np.array_equal(got, want)
+            results.append((grads, [g.copy() for g in grads]))
+        # No call hands out or writes into an earlier call's gradients.
+        for grads, copies in results:
+            for got, kept in zip(grads, copies):
+                assert np.array_equal(got, kept)
+            assert not any(
+                np.shares_memory(g, buf) for g in grads for buf in model._workspace
+            )
+
+    def test_a_model_without_hidden_layers_keeps_no_workspace(self):
+        model = MlpModel((4, 3), loss="mse", seed=0)
+        x = np.random.default_rng(0).standard_normal((5, 4))
+        y = np.zeros((5, 3))
+        loss, grads = mlp_forward_backward(model, x, y)
+        want_loss, want_grads = _allocating_forward_backward(model, x, y)
+        assert loss == want_loss
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+        assert model._workspace == []
+
+    def test_warm_call_allocates_no_activations(self):
+        """A warm 1,024-row call on 64-128-128-8 peaks at the gradients it
+        returns plus two hidden-layer arrays (one ``dz @ W.T`` and room
+        for the next) and 64 KiB for the output layer, the loss and
+        Python objects.  Fresh activations and deltas took six."""
+        rng = np.random.default_rng(3)
+        model = MlpModel((64, 128, 128, 8), loss="cross-entropy", seed=0)
+        x = rng.standard_normal((1024, 64))
+        y = rng.integers(0, 8, 1024)
+        mlp_forward_backward(model, x, y)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, grads = mlp_forward_backward(model, x, y)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        hidden = 1024 * 128 * 8
+        above = peak - sum(g.nbytes for g in grads)
+        assert above <= 2 * hidden + 64 * 1024, (
+            f"{above / hidden:.2f} hidden layers above the gradients"
+        )
 
 
 class TestGradStats:
@@ -364,14 +476,15 @@ class TestTrainer:
         """Traced memory of a run with one 256-wide hidden layer, every
         other step a record-and-snapshot step and clipping in every step.
 
-        Between steps only the parameters, the optimizer state and the
-        dataset are live.  A record-and-snapshot step holds on top of
-        that the gradients and at most two arrays the size of the
-        largest layer: the Mano step's tangent and output while it runs,
-        then the old value and the update.  The snapshot is written
-        from the arrays' own buffers and the RMS squares the update in
-        place, so neither adds a copy.  64 KiB of slack cover the batch,
-        the activations and Python objects.
+        Between steps only the parameters, the optimizer state, the
+        dataset and the model's forward/backward workspace are live.  A
+        record-and-snapshot step holds on top of that the gradients and
+        at most two arrays the size of the largest layer: the Mano
+        step's tangent and output while it runs, then the old value and
+        the update.  The snapshot is written from the arrays' own
+        buffers and the RMS squares the update in place, so neither
+        adds a copy.  64 KiB of slack cover the batch, the output
+        layer's arrays and Python objects.
         """
         cfg = _small_cfg(
             n_samples=128, in_dim=256, hidden=(256,), out_dim=256,
@@ -417,7 +530,8 @@ class TestTrainer:
         data_bytes = data.features.nbytes + data.targets.nbytes + data.w_star.nbytes
         layer = max(p.nbytes for p in params)
         slack = 64 * 1024
-        held = param_bytes + state_bytes + data_bytes
+        workspace_bytes = sum(buf.nbytes for buf in trainer.model._workspace)
+        held = param_bytes + state_bytes + data_bytes + workspace_bytes
         # live[t] is the live set as step t begins; the state exists
         # from step 1 on.  peaks[t + 1] is the peak of step t.
         assert max(live[1:]) <= held + slack, (
