@@ -3,7 +3,9 @@
 Subcommands mirror the library surface: ``train`` runs the harness from
 a flat config file, ``converge`` runs a rate experiment and checks the
 bound, ``bench`` times kernels, ``spectra`` and ``geodesic`` digest
-snapshot directories, and ``flops`` prints the arithmetic model.
+snapshot directories, and ``flops`` prints the arithmetic model.  The
+parser is built once, at import, and each subcommand names its own
+handler, which ``run_cli`` calls.
 
 Exit codes: 0 on success, 1 for usage or validation problems or a
 diverged training run, 2 when a checked assertion (the convergence
@@ -18,6 +20,8 @@ import csv
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .bench import BENCH_KERNELS, FlopModel, bench_kernels
 from .convergence import (
@@ -45,10 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run the training harness")
+    p_train.set_defaults(run=_cmd_train)
     p_train.add_argument("--config", required=True, help="flat key = value file")
     p_train.add_argument("--out", required=True, help="output directory")
 
     p_conv = sub.add_parser("converge", help="run a convergence experiment")
+    p_conv.set_defaults(run=_cmd_converge)
     p_conv.add_argument(
         "--objective", choices=("quadratic", "softmax"), default="quadratic"
     )
@@ -64,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--out", required=True)
 
     p_bench = sub.add_parser("bench", help="time optimizer kernels")
+    p_bench.set_defaults(run=_cmd_bench)
     p_bench.add_argument(
         "--shapes",
         required=True,
@@ -78,16 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True)
 
     p_spec = sub.add_parser("spectra", help="spectrum reports from snapshots")
+    p_spec.set_defaults(run=_cmd_spectra)
     p_spec.add_argument("--snapshots", required=True, help="snapshot directory")
     p_spec.add_argument("--out", required=True)
 
     p_geo = sub.add_parser("geodesic", help="geodesic trail from snapshots")
+    p_geo.set_defaults(run=_cmd_geodesic)
     p_geo.add_argument("--snapshots", required=True)
     p_geo.add_argument("--manifold", choices=GEODESIC_MANIFOLDS, required=True)
     p_geo.add_argument("--axis", type=int, default=0)
     p_geo.add_argument("--out", required=True)
 
     p_flops = sub.add_parser("flops", help="print the arithmetic model")
+    p_flops.set_defaults(run=_cmd_flops)
     p_flops.add_argument("--m", type=int, required=True)
     p_flops.add_argument("--n", type=int, default=None)
     p_flops.add_argument("--batch", type=int, default=32)
@@ -184,8 +194,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
-    import numpy as np
-
     reports = []
     for step, layer, path in load_snapshots(args.snapshots):
         with np.load(path) as data:
@@ -201,20 +209,14 @@ def _cmd_spectra(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    import numpy as np
-
     by_layer: dict[str, list[tuple[int, Path]]] = {}
     for step, layer, path in load_snapshots(args.snapshots):
         by_layer.setdefault(layer, []).append((step, path))
     out = _outdir(args.out)
     rows = []
     for layer in sorted(by_layer):
-        entries = sorted(by_layer[layer])
-        if len(entries) < 2:
-            print(f"{layer}: fewer than two snapshots, skipped")
-            continue
         thetas = []
-        for _, path in entries:
+        for _, path in sorted(by_layer[layer]):
             with np.load(path) as data:
                 thetas.append(data["theta"])
         try:
@@ -256,26 +258,18 @@ def _cmd_flops(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "train": _cmd_train,
-    "converge": _cmd_converge,
-    "bench": _cmd_bench,
-    "spectra": _cmd_spectra,
-    "geodesic": _cmd_geodesic,
-    "flops": _cmd_flops,
-}
+_PARSER = build_parser()
 
 
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage or help; fold its exit code into
         # the documented contract (0 for --help, 1 for bad usage).
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (
         ValueError, FileNotFoundError, NotADirectoryError, KeyError,
         RuntimeError,  # TrainingDiverged, or an aborted convergence experiment

@@ -560,7 +560,7 @@ class Trainer:
             if snapshot_now and theta.ndim >= 2:
                 self._snapshot(t, name, theta, grad, delta)
             if record_now:
-                update_rms.append(_rms_in_place(delta) if delta.size else 0.0)
+                update_rms.append(_rms_in_place(delta))
             del delta
         if not record_now:
             return

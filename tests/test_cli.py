@@ -1,6 +1,7 @@
 """Command-line tests: every subcommand end to end, the exit-code
 contract, and byte determinism of the file outputs."""
 
+import argparse
 import json
 import re
 
@@ -319,6 +320,33 @@ class TestSpectraAndGeodesic:
         assert lines[1:] and all(line.startswith("layer1.weight,") for line in lines[1:])
         assert len(lines) == 4  # snapshots at steps 0, 10, 20, 30
 
+    def test_geodesic_skips_a_layer_with_one_snapshot(self, tmp_path, capsys):
+        """A layer with a single snapshot has no pair: the library's reason
+        is printed as a skip, the other layer's rows are still written and
+        the command exits 0."""
+        rng = np.random.default_rng(0)
+        snapshots = tmp_path / "snapshots"
+        snapshots.mkdir()
+        for step, layer in ((0, "layer0.weight"), (10, "layer0.weight"),
+                            (20, "layer0.weight"), (0, "layer1.weight")):
+            np.savez(
+                snapshots / f"step{step:06d}_{layer}.npz",
+                **{k: rng.standard_normal((5, 3))
+                   for k in ("theta", "grad", "momentum", "update")},
+            )
+        code = run_cli(
+            ["geodesic", "--snapshots", str(snapshots), "--manifold", "oblique",
+             "--out", str(tmp_path / "g")]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "layer1.weight: skipped: need at least two snapshots\n" in out
+        assert "layer0.weight: mean oblique distance" in out
+        lines = (tmp_path / "g" / "geodesic.csv").read_text().strip().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            "layer0.weight,0", "layer0.weight,1"
+        ]
+
     def test_missing_snapshot_dir(self, tmp_path, capsys):
         code = run_cli(
             ["spectra", "--snapshots", str(tmp_path / "none"), "--out", str(tmp_path)]
@@ -351,3 +379,26 @@ class TestExitCodes:
 
     def test_no_command_is_one(self, capsys):
         assert run_cli([]) == 1
+
+
+class TestOneParser:
+    """The parser is built once, at import, and each call parses afresh."""
+
+    def test_calls_build_no_parser(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_cli built an ArgumentParser")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert run_cli(["flops", "--m", "4"]) == 0
+        assert run_cli(["flops", "--m", "4"]) == 0
+
+    def test_no_option_carries_over(self, capsys):
+        assert run_cli(["flops", "--m", "4", "--n", "8"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["4", "8"]
+        assert run_cli(["flops", "--m", "4"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["4", "4"]
+
+    def test_help_then_bad_flag_then_valid_command(self, capsys):
+        assert run_cli(["--help"]) == 0
+        assert run_cli(["flops", "--m", "4", "--bogus"]) == 1
+        assert run_cli(["flops", "--m", "4"]) == 0
