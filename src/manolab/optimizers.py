@@ -13,11 +13,13 @@ and direction map.  The input checks come from ``tensor``:
 ``_matching`` coerces and shape-checks the arrays, and ``_positive``
 rejects a non-positive or NaN learning rate.  ``_buffer`` checks a
 state buffer, ``_heavy_ball`` accumulates momentum into it in place
-and ``_decoupled`` writes the decayed update into one new array.  Every
-check runs before a step writes its state, so a step that raises
-leaves the state as it was.  On a warm state the Mano,
-AdamW and SGD-M steps hold at most two new parameter-sized arrays at
-once, the returned one included.
+and ``_decoupled`` writes the decayed update into the direction array
+that the step gives up.  Every check runs before a step writes its
+state, so a step that raises leaves the state as it was.  On a warm
+state the plain and retracting Mano steps and the SGD-M step hold one
+new parameter-sized array, the returned one; the Nesterov Mano and the
+AdamW steps hold two.  No step returns an array that shares memory
+with theta or with its state, so a caller may write into the old value.
 
 Mano in one step, for a matrix theta with the active axis k:
 
@@ -37,6 +39,7 @@ lets a single unit-norm constraint serve both row and column geometry.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import InitVar, dataclass, field
 
@@ -75,6 +78,11 @@ RESCALE_COEFF = 0.2
 # AdamW's (beta1, beta2) and the epsilon added to sqrt(s_hat).
 ADAM_BETAS = (0.9, 0.95)
 ADAM_EPS = 1e-8
+# Entries that ``_decoupled`` decays (in whole rows, at least one) and
+# ``_sum_squares`` squares at a time: their only scratch arrays, 64 KiB
+# of float64.  Chunks this size stay in cache; at 512x512 the decay was
+# faster than in one pass over the whole array, and the sum as fast.
+CHUNK_ENTRIES = 8192
 
 # The learning rate is the ``lr`` argument of each step, which the
 # training loop takes from its schedule, so no config holds one.  The
@@ -173,15 +181,28 @@ def _heavy_ball(buf, grad, mu: float, nesterov: bool = False):
 
 
 def _decoupled(state: OptimizerState, theta, direction, eta, weight_decay):
-    """``theta - eta * (direction + weight_decay * theta)``, written into one
-    new array: the update with weight decay decoupled from ``direction``
-    (Loshchilov & Hutter, "Decoupled Weight Decay Regularization", 2019).
-    Counts the step."""
+    """``theta - eta * (direction + weight_decay * theta)``, written into
+    ``direction``, which the caller gives up: the update with weight decay
+    decoupled from ``direction`` (Loshchilov & Hutter, "Decoupled Weight
+    Decay Regularization", 2019).  Counts the step.
+
+    Each chunk of whole rows forms ``eta * (theta * weight_decay +
+    direction)`` in one scratch array of at most CHUNK_ENTRIES entries (or
+    one row), then writes theta minus it over that chunk of
+    ``direction``.  Each entry takes the operations of the one-array
+    form in the same order, so it gets the same bits.
+    """
     state.step += 1
-    out = np.multiply(theta, weight_decay)
-    out += direction
-    out *= eta
-    return np.subtract(theta, out, out=out)
+    rows = max(1, CHUNK_ENTRIES // max(1, math.prod(theta.shape[1:])))
+    scratch = np.empty((min(rows, theta.shape[0]),) + theta.shape[1:])
+    for start in range(0, theta.shape[0], rows):
+        t, d = theta[start : start + rows], direction[start : start + rows]
+        out = scratch[: t.shape[0]]
+        np.multiply(t, weight_decay, out=out)
+        out += d
+        out *= eta
+        np.subtract(t, out, out=d)
+    return direction
 
 
 def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int):
@@ -340,7 +361,9 @@ def muon_step(
         ortho = newton_schulz(m_used, cfg.ns_iterations)
     del m_used
     ortho *= RESCALE_COEFF * np.sqrt(max(theta.shape))
-    return _decoupled(state, theta, ortho, lr, cfg.weight_decay)
+    # A tall matrix's factor is a transposed view: the update is returned
+    # in theta's (C) order, as the one-array form wrote it.
+    return _decoupled(state, theta, np.ascontiguousarray(ortho), lr, cfg.weight_decay)
 
 
 def adamw_step(
@@ -395,7 +418,7 @@ def sgdm_step(
     _non_negative("weight_decay", weight_decay)
     m_t, _ = _heavy_ball(_buffer(state, "momentum", theta), grad, momentum)
     state.momentum = m_t
-    return _decoupled(state, theta, m_t, lr, weight_decay)
+    return _decoupled(state, theta, m_t.copy(), lr, weight_decay)
 
 
 def rsgdm_step(
@@ -459,22 +482,50 @@ def cosine_warmup_lr(
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + np.cos(np.pi * progress))
 
 
-def clip_global_grad_norm(grads, max_norm: float):
+def _sum_squares(flat: np.ndarray):
+    """``np.sum(flat * flat)`` of a contiguous 1-D array, bit for bit, with
+    no square array above CHUNK_ENTRIES entries.
+
+    numpy sums a contiguous array pairwise: it splits a block at half its
+    length, rounded down to a multiple of 8, and adds the two halves'
+    sums.  The blocks here split the same way until they fit a chunk, so
+    every partial sum is the one numpy forms.  That split is numpy's
+    own, not its API: ``test_sum_squares_matches_np_sum_bit_for_bit``
+    fails if a numpy release changes it.
+    """
+    n = flat.size
+    if n <= CHUNK_ENTRIES:
+        return np.sum(flat * flat)
+    half = n // 2
+    half -= half % 8
+    return _sum_squares(flat[:half]) + _sum_squares(flat[half:])
+
+
+def clip_global_grad_norm(grads, max_norm: float, *, in_place: bool = False):
     """Scale a list of gradients so their joint Frobenius norm is capped.
 
     Returns ``(clipped, total_norm)`` where total_norm is the pre-clip
     joint norm.  When the norm is already within ``max_norm`` the input
-    arrays are returned unchanged (no copies).  If the sum of squares
-    overflows, the norm is taken again by ``tensor._norm`` over all the
-    entries at once.
+    arrays are returned unchanged (no copies).  Otherwise the clipped
+    arrays are scaled copies or, with ``in_place``, the arrays that
+    ``as_tensor`` made of the inputs, scaled in place: a contiguous
+    float64 input is its own, so a caller that owns its gradients makes
+    no copy.  Both give the same bits.  Each sum of squares is
+    ``np.sum(g * g)`` without the square array (``_sum_squares``).  If
+    the joint sum overflows, the norm is taken again by ``tensor._norm``
+    over all the entries at once.
     """
     _positive("max_norm", max_norm)
     grads = [as_tensor(g) for g in grads]
     with np.errstate(over="ignore"):
-        total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+        total = float(np.sqrt(sum(float(_sum_squares(g.reshape(-1))) for g in grads)))
     if total == np.inf:
         total = float(_norm(np.concatenate([g.ravel() for g in grads])))
     if total <= max_norm:
         return grads, total
     scale = max_norm / total
-    return [g * scale for g in grads], total
+    if not in_place:
+        return [g * scale for g in grads], total
+    for g in grads:
+        g *= scale
+    return grads, total

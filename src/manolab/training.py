@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import os
 import zipfile
 from dataclasses import dataclass
 from functools import partial
@@ -222,7 +223,8 @@ class MlpModel:
 
     def set_parameter(self, index: int, value: np.ndarray) -> None:
         """Put ``value`` in the place of parameter ``index`` (in
-        ``parameters()`` order)."""
+        ``parameters()`` order).  The model keeps no other reference to
+        the old value, so its buffer is the caller's from then on."""
         owner = self.biases if index % 2 else self.weights
         owner[index // 2] = value
 
@@ -230,8 +232,10 @@ class MlpModel:
         acts = features
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts @ w + b
-            acts = z if i == last else np.tanh(z)
+            # In place, with the bits of ``tanh(acts @ w + b)``.
+            z = acts @ w
+            z += b
+            acts = z if i == last else np.tanh(z, out=z)
         return acts
 
     def evaluate_loss(self, features: np.ndarray, targets: np.ndarray) -> float:
@@ -501,25 +505,44 @@ class Trainer:
             for start in range(0, n, self.cfg.batch_size):
                 yield order[start : start + self.cfg.batch_size]
 
-    def _snapshot(self, step, name, theta, grad, delta):
+    def _snapshot(self, step, name, theta, grad, new):
         """Write ``step{step:06d}_{name}.npz``, the file ``load_snapshots``
-        reads back.  It runs after the layer's step, and every rule has
-        written ``momentum`` or, for AdamW, ``exp_avg`` by then."""
+        reads back, and return the update ``theta - new``.
+
+        It runs after the layer's step, and every rule has written
+        ``momentum`` or, for AdamW, ``exp_avg`` by then.  The file is the
+        one ``np.savez(theta=, grad=, momentum=, update=)`` writes, but
+        once ``theta`` is written the update is formed in its buffer,
+        which the caller gives up.
+        """
         state = self.states[name]
         momentum = state.momentum if state.momentum is not None else state.exp_avg
-        path = self.snapshot_dir / f"step{step:06d}_{name}.npz"
-        _savez(path, theta=theta, grad=grad, momentum=momentum, update=delta)
+        # A str, not a Path: pathlib interns each new file name, and the
+        # interpreter's table of interned strings (about 2 MB once numpy
+        # is loaded) is reallocated whenever it fills, a jump in a run's
+        # memory that none of its arrays explains.
+        path = os.path.join(self.snapshot_dir, f"step{step:06d}_{name}.npz")
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+            _write_npy(archive, "theta", theta)
+            _write_npy(archive, "grad", grad)
+            update = np.subtract(theta, new, out=theta)
+            _write_npy(archive, "momentum", momentum)
+            _write_npy(archive, "update", update)
+        return update
 
     def _step(self, t: int, idx, snapshotting: bool, records: list) -> None:
         """Training step ``t`` on the batch ``idx``, one layer at a time.
 
         Each parameter's new value replaces the old one in the model as
         soon as its step returns, and on a record or snapshot step that
-        layer's update is formed, written and reduced to its RMS right
-        there, and its gradient to its statistics.  Its gradient is then
-        dropped.  So the step holds at most one layer's old value and
-        update at once, and the gradients of the layers yet to step;
-        nothing it makes outlives it but the new parameters, the
+        layer's update is formed in the old value's buffer, written and
+        reduced to its RMS right there, and its gradient to its
+        statistics.  Its gradient is then dropped.  So beside the
+        parameters and the gradients of the layers yet to step, a layer
+        step holds its old value and what its rule makes (one array of
+        the layer's size for the plain Mano and SGD-M rules, the one
+        they return; see ``optimizers``), and its update adds none.
+        Nothing the step makes outlives it but the new parameters, the
         optimizer state and the records.  The model's forward/backward
         workspace persists across steps.
         """
@@ -531,8 +554,8 @@ class Trainer:
             raise TrainingDiverged(
                 t, f"non-finite loss or gradient (loss={loss})", records
             )
-        # Rebinding drops the raw gradients wherever clipping copied them.
-        grads, _ = clip_global_grad_norm(grads, cfg.clip_norm)
+        # The gradients are the step's own, so they are clipped in place.
+        grads, _ = clip_global_grad_norm(grads, cfg.clip_norm, in_place=True)
         lr_t = cosine_warmup_lr(
             t, cfg.total_steps, cfg.warmup_steps, cfg.lr_max, cfg.min_ratio
         )
@@ -553,12 +576,15 @@ class Trainer:
             self.model.set_parameter(i, new)
             if not (record_now or snapshot_now):
                 continue
-            # Only records and snapshots read the applied update, and it
+            # Only records and snapshots read the applied update.  No rule
+            # returns memory that theta or its state hold, and the model
+            # let go of theta, so the update goes into theta's buffer; it
             # is dropped before the next layer steps.  The snapshot is
             # written first, so the RMS can square the update in place.
-            delta = theta - new
             if snapshot_now and theta.ndim >= 2:
-                self._snapshot(t, name, theta, grad, delta)
+                delta = self._snapshot(t, name, theta, grad, new)
+            else:
+                delta = np.subtract(theta, new, out=theta)
             if record_now:
                 update_rms.append(_rms_in_place(delta))
             del delta
@@ -591,20 +617,18 @@ class Trainer:
         return records
 
 
-def _savez(path, **members) -> None:
-    """``np.savez(path, **members)``, byte for byte, written from each
-    array's own buffer: the same zip layout (stored, zip64, fixed member
-    date) and ``.npy`` headers, without the copy ``np.savez`` makes of
-    every array it writes."""
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-        for key, array in members.items():
-            header = np.lib.format.header_data_from_array_1_0(array)
-            # An F-ordered array is stored in F order: its transpose's
-            # C-ordered buffer.
-            data = array.T if header["fortran_order"] else np.ascontiguousarray(array)
-            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(member, header)
-                member.write(data.reshape(-1))
+def _write_npy(archive: zipfile.ZipFile, key: str, array: np.ndarray) -> None:
+    """The member ``{key}.npy`` that ``np.savez`` writes into ``archive``
+    (opened stored, with zip64), byte for byte, written from the array's
+    own buffer: the same fixed member date and ``.npy`` header, without
+    the copy ``np.savez`` makes of every array it writes."""
+    header = np.lib.format.header_data_from_array_1_0(array)
+    # An F-ordered array is stored in F order: its transpose's C-ordered
+    # buffer.
+    data = array.T if header["fortran_order"] else np.ascontiguousarray(array)
+    with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+        np.lib.format.write_array_header_1_0(member, header)
+        member.write(data.reshape(-1))
 
 
 def train_run(cfg: TrainConfig, snapshot_dir=None) -> list[TrajectoryRecord]:

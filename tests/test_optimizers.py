@@ -22,12 +22,15 @@ from manolab.manifold import DegenerateSliceError, ManifoldSchedule
 from manolab.optimizers import (
     ADAM_BETAS,
     ADAM_EPS,
+    CHUNK_ENTRIES,
     NS_COEFFS,
     RESCALE_COEFF,
     AdamWConfig,
     ManoConfig,
     MuonConfig,
     OptimizerState,
+    _decoupled,
+    _sum_squares,
     adamw_step,
     clip_global_grad_norm,
     cosine_warmup_lr,
@@ -185,27 +188,33 @@ def _mano_on(axis, **flags):
     return lambda th, g, s: mano_step(th, g, s, cfg, 1e-3)
 
 
-# Warm steps whose transient peak is bounded: the Mano cases cover both
-# axes of a matrix, plain, with the Nesterov look-ahead, and with the
-# tangent kept as the momentum.
+# Warm steps whose transient peak is bounded, with the parameter-sized
+# arrays each holds at once, the returned one included.  The Mano cases
+# cover both axes of a matrix, plain, with the Nesterov look-ahead
+# (beside the tangent), and with the tangent kept as the momentum (the
+# spent accumulator is returned).  AdamW's scratch and update overlap;
+# SGD-M returns a copy of its momentum.
 _LEAN_STEPS = {
-    "mano_step-axis-0": _mano_on(0),
-    "mano_step-axis-1": _mano_on(1),
-    "mano_step-axis-0-nesterov": _mano_on(0, nesterov=True),
-    "mano_step-axis-1-nesterov": _mano_on(1, nesterov=True),
-    "mano_step-axis-0-retract": _mano_on(0, retract_momentum=True),
-    "mano_step-axis-1-retract": _mano_on(1, retract_momentum=True),
-    "adamw_step": _STEP_CALLS["adamw_step"],
-    "sgdm_step": _STEP_CALLS["sgdm_step"],
+    "mano_step-axis-0": (_mano_on(0), 1),
+    "mano_step-axis-1": (_mano_on(1), 1),
+    "mano_step-axis-0-nesterov": (_mano_on(0, nesterov=True), 2),
+    "mano_step-axis-1-nesterov": (_mano_on(1, nesterov=True), 2),
+    "mano_step-axis-0-retract": (_mano_on(0, retract_momentum=True), 1),
+    "mano_step-axis-1-retract": (_mano_on(1, retract_momentum=True), 1),
+    "adamw_step": (_STEP_CALLS["adamw_step"], 2),
+    "sgdm_step": (_STEP_CALLS["sgdm_step"], 1),
 }
 
 
-@pytest.mark.parametrize("call", _LEAN_STEPS.values(), ids=_LEAN_STEPS.keys())
-def test_transient_memory_within_two_parameters(call):
+@pytest.mark.parametrize(
+    "call, arrays", _LEAN_STEPS.values(), ids=_LEAN_STEPS.keys()
+)
+def test_transient_memory_within_two_parameters(call, arrays):
     """Peak traced allocation of one step on a warm state, above its level
-    at entry and counting the returned array, stays within twice the
-    parameter's bytes.  32 KiB on top cover the per-slice vectors
-    (a few hundred entries each) and einsum's own workspace."""
+    at entry and counting the returned array, stays within ``arrays``
+    times the parameter's bytes.  On top go ``_decoupled``'s scratch
+    (CHUNK_ENTRIES entries, in whole rows) and 32 KiB for the per-slice
+    vectors (a few hundred entries each) and einsum's own workspace."""
     rng = np.random.default_rng(8)
     theta = rng.standard_normal((256, 192))
     grad = rng.standard_normal((256, 192))
@@ -221,9 +230,63 @@ def test_transient_memory_within_two_parameters(call):
     finally:
         tracemalloc.stop()
     assert new_theta.shape == theta.shape
-    assert peak <= 2 * theta.nbytes + 32 * 1024, (
+    scratch = 8 * theta.shape[1] * max(1, CHUNK_ENTRIES // theta.shape[1])
+    assert peak <= arrays * theta.nbytes + scratch + 32 * 1024, (
         f"peak {peak} B is {peak / theta.nbytes:.2f}x the parameter's bytes"
     )
+
+
+# Every rule, Mano also with the look-ahead and with the tangent kept
+# as the momentum: (theta, grad, state).
+_OWNING_STEPS = {
+    **_STEP_CALLS,
+    "mano_step-nesterov": lambda th, g, s: mano_step(
+        th, g, s, ManoConfig(nesterov=True), lr=1e-3
+    ),
+    "mano_step-retract": lambda th, g, s: mano_step(
+        th, g, s, ManoConfig(retract_momentum=True), lr=1e-3
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _OWNING_STEPS.values(), ids=_OWNING_STEPS.keys())
+def test_returned_array_shares_no_memory(call):
+    """The trainer writes each layer's update into the old value once the
+    step returns, so no step may return memory that theta, the gradient
+    or the state still hold, on a cold or a warm state."""
+    rng = np.random.default_rng(4)
+    theta = rng.standard_normal((6, 4))
+    theta /= np.sqrt((theta * theta).sum(axis=0))  # unit columns, for rsgdm_step
+    state = OptimizerState()
+    for _ in range(3):
+        grad = rng.standard_normal((6, 4))
+        new = call(theta, grad, state)
+        held = [theta, grad, state.momentum, state.exp_avg, state.exp_avg_sq]
+        assert not any(np.shares_memory(new, a) for a in held if a is not None)
+        theta = new
+
+
+# Shapes around CHUNK_ENTRIES: 1-D shorter and longer than a chunk, square,
+# tall and wide matrices whose row counts are not a multiple of the rows
+# in a chunk, a row longer than a chunk, and a 3-tensor.
+_DECAY_SHAPES = [
+    (7,), (CHUNK_ENTRIES + 5,), (150, 150), (1000, 24), (30, 1000),
+    (3, CHUNK_ENTRIES + 1), (2, 3, CHUNK_ENTRIES // 4 + 1),
+]
+
+
+@pytest.mark.parametrize("shape", _DECAY_SHAPES)
+def test_decoupled_matches_the_one_array_form_bit_for_bit(shape):
+    """``_decoupled`` decays in chunks of whole rows, in the direction's
+    own buffer, with the bits of ``theta - eta * (wd * theta + d)``."""
+    rng = np.random.default_rng(6)
+    theta, direction = rng.standard_normal(shape), rng.standard_normal(shape)
+    expected = theta - 0.03 * (0.1 * theta + direction)
+    state = OptimizerState()
+    out = _decoupled(state, theta, direction, 0.03, 0.1)
+    assert out is direction
+    assert out.tobytes() == expected.tobytes()
+    assert state.step == 1
 
 
 def _run_mano_pair(shape, seed, steps=3, edit=None, **flags):
@@ -596,6 +659,18 @@ class TestMuonStep:
         new = muon_step(theta, np.zeros((3, 3)), OptimizerState(), cfg, 1e-2)
         np.testing.assert_allclose(new, theta * (1.0 - 1e-2 * 0.1), rtol=1e-14)
 
+    def test_tall_matrix_update_is_c_ordered(self):
+        """Newton-Schulz returns a transposed view for a tall matrix.  The
+        step still returns a C-ordered array, as the one-array decay
+        wrote it: a snapshot's ``.npy`` header records the order."""
+        rng = np.random.default_rng(9)
+        theta, grad = rng.standard_normal((128, 8)), rng.standard_normal((128, 8))
+        assert not newton_schulz(grad).flags.c_contiguous
+        state = OptimizerState()
+        for _ in range(2):
+            new = muon_step(theta, grad, state, MuonConfig(), lr=1e-2)
+            assert new.flags.c_contiguous
+
     def test_requires_matrix(self):
         with pytest.raises(ValueError):
             muon_step(np.ones(4), np.ones(4), OptimizerState(), MuonConfig(), 1e-3)
@@ -786,6 +861,44 @@ class TestClipGlobalGradNorm:
         assert total == pytest.approx(math.sqrt(4.0 + 0.25) * 1e200, rel=1e-12)
         new_total = math.sqrt(sum(float(np.sum(g * g)) for g in clipped))
         assert new_total == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_in_place_scales_the_given_arrays_with_the_copy_bits(self):
+        rng = np.random.default_rng(43)
+        grads = [rng.standard_normal((40, 30)) * 10.0, rng.standard_normal(7) * 10.0]
+        before = [g.copy() for g in grads]
+        copied, total = clip_global_grad_norm(grads, 1.0)
+        assert all(g.tobytes() == b.tobytes() for g, b in zip(grads, before))
+        clipped, total_in_place = clip_global_grad_norm(grads, 1.0, in_place=True)
+        assert total_in_place == total > 1.0
+        assert all(c is g for c, g in zip(clipped, grads))
+        assert all(c.tobytes() == k.tobytes() for c, k in zip(clipped, copied))
+
+    def test_in_place_copies_what_it_coerces(self):
+        """A list is not an array to scale: its coerced copy is returned."""
+        grads = [[30.0, 40.0]]
+        clipped, total = clip_global_grad_norm(grads, 1.0, in_place=True)
+        assert total == 50.0
+        assert grads == [[30.0, 40.0]]
+        np.testing.assert_array_equal(clipped[0], [0.6, 0.8])
+
+
+# Sizes around CHUNK_ENTRIES and its multiples, odd and below a split's
+# multiple of 8, and matrices of the benchmark's layer shapes.
+_SQUARE_SHAPES = [
+    (1,), (7,), (CHUNK_ENTRIES,), (CHUNK_ENTRIES + 1,), (2 * CHUNK_ENTRIES + 13,),
+    (5 * CHUNK_ENTRIES - 3,), (64, 512), (512, 512), (512, 8), (1000, 333),
+]
+
+
+@pytest.mark.parametrize("shape", _SQUARE_SHAPES)
+def test_sum_squares_matches_np_sum_bit_for_bit(shape):
+    """The clip's square sums are numpy's pairwise sums, split the same
+    way, so the clipped norm and every output after it keep their bits."""
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1e-3, 1.0, 1e3):
+        g = rng.standard_normal(shape) * scale
+        assert float(_sum_squares(g.reshape(-1))) == float(np.sum(g * g))
 
 
 class TestConfigValidation:

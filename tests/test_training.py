@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from manolab import training
+from manolab.optimizers import CHUNK_ENTRIES
 from manolab.training import (
     OPTIMIZERS,
     MlpModel,
@@ -94,6 +95,22 @@ class TestMlpModel:
         np.testing.assert_allclose(
             model.forward(2.0 * x), 2.0 * model.forward(x), rtol=1e-13
         )
+
+    def test_forward_in_place_matches_the_allocating_form(self):
+        """``forward`` adds the bias and takes tanh in the product's own
+        buffer, with the bits of ``tanh(acts @ w + b)``; the features are
+        only read."""
+        rng = np.random.default_rng(6)
+        model = MlpModel((5, 7, 6, 3), seed=2)
+        model.biases = [rng.standard_normal(b.shape) for b in model.biases]
+        x = rng.standard_normal((9, 5))
+        x_before = x.copy()
+        acts = x
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = acts @ w + b
+            acts = z if i == len(model.weights) - 1 else np.tanh(z)
+        assert model.forward(x).tobytes() == acts.tobytes()
+        assert x.tobytes() == x_before.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -474,21 +491,27 @@ class TestTrainer:
 
     def test_step_holds_one_layer_at_a_time(self, tmp_path):
         """Traced memory of a run with one 256-wide hidden layer, every
-        other step a record-and-snapshot step and clipping in every step.
+        other step a record step (steps 0 and 4 snapshot steps too) and
+        clipping in every step.
 
         Between steps only the parameters, the optimizer state, the
-        dataset and the model's forward/backward workspace are live.  A
-        record-and-snapshot step holds on top of that the gradients and
-        at most two arrays the size of the largest layer: the Mano
-        step's tangent and output while it runs, then the old value and
-        the update.  The snapshot is written from the arrays' own
-        buffers and the RMS squares the update in place, so neither
-        adds a copy.  64 KiB of slack cover the batch, the output
-        layer's arrays and Python objects.
+        dataset and the model's forward/backward workspace are live.
+        From its first layer step on, a record or snapshot step holds
+        on top of that the gradients and at most one array the size of
+        the largest layer: the Mano step's tangent, which it returns
+        beside the old value, whose buffer then takes the update.  The
+        snapshot is written from the arrays' own buffers and the RMS
+        squares the update in place, so neither adds a copy.  Before
+        the first layer steps, the trainer clips the gradients in place,
+        and only the first layer's gradient statistics make an array of
+        its size (``g.var()``) beside them.  A scratch of
+        CHUNK_ENTRIES entries (``_decoupled``'s or the clip's square
+        sums') and 64 KiB of slack for the batch, the output layer's
+        arrays and Python objects come on top.
         """
         cfg = _small_cfg(
             n_samples=128, in_dim=256, hidden=(256,), out_dim=256,
-            total_steps=5, warmup_steps=1, cadence=2, snapshot_every=2,
+            total_steps=5, warmup_steps=1, cadence=2, snapshot_every=4,
             clip_norm=1e-3,
         )
         # A small run first, so the modules a snapshot imports on first
@@ -497,11 +520,22 @@ class TestTrainer:
             _small_cfg(total_steps=2, warmup_steps=1, snapshot_every=1),
             snapshot_dir=tmp_path / "warm-up",
         )
-        live, peaks = [], []
+        live, peaks, before_layers = [], [], []
         tracemalloc.start()
         try:
             trainer = Trainer(cfg, snapshot_dir=tmp_path / "run")
             draws = trainer._batches
+            first = trainer.names[0]
+            first_rule = trainer.rules[first]
+
+            def first_layer_step(*args, **kwargs):
+                # The raw gradients are gone by now: the peak so far is
+                # that of the forward/backward pass and the clip.
+                before_layers.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                return first_rule(*args, **kwargs)
+
+            trainer.rules[first] = first_layer_step
 
             def watched():
                 # A batch is drawn as a step begins: the live set then is
@@ -533,14 +567,21 @@ class TestTrainer:
         workspace_bytes = sum(buf.nbytes for buf in trainer.model._workspace)
         held = param_bytes + state_bytes + data_bytes + workspace_bytes
         # live[t] is the live set as step t begins; the state exists
-        # from step 1 on.  peaks[t + 1] is the peak of step t.
+        # from step 1 on.  peaks[t + 1] is the peak of step t from its
+        # first layer step on, and before_layers[t] the peak before it.
         assert max(live[1:]) <= held + slack, (
             f"{(max(live[1:]) - held) / layer:.2f} layers live between steps"
         )
         record_peak = max(peaks[t + 1] for t in (0, 2, 4))
-        assert record_peak <= held + param_bytes + 2 * layer + slack, (
+        scratch = 8 * CHUNK_ENTRIES
+        assert record_peak <= held + param_bytes + layer + scratch + slack, (
             f"{(record_peak - held - param_bytes) / layer:.2f} layers above "
             "parameters, state, dataset and gradients"
+        )
+        clip_peak = max(before_layers)
+        assert clip_peak <= held + param_bytes + layer + slack, (
+            f"{(clip_peak - held - param_bytes) / layer:.2f} layers above "
+            "parameters, state, dataset and gradients before the layer steps"
         )
 
     def test_rsgdm_weights_stay_unit_column(self):
@@ -573,19 +614,24 @@ class TestTrainer:
     def test_snapshot_file_matches_np_savez_byte_for_byte(self, tmp_path):
         """The trainer writes each member from the array's buffer; the file
         must be the one ``np.savez`` writes, for C-ordered, F-ordered and
-        1-D members, with an AdamW state's ``exp_avg`` as the momentum."""
+        1-D members, with an AdamW state's ``exp_avg`` as the momentum.
+        The update it returns, formed in theta's buffer, is ``theta - new``
+        bit for bit."""
         cfg = _small_cfg(optimizer="adamw", in_dim=5, out_dim=3)
         trainer = Trainer(cfg, snapshot_dir=tmp_path)
         rng = np.random.default_rng(3)
         state = trainer.states["layer0.weight"]
-        state.exp_avg = rng.standard_normal((5, 3))
+        state.exp_avg = rng.standard_normal(15)
         theta = rng.standard_normal((5, 3))
         grad = rng.standard_normal((3, 5)).T
-        delta = rng.standard_normal(15)
+        new = rng.standard_normal((5, 3))
         assert grad.flags.f_contiguous and not grad.flags.c_contiguous
-        trainer._snapshot(7, "layer0.weight", theta, grad, delta)
+        old, delta = theta.copy(), theta - new
+        update = trainer._snapshot(7, "layer0.weight", theta, grad, new)
+        assert update.tobytes() == delta.tobytes()
+        assert np.shares_memory(update, theta)
         expected = tmp_path / "expected.npz"
-        np.savez(expected, theta=theta, grad=grad, momentum=state.exp_avg, update=delta)
+        np.savez(expected, theta=old, grad=grad, momentum=state.exp_avg, update=delta)
         written = tmp_path / "step000007_layer0.weight.npz"
         assert written.read_bytes() == expected.read_bytes()
 
