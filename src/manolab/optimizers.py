@@ -501,19 +501,16 @@ def _sum_squares(flat: np.ndarray):
     return _sum_squares(flat[:half]) + _sum_squares(flat[half:])
 
 
-def clip_global_grad_norm(grads, max_norm: float, *, in_place: bool = False):
+def clip_global_grad_norm(grads, max_norm: float):
     """Scale a list of gradients so their joint Frobenius norm is capped.
 
     Returns ``(clipped, total_norm)`` where total_norm is the pre-clip
     joint norm.  When the norm is already within ``max_norm`` the input
-    arrays are returned unchanged (no copies).  Otherwise the clipped
-    arrays are scaled copies or, with ``in_place``, the arrays that
-    ``as_tensor`` made of the inputs, scaled in place: a contiguous
-    float64 input is its own, so a caller that owns its gradients makes
-    no copy.  Both give the same bits.  Each sum of squares is
-    ``np.sum(g * g)`` without the square array (``_sum_squares``).  If
-    the joint sum overflows, the norm is taken again by ``tensor._norm``
-    over all the entries at once.
+    arrays are returned unchanged (no copies); with ``max_norm=np.inf``
+    that gives the joint norm alone.  Each sum of squares is
+    ``np.sum(g * g)``, taken without the square array (``_sum_squares``).
+    If the joint sum overflows, the norm is taken again by
+    ``tensor._norm`` over all the entries at once.
     """
     _positive("max_norm", max_norm)
     grads = [as_tensor(g) for g in grads]
@@ -524,8 +521,4 @@ def clip_global_grad_norm(grads, max_norm: float, *, in_place: bool = False):
     if total <= max_norm:
         return grads, total
     scale = max_norm / total
-    if not in_place:
-        return [g * scale for g in grads], total
-    for g in grads:
-        g *= scale
-    return grads, total
+    return [g * scale for g in grads], total

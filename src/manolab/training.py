@@ -517,10 +517,9 @@ class Trainer:
         """
         state = self.states[name]
         momentum = state.momentum if state.momentum is not None else state.exp_avg
-        # A str, not a Path: pathlib interns each new file name, and the
-        # interpreter's table of interned strings (about 2 MB once numpy
-        # is loaded) is reallocated whenever it fills, a jump in a run's
-        # memory that none of its arrays explains.
+        # A str, not a Path: pathlib interns every file name it parses,
+        # so each snapshot would add one to the interpreter's table of
+        # interned strings, which grows by reallocating (about 2 MB).
         path = os.path.join(self.snapshot_dir, f"step{step:06d}_{name}.npz")
         with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
             _write_npy(archive, "theta", theta)
@@ -554,8 +553,15 @@ class Trainer:
             raise TrainingDiverged(
                 t, f"non-finite loss or gradient (loss={loss})", records
             )
-        # The gradients are the step's own, so they are clipped in place.
-        grads, _ = clip_global_grad_norm(grads, cfg.clip_norm, in_place=True)
+        # The gradients are the step's own, so they are clipped in place:
+        # the clip without a cap gives their joint norm and copies
+        # nothing, and each is scaled as the clip scales its copies.  Its
+        # list is not kept, so each gradient goes once its layer steps.
+        norm = clip_global_grad_norm(grads, np.inf)[1]
+        if norm > cfg.clip_norm:
+            scale = cfg.clip_norm / norm
+            for g in grads:
+                g *= scale
         lr_t = cosine_warmup_lr(
             t, cfg.total_steps, cfg.warmup_steps, cfg.lr_max, cfg.min_ratio
         )

@@ -3,13 +3,14 @@ and full training runs (determinism, clipping, divergence, fallbacks)."""
 
 import math
 import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
 import pytest
 
 from manolab import training
-from manolab.optimizers import CHUNK_ENTRIES
+from manolab.optimizers import CHUNK_ENTRIES, clip_global_grad_norm
 from manolab.training import (
     OPTIMIZERS,
     MlpModel,
@@ -488,6 +489,54 @@ class TestTrainer:
         for step, norms in by_step.items():
             total = math.sqrt(sum(n * n for n in norms))
             assert total <= 1.0 + 1e-9
+
+    def test_clip_in_place_has_the_bits_of_the_clip_copies(self, monkeypatch):
+        """The trainer scales its own gradients in place; each rule gets
+        what ``clip_global_grad_norm`` returns for the raw gradients."""
+        cfg = _small_cfg(hidden=(8,), total_steps=4, warmup_steps=1, clip_norm=1e-3)
+        raw, given = [], {}
+        forward_backward = training.mlp_forward_backward
+
+        def recording(*args):
+            loss, grads = forward_backward(*args)
+            raw.append([g.copy() for g in grads])
+            return loss, grads
+
+        monkeypatch.setattr(training, "mlp_forward_backward", recording)
+        trainer = Trainer(cfg)
+        for name, rule in list(trainer.rules.items()):
+
+            def watched(theta, grad, state, lr, rule=rule, name=name):
+                given.setdefault(name, []).append(grad.copy())
+                return rule(theta, grad, state, lr=lr)
+
+            trainer.rules[name] = watched
+        trainer.run()
+        assert len(raw) == cfg.total_steps
+        for t, grads in enumerate(raw):
+            clipped, norm = clip_global_grad_norm(grads, cfg.clip_norm)
+            assert norm > cfg.clip_norm
+            for name, expected in zip(trainer.names, clipped):
+                assert given[name][t].tobytes() == expected.tobytes()
+
+    def test_each_gradient_goes_once_its_layer_has_stepped(self):
+        """When a layer steps, no gradient of an earlier layer of that
+        step is alive: neither the trainer nor the clip keeps a list of
+        them."""
+        cfg = _small_cfg(hidden=(8, 8), total_steps=4, warmup_steps=1, clip_norm=1e-3)
+        trainer = Trainer(cfg)
+        stepped = []
+        for name, rule in list(trainer.rules.items()):
+
+            def watched(theta, grad, state, lr, rule=rule):
+                if len(stepped) == len(trainer.names):
+                    stepped.clear()
+                assert all(ref() is None for ref in stepped)
+                stepped.append(weakref.ref(grad))
+                return rule(theta, grad, state, lr=lr)
+
+            trainer.rules[name] = watched
+        trainer.run()
 
     def test_step_holds_one_layer_at_a_time(self, tmp_path):
         """Traced memory of a run with one 256-wide hidden layer, every
