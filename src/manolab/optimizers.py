@@ -18,8 +18,11 @@ that the step gives up.  Every check runs before a step writes its
 state, so a step that raises leaves the state as it was.  On a warm
 state the plain and retracting Mano steps and the SGD-M step hold one
 new parameter-sized array, the returned one; the Nesterov Mano and the
-AdamW steps hold two.  No step returns an array that shares memory
-with theta or with its state, so a caller may write into the old value.
+AdamW steps hold two.  The Mano step can instead form its result in an
+``out`` array that the caller gives up, its spent gradient for one:
+it then makes no parameter-sized array (the Nesterov step makes one,
+the look-ahead).  No step returns an array that shares memory with
+theta or with its state, so a caller may write into the old value.
 
 Mano in one step, for a matrix theta with the active axis k:
 
@@ -205,7 +208,7 @@ def _decoupled(state: OptimizerState, theta, direction, eta, weight_decay):
     return direction
 
 
-def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int):
+def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int, out=None):
     """``(tangent, inv_norms)``: the projection of ``direction`` onto the
     tangent space at the unit-slice point theta/||theta||, and the
     reciprocals of the tangent's slice norms (reduced axis kept).
@@ -214,7 +217,9 @@ def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int):
     slice by slice along ``axis``, so the unit-slice point is never
     formed.  ``einsum`` takes the slice sums without a product array and
     scales theta by the coefficients without a broadcast buffer, so
-    ``tangent`` is the only parameter-sized array made.  As in
+    ``tangent`` is the only parameter-sized array made, and none when
+    it is formed in ``out`` (a checked buffer that holds neither theta
+    nor ``direction``), with the same bits.  As in
     ``slice_unit``, a theta slice with norm below EPS_DIV is not
     projected out, and a tangent slice with norm below EPS_DIV gets a
     zero reciprocal, so it contributes nothing to the step.
@@ -242,7 +247,7 @@ def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int):
             slice_inner(direction, theta_hat, axis), norms,
             out=np.expand_dims(coef, axis), where=np.expand_dims(huge, axis),
         )
-    tangent = np.einsum(f"{full},{kept}->{full}", theta, coef)
+    tangent = np.einsum(f"{full},{kept}->{full}", theta, coef, out=out)
     np.subtract(direction, tangent, out=tangent)
     norms = np.sqrt(np.einsum(slice_sums, tangent, tangent))
     huge = np.isinf(norms)
@@ -271,12 +276,32 @@ def mano_transform(theta: np.ndarray, direction: np.ndarray, axis: int):
     return theta_hat, tangent, tangent * inv
 
 
+def _check_out(out, theta: np.ndarray, buf) -> None:
+    """Raise unless ``out`` is a buffer that a step may write over: a
+    writeable C-contiguous array of theta's shape and dtype that shares
+    no memory with theta or the state buffer ``buf``."""
+    if not isinstance(out, np.ndarray):
+        raise TypeError(f"out must be an array, got {type(out).__name__}")
+    if out.shape != theta.shape:
+        raise ShapeMismatchError(
+            f"out shape {out.shape} does not match parameter shape {theta.shape}"
+        )
+    if out.dtype != theta.dtype:
+        raise TypeError(f"out dtype {out.dtype} is not {theta.dtype}")
+    if not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be a writeable C-contiguous array")
+    if any(a is not None and np.may_share_memory(out, a) for a in (theta, buf)):
+        raise ValueError("out shares memory with the parameter or its momentum")
+
+
 def mano_step(
     theta,
     grad,
     state: OptimizerState,
     cfg: ManoConfig,
     lr: float,
+    *,
+    out=None,
 ) -> np.ndarray:
     """One Mano update on a tensor of any order.
 
@@ -285,14 +310,26 @@ def mano_step(
     normalized tangent is rescaled to RMS ``RESCALE_COEFF``.  Weight
     decay is decoupled: it acts on theta directly, not through the
     manifold machinery.
+
+    ``out``, if given, is an array the caller gives up, such as its
+    spent gradient: the tangent is formed there instead of in a fresh
+    array, with the same bits and state.  The step then returns ``out``
+    holding the new value; with ``retract_momentum``, ``out`` becomes
+    the momentum and the spent accumulator is returned.  The gradient
+    is read in full before ``out`` is written, so ``out`` may be
+    ``grad`` itself.  It must be a writeable C-contiguous array of
+    theta's shape and dtype that shares no memory with theta or the
+    momentum, or the step raises before it writes anything.
     """
     theta, grad = _matching(theta, grad)
     axis = rotation_axis(cfg.schedule, theta.ndim, state.step)
     _positive("lr", lr)
     buf = _buffer(state, "momentum", theta)
+    if out is not None:
+        _check_out(out, theta, buf)
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
-    tangent, inv = _mano_kernel(theta, m_used, axis)
+    tangent, inv = _mano_kernel(theta, m_used, axis, out)
     del m_used  # a Nesterov look-ahead is freed before the update is made
     inv *= RESCALE_COEFF * np.sqrt(theta.shape[axis])
     if cfg.retract_momentum:
@@ -482,9 +519,11 @@ def cosine_warmup_lr(
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + np.cos(np.pi * progress))
 
 
-def _sum_squares(flat: np.ndarray):
+def _sum_squares(flat: np.ndarray, center=None):
     """``np.sum(flat * flat)`` of a contiguous 1-D array, bit for bit, with
-    no square array above CHUNK_ENTRIES entries.
+    no square array above CHUNK_ENTRIES entries.  With ``center``, the
+    sum of the squared deviations ``(flat - center) ** 2``, as ``np.var``
+    takes it.
 
     numpy sums a contiguous array pairwise: it splits a block at half its
     length, rounded down to a multiple of 8, and adds the two halves'
@@ -495,10 +534,13 @@ def _sum_squares(flat: np.ndarray):
     """
     n = flat.size
     if n <= CHUNK_ENTRIES:
-        return np.sum(flat * flat)
+        if center is None:
+            return np.sum(flat * flat)
+        dev = np.subtract(flat, center)
+        return np.sum(np.multiply(dev, dev, out=dev))
     half = n // 2
     half -= half % 8
-    return _sum_squares(flat[:half]) + _sum_squares(flat[half:])
+    return _sum_squares(flat[:half], center) + _sum_squares(flat[half:], center)
 
 
 def clip_global_grad_norm(grads, max_norm: float):

@@ -35,6 +35,7 @@ from .optimizers import (
     ManoConfig,
     MuonConfig,
     OptimizerState,
+    _sum_squares,
     adamw_step,
     clip_global_grad_norm,
     cosine_warmup_lr,
@@ -59,6 +60,24 @@ _TASK_LOSS = {"linreg": "mse", "blobs-classify": "cross-entropy"}
 TASKS = tuple(_TASK_LOSS)
 LOSSES = tuple(_TASK_LOSS.values())
 
+
+def _mano_rule(c):
+    """Mano's weight-matrix step, which forms its result in the gradient
+    it is given: the trainer is done with a gradient once its layer
+    steps, so the step makes no array of the layer's size."""
+    step = partial(
+        mano_step,
+        cfg=ManoConfig(
+            momentum=c.momentum,
+            weight_decay=c.weight_decay,
+            nesterov=c.nesterov,
+            schedule=ManifoldSchedule(mode=c.manifold_mode),
+            retract_momentum=c.retract_momentum,
+        ),
+    )
+    return lambda theta, grad, state, lr: step(theta, grad, state, lr=lr, out=grad)
+
+
 # Optimizer name -> (build, unit_columns).  ``build`` turns a TrainConfig
 # into the weight-matrix step ``(theta, grad, state, lr=...)``.  It runs
 # when a Trainer is built, so the step function is looked up then, not
@@ -66,19 +85,7 @@ LOSSES = tuple(_TASK_LOSS.values())
 # ``unit_columns`` rules keep the weights on the unit-column manifold,
 # so the initial weights are projected onto it once.
 _RULES = {
-    "mano": (
-        lambda c: partial(
-            mano_step,
-            cfg=ManoConfig(
-                momentum=c.momentum,
-                weight_decay=c.weight_decay,
-                nesterov=c.nesterov,
-                schedule=ManifoldSchedule(mode=c.manifold_mode),
-                retract_momentum=c.retract_momentum,
-            ),
-        ),
-        False,
-    ),
+    "mano": (_mano_rule, False),
     "muon": (
         lambda c: partial(
             muon_step,
@@ -325,13 +332,22 @@ def mlp_forward_backward(model: MlpModel, features, targets):
 
 def grad_stats(grads) -> list[tuple[float, float, float]]:
     """Per-tensor (Frobenius norm, entry variance, norm/(variance+eps)).
-    A variance beyond the float range reads inf, and its ratio 0."""
+    A variance beyond the float range reads inf, and its ratio 0.
+
+    The norm has the bits of ``tensor._norm(g)`` and the variance those
+    of ``g.var()``: both square sums are numpy's pairwise sums, taken a
+    chunk at a time (``optimizers._sum_squares``), so a contiguous
+    tensor gets no temporary of its size.  A square sum that overflows
+    leaves the norm to ``_norm``."""
     out = []
     for g in grads:
         g = np.asarray(g, dtype=np.float64)
-        norm = float(_norm(g))
+        # Memory order, the order in which numpy sums g * g.
+        flat = np.ravel(g, order="K")
         with np.errstate(over="ignore"):
-            var = float(g.var())
+            sq = _sum_squares(flat)
+            var = float(_sum_squares(flat, np.sum(g) / g.size)) / g.size
+        norm = float(_norm(g) if np.isinf(sq) else np.sqrt(sq))
         out.append((norm, var, norm / (var + EPS_SNR)))
     return out
 
@@ -505,18 +521,20 @@ class Trainer:
             for start in range(0, n, self.cfg.batch_size):
                 yield order[start : start + self.cfg.batch_size]
 
-    def _snapshot(self, step, name, theta, grad, new):
+    def _snapshot(self, step, name, theta, grad, layer_step):
         """Write ``step{step:06d}_{name}.npz``, the file ``load_snapshots``
-        reads back, and return the update ``theta - new``.
+        reads back, around the layer's step: ``layer_step()`` runs once
+        ``theta`` and ``grad`` are written, since it may write over the
+        gradient.  Returns ``(new, update)``: what the step returned, and
+        the update ``theta - new``, formed in theta's buffer, which the
+        caller gives up.
 
-        It runs after the layer's step, and every rule has written
-        ``momentum`` or, for AdamW, ``exp_avg`` by then.  The file is the
-        one ``np.savez(theta=, grad=, momentum=, update=)`` writes, but
-        once ``theta`` is written the update is formed in its buffer,
-        which the caller gives up.
+        After the step every rule has written ``momentum`` or, for AdamW,
+        ``exp_avg``.  The file is the one ``np.savez(theta=, grad=,
+        momentum=, update=)`` writes from the values before and after
+        the step.
         """
         state = self.states[name]
-        momentum = state.momentum if state.momentum is not None else state.exp_avg
         # A str, not a Path: pathlib interns every file name it parses,
         # so each snapshot would add one to the interpreter's table of
         # interned strings, which grows by reallocating (about 2 MB).
@@ -524,10 +542,12 @@ class Trainer:
         with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
             _write_npy(archive, "theta", theta)
             _write_npy(archive, "grad", grad)
+            new = layer_step()
             update = np.subtract(theta, new, out=theta)
+            momentum = state.momentum if state.momentum is not None else state.exp_avg
             _write_npy(archive, "momentum", momentum)
             _write_npy(archive, "update", update)
-        return update
+        return new, update
 
     def _step(self, t: int, idx, snapshotting: bool, records: list) -> None:
         """Training step ``t`` on the batch ``idx``, one layer at a time.
@@ -536,14 +556,16 @@ class Trainer:
         soon as its step returns, and on a record or snapshot step that
         layer's update is formed in the old value's buffer, written and
         reduced to its RMS right there, and its gradient to its
-        statistics.  Its gradient is then dropped.  So beside the
-        parameters and the gradients of the layers yet to step, a layer
-        step holds its old value and what its rule makes (one array of
-        the layer's size for the plain Mano and SGD-M rules, the one
-        they return; see ``optimizers``), and its update adds none.
-        Nothing the step makes outlives it but the new parameters, the
-        optimizer state and the records.  The model's forward/backward
-        workspace persists across steps.
+        statistics before it steps.  Its gradient is then dropped, or
+        it lives on as the new value: the Mano rule forms its result in
+        the gradient it is given (as the momentum, with
+        ``retract_momentum``).  So beside the parameters and the
+        gradients of the layers yet to step, a Mano layer step holds its
+        old value and makes no array of the layer's size; the plain
+        SGD-M rule makes one, the array it returns (see ``optimizers``),
+        and the update adds none.  Nothing the step makes outlives it
+        but the new parameters, the optimizer state and the records.
+        The model's forward/backward workspace persists across steps.
         """
         cfg = self.cfg
         loss, grads = mlp_forward_backward(
@@ -575,25 +597,26 @@ class Trainer:
             # the next layer drops it before that layer steps.
             grad, grads[i] = grads[i], None
             if record_now:
-                # Before the step, so its temporaries and the step's do
-                # not overlap; no step writes into its gradient.
+                # Before the step, which may write over the gradient.
                 stats.extend(grad_stats([grad]))
-            new = self.rules[name](theta, grad, self.states[name], lr=lr_t)
-            self.model.set_parameter(i, new)
-            if not (record_now or snapshot_now):
-                continue
+            layer_step = partial(
+                self.rules[name], theta, grad, self.states[name], lr=lr_t
+            )
             # Only records and snapshots read the applied update.  No rule
-            # returns memory that theta or its state hold, and the model
-            # let go of theta, so the update goes into theta's buffer; it
-            # is dropped before the next layer steps.  The snapshot is
-            # written first, so the RMS can square the update in place.
+            # returns memory that theta or its state hold, and the new
+            # value takes theta's place in the model, so the update goes
+            # into theta's buffer; it is dropped before the next layer
+            # steps.  The snapshot is written first, so the RMS can square
+            # the update in place.
             if snapshot_now and theta.ndim >= 2:
-                delta = self._snapshot(t, name, theta, grad, new)
+                new, delta = self._snapshot(t, name, theta, grad, layer_step)
             else:
-                delta = np.subtract(theta, new, out=theta)
+                new = layer_step()
+                delta = np.subtract(theta, new, out=theta) if record_now else None
+            self.model.set_parameter(i, new)
             if record_now:
                 update_rms.append(_rms_in_place(delta))
-            del delta
+            del delta, layer_step
         if not record_now:
             return
         eval_loss = self.model.evaluate_loss(self.eval_x, self.eval_y)

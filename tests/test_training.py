@@ -11,6 +11,7 @@ import pytest
 
 from manolab import training
 from manolab.optimizers import CHUNK_ENTRIES, clip_global_grad_norm
+from manolab.tensor import _norm
 from manolab.training import (
     OPTIMIZERS,
     MlpModel,
@@ -312,6 +313,28 @@ class TestGradStats:
         [(norm, var, snr)] = grad_stats([np.zeros((2, 3))])
         assert (norm, var, snr) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(7,), (3, 5), (CHUNK_ENTRIES,), (CHUNK_ENTRIES + 1,), (5 * CHUNK_ENTRIES - 3,),
+         (1000, 333), (512, 512), (2, 3, 2 * CHUNK_ENTRIES + 5)],
+    )
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e200])
+    def test_matches_norm_and_var_bit_for_bit(self, shape, scale):
+        """The chunked sums give the bits of ``tensor._norm(g)`` and
+        ``g.var()``, C- or F-ordered, with the entries shifted off zero so
+        that the mean matters; at 1e200 the squares overflow, the norm
+        is rescued and the variance reads inf."""
+        rng = np.random.default_rng(len(shape))
+        g = (rng.standard_normal(shape) + 0.5) * scale
+        for a in (g, np.asfortranarray(g)):
+            [(norm, var, snr)] = grad_stats([a])
+            with np.errstate(over="ignore"):
+                expected_var = float(a.var())
+            assert norm == float(_norm(a))
+            assert var == expected_var
+            assert snr == norm / (expected_var + 1e-12)
+        assert (var == math.inf) == (scale == 1e200)
+
     def test_per_layer_lists(self):
         stats = grad_stats([np.ones(2), np.ones((3, 3))])
         assert len(stats) == 2
@@ -520,23 +543,65 @@ class TestTrainer:
                 assert given[name][t].tobytes() == expected.tobytes()
 
     def test_each_gradient_goes_once_its_layer_has_stepped(self):
-        """When a layer steps, no gradient of an earlier layer of that
-        step is alive: neither the trainer nor the clip keeps a list of
-        them."""
-        cfg = _small_cfg(hidden=(8, 8), total_steps=4, warmup_steps=1, clip_norm=1e-3)
+        """When a layer steps, the gradient of each earlier layer of that
+        step is gone, except where the Mano rule formed its result in it:
+        a weight's gradient lives on only as that weight's new value, or
+        with ``retract_momentum`` as its momentum.  Neither the trainer
+        nor the clip keeps a list of them."""
+        for retract in (False, True):
+            cfg = _small_cfg(
+                hidden=(8, 8), total_steps=4, warmup_steps=1, clip_norm=1e-3,
+                retract_momentum=retract,
+            )
+            trainer = Trainer(cfg)
+            stepped = []
+            for name, rule in list(trainer.rules.items()):
+
+                def watched(theta, grad, state, lr, rule=rule, name=name,
+                            trainer=trainer, stepped=stepped, retract=retract):
+                    if len(stepped) == len(trainer.names):
+                        stepped.clear()
+                    params = dict(zip(trainer.names, trainer.model.parameters()))
+                    for earlier, ref in stepped:
+                        if params[earlier].ndim < 2:
+                            assert ref() is None, f"{earlier}'s gradient is alive"
+                            continue
+                        momentum = trainer.states[earlier].momentum
+                        kept = momentum if retract else params[earlier]
+                        assert ref() is kept, f"{earlier}'s gradient went elsewhere"
+                    stepped.append((name, weakref.ref(grad)))
+                    return rule(theta, grad, state, lr=lr)
+
+                trainer.rules[name] = watched
+            trainer.run()
+            assert len(stepped) == len(trainer.names)
+
+    def test_records_hold_the_held_out_loss(self):
+        """A record's ``eval_loss`` is the loss on the last fifth of the
+        samples, which no batch draws from, taken after the step; the
+        training split gives another loss."""
+        cfg = _small_cfg(hidden=(8,), total_steps=12, cadence=5)
         trainer = Trainer(cfg)
-        stepped = []
-        for name, rule in list(trainer.rules.items()):
+        features = trainer.dataset.features
+        assert trainer.eval_x.tobytes() == features[-13:].tobytes()  # 13 of 64
+        assert trainer.train_x.tobytes() == features[:-13].tobytes()
+        losses = {}
+        step = trainer._step
 
-            def watched(theta, grad, state, lr, rule=rule):
-                if len(stepped) == len(trainer.names):
-                    stepped.clear()
-                assert all(ref() is None for ref in stepped)
-                stepped.append(weakref.ref(grad))
-                return rule(theta, grad, state, lr=lr)
+        def stepped(t, *args):
+            step(t, *args)
+            model = trainer.model
+            losses[t] = (
+                model.evaluate_loss(trainer.eval_x, trainer.eval_y),
+                model.evaluate_loss(trainer.train_x, trainer.train_y),
+            )
 
-            trainer.rules[name] = watched
-        trainer.run()
+        trainer._step = stepped
+        records = trainer.run()
+        assert {r.step for r in records} == {0, 5, 10, 11}
+        for r in records:
+            held_out, train = losses[r.step]
+            assert r.eval_loss == held_out != train
 
     def test_step_holds_one_layer_at_a_time(self, tmp_path):
         """Traced memory of a run with one 256-wide hidden layer, every
@@ -545,18 +610,18 @@ class TestTrainer:
 
         Between steps only the parameters, the optimizer state, the
         dataset and the model's forward/backward workspace are live.
-        From its first layer step on, a record or snapshot step holds
-        on top of that the gradients and at most one array the size of
-        the largest layer: the Mano step's tangent, which it returns
-        beside the old value, whose buffer then takes the update.  The
-        snapshot is written from the arrays' own buffers and the RMS
-        squares the update in place, so neither adds a copy.  Before
-        the first layer steps, the trainer clips the gradients in place,
-        and only the first layer's gradient statistics make an array of
-        its size (``g.var()``) beside them.  A scratch of
-        CHUNK_ENTRIES entries (``_decoupled``'s or the clip's square
-        sums') and 64 KiB of slack for the batch, the output layer's
-        arrays and Python objects come on top.
+        On top of that a record or snapshot step holds the gradients,
+        and no array the size of a layer, neither before its layers
+        step nor while they do.  The trainer clips the gradients in
+        place, the gradient statistics square them a chunk at a time,
+        the Mano step forms its tangent and then the new value in the
+        gradient's buffer, and the old value's buffer takes the update.
+        The snapshot is written from the arrays' own buffers and the
+        RMS squares the update in place, so neither adds a copy.  What
+        comes on top is a scratch of CHUNK_ENTRIES entries
+        (``_decoupled``'s or a square sum's), ``as_tensor``'s finiteness
+        scan of one byte per entry, and 64 KiB of slack for the batch,
+        the output layer's arrays and Python objects.
         """
         cfg = _small_cfg(
             n_samples=128, in_dim=256, hidden=(256,), out_dim=256,
@@ -621,14 +686,17 @@ class TestTrainer:
         assert max(live[1:]) <= held + slack, (
             f"{(max(live[1:]) - held) / layer:.2f} layers live between steps"
         )
+        # On top of parameters, state, dataset, workspace and gradients
+        # (or the new values formed in them) go only a chunk's scratch
+        # and ``as_tensor``'s finiteness scan, one byte per entry.
+        bound = held + param_bytes + 8 * CHUNK_ENTRIES + layer // 8 + slack
         record_peak = max(peaks[t + 1] for t in (0, 2, 4))
-        scratch = 8 * CHUNK_ENTRIES
-        assert record_peak <= held + param_bytes + layer + scratch + slack, (
+        assert record_peak <= bound, (
             f"{(record_peak - held - param_bytes) / layer:.2f} layers above "
             "parameters, state, dataset and gradients"
         )
         clip_peak = max(before_layers)
-        assert clip_peak <= held + param_bytes + layer + slack, (
+        assert clip_peak <= bound, (
             f"{(clip_peak - held - param_bytes) / layer:.2f} layers above "
             "parameters, state, dataset and gradients before the layer steps"
         )
@@ -664,25 +732,70 @@ class TestTrainer:
         """The trainer writes each member from the array's buffer; the file
         must be the one ``np.savez`` writes, for C-ordered, F-ordered and
         1-D members, with an AdamW state's ``exp_avg`` as the momentum.
-        The update it returns, formed in theta's buffer, is ``theta - new``
-        bit for bit."""
+        ``theta`` and ``grad`` are written before the layer's step, which
+        may write over the gradient, and ``momentum`` and ``update``
+        after it.  The update it returns, formed in theta's buffer, is
+        ``theta - new`` bit for bit."""
         cfg = _small_cfg(optimizer="adamw", in_dim=5, out_dim=3)
         trainer = Trainer(cfg, snapshot_dir=tmp_path)
         rng = np.random.default_rng(3)
         state = trainer.states["layer0.weight"]
-        state.exp_avg = rng.standard_normal(15)
+        exp_avg = rng.standard_normal(15)
         theta = rng.standard_normal((5, 3))
         grad = rng.standard_normal((3, 5)).T
         new = rng.standard_normal((5, 3))
         assert grad.flags.f_contiguous and not grad.flags.c_contiguous
-        old, delta = theta.copy(), theta - new
-        update = trainer._snapshot(7, "layer0.weight", theta, grad, new)
+        old, spent, delta = theta.copy(), grad.copy(order="K"), theta - new
+
+        def layer_step():
+            state.exp_avg = exp_avg
+            grad[...] = np.nan
+            return new
+
+        stepped, update = trainer._snapshot(7, "layer0.weight", theta, grad, layer_step)
+        assert stepped is new
         assert update.tobytes() == delta.tobytes()
         assert np.shares_memory(update, theta)
         expected = tmp_path / "expected.npz"
-        np.savez(expected, theta=old, grad=grad, momentum=state.exp_avg, update=delta)
+        np.savez(expected, theta=old, grad=spent, momentum=exp_avg, update=delta)
         written = tmp_path / "step000007_layer0.weight.npz"
         assert written.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("retract", [False, True], ids=["plain", "retract"])
+    def test_snapshot_holds_what_each_rule_was_given(self, tmp_path, retract):
+        """Mano forms its result in the gradient's buffer, yet each
+        snapshot holds the parameter and the gradient that the layer's
+        rule was given, the momentum it left and the update it made."""
+        cfg = _small_cfg(
+            hidden=(8,), total_steps=4, warmup_steps=1, snapshot_every=2,
+            retract_momentum=retract,
+        )
+        trainer = Trainer(cfg, snapshot_dir=tmp_path)
+        weights = [name for name in trainer.names if name.endswith("weight")]
+        given = {}
+        for name in weights:
+
+            def watched(theta, grad, state, lr, rule=trainer.rules[name], name=name):
+                old, spent = theta.copy(), grad.copy()
+                new = rule(theta, grad, state, lr=lr)
+                given[name] = [old, spent, state.momentum.copy(), old - new]
+                return new
+
+            trainer.rules[name] = watched
+        step, checked = trainer._step, []
+
+        def stepped(t, *args):
+            step(t, *args)
+            for name in weights if t % cfg.snapshot_every == 0 else ():
+                with np.load(tmp_path / f"step{t:06d}_{name}.npz") as data:
+                    members = ("theta", "grad", "momentum", "update")
+                    written = [data[m].tobytes() for m in members]
+                assert written == [a.tobytes() for a in given[name]], (t, name)
+                checked.append((t, name))
+
+        trainer._step = stepped
+        trainer.run()
+        assert len(checked) == 4
 
     def test_load_snapshots_reads_back_what_the_trainer_wrote(self, tmp_path):
         cfg = _small_cfg(hidden=(4,), total_steps=20, snapshot_every=10)
