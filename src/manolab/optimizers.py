@@ -18,10 +18,10 @@ that the step gives up.  Every check runs before a step writes its
 state, so a step that raises leaves the state as it was.  On a warm
 state the plain and retracting Mano steps and the SGD-M step hold one
 new parameter-sized array, the returned one; the Nesterov Mano and the
-AdamW steps hold two.  The Mano step can instead form its result in an
-``out`` array that the caller gives up, its spent gradient for one:
-it then makes no parameter-sized array (the Nesterov step makes one,
-the look-ahead).  No step returns an array that shares memory with
+AdamW steps hold two.  The trainer's Mano rule hands the step its
+spent gradient to form the result in (``mano_step``'s private
+``_into_grad``): that step makes no parameter-sized array (the Nesterov
+step makes one, the look-ahead).  No step returns an array that shares memory with
 theta or with its state, so a caller may write into the old value.
 
 Mano in one step, for a matrix theta with the active axis k:
@@ -59,6 +59,7 @@ from .manifold import (
     tangent_part,
 )
 from .tensor import (
+    CHUNK_ENTRIES,
     EPS_DIV,
     ShapeMismatchError,
     _fraction,
@@ -66,6 +67,7 @@ from .tensor import (
     _non_negative,
     _norm,
     _positive,
+    _sum_squares,
     _unit_interval,
     as_tensor,
 )
@@ -81,11 +83,6 @@ RESCALE_COEFF = 0.2
 # AdamW's (beta1, beta2) and the epsilon added to sqrt(s_hat).
 ADAM_BETAS = (0.9, 0.95)
 ADAM_EPS = 1e-8
-# Entries that ``_decoupled`` decays (in whole rows, at least one) and
-# ``_sum_squares`` squares at a time: their only scratch arrays, 64 KiB
-# of float64.  Chunks this size stay in cache; at 512x512 the decay was
-# faster than in one pass over the whole array, and the sum as fast.
-CHUNK_ENTRIES = 8192
 
 # The learning rate is the ``lr`` argument of each step, which the
 # training loop takes from its schedule, so no config holds one.  The
@@ -218,8 +215,8 @@ def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int, out=None):
     formed.  ``einsum`` takes the slice sums without a product array and
     scales theta by the coefficients without a broadcast buffer, so
     ``tangent`` is the only parameter-sized array made, and none when
-    it is formed in ``out`` (a checked buffer that holds neither theta
-    nor ``direction``), with the same bits.  As in
+    it is formed in ``out`` (a buffer that holds neither theta nor
+    ``direction``), with the same bits.  As in
     ``slice_unit``, a theta slice with norm below EPS_DIV is not
     projected out, and a tangent slice with norm below EPS_DIV gets a
     zero reciprocal, so it contributes nothing to the step.
@@ -276,24 +273,6 @@ def mano_transform(theta: np.ndarray, direction: np.ndarray, axis: int):
     return theta_hat, tangent, tangent * inv
 
 
-def _check_out(out, theta: np.ndarray, buf) -> None:
-    """Raise unless ``out`` is a buffer that a step may write over: a
-    writeable C-contiguous array of theta's shape and dtype that shares
-    no memory with theta or the state buffer ``buf``."""
-    if not isinstance(out, np.ndarray):
-        raise TypeError(f"out must be an array, got {type(out).__name__}")
-    if out.shape != theta.shape:
-        raise ShapeMismatchError(
-            f"out shape {out.shape} does not match parameter shape {theta.shape}"
-        )
-    if out.dtype != theta.dtype:
-        raise TypeError(f"out dtype {out.dtype} is not {theta.dtype}")
-    if not (out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("out must be a writeable C-contiguous array")
-    if any(a is not None and np.may_share_memory(out, a) for a in (theta, buf)):
-        raise ValueError("out shares memory with the parameter or its momentum")
-
-
 def mano_step(
     theta,
     grad,
@@ -301,7 +280,7 @@ def mano_step(
     cfg: ManoConfig,
     lr: float,
     *,
-    out=None,
+    _into_grad: bool = False,
 ) -> np.ndarray:
     """One Mano update on a tensor of any order.
 
@@ -311,25 +290,24 @@ def mano_step(
     decay is decoupled: it acts on theta directly, not through the
     manifold machinery.
 
-    ``out``, if given, is an array the caller gives up, such as its
-    spent gradient: the tangent is formed there instead of in a fresh
-    array, with the same bits and state.  The step then returns ``out``
-    holding the new value; with ``retract_momentum``, ``out`` becomes
-    the momentum and the spent accumulator is returned.  The gradient
-    is read in full before ``out`` is written, so ``out`` may be
-    ``grad`` itself.  It must be a writeable C-contiguous array of
-    theta's shape and dtype that shares no memory with theta or the
-    momentum, or the step raises before it writes anything.
+    ``_into_grad`` is the trainer's hand-off, not part of the API: the
+    caller is done with ``grad``, which shares no memory with theta or
+    the momentum, so the tangent is formed in its buffer (after
+    ``_matching``, the caller's own or a converted copy) once the
+    momentum has read it, and the new value is written over it, with
+    the default call's bits and state.
+    The step then returns that buffer, or with ``retract_momentum``
+    makes it the momentum and returns the spent accumulator.  It is a
+    keyword of ``mano_step`` only because the benchmark sees a Mano
+    step through this name (ROADMAP item 6).
     """
     theta, grad = _matching(theta, grad)
     axis = rotation_axis(cfg.schedule, theta.ndim, state.step)
     _positive("lr", lr)
     buf = _buffer(state, "momentum", theta)
-    if out is not None:
-        _check_out(out, theta, buf)
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
-    tangent, inv = _mano_kernel(theta, m_used, axis, out)
+    tangent, inv = _mano_kernel(theta, m_used, axis, grad if _into_grad else None)
     del m_used  # a Nesterov look-ahead is freed before the update is made
     inv *= RESCALE_COEFF * np.sqrt(theta.shape[axis])
     if cfg.retract_momentum:
@@ -519,30 +497,6 @@ def cosine_warmup_lr(
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + np.cos(np.pi * progress))
 
 
-def _sum_squares(flat: np.ndarray, center=None):
-    """``np.sum(flat * flat)`` of a contiguous 1-D array, bit for bit, with
-    no square array above CHUNK_ENTRIES entries.  With ``center``, the
-    sum of the squared deviations ``(flat - center) ** 2``, as ``np.var``
-    takes it.
-
-    numpy sums a contiguous array pairwise: it splits a block at half its
-    length, rounded down to a multiple of 8, and adds the two halves'
-    sums.  The blocks here split the same way until they fit a chunk, so
-    every partial sum is the one numpy forms.  That split is numpy's
-    own, not its API: ``test_sum_squares_matches_np_sum_bit_for_bit``
-    fails if a numpy release changes it.
-    """
-    n = flat.size
-    if n <= CHUNK_ENTRIES:
-        if center is None:
-            return np.sum(flat * flat)
-        dev = np.subtract(flat, center)
-        return np.sum(np.multiply(dev, dev, out=dev))
-    half = n // 2
-    half -= half % 8
-    return _sum_squares(flat[:half], center) + _sum_squares(flat[half:], center)
-
-
 def clip_global_grad_norm(grads, max_norm: float):
     """Scale a list of gradients so their joint Frobenius norm is capped.
 
@@ -550,9 +504,9 @@ def clip_global_grad_norm(grads, max_norm: float):
     joint norm.  When the norm is already within ``max_norm`` the input
     arrays are returned unchanged (no copies); with ``max_norm=np.inf``
     that gives the joint norm alone.  Each sum of squares is
-    ``np.sum(g * g)``, taken without the square array (``_sum_squares``).
-    If the joint sum overflows, the norm is taken again by
-    ``tensor._norm`` over all the entries at once.
+    ``np.sum(g * g)``, taken without the square array
+    (``tensor._sum_squares``).  If the joint sum overflows, the norm is
+    taken again by ``tensor._norm`` over all the entries at once.
     """
     _positive("max_norm", max_norm)
     grads = [as_tensor(g) for g in grads]

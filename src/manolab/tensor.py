@@ -8,9 +8,11 @@ Scalar arguments go through ``_positive``, ``_non_negative``,
 fails every one of them.  Each public entry point checks its own
 inputs, so a training step scans every gradient three times
 (divergence check, clipping, step).  ``_norm`` is the package's one
-overflow-safe norm.  The rest is RMS and a thin SVD, one call to
-LAPACK's ``gesdd`` through ``np.linalg.svd`` behind the same input
-checks.  The slice geometry lives in ``manifold``.
+overflow-safe norm; over a whole array it squares a chunk at a time
+(``_sum_squares``), so it makes no array of the input's size.  The
+rest is RMS and a thin SVD, one call to LAPACK's ``gesdd`` through
+``np.linalg.svd`` behind the same input checks.  The slice geometry
+lives in ``manifold``.
 
 All operations are pure functions on float64 arrays; inputs are never
 mutated, except by ``_rms_in_place``, which says so.
@@ -26,6 +28,11 @@ import numpy as np
 EPS_DIV = 1e-30
 # Entries up to this magnitude square and sum without overflow.
 _HUGE = 2.0**300
+# Entries that ``_sum_squares`` squares and ``optimizers._decoupled``
+# decays at a time: their only scratch arrays, 64 KiB of float64.
+# Chunks this size stay in cache; at 512x512 the decay was faster than
+# in one pass over the whole array, and the sum as fast.
+CHUNK_ENTRIES = 8192
 
 
 class ShapeMismatchError(ValueError):
@@ -78,6 +85,42 @@ def _fraction(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _sum_squares(flat: np.ndarray, center=None):
+    """``np.sum(flat * flat)`` of a contiguous 1-D array, bit for bit, with
+    no square array above CHUNK_ENTRIES entries.  With ``center``, the
+    sum of the squared deviations ``(flat - center) ** 2``, as ``np.var``
+    takes it.
+
+    numpy sums a contiguous array pairwise: it splits a block at half its
+    length, rounded down to a multiple of 8, and adds the two halves'
+    sums.  The blocks here split the same way until they fit a chunk, so
+    every partial sum is the one numpy forms.  That split is numpy's
+    own, not its API: ``test_sum_squares_matches_np_sum_bit_for_bit``
+    fails if a numpy release changes it.
+    """
+    n = flat.size
+    if n <= CHUNK_ENTRIES:
+        if center is None:
+            return np.sum(flat * flat)
+        dev = np.subtract(flat, center)
+        return np.sum(np.multiply(dev, dev, out=dev))
+    half = n // 2
+    half -= half % 8
+    return _sum_squares(flat[:half], center) + _sum_squares(flat[half:], center)
+
+
+def _square_sums(a: np.ndarray, axis: int | None):
+    """``(a * a).sum(axis=axis)``, the reduced axis kept.  With
+    ``axis=None`` an array beyond one chunk is summed in memory order,
+    as numpy sums ``a * a``, by ``_sum_squares``, so it makes no square
+    array above CHUNK_ENTRIES entries."""
+    if axis is not None:
+        return (a * a).sum(axis=axis, keepdims=True)
+    if a.size <= CHUNK_ENTRIES:  # one chunk: the call costs more than the copy
+        return (a * a).sum()
+    return _sum_squares(np.ravel(a, order="K"))
+
+
 def _norm(a: np.ndarray, axis: int | None = None):
     """Euclidean norm of ``a``, or of its slices along ``axis`` (reduced
     axis kept).  Only a norm whose sum of squares overflows is taken again,
@@ -85,14 +128,14 @@ def _norm(a: np.ndarray, axis: int | None = None):
     keep = axis is not None
     try:  # raising on overflow costs less per call than scanning for inf
         with np.errstate(over="raise"):
-            return np.sqrt((a * a).sum(axis=axis, keepdims=keep))
+            return np.sqrt(_square_sums(a, axis))
     except FloatingPointError:
         with np.errstate(over="ignore"):
-            norms = np.sqrt((a * a).sum(axis=axis, keepdims=keep))
+            norms = np.sqrt(_square_sums(a, axis))
         huge = np.isinf(norms)
         big = np.where(huge, np.abs(a).max(axis=axis, keepdims=keep), 1.0)
         scaled = a / big
-        rescued = big * np.sqrt((scaled * scaled).sum(axis=axis, keepdims=keep))
+        rescued = big * np.sqrt(_square_sums(scaled, axis))
         return np.where(huge, rescued, norms)
 
 

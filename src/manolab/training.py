@@ -19,6 +19,7 @@ one transient product per hidden layer.  Concurrent
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import os
@@ -35,7 +36,6 @@ from .optimizers import (
     ManoConfig,
     MuonConfig,
     OptimizerState,
-    _sum_squares,
     adamw_step,
     clip_global_grad_norm,
     cosine_warmup_lr,
@@ -44,7 +44,15 @@ from .optimizers import (
     rsgdm_step,
     sgdm_step,
 )
-from .tensor import _fraction, _non_negative, _norm, _positive, _rms_in_place, _unit_interval
+from .tensor import (
+    _fraction,
+    _non_negative,
+    _norm,
+    _positive,
+    _rms_in_place,
+    _sum_squares,
+    _unit_interval,
+)
 
 # Gradient SNR denominators get this floor so constant gradients report
 # a large but finite ratio.
@@ -75,7 +83,7 @@ def _mano_rule(c):
             retract_momentum=c.retract_momentum,
         ),
     )
-    return lambda theta, grad, state, lr: step(theta, grad, state, lr=lr, out=grad)
+    return lambda theta, grad, state, lr: step(theta, grad, state, lr=lr, _into_grad=True)
 
 
 # Optimizer name -> (build, unit_columns).  ``build`` turns a TrainConfig
@@ -334,20 +342,18 @@ def grad_stats(grads) -> list[tuple[float, float, float]]:
     """Per-tensor (Frobenius norm, entry variance, norm/(variance+eps)).
     A variance beyond the float range reads inf, and its ratio 0.
 
-    The norm has the bits of ``tensor._norm(g)`` and the variance those
-    of ``g.var()``: both square sums are numpy's pairwise sums, taken a
-    chunk at a time (``optimizers._sum_squares``), so a contiguous
-    tensor gets no temporary of its size.  A square sum that overflows
-    leaves the norm to ``_norm``."""
+    The variance has the bits of ``g.var()``: its square sum is numpy's
+    pairwise sum of the deviations, taken a chunk at a time
+    (``tensor._sum_squares``), as ``_norm`` takes the norm's, so a
+    contiguous tensor gets no temporary of its size."""
     out = []
     for g in grads:
         g = np.asarray(g, dtype=np.float64)
-        # Memory order, the order in which numpy sums g * g.
+        norm = float(_norm(g))
+        # Memory order, the order in which numpy sums g.var()'s squares.
         flat = np.ravel(g, order="K")
         with np.errstate(over="ignore"):
-            sq = _sum_squares(flat)
             var = float(_sum_squares(flat, np.sum(g) / g.size)) / g.size
-        norm = float(_norm(g) if np.isinf(sq) else np.sqrt(sq))
         out.append((norm, var, norm / (var + EPS_SNR)))
     return out
 
@@ -521,33 +527,49 @@ class Trainer:
             for start in range(0, n, self.cfg.batch_size):
                 yield order[start : start + self.cfg.batch_size]
 
+    def _layer_step(self, i, name, theta, grad, lr):
+        """Step parameter ``i`` and put its new value in the model, which
+        then holds no reference to ``theta``; returns the new value."""
+        new = self.rules[name](theta, grad, self.states[name], lr=lr)
+        self.model.set_parameter(i, new)
+        return new
+
     def _snapshot(self, step, name, theta, grad, layer_step):
         """Write ``step{step:06d}_{name}.npz``, the file ``load_snapshots``
-        reads back, around the layer's step: ``layer_step()`` runs once
-        ``theta`` and ``grad`` are written, since it may write over the
-        gradient.  Returns ``(new, update)``: what the step returned, and
-        the update ``theta - new``, formed in theta's buffer, which the
-        caller gives up.
+        reads back, around the layer's step, and return the update
+        ``theta - new``, formed in theta's buffer.
 
-        After the step every rule has written ``momentum`` or, for AdamW,
-        ``exp_avg``.  The file is the one ``np.savez(theta=, grad=,
-        momentum=, update=)`` writes from the values before and after
-        the step.
+        ``layer_step()`` runs once ``theta`` and ``grad`` are written,
+        since it may write over the gradient, and puts the new value in
+        the model, so theta's buffer is free for the update.  The
+        benchmark's ``training.snapshot`` span therefore times the
+        layer's step as well as the write.  After the step every rule
+        has written ``momentum`` or, for AdamW, ``exp_avg``.  The file is
+        the one ``np.savez(theta=, grad=, momentum=, update=)`` writes
+        from the values before and after the step.  If the step or a
+        write raises, the file is removed, so no partial snapshot is
+        left for ``load_snapshots`` to read.
         """
         state = self.states[name]
         # A str, not a Path: pathlib interns every file name it parses,
         # so each snapshot would add one to the interpreter's table of
         # interned strings, which grows by reallocating (about 2 MB).
         path = os.path.join(self.snapshot_dir, f"step{step:06d}_{name}.npz")
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-            _write_npy(archive, "theta", theta)
-            _write_npy(archive, "grad", grad)
-            new = layer_step()
-            update = np.subtract(theta, new, out=theta)
-            momentum = state.momentum if state.momentum is not None else state.exp_avg
-            _write_npy(archive, "momentum", momentum)
-            _write_npy(archive, "update", update)
-        return new, update
+        try:
+            with zipfile.ZipFile(
+                path, "w", zipfile.ZIP_STORED, allowZip64=True
+            ) as archive:
+                _write_npy(archive, "theta", theta)
+                _write_npy(archive, "grad", grad)
+                update = np.subtract(theta, layer_step(), out=theta)
+                momentum = state.momentum if state.momentum is not None else state.exp_avg
+                _write_npy(archive, "momentum", momentum)
+                _write_npy(archive, "update", update)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+            raise
+        return update
 
     def _step(self, t: int, idx, snapshotting: bool, records: list) -> None:
         """Training step ``t`` on the batch ``idx``, one layer at a time.
@@ -599,21 +621,18 @@ class Trainer:
             if record_now:
                 # Before the step, which may write over the gradient.
                 stats.extend(grad_stats([grad]))
-            layer_step = partial(
-                self.rules[name], theta, grad, self.states[name], lr=lr_t
-            )
+            layer_step = partial(self._layer_step, i, name, theta, grad, lr_t)
             # Only records and snapshots read the applied update.  No rule
-            # returns memory that theta or its state hold, and the new
-            # value takes theta's place in the model, so the update goes
-            # into theta's buffer; it is dropped before the next layer
-            # steps.  The snapshot is written first, so the RMS can square
-            # the update in place.
+            # returns memory that theta or its state hold, and the layer
+            # step puts the new value in theta's place in the model, so
+            # the update goes into theta's buffer; it is dropped before
+            # the next layer steps.  The snapshot is written first, so
+            # the RMS can square the update in place.
             if snapshot_now and theta.ndim >= 2:
-                new, delta = self._snapshot(t, name, theta, grad, layer_step)
+                delta = self._snapshot(t, name, theta, grad, layer_step)
             else:
                 new = layer_step()
                 delta = np.subtract(theta, new, out=theta) if record_now else None
-            self.model.set_parameter(i, new)
             if record_now:
                 update_rms.append(_rms_in_place(delta))
             del delta, layer_step

@@ -45,6 +45,47 @@ class TestNorm:
         expected = np.sqrt((a * a).sum(axis=axis, keepdims=keep))
         np.testing.assert_array_equal(_norm(a, axis), expected)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: x,
+            lambda x: np.asfortranarray(x),
+            lambda x: x[:, ::2],
+            lambda x: x[::-1, ::-1],
+            lambda x: x.reshape(4, 96, 96).transpose(1, 2, 0),
+            lambda x: x.reshape(-1)[:7],
+            lambda x: x[0, 0],
+            lambda x: x[:0],
+        ],
+        ids=["c", "f", "strided", "reversed", "permuted", "short", "0-d", "empty"],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_whole_norm_has_the_bits_of_the_square_sum(self, make, scale):
+        """Over all entries the square sum is taken a chunk at a time, in
+        the order numpy sums ``a * a``, so the norm keeps its bits in any
+        layout; at 1e200 the squares overflow and the scaled entries
+        give the norm, with the bits of their plain square sum."""
+        x = np.random.default_rng(10).standard_normal((192, 192)) * scale
+        a = make(x)
+        with np.errstate(over="ignore"):
+            expected = np.sqrt((a * a).sum())
+        if np.isinf(expected):
+            big = np.abs(a).max()
+            expected = big * np.sqrt(((a / big) * (a / big)).sum())
+        assert np.asarray(_norm(a)).tobytes() == np.asarray(expected).tobytes()
+
+    def test_whole_norm_makes_no_square_array(self):
+        """A contiguous 512x512 array (2 MiB) is squared a chunk at a time
+        (64 KiB), not into a copy of its size."""
+        a = np.random.default_rng(11).standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            _norm(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes // 16
+
     def test_overflowing_norm_is_taken_from_scaled_entries(self):
         """3e200 and 4e200 square to inf; the norm is still 5e200, and
         without an overflow warning."""

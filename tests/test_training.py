@@ -752,8 +752,7 @@ class TestTrainer:
             grad[...] = np.nan
             return new
 
-        stepped, update = trainer._snapshot(7, "layer0.weight", theta, grad, layer_step)
-        assert stepped is new
+        update = trainer._snapshot(7, "layer0.weight", theta, grad, layer_step)
         assert update.tobytes() == delta.tobytes()
         assert np.shares_memory(update, theta)
         expected = tmp_path / "expected.npz"
@@ -796,6 +795,38 @@ class TestTrainer:
         trainer._step = stepped
         trainer.run()
         assert len(checked) == 4
+
+    @pytest.mark.parametrize("fails", ["momentum", "update", "step"])
+    def test_a_failed_snapshot_leaves_no_file(self, tmp_path, monkeypatch, fails):
+        """If a write after the layer's step raises, the model already
+        holds the new value the rule returned; if a write or the step
+        raises, the half-written file is removed, so ``load_snapshots``
+        cannot read it."""
+        cfg = _small_cfg(hidden=(8,), total_steps=2, warmup_steps=1, snapshot_every=1)
+        trainer = Trainer(cfg, snapshot_dir=tmp_path)
+        name = "layer0.weight"
+        rule, returned = trainer.rules[name], []
+
+        def watched(theta, grad, state, lr):
+            if fails == "step":
+                raise ArithmeticError("the step fails")
+            returned.append(rule(theta, grad, state, lr=lr))
+            return returned[-1]
+
+        trainer.rules[name] = watched
+        write = training._write_npy
+
+        def failing(archive, key, array):
+            if key == fails:
+                raise OSError("the disk is full")
+            write(archive, key, array)
+
+        monkeypatch.setattr(training, "_write_npy", failing)
+        with pytest.raises(OSError if fails != "step" else ArithmeticError):
+            trainer.run()
+        assert list(tmp_path.iterdir()) == []
+        if fails != "step":
+            assert trainer.model.parameters()[0] is returned[0]
 
     def test_load_snapshots_reads_back_what_the_trainer_wrote(self, tmp_path):
         cfg = _small_cfg(hidden=(4,), total_steps=20, snapshot_every=10)
