@@ -12,8 +12,11 @@ the same TrainConfig produce bit-identical trajectory records.
 
 The model keeps a ``batch x sum(hidden)`` float64 workspace that
 ``mlp_forward_backward`` reuses for the hidden activations and deltas
-on every step, so a warm step allocates no ``batch x width`` array but
-one transient product per hidden layer.  Concurrent
+on every step.  Beside it, a call makes one ``batch x max(d_in,
+hidden)`` slot: the trainer's batch is gathered into it, each backward
+product is then written over it in turn, and the batch is gathered
+again for the first layer's gradient once the slot is gone.  So a warm
+step allocates no other ``batch x width`` array.  Concurrent
 ``mlp_forward_backward`` calls on one model are not supported.
 """
 
@@ -45,6 +48,7 @@ from .optimizers import (
     sgdm_step,
 )
 from .tensor import (
+    _all_finite,
     _fraction,
     _non_negative,
     _norm,
@@ -188,9 +192,13 @@ def _loss(kind: str, out: np.ndarray, targets) -> tuple[float, np.ndarray]:
     batch = out.shape[0]
     shifted = out - out.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(batch), targets]
-    dz = np.exp(shifted - log_z[:, None])
-    dz[np.arange(batch), targets] -= 1.0
+    rows = np.arange(batch)
+    # The picked logits are taken first; dz is then written over
+    # ``shifted``, with the bits of ``np.exp(shifted - log_z[:, None])``.
+    picked = shifted[rows, targets]
+    dz = np.subtract(shifted, log_z[:, None], out=shifted)
+    np.exp(dz, out=dz)
+    dz[rows, targets] -= 1.0
     dz /= batch
     return float(np.mean(log_z - picked)), dz
 
@@ -295,7 +303,7 @@ class MlpModel:
         return [buf[:rows] for buf in self._workspace]
 
 
-def mlp_forward_backward(model: MlpModel, features, targets):
+def mlp_forward_backward(model: MlpModel, features, targets, *, _rows=None):
     """Loss and exact gradients for every parameter, mean over the batch.
 
     Returns ``(loss, grads)`` with grads ordered like
@@ -303,38 +311,69 @@ def mlp_forward_backward(model: MlpModel, features, targets):
     every sample leaves loss and gradients unchanged.
 
     Each hidden layer's activations are written into the model's
-    workspace, and its backward delta then over them, so a warm call
-    makes no fresh ``batch x width`` array but one ``dz @ W.T`` at a
-    time.  Every element takes the same operations as in ``z = a @ W +
-    b`` and ``dz = (dz @ W.T) * (1 - a*a)``, so the bits are those of
-    the allocating form.  The loss and gradients returned are fresh
-    arrays; ``features`` is only read.
+    workspace, and its backward delta then over them.  The call makes
+    one more ``rows x max(layer_sizes[:-1])`` float64 array, its slot,
+    which holds each backward product ``dz @ W.T`` in turn.  So a warm
+    call makes no other array of the batch's rows times a hidden width.
+    Every element takes the same operations as in ``z = a @ W + b`` and
+    ``dz = (dz @ W.T) * (1 - a*a)``, so the bits are those of the
+    allocating form.  Each product is taken whole: on OpenBLAS a product
+    split into row blocks can round differently from the whole one.  The
+    loss and gradients returned are fresh arrays; ``features`` is only
+    read.
+
+    ``_rows`` is the trainer's private path: ``features`` and ``targets``
+    are then its whole split, and the batch is their rows ``_rows``.  The
+    batch's features are gathered into the slot, before it holds the
+    first product, and gathered again, fresh, for the first layer's
+    gradient, once nothing refers to the slot: a row gather costs less
+    than keeping the batch beside a product.  The gather is
+    ``np.take(..., mode="clip")``, because the default mode copies into
+    a buffer of the batch's size before writing ``out``.  The rows are
+    not checked: the trainer's are always in range.
     """
     features, targets = model._checked_batch(features, targets)
-    acts = [features]
+    if _rows is not None:
+        targets = targets[_rows]
+    n = len(targets)
+    slot = np.empty(n * max(model.layer_sizes[:-1]))
+    if _rows is None:
+        acts = [features]
+    else:
+        d_in = model.layer_sizes[0]
+        acts = [np.take(
+            features, _rows, axis=0, out=slot[: n * d_in].reshape(n, d_in), mode="clip"
+        )]
     last = len(model.weights) - 1
     # zip stops at the last hidden layer: the output layer is small, so
     # it stays a fresh array.
-    for w, b, buf in zip(
-        model.weights, model.biases, model._hidden_buffers(features.shape[0])
-    ):
+    for w, b, buf in zip(model.weights, model.biases, model._hidden_buffers(n)):
         np.matmul(acts[-1], w, out=buf)
         buf += b
         acts.append(np.tanh(buf, out=buf))
-    out = acts[-1] @ model.weights[last] + model.biases[last]
-    loss, dz = _loss(model.loss, out, targets)
+    loss, dz = _loss(
+        model.loss, acts[-1] @ model.weights[last] + model.biases[last], targets
+    )
+    # From here the slot holds the products.
+    acts[0] = None
 
     grads = [None] * (2 * len(model.weights))
-    for i in range(last, -1, -1):
+    for i in range(last, 0, -1):
         grads[2 * i] = acts[i].T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
-        if i > 0:
-            # acts[i] becomes tanh'(z) = 1 - a*a, then the next dz.
-            a = acts[i]
-            np.multiply(a, a, out=a)
-            np.subtract(1.0, a, out=a)
-            a *= dz @ model.weights[i].T
-            dz = a
+        # acts[i] becomes tanh'(z) = 1 - a*a, then the next dz.
+        a = acts[i]
+        width = a.shape[1]
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+        a *= np.matmul(dz, model.weights[i].T, out=slot[: n * width].reshape(n, width))
+        dz = a
+    # Nothing refers to the slot any more, so it goes before the batch
+    # is gathered again.
+    del slot
+    x = features if _rows is None else features[_rows]
+    grads[0] = x.T @ dz
+    grads[1] = dz.sum(axis=0)
     return loss, grads
 
 
@@ -588,12 +627,16 @@ class Trainer:
         and the update adds none.  Nothing the step makes outlives it
         but the new parameters, the optimizer state and the records.
         The model's forward/backward workspace persists across steps.
+        Forward/backward gets the training split and the batch's rows
+        ``idx``, and gathers the batch itself, into its slot and later
+        again, so the step holds no copy of the batch beside the slot.
         """
         cfg = self.cfg
+        # The module-level name, which the benchmark's tracer wraps.
         loss, grads = mlp_forward_backward(
-            self.model, self.train_x[idx], self.train_y[idx]
+            self.model, self.train_x, self.train_y, _rows=idx
         )
-        if not np.isfinite(loss) or not all(np.all(np.isfinite(g)) for g in grads):
+        if not np.isfinite(loss) or not all(_all_finite(g) for g in grads):
             raise TrainingDiverged(
                 t, f"non-finite loss or gradient (loss={loss})", records
             )

@@ -196,9 +196,9 @@ def _mano_on(axis, into_grad=False, **flags):
 # cover both axes of a matrix, plain, with the Nesterov look-ahead
 # (beside the tangent), and with the tangent kept as the momentum (the
 # spent accumulator is returned).  Formed in the gradient (``_into_grad``),
-# they hold only ``as_tensor``'s finiteness scan, one byte per entry,
-# and the look-ahead.  AdamW's scratch and update overlap; SGD-M
-# returns a copy of its momentum.
+# they hold only the look-ahead and scratch: ``_decoupled``'s and the
+# finiteness scan's 64 KiB bool chunk.  AdamW's scratch and update
+# overlap; SGD-M returns a copy of its momentum.
 _LEAN_STEPS = {
     "mano_step-axis-0": (_mano_on(0), 1),
     "mano_step-axis-1": (_mano_on(1), 1),
@@ -206,13 +206,13 @@ _LEAN_STEPS = {
     "mano_step-axis-1-nesterov": (_mano_on(1, nesterov=True), 2),
     "mano_step-axis-0-retract": (_mano_on(0, retract_momentum=True), 1),
     "mano_step-axis-1-retract": (_mano_on(1, retract_momentum=True), 1),
-    "mano_step-axis-0-into-grad": (_mano_on(0, True), 1 / 8),
-    "mano_step-axis-1-into-grad": (_mano_on(1, True), 1 / 8),
+    "mano_step-axis-0-into-grad": (_mano_on(0, True), 0),
+    "mano_step-axis-1-into-grad": (_mano_on(1, True), 0),
     "mano_step-axis-0-nesterov-into-grad": (_mano_on(0, True, nesterov=True), 1),
     "mano_step-axis-1-nesterov-into-grad": (_mano_on(1, True, nesterov=True), 1),
     **{
         f"mano_step-axis-{axis}-retract-into-grad": (
-            _mano_on(axis, True, retract_momentum=True), 1 / 8
+            _mano_on(axis, True, retract_momentum=True), 0
         )
         for axis in (0, 1)
     },
@@ -229,11 +229,14 @@ def test_transient_memory_within_two_parameters(call, arrays):
     at entry and counting the returned array, stays within ``arrays``
     times the parameter's bytes.  On top go ``_decoupled``'s scratch
     (CHUNK_ENTRIES entries, in whole rows) and 32 KiB for the per-slice
-    vectors (a few hundred entries each) and einsum's own workspace.
-    Each call gets its own gradient, which a step may write into."""
+    vectors (a few hundred entries each), einsum's own workspace and
+    the finiteness scan's 64 KiB chunk, which comes before the other
+    scratch.  The parameter is three scan chunks, so a scan of one byte
+    per entry (192 KiB) would not fit that allowance.  Each call gets
+    its own gradient, which a step may write into."""
     rng = np.random.default_rng(8)
-    theta = rng.standard_normal((256, 192))
-    grad = rng.standard_normal((256, 192))
+    theta = rng.standard_normal((512, 384))
+    grad = rng.standard_normal((512, 384))
     grads = [grad.copy() for _ in range(3)]
     state = OptimizerState()
     for g in grads[:2]:

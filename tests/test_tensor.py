@@ -11,7 +11,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from manolab.tensor import _norm, _rms_in_place, as_tensor, jacobi_svd, rms, svd_values
+from manolab.tensor import (
+    _SCAN_ENTRIES,
+    _all_finite,
+    _norm,
+    _rms_in_place,
+    as_tensor,
+    jacobi_svd,
+    rms,
+    svd_values,
+)
 import oracles
 from oracles import scalar_jacobi_svd
 
@@ -27,6 +36,40 @@ class TestAsTensor:
             as_tensor([1.0, np.nan])
         with pytest.raises(ValueError):
             as_tensor([[1.0], [np.inf]])
+
+    @pytest.mark.parametrize(
+        "size", [1, _SCAN_ENTRIES, _SCAN_ENTRIES + 1, 3 * _SCAN_ENTRIES + 5]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scan_finds_a_non_finite_entry_anywhere(self, size, bad):
+        """One non-finite entry is found at the start, the middle or the
+        end of an array below, at or beyond one scan chunk, in C, F and
+        strided layouts."""
+        for where in {0, size // 2, size - 1}:
+            a = np.ones(size)
+            assert _all_finite(a)
+            a[where] = bad
+            assert not _all_finite(a)
+            with pytest.raises(ValueError, match="non-finite"):
+                as_tensor(a)
+        square = np.ones((2 * 400, 400))
+        for view in (square, square.T, square[::2]):
+            assert _all_finite(view)
+            view[-1, -1] = bad
+            assert not _all_finite(view)
+            view[-1, -1] = 1.0
+
+    def test_scan_makes_no_array_of_its_input_size(self):
+        """A 512x512 array (256 Ki entries) is scanned a 64 KiB chunk at a
+        time, not into a bool array of one byte per entry (256 KiB)."""
+        a = np.random.default_rng(5).standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            assert as_tensor(a) is a
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _SCAN_ENTRIES + 4096 < a.size
 
     def test_operations_do_not_mutate_inputs(self):
         rng = np.random.default_rng(42)

@@ -11,7 +11,7 @@ import pytest
 
 from manolab import training
 from manolab.optimizers import CHUNK_ENTRIES, clip_global_grad_norm
-from manolab.tensor import _norm
+from manolab.tensor import _SCAN_ENTRIES, _norm
 from manolab.training import (
     OPTIMIZERS,
     MlpModel,
@@ -174,6 +174,29 @@ class TestForwardBackward:
         assert np.isfinite(loss)
         assert all(np.all(np.isfinite(g)) for g in grads)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize(
+        "shape", [(1024, 8), (128, 32), (205, 8), (7, 3), (1, 2), (33, 17)]
+    )
+    def test_cross_entropy_has_the_bits_of_the_one_array_form(self, shape, scale):
+        """``_loss`` writes dz over the shifted logits; the loss and dz keep
+        the bits of the form that makes a fresh array for each step, and
+        the logits are only read."""
+        rng = np.random.default_rng(shape[0] * shape[1])
+        out = scale * rng.standard_normal(shape)
+        labels = rng.integers(0, shape[1], shape[0])
+        out.flags.writeable = False
+        loss, dz = training._loss("cross-entropy", out, labels)
+        batch = shape[0]
+        shifted = out - out.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=1))
+        picked = shifted[np.arange(batch), labels]
+        want = np.exp(shifted - log_z[:, None])
+        want[np.arange(batch), labels] -= 1.0
+        want /= batch
+        assert loss == float(np.mean(log_z - picked))
+        assert dz.tobytes() == want.tobytes()
+
     def test_bad_shapes(self):
         model = MlpModel((4, 2), seed=0)
         with pytest.raises(ValueError):
@@ -259,6 +282,32 @@ class TestWorkspace:
                 np.shares_memory(g, buf) for g in grads for buf in model._workspace
             )
 
+    @pytest.mark.parametrize("loss", ["mse", "cross-entropy"])
+    @pytest.mark.parametrize("hidden", [(), (16,), (5, 24), (24, 3, 16)])
+    @pytest.mark.parametrize("d_in", [8, 40])
+    def test_rows_call_has_the_bits_of_the_gathered_batch(self, loss, hidden, d_in):
+        """The trainer's call, which gathers the batch from its split
+        itself, gives the loss and gradients of the public call on the
+        gathered rows, bit for bit: with ``d_in`` narrower and wider than
+        the widest hidden layer (24), and on an epoch's partial batch.
+        The split is only read."""
+        rng = np.random.default_rng(len(hidden) + d_in)
+        model = MlpModel((d_in, *hidden, 3), loss=loss, seed=1)
+        src = rng.standard_normal((50, d_in))
+        if loss == "mse":
+            y = rng.standard_normal((50, 3))
+        else:
+            y = rng.integers(0, 3, 50)
+        src.flags.writeable = False
+        y.flags.writeable = False
+        order = rng.permutation(50)
+        # Batches of 16 rows from 50 samples, the last one partial.
+        for idx in (order[:16], order[16:32], order[48:]):
+            got_loss, got = mlp_forward_backward(model, src, y, _rows=idx)
+            want_loss, want = mlp_forward_backward(model, src[idx], y[idx])
+            assert got_loss == want_loss
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
     def test_a_model_without_hidden_layers_keeps_no_workspace(self):
         model = MlpModel((4, 3), loss="mse", seed=0)
         x = np.random.default_rng(0).standard_normal((5, 4))
@@ -271,9 +320,9 @@ class TestWorkspace:
 
     def test_warm_call_allocates_no_activations(self):
         """A warm 1,024-row call on 64-128-128-8 peaks at the gradients it
-        returns plus two hidden-layer arrays (one ``dz @ W.T`` and room
-        for the next) and 64 KiB for the output layer, the loss and
-        Python objects.  Fresh activations and deltas took six."""
+        returns plus one hidden-layer array, the slot that holds each
+        ``dz @ W.T`` in turn, and 64 KiB for the output layer, the loss
+        and Python objects.  Fresh activations and deltas took six."""
         rng = np.random.default_rng(3)
         model = MlpModel((64, 128, 128, 8), loss="cross-entropy", seed=0)
         x = rng.standard_normal((1024, 64))
@@ -288,7 +337,7 @@ class TestWorkspace:
             tracemalloc.stop()
         hidden = 1024 * 128 * 8
         above = peak - sum(g.nbytes for g in grads)
-        assert above <= 2 * hidden + 64 * 1024, (
+        assert above <= hidden + 64 * 1024, (
             f"{above / hidden:.2f} hidden layers above the gradients"
         )
 
@@ -520,8 +569,8 @@ class TestTrainer:
         raw, given = [], {}
         forward_backward = training.mlp_forward_backward
 
-        def recording(*args):
-            loss, grads = forward_backward(*args)
+        def recording(*args, **kwargs):
+            loss, grads = forward_backward(*args, **kwargs)
             raw.append([g.copy() for g in grads])
             return loss, grads
 
@@ -619,12 +668,13 @@ class TestTrainer:
         The snapshot is written from the arrays' own buffers and the
         RMS squares the update in place, so neither adds a copy.  What
         comes on top is a scratch of CHUNK_ENTRIES entries
-        (``_decoupled``'s or a square sum's), ``as_tensor``'s finiteness
-        scan of one byte per entry, and 64 KiB of slack for the batch,
-        the output layer's arrays and Python objects.
+        (``_decoupled``'s or a square sum's), a finiteness scan's 64 KiB
+        bool chunk, and 64 KiB of slack for the batch, the output layer's
+        arrays and Python objects.  A layer is four scan chunks, so a
+        scan of one byte per entry would not fit.
         """
         cfg = _small_cfg(
-            n_samples=128, in_dim=256, hidden=(256,), out_dim=256,
+            n_samples=128, in_dim=512, hidden=(512,), out_dim=512,
             total_steps=5, warmup_steps=1, cadence=2, snapshot_every=4,
             clip_norm=1e-3,
         )
@@ -688,8 +738,8 @@ class TestTrainer:
         )
         # On top of parameters, state, dataset, workspace and gradients
         # (or the new values formed in them) go only a chunk's scratch
-        # and ``as_tensor``'s finiteness scan, one byte per entry.
-        bound = held + param_bytes + 8 * CHUNK_ENTRIES + layer // 8 + slack
+        # and a finiteness scan's chunk.
+        bound = held + param_bytes + 8 * CHUNK_ENTRIES + _SCAN_ENTRIES + slack
         record_peak = max(peaks[t + 1] for t in (0, 2, 4))
         assert record_peak <= bound, (
             f"{(record_peak - held - param_bytes) / layer:.2f} layers above "
@@ -699,6 +749,54 @@ class TestTrainer:
         assert clip_peak <= bound, (
             f"{(clip_peak - held - param_bytes) / layer:.2f} layers above "
             "parameters, state, dataset and gradients before the layer steps"
+        )
+
+    def test_forward_backward_holds_one_slot_beside_the_workspace(self, monkeypatch):
+        """From the batch's draw to the end of forward/backward, a warm
+        step holds above what is live between steps only one slot of
+        ``rows x max(d_in, widths)`` entries, the gradients it returns,
+        the output layer's arrays (the logits, the shifted logits and
+        their exponentials, ``rows x classes`` each) and 32 KiB of slack.
+        So no copy of the batch (``rows x d_in``, 3/4 of the slot here)
+        is alive beside the slot: the batch is gathered into the slot,
+        with no buffer, and again once the slot is gone."""
+        cfg = _small_cfg(
+            task="blobs-classify", loss="cross-entropy", n_samples=640,
+            in_dim=96, hidden=(128,), out_dim=8, batch_size=512,
+            total_steps=4, warmup_steps=1,
+        )
+        trainer = Trainer(cfg)
+        draws = trainer._batches
+        forward_backward = training.mlp_forward_backward
+        live, above, grad_bytes = [], [], []
+
+        def watched():
+            for idx in draws():
+                live.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+                yield idx
+
+        def measured(*args, **kwargs):
+            loss, grads = forward_backward(*args, **kwargs)
+            above.append(tracemalloc.get_traced_memory()[1] - live[-1])
+            grad_bytes.append(sum(g.nbytes for g in grads))
+            return loss, grads
+
+        trainer._batches = watched
+        monkeypatch.setattr(training, "mlp_forward_backward", measured)
+        tracemalloc.start()
+        try:
+            trainer.run()
+        finally:
+            tracemalloc.stop()
+        slot = cfg.batch_size * 128 * 8
+        outputs = 3 * cfg.batch_size * cfg.out_dim * 8
+        # Step 0 makes the workspace.
+        assert len(above) == cfg.total_steps
+        bound = slot + grad_bytes[-1] + outputs + 32 * 1024
+        assert max(above[1:]) <= bound, (
+            f"{(max(above[1:]) - bound) / 1024:.0f} KiB above the slot, the "
+            "gradients and the output layer's arrays, with the slack"
         )
 
     def test_rsgdm_weights_stay_unit_column(self):
