@@ -506,14 +506,15 @@ def clip_global_grad_norm(grads, max_norm: float):
     that gives the joint norm alone.  Each sum of squares is
     ``np.sum(g * g)``, taken without the square array
     (``tensor._sum_squares``).  If the joint sum overflows, the norm is
-    taken again by ``tensor._norm`` over all the entries at once.
+    taken again as ``tensor._norm`` of the gradients' own ``_norm``s,
+    which copies no gradient.
     """
     _positive("max_norm", max_norm)
     grads = [as_tensor(g) for g in grads]
     with np.errstate(over="ignore"):
         total = float(np.sqrt(sum(float(_sum_squares(g.reshape(-1))) for g in grads)))
     if total == np.inf:
-        total = float(_norm(np.concatenate([g.ravel() for g in grads])))
+        total = float(_norm(np.array([_norm(g) for g in grads])))
     if total <= max_norm:
         return grads, total
     scale = max_norm / total

@@ -3,23 +3,23 @@
 Everything downstream (manifold operators, optimizer steps, diagnostics)
 takes its inputs through ``as_tensor``, which rejects non-finite
 entries; ``_matching`` does that for operands that must share a shape.
-The finiteness scan is ``_all_finite``, which the trainer's divergence
-check calls too: an array beyond ``_SCAN_ENTRIES`` entries is scanned a
-64 KiB bool chunk at a time, so no scan makes an array of its input's
-size, and a smaller one in one ``np.isfinite`` call, which costs less.
+The finiteness scan is ``_all_finite``: an array beyond
+``_SCAN_ENTRIES`` entries is scanned a 64 KiB bool chunk at a time, so
+no scan makes an array of its input's size, and a smaller one in one
+``np.isfinite`` call, which costs less.
 Scalar arguments go through ``_positive``, ``_non_negative``,
 ``_unit_interval`` and ``_fraction``, which are written so that NaN
 fails every one of them.  Each public entry point checks its own
-inputs, so a training step scans every gradient three times
-(divergence check, clipping, step).  ``_norm`` is the package's one
-overflow-safe norm; over a whole array it squares a chunk at a time
-(``_sum_squares``), so it makes no array of the input's size.  The
-rest is RMS and a thin SVD, one call to LAPACK's ``gesdd`` through
-``np.linalg.svd`` behind the same input checks.  The slice geometry
-lives in ``manifold``.
+inputs, so a training step scans every gradient twice (clipping,
+whose check is also the trainer's divergence check, and the step).
+``_norm`` is the package's one overflow rescue; over a whole array it
+squares a chunk at a time (``_sum_squares``), so it makes no array of
+the input's size, and ``rms`` sums the same way.  The rest is a thin
+SVD, one call to LAPACK's ``gesdd`` through ``np.linalg.svd`` behind
+the same input checks.  The slice geometry lives in ``manifold``.
 
 All operations are pure functions on float64 arrays; inputs are never
-mutated, except by ``_rms_in_place``, which says so.
+mutated.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ import numpy as np
 
 # Denominators with magnitude below this are treated as exact zeros.
 EPS_DIV = 1e-30
-# Entries up to this magnitude square and sum without overflow.
-_HUGE = 2.0**300
-# Entries that ``_sum_squares`` squares and ``optimizers._decoupled``
-# decays at a time: their only scratch arrays, 64 KiB of float64.
-# Chunks this size stay in cache; at 512x512 the decay was faster than
-# in one pass over the whole array, and the sum as fast.
+# Entries that ``_sum_squares`` squares (for ``_norm`` and ``rms``) and
+# ``optimizers._decoupled`` decays at a time: their only scratch arrays,
+# 64 KiB of float64.  Chunks this size stay in cache; at 512x512 the
+# decay was faster than in one pass over the whole array, and the sum
+# as fast.
 CHUNK_ENTRIES = 8192
 # Entries that ``_all_finite`` scans at a time, one byte each: 64 KiB.
 # At 512x512 these chunks scanned about as fast as one whole-array call,
@@ -164,35 +163,21 @@ def _norm(a: np.ndarray, axis: int | None = None):
         return np.where(huge, rescued, norms)
 
 
-def _downscale(peak: float) -> float:
-    """1.0 for a largest magnitude ``peak`` up to ``_HUGE``.  Above it,
-    the power of two that brings ``peak`` into [0.5, 1): dividing by it
-    is exact, and the quotient's squares cannot overflow."""
-    if peak <= _HUGE:
-        return 1.0
-    return math.ldexp(1.0, math.frexp(peak)[1])
-
-
 def rms(a) -> float:
-    """Root mean square over all entries."""
-    return _rms_in_place(as_tensor(a).copy())
-
-
-def _rms_in_place(a: np.ndarray) -> float:
-    """``rms(a)`` of a float64 array, with its checks, from squares written
-    over ``a`` rather than into a new array.  Its non-finite check makes
-    no array either: the smallest and largest entries are finite only if
-    every entry is.  They also give the largest magnitude, and entries
-    beyond ``_HUGE`` are scaled down before they are squared."""
+    """Root mean square over all entries: the bits of
+    ``np.sqrt(np.mean(c * c))``, where ``c`` is the contiguous float64
+    array ``as_tensor`` makes of ``a``, summed by ``_square_sums``, so
+    beyond that conversion it makes no array of its input's size.  Only
+    a mean square that overflows is taken again, from ``_norm``, the one
+    rescue."""
+    a = as_tensor(a)
     if a.size == 0:
         raise ValueError("rms of an empty tensor is undefined")
-    lo, hi = a.min(), a.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("tensor contains non-finite values")
-    scale = _downscale(max(-lo, hi))
-    if scale != 1.0:
-        a /= scale
-    return scale * float(np.sqrt(np.mean(np.multiply(a, a, out=a))))
+    with np.errstate(over="ignore"):
+        mean_square = _square_sums(a, None) / a.size
+    if np.isinf(mean_square):
+        return float(_norm(a)) / math.sqrt(a.size)
+    return float(np.sqrt(mean_square))
 
 
 def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -48,14 +48,13 @@ from .optimizers import (
     sgdm_step,
 )
 from .tensor import (
-    _all_finite,
     _fraction,
     _non_negative,
     _norm,
     _positive,
-    _rms_in_place,
     _sum_squares,
     _unit_interval,
+    rms,
 )
 
 # Gradient SNR denominators get this floor so constant gradients report
@@ -630,21 +629,28 @@ class Trainer:
         Forward/backward gets the training split and the batch's rows
         ``idx``, and gathers the batch itself, into its slot and later
         again, so the step holds no copy of the batch beside the slot.
+        Divergence is a non-finite loss, or a non-finite gradient entry:
+        the clip's input check finds it, and its ValueError, the only
+        one the uncapped clip raises, becomes ``TrainingDiverged``, so
+        the step does not scan the gradients for it again.
         """
         cfg = self.cfg
         # The module-level name, which the benchmark's tracer wraps.
         loss, grads = mlp_forward_backward(
             self.model, self.train_x, self.train_y, _rows=idx
         )
-        if not np.isfinite(loss) or not all(_all_finite(g) for g in grads):
-            raise TrainingDiverged(
-                t, f"non-finite loss or gradient (loss={loss})", records
-            )
         # The gradients are the step's own, so they are clipped in place:
         # the clip without a cap gives their joint norm and copies
         # nothing, and each is scaled as the clip scales its copies.  Its
         # list is not kept, so each gradient goes once its layer steps.
-        norm = clip_global_grad_norm(grads, np.inf)[1]
+        try:
+            if not np.isfinite(loss):
+                raise ValueError("non-finite loss")
+            norm = clip_global_grad_norm(grads, np.inf)[1]
+        except ValueError as err:
+            raise TrainingDiverged(
+                t, f"non-finite loss or gradient (loss={loss})", records
+            ) from err
         if norm > cfg.clip_norm:
             scale = cfg.clip_norm / norm
             for g in grads:
@@ -669,15 +675,14 @@ class Trainer:
             # returns memory that theta or its state hold, and the layer
             # step puts the new value in theta's place in the model, so
             # the update goes into theta's buffer; it is dropped before
-            # the next layer steps.  The snapshot is written first, so
-            # the RMS can square the update in place.
+            # the next layer steps.
             if snapshot_now and theta.ndim >= 2:
                 delta = self._snapshot(t, name, theta, grad, layer_step)
             else:
                 new = layer_step()
                 delta = np.subtract(theta, new, out=theta) if record_now else None
             if record_now:
-                update_rms.append(_rms_in_place(delta))
+                update_rms.append(rms(delta))
             del delta, layer_step
         if not record_now:
             return

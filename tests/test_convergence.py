@@ -308,6 +308,24 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.grad_norms, b.grad_norms)
         np.testing.assert_array_equal(a.inner_products, b.inner_products)
 
+    def test_noisy_run_records_the_true_gradient_norm(self):
+        """A noisy run steps with the noisy gradient but records the norm
+        of the true one, bit for bit, at every iterate."""
+        obj = quadratic_objective(5, 5, seed=4, noise_scale=0.5)
+        true = []
+
+        def evaluate(theta):
+            f_val, grad = obj.evaluate(theta)
+            true.append(grad.copy())
+            return f_val, grad
+
+        run = run_convergence_experiment(
+            dataclasses.replace(obj, evaluate=evaluate), 40, seed=3
+        )
+        assert len(true) == 41
+        expected = np.array([np.sqrt(np.sum(g * g)) for g in true])
+        assert run.grad_norms.tobytes() == expected.tobytes()
+
     def test_records_have_expected_length_and_gamma(self):
         obj = quadratic_objective(4, 4, seed=1)
         run = run_convergence_experiment(obj, 30, seed=5)

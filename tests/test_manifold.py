@@ -235,6 +235,18 @@ class TestGeodesics:
             geodesic_sphere(x, y), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "shape", [(1,), (7,), (3, 5), (16, 16), (64, 32), (2, 3, 4)]
+    )
+    def test_sphere_distance_to_itself_is_rounding(self, shape):
+        """The cosine of a tensor with itself is 1 to a few ulps, and the
+        clip to [-1, 1] keeps its arccos at that level (about 1e-8), not
+        at the 1.4e-6 that a cosine held below 1 - 1e-12 would give."""
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            x = rng.standard_normal(shape)
+            assert geodesic_sphere(x, x) < 1e-7
+
     def test_sphere_zero_rejected(self):
         with pytest.raises(ValueError):
             geodesic_sphere(np.zeros((2, 2)), np.ones((2, 2)))

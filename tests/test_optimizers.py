@@ -488,6 +488,24 @@ class TestManoStep:
         np.testing.assert_allclose(new[:, 2], 0.0, atol=1e-15)
         assert np.all(np.isfinite(new))
 
+    def test_near_zero_momentum_column_moves_nothing(self):
+        """A momentum column of norm 1e-40, below EPS_DIV, is degenerate:
+        with decay off it leaves its column of theta exactly as it was,
+        while every other column takes a full step."""
+        rng = np.random.default_rng(6)
+        theta = rng.standard_normal((5, 4))
+        grad = rng.standard_normal((5, 4))
+        grad[:, 2] *= 1e-40 / np.sqrt(np.sum(grad[:, 2] ** 2))
+        cfg = ManoConfig(
+            weight_decay=0.0, schedule=ManifoldSchedule(mode="static", fixed_axis=0)
+        )
+        new = mano_step(theta, grad, OptimizerState(), cfg, 1e-2)
+        np.testing.assert_array_equal(new[:, 2], theta[:, 2])
+        moved = np.sqrt(np.sum((new - theta) ** 2, axis=0))
+        np.testing.assert_allclose(
+            np.delete(moved, 2), 1e-2 * RESCALE_COEFF * np.sqrt(5), rtol=1e-12
+        )
+
     def test_schedule_order_must_match(self):
         cfg = ManoConfig(schedule=ManifoldSchedule(mode="static", fixed_axis=2))
         with pytest.raises(ValueError, match="order"):
@@ -917,6 +935,23 @@ class TestClipGlobalGradNorm:
         assert total == pytest.approx(math.sqrt(4.0 + 0.25) * 1e200, rel=1e-12)
         new_total = math.sqrt(sum(float(np.sum(g * g)) for g in clipped))
         assert new_total == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflow_rescue_copies_no_gradient(self):
+        """At 1e200 the joint square sum overflows; the norm is taken from
+        the gradients' own norms, so the rescue peaks below their bytes,
+        and it is the joint norm of the unscaled gradients, scaled."""
+        rng = np.random.default_rng(44)
+        plain = [rng.standard_normal(s) for s in ((512, 512), (64, 512), (512,))]
+        grads = [1e200 * g for g in plain]
+        tracemalloc.start()
+        try:
+            total = clip_global_grad_norm(grads, np.inf)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(g.nbytes for g in grads)
+        expected = 1e200 * clip_global_grad_norm(plain, np.inf)[1]
+        assert total == pytest.approx(expected, rel=1e-14)
 
     def test_uncapped_clip_returns_the_inputs_and_their_norm(self):
         """``max_norm=np.inf`` is how the trainer takes the joint norm

@@ -13,9 +13,9 @@ import pytest
 
 from manolab.tensor import (
     _SCAN_ENTRIES,
+    CHUNK_ENTRIES,
     _all_finite,
     _norm,
-    _rms_in_place,
     as_tensor,
     jacobi_svd,
     rms,
@@ -147,20 +147,58 @@ class TestRms:
     def test_constant_tensor(self):
         assert rms(np.full((3, 3), -2.0)) == pytest.approx(2.0, rel=1e-15)
 
-    def test_in_place_variant_has_the_same_bits_and_checks(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((6, 5))
-        scratch = a.copy()
-        plain = float(np.sqrt(np.mean(a * a)))
-        assert rms(a) == plain
-        assert _rms_in_place(scratch) == plain
-        np.testing.assert_array_equal(scratch, a * a)
+    def test_checks_non_finite_and_empty_input(self):
+        a = np.random.default_rng(4).standard_normal((6, 5))
         for bad in (np.inf, -np.inf, np.nan):
             a[2, 3] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                _rms_in_place(a)
+                rms(a)
         with pytest.raises(ValueError, match="empty"):
-            _rms_in_place(np.zeros(0))
+            rms(np.zeros(0))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: x,
+            lambda x: np.asfortranarray(x),
+            lambda x: x[:, ::2],
+            lambda x: x[::-1, ::-1],
+            lambda x: x[:40, :40],
+            lambda x: x[0, :7],
+            lambda x: x[0, :1],
+            lambda x: x[0, 0],
+        ],
+        ids=["c", "f", "strided", "reversed", "small", "short", "one", "0-d"],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e100, 1e150, 1e200])
+    def test_has_the_bits_of_the_mean_square(self, make, scale):
+        """The mean square of the contiguous array ``as_tensor`` makes,
+        summed a chunk at a time beyond CHUNK_ENTRIES entries, has the
+        bits of ``np.mean(c * c)`` in any layout and at any scale below
+        overflow; a mean square that overflows is taken from ``_norm``."""
+        x = np.random.default_rng(12).standard_normal((192, 192)) * scale
+        assert 40 * 40 < CHUNK_ENTRIES < 192 * 96  # both sides of a chunk
+        c = np.ascontiguousarray(make(x))
+        with np.errstate(over="ignore"):
+            expected = np.sqrt(np.mean(c * c))
+        if np.isinf(expected):
+            assert rms(make(x)) == pytest.approx(
+                scale * rms(make(x) / scale), rel=1e-14
+            )
+        else:
+            assert rms(make(x)) == float(expected)
+
+    def test_makes_no_array_of_its_input_size(self):
+        """A contiguous 512x512 array (2 MiB) is squared and summed a chunk
+        at a time (64 KiB), not in a copy of its size."""
+        a = np.random.default_rng(13).standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            rms(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes // 16
 
 
 class TestJacobiSvd:

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from manolab import training
+from manolab import tensor, training
 from manolab.optimizers import CHUNK_ENTRIES, clip_global_grad_norm
 from manolab.tensor import _SCAN_ENTRIES, _norm
 from manolab.training import (
@@ -814,6 +814,57 @@ class TestTrainer:
         with pytest.raises(TrainingDiverged) as err:
             train_run(cfg)
         assert 0 <= err.value.step < 40
+
+    def test_non_finite_gradient_raises_with_step_and_records(self, monkeypatch):
+        """A NaN in one gradient at step 15, with a finite loss, is found by
+        the clip's input check: the run stops at that step, with the
+        divergence message and the records of the steps before it."""
+        cfg = _small_cfg(hidden=(5,), total_steps=30)
+        clean = train_run(cfg)
+        forward_backward = training.mlp_forward_backward
+        losses = []
+
+        def poisoned(*args, **kwargs):
+            loss, grads = forward_backward(*args, **kwargs)
+            if len(losses) == 15:
+                grads[1][-1] = np.nan
+            losses.append(loss)
+            return loss, grads
+
+        monkeypatch.setattr(training, "mlp_forward_backward", poisoned)
+        with pytest.raises(TrainingDiverged) as err:
+            train_run(cfg)
+        assert err.value.step == 15
+        assert np.isfinite(losses[15])
+        assert str(err.value) == (
+            "training diverged at step 15: "
+            f"non-finite loss or gradient (loss={losses[15]})"
+        )
+        assert err.value.records == [r for r in clean if r.step < 15]
+        assert {r.step for r in err.value.records} == {0, 10}
+
+    def test_plain_step_scans_each_gradient_twice(self, monkeypatch):
+        """Outside record steps, each gradient is scanned for finiteness
+        by the clip and by its layer's step, and each parameter by its
+        step; the trainer scans nothing again.  Every module's binding of
+        the scan is counted, so a trainer that imported it would be
+        seen."""
+        trainer = Trainer(_small_cfg(hidden=(5, 4)))
+        batches = trainer._batches()
+        trainer._step(0, next(batches), False, [])
+        scanned = []
+        scan = tensor._all_finite
+
+        def counting(a):
+            scanned.append(a.shape)
+            return scan(a)
+
+        for module in (tensor, training):
+            monkeypatch.setattr(module, "_all_finite", counting, raising=False)
+        trainer._step(1, next(batches), False, [])
+        shapes = [p.shape for p in trainer.model.parameters()]
+        assert len(shapes) == 6
+        assert sorted(scanned) == sorted(3 * shapes)
 
     def test_snapshots_written(self, tmp_path):
         cfg = _small_cfg(hidden=(4,), total_steps=20, snapshot_every=10)
