@@ -10,7 +10,6 @@ comparison.  Everything is printed, nothing is plotted.
 import numpy as np
 
 from manolab import (
-    ManifoldSchedule,
     geodesic_oblique,
     geodesic_sphere,
     oblique_normalize,
@@ -51,8 +50,7 @@ def main() -> None:
     print("per-column <tangent, theta_hat> (should be ~0):")
     print(residue)
 
-    schedule = ManifoldSchedule()
-    axes = [rotation_axis(schedule, theta.ndim, t) for t in range(6)]
+    axes = [rotation_axis("rotating", theta.ndim, t) for t in range(6)]
     print("\nrotating schedule reduces axes:", axes)
 
     other = oblique_normalize(rng.standard_normal((4, 3)), axis=0)

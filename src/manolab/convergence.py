@@ -75,12 +75,13 @@ class SmoothObjective:
 def quadratic_objective(
     m: int,
     n: int,
-    smoothness: float = 1.0,
     seed: int = 0,
     noise_scale: float = 0.0,
     step_scale: float = 1.0,
 ) -> SmoothObjective:
-    """f(theta) = (L/2) * ||theta - target||_F^2 with a paired start point.
+    """f(theta) = ||theta - target||_F^2 / 2 with a paired start point.
+
+    The Hessian is the identity, so the smoothness constant L is 1.
 
     The update under study moves each column orthogonally to itself, so
     column norms can only grow, by eta^2 * m per step, for a total norm
@@ -95,7 +96,6 @@ def quadratic_objective(
     """
     _positive("m", m)
     _positive("n", n)
-    _positive("smoothness", smoothness)
     _positive("step_scale", step_scale)
     _non_negative("noise_scale", noise_scale)
     rng = np.random.default_rng(seed)
@@ -106,12 +106,12 @@ def quadratic_objective(
 
     def evaluate(theta: np.ndarray):
         diff = theta - target
-        return 0.5 * smoothness * float(np.sum(diff * diff)), smoothness * diff
+        return 0.5 * float(np.sum(diff * diff)), diff
 
     return SmoothObjective(
         dims=(m, n),
         evaluate=evaluate,
-        smoothness=smoothness,
+        smoothness=1.0,
         f_inf=0.0,
         noise_scale=noise_scale,
         name=f"quadratic-{m}x{n}",

@@ -4,7 +4,8 @@ The optimizers in this package live on products of spheres: each slice
 of a weight tensor along one chosen axis is kept at (or steered toward)
 unit Euclidean norm.  This module provides slice normalization, tangent
 projection, the axis schedule that decides which axis is active at a
-given step, and geodesic distances on three matrix manifolds.
+given step (``rotating`` through the tensor's axes, or ``static`` on
+axis 0, the columns), and geodesic distances on three matrix manifolds.
 
 The slice geometry itself is five array-level helpers (``slice_inner``,
 ``slice_unit``, ``project_out``, its two-pass form ``tangent_part`` and
@@ -28,8 +29,6 @@ an input in this module.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,38 +63,23 @@ class DegenerateSliceError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class ManifoldSchedule:
-    """Which axis is normalized at each optimizer step.
-
-    ``rotating`` cycles through every axis of the tensor (step t of an
-    order-d tensor uses axis t mod d); ``static`` pins ``fixed_axis``
-    forever.  The order comes from the tensor at each step, so one
-    schedule serves tensors of any order.
-    """
-
-    mode: str = "rotating"
-    fixed_axis: int = 0
-
-    def __post_init__(self):
-        if self.mode not in SCHEDULE_MODES:
-            raise ValueError(f"mode must be one of {SCHEDULE_MODES}, got {self.mode!r}")
-        _non_negative("fixed_axis", self.fixed_axis)
+def _check_schedule(name: str, value) -> None:
+    if value not in SCHEDULE_MODES:
+        raise ValueError(f"{name} must be one of {SCHEDULE_MODES}, got {value!r}")
 
 
-def rotation_axis(schedule: ManifoldSchedule, order: int, step: int) -> int:
+def rotation_axis(schedule: str, order: int, step: int) -> int:
     """Axis normalized at ``step`` under ``schedule`` for an order-``order``
-    tensor."""
+    tensor.
+
+    ``rotating`` cycles through every axis (step t uses axis t mod
+    order); ``static`` keeps axis 0, the columns of a matrix, the
+    conventional oblique manifold.
+    """
+    _check_schedule("schedule", schedule)
     _positive("order", order)
     _non_negative("step", step)
-    if schedule.mode == "static":
-        if schedule.fixed_axis >= order:
-            raise ValueError(
-                f"fixed_axis {schedule.fixed_axis} out of range for "
-                f"order-{order} tensor"
-            )
-        return schedule.fixed_axis
-    return step % order
+    return 0 if schedule == "static" else step % order
 
 
 def slice_inner(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:

@@ -44,13 +44,13 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .manifold import (
-    ManifoldSchedule,
     _check_axis,
+    _check_schedule,
     check_slices,
     check_unit,
     rotation_axis,
@@ -95,13 +95,14 @@ class ManoConfig:
     momentum: float = 0.95
     weight_decay: float = 0.1
     nesterov: bool = False
-    schedule: ManifoldSchedule = field(default_factory=ManifoldSchedule)
+    schedule: str = "rotating"
     retract_momentum: bool = False
     lr: InitVar[float | None] = None  # dropped (see above)
 
     def __post_init__(self, lr):
         _unit_interval("momentum", self.momentum)
         _non_negative("weight_decay", self.weight_decay)
+        _check_schedule("schedule", self.schedule)
 
 
 @dataclass
@@ -284,11 +285,10 @@ def mano_step(
 ) -> np.ndarray:
     """One Mano update on a tensor of any order.
 
-    The rotating schedule cycles through all ``theta.ndim`` axes; a
-    static schedule's ``fixed_axis`` must name one of them.  The
-    normalized tangent is rescaled to RMS ``RESCALE_COEFF``.  Weight
-    decay is decoupled: it acts on theta directly, not through the
-    manifold machinery.
+    The rotating schedule cycles through all ``theta.ndim`` axes; the
+    static schedule keeps axis 0.  The normalized tangent is rescaled
+    to RMS ``RESCALE_COEFF``.  Weight decay is decoupled: it acts on
+    theta directly, not through the manifold machinery.
 
     ``_into_grad`` is the trainer's hand-off, not part of the API: the
     caller is done with ``grad``, which shares no memory with theta or

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifold import SCHEDULE_MODES, ManifoldSchedule, oblique_normalize, slice_unit
+from .manifold import _check_schedule, oblique_normalize, slice_unit
 from .optimizers import (
     AdamWConfig,
     ManoConfig,
@@ -72,31 +72,29 @@ TASKS = tuple(_TASK_LOSS)
 LOSSES = tuple(_TASK_LOSS.values())
 
 
-def _mano_rule(c):
-    """Mano's weight-matrix step, which forms its result in the gradient
-    it is given: the trainer is done with a gradient once its layer
-    steps, so the step makes no array of the layer's size."""
-    step = partial(
-        mano_step,
-        cfg=ManoConfig(
-            momentum=c.momentum,
-            weight_decay=c.weight_decay,
-            nesterov=c.nesterov,
-            schedule=ManifoldSchedule(mode=c.manifold_mode),
-            retract_momentum=c.retract_momentum,
-        ),
-    )
-    return lambda theta, grad, state, lr: step(theta, grad, state, lr=lr, _into_grad=True)
-
-
 # Optimizer name -> (build, unit_columns).  ``build`` turns a TrainConfig
 # into the weight-matrix step ``(theta, grad, state, lr=...)``.  It runs
 # when a Trainer is built, so the step function is looked up then, not
 # at import: the benchmark's tracer swaps the steps by module attribute.
 # ``unit_columns`` rules keep the weights on the unit-column manifold,
-# so the initial weights are projected onto it once.
+# so the initial weights are projected onto it once.  The trainer is done
+# with a gradient once its layer steps, so Mano forms its result in it
+# (``_into_grad``) and makes no array of the layer's size.
 _RULES = {
-    "mano": (_mano_rule, False),
+    "mano": (
+        lambda c: partial(
+            mano_step,
+            cfg=ManoConfig(
+                momentum=c.momentum,
+                weight_decay=c.weight_decay,
+                nesterov=c.nesterov,
+                schedule=c.manifold_mode,
+                retract_momentum=c.retract_momentum,
+            ),
+            _into_grad=True,
+        ),
+        False,
+    ),
     "muon": (
         lambda c: partial(
             muon_step,
@@ -438,8 +436,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(
                 f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
@@ -460,11 +456,7 @@ class TrainConfig:
         _fraction("min_ratio", self.min_ratio)
         if not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("warmup_steps must lie strictly inside (0, total_steps)")
-        if self.manifold_mode not in SCHEDULE_MODES:
-            raise ValueError(
-                f"manifold_mode must be one of {SCHEDULE_MODES}, "
-                f"got {self.manifold_mode!r}"
-            )
+        _check_schedule("manifold_mode", self.manifold_mode)
 
 
 def _parse_config_value(name: str, text: str, kind):

@@ -35,7 +35,7 @@ from manolab.convergence import (
     run_convergence_experiment,
     softmax_objective,
 )
-from manolab.manifold import ManifoldSchedule, rotation_axis
+from manolab.manifold import rotation_axis
 from manolab.optimizers import (
     RESCALE_COEFF,
     ManoConfig,
@@ -144,7 +144,7 @@ def test_c03_oracle_equivalence():
                 nesterov=bool(i % 2),
             )
             _drive_against_oracle(
-                shape, 1000 + i, schedule=ManifoldSchedule(mode="rotating"), **kwargs
+                shape, 1000 + i, schedule="rotating", **kwargs
             )
             _drive_against_oracle(shape, 2000 + i, **kwargs)
 
@@ -488,8 +488,7 @@ def test_c12_ablation_plumbing():
     retract-momentum mode stores the tangent vector as the buffer; both
     match scalar-loop oracles on 50 multi-step instances each."""
     with checkpoint("C12 ablation-plumbing"):
-        static = ManifoldSchedule(mode="static", fixed_axis=0)
-        assert all(rotation_axis(static, 2, t) == 0 for t in range(10))
+        assert all(rotation_axis("static", 2, t) == 0 for t in range(10))
 
         shapes = [(4, 4), (16, 8), (8, 16), (6, 6), (3, 7)]
         for variant in ("static", "retract"):
@@ -501,9 +500,7 @@ def test_c12_ablation_plumbing():
                 cfg = ManoConfig(
                     momentum=0.9,
                     weight_decay=0.05,
-                    schedule=(
-                        static if variant == "static" else ManifoldSchedule()
-                    ),
+                    schedule="static" if variant == "static" else "rotating",
                     retract_momentum=(variant == "retract"),
                 )
                 state = OptimizerState()

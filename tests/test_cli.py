@@ -320,6 +320,26 @@ class TestSpectraAndGeodesic:
         assert lines[1:] and all(line.startswith("layer1.weight,") for line in lines[1:])
         assert len(lines) == 4  # snapshots at steps 0, 10, 20, 30
 
+    def test_geodesic_exits_one_when_no_layer_has_a_pair(self, tmp_path, capsys):
+        """A run shorter than its snapshot interval leaves one snapshot per
+        layer, so every layer is skipped and no distance is written."""
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(
+            CONFIG_TEXT.replace("total_steps = 40", "total_steps = 3")
+            .replace("warmup_steps = 8", "warmup_steps = 1")
+        )
+        snaps = _train(cfg, tmp_path / "run") / "snapshots"
+        capsys.readouterr()
+        code = run_cli(
+            ["geodesic", "--snapshots", str(snaps), "--manifold", "oblique",
+             "--out", str(tmp_path / "g")]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no layer yielded a geodesic distance\n"
+        assert "layer0.weight: skipped: need at least two snapshots" in captured.out
+        assert not (tmp_path / "g" / "geodesic.csv").exists()
+
     def test_geodesic_skips_a_layer_with_one_snapshot(self, tmp_path, capsys):
         """A layer with a single snapshot has no pair: the library's reason
         is printed as a skip, the other layer's rows are still written and

@@ -19,7 +19,6 @@ from manolab.convergence import (
 from manolab.manifold import DegenerateSliceError, oblique_normalize
 from manolab.optimizers import (
     RESCALE_COEFF,
-    ManifoldSchedule,
     ManoConfig,
     OptimizerState,
     mano_step,
@@ -31,7 +30,7 @@ from oracles import finite_difference_grads, mano_simple_oracle
 
 class TestObjectives:
     def test_quadratic_value_and_gradient(self):
-        obj = quadratic_objective(4, 4, smoothness=2.0, seed=3)
+        obj = quadratic_objective(4, 4, seed=3)
         rng = np.random.default_rng(0)
         theta = rng.standard_normal((4, 4))
         f, grad = obj.evaluate(theta)
@@ -42,12 +41,13 @@ class TestObjectives:
         np.testing.assert_allclose(grad, fd, rtol=1e-7, atol=1e-8)
 
     def test_quadratic_zero_at_target(self):
-        """The target can be recovered from any gradient evaluation as
-        theta - grad / L; the objective must vanish there."""
-        obj = quadratic_objective(3, 5, seed=9, smoothness=2.0)
+        """At L = 1 the target can be recovered from any gradient
+        evaluation as theta - grad; the objective must vanish there."""
+        obj = quadratic_objective(3, 5, seed=9)
+        assert obj.smoothness == 1.0
         theta = np.random.default_rng(1).standard_normal((3, 5))
         _, grad = obj.evaluate(theta)
-        target = theta - grad / 2.0
+        target = theta - grad
         f, grad_at_target = obj.evaluate(target)
         assert f == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad_at_target, 0.0, atol=1e-12)
@@ -90,7 +90,7 @@ class TestObjectives:
         """||grad(x)-grad(y)|| <= L ||x-y|| on random pairs, with 5%
         slack for the estimate."""
         for obj in (
-            quadratic_objective(6, 6, smoothness=3.0, seed=2),
+            quadratic_objective(6, 6, seed=2),
             softmax_objective(6, 4, n_samples=64, seed=2),
         ):
             rng = np.random.default_rng(5)
@@ -133,11 +133,7 @@ class TestManoSimpleStep:
         grad = rng.standard_normal((8, 8))
         eta = 0.03
         bare = mano_simple_step(theta, grad, eta)
-        cfg = ManoConfig(
-            momentum=0.0,
-            weight_decay=0.0,
-            schedule=ManifoldSchedule(mode="static", fixed_axis=0),
-        )
+        cfg = ManoConfig(momentum=0.0, weight_decay=0.0, schedule="static")
         full = mano_step(theta, grad, OptimizerState(), cfg, eta / RESCALE_COEFF)
         np.testing.assert_allclose(bare, full, rtol=1e-12, atol=1e-13)
 

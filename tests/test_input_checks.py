@@ -6,7 +6,8 @@ parametrized test below passes NaN to each scalar each entry point
 checks and expects a ValueError that names that scalar.  A second
 table scales the array input of each entry point that takes a norm far
 past where its squares overflow or vanish, and expects the answer of
-the unscaled input.
+the unscaled input.  A third gives each matrix-only entry point a
+vector.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from manolab.convergence import (
     softmax_objective,
 )
 from manolab.diagnostics import spectrum_report
-from manolab.manifold import ManifoldSchedule, geodesic_sphere, rotation_axis
+from manolab.manifold import geodesic_sphere, geodesic_stiefel_approx, rotation_axis
 from manolab.optimizers import (
     AdamWConfig,
     ManoConfig,
@@ -50,6 +51,7 @@ from manolab.tensor import (
     _non_negative,
     _positive,
     _unit_interval,
+    jacobi_svd,
     rms,
     svd_values,
 )
@@ -69,10 +71,9 @@ def _step(**kwargs):
 
 # (entry point, keyword arguments it accepts, the scalars it checks)
 _ENTRY_POINTS = [
-    (ManifoldSchedule, {"mode": "static"}, ("fixed_axis",)),
     (
         rotation_axis,
-        {"schedule": ManifoldSchedule(), "order": 2, "step": 0},
+        {"schedule": "rotating", "order": 2, "step": 0},
         ("order", "step"),
     ),
     (MuonConfig, {}, ("ns_iterations",)),
@@ -90,7 +91,7 @@ _ENTRY_POINTS = [
     (
         quadratic_objective,
         {"m": 2, "n": 2},
-        ("m", "n", "smoothness", "step_scale", "noise_scale"),
+        ("m", "n", "step_scale", "noise_scale"),
     ),
     (softmax_objective, {"m": 2, "n": 2}, ("m", "n", "n_samples", "noise_scale")),
     (
@@ -221,6 +222,26 @@ def test_entry_point_answers_at_any_scale(scaled, plain):
     step on a fresh state is too, and singular values, the alignment
     triple, the RMS and the gradient norm scale with their input."""
     np.testing.assert_allclose(scaled(), plain(), rtol=1e-13, atol=0.0)
+
+
+_VEC = np.ones(4)
+# Entry points defined on matrices only, each given an order-1 input.
+_NON_MATRIX_CALLS = {
+    "geodesic_stiefel_approx": lambda: geodesic_stiefel_approx(_VEC, _VEC),
+    "newton_schulz": lambda: newton_schulz(_VEC),
+    "jacobi_svd": lambda: jacobi_svd(_VEC),
+    "spectrum_report": lambda: spectrum_report(_VEC, _VEC, _VEC),
+    "mano_simple_step": lambda: mano_simple_step(_VEC, _VEC, 0.1),
+    "alignment_check": lambda: alignment_check(_VEC, _VEC),
+}
+
+
+@pytest.mark.parametrize(
+    "call", _NON_MATRIX_CALLS.values(), ids=_NON_MATRIX_CALLS.keys()
+)
+def test_matrix_entry_point_rejects_a_vector(call):
+    with pytest.raises(ValueError, match="matri"):
+        call()
 
 
 class TestScalarChecks:

@@ -5,7 +5,6 @@ import pytest
 
 from manolab.manifold import (
     DegenerateSliceError,
-    ManifoldSchedule,
     check_slices,
     geodesic_oblique,
     geodesic_sphere,
@@ -189,28 +188,23 @@ class TestTangentProject:
 
 class TestSchedule:
     def test_rotating_cycles_all_axes(self):
-        sched = ManifoldSchedule(mode="rotating")
-        assert [rotation_axis(sched, 3, t) for t in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+        axes = [rotation_axis("rotating", 3, t) for t in range(7)]
+        assert axes == [0, 1, 2, 0, 1, 2, 0]
 
     def test_matrix_default_alternates(self):
-        sched = ManifoldSchedule()
-        assert [rotation_axis(sched, 2, t) for t in range(4)] == [0, 1, 0, 1]
+        assert [rotation_axis("rotating", 2, t) for t in range(4)] == [0, 1, 0, 1]
 
-    def test_static_pins_axis(self):
-        sched = ManifoldSchedule(mode="static", fixed_axis=1)
-        assert {rotation_axis(sched, 2, t) for t in range(5)} == {1}
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_static_keeps_axis_0(self, order):
+        assert {rotation_axis("static", order, t) for t in range(7)} == {0}
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            rotation_axis(ManifoldSchedule(), 2, -1)
+            rotation_axis("rotating", 2, -1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ManifoldSchedule(mode="wobbly")
-        with pytest.raises(ValueError):
-            ManifoldSchedule(mode="static", fixed_axis=-1)
-        with pytest.raises(ValueError):
-            rotation_axis(ManifoldSchedule(mode="static", fixed_axis=2), 2, 0)
+        with pytest.raises(ValueError, match="schedule must be one of"):
+            rotation_axis("wobbly", 2, 0)
 
 
 class TestGeodesics:
@@ -278,6 +272,10 @@ class TestGeodesics:
         x[:, 0] = 0.0
         with pytest.raises(DegenerateSliceError):
             geodesic_oblique(x, np.ones((3, 2)), 0)
+
+    def test_oblique_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            geodesic_oblique(np.ones((3, 4)), np.ones((3, 5)), 0)
 
     def test_stiefel_orthogonal_frames(self):
         x = np.array([[1.0], [0.0], [0.0]])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manolab.manifold import DegenerateSliceError, ManifoldSchedule
+from manolab.manifold import DegenerateSliceError
 from manolab.optimizers import (
     ADAM_BETAS,
     ADAM_EPS,
@@ -70,8 +70,6 @@ def _live(step=3, **shapes):
     )
 
 
-_MANO_AXIS_2 = ManoConfig(schedule=ManifoldSchedule(mode="static", fixed_axis=2))
-
 # Each step on a valid 2x2 point (unit columns, so rsgdm_step accepts
 # it) with the learning rate given: (state, lr).
 _POINT = (np.eye(2), np.ones((2, 2)))
@@ -93,10 +91,6 @@ _RAISING_CALLS = {
         )
         for name, call in _STEP_CALLS.items()
     },
-    "mano_step-static-axis-2": (
-        lambda s: mano_step(np.ones((2, 2)), np.ones((2, 2)), s, _MANO_AXIS_2, 1e-3),
-        OptimizerState,
-    ),
     "muon_step-vector": (
         lambda s: muon_step(np.ones(4), np.ones(4), s, MuonConfig(), 1e-3),
         OptimizerState,
@@ -126,8 +120,8 @@ _RAISING_CALLS = {
     },
     # Live, correctly shaped buffers: a step that updated one in place
     # before a later check raised would show here.
-    "mano_step-static-axis-2-live": (
-        lambda s: mano_step(np.ones((2, 2)), np.ones((2, 2)), s, _MANO_AXIS_2, 1e-3),
+    "mano_step-lr-negative-live": (
+        lambda s: _LR_CALLS["mano_step"](s, -1.0),
         lambda: _live(momentum=(2, 2)),
     ),
     "rsgdm_step-off-manifold-live": (
@@ -181,14 +175,18 @@ def test_raising_step_leaves_state_untouched(call, make_state):
 
 
 def _mano_on(axis, into_grad=False, **flags):
-    """A Mano step on a static axis; ``into_grad`` hands it the gradient
-    to form its result in, as the trainer does."""
-    cfg = ManoConfig(
-        schedule=ManifoldSchedule(mode="static", fixed_axis=axis), **flags
-    )
-    if into_grad:
-        return lambda th, g, s: mano_step(th, g, s, cfg, 1e-3, _into_grad=True)
-    return lambda th, g, s: mano_step(th, g, s, cfg, 1e-3)
+    """A Mano step on the rotating schedule that a fresh state first takes
+    at step ``axis``, so a matrix's third step normalizes ``axis`` again;
+    ``into_grad`` hands it the gradient to form its result in, as the
+    trainer does."""
+    cfg = ManoConfig(**flags)
+
+    def call(th, g, s):
+        if s.step == 0:
+            s.step = axis
+        return mano_step(th, g, s, cfg, 1e-3, _into_grad=into_grad)
+
+    return call
 
 
 # Warm steps whose transient peak is bounded, with the parameter-sized
@@ -286,11 +284,7 @@ def test_returned_array_shares_no_memory(call):
         theta = new
 
 
-_SCHEDULES = {
-    "axis-0": ManifoldSchedule(mode="static", fixed_axis=0),
-    "axis-1": ManifoldSchedule(mode="static", fixed_axis=1),
-    "rotating": ManifoldSchedule(),
-}
+_SCHEDULES = {"axis-0": "static", "rotating": "rotating"}
 _FLAGS = {
     "plain": {},
     "nesterov": {"nesterov": True},
@@ -358,15 +352,8 @@ def _run_mano_pair(shape, seed, steps=3, edit=None, **flags):
     if edit is not None:
         edit(theta, grads)
     buf = np.zeros(shape)
-    mode = flags.pop("mode", "rotating")
-    fixed_axis = flags.pop("fixed_axis", 0)
     lr = 3e-2
-    cfg = ManoConfig(
-        momentum=0.9,
-        weight_decay=0.05,
-        schedule=ManifoldSchedule(mode=mode, fixed_axis=fixed_axis),
-        **flags,
-    )
+    cfg = ManoConfig(momentum=0.9, weight_decay=0.05, **flags)
     state = OptimizerState()
     oracle_theta = theta.copy()
     history = [theta]
@@ -384,8 +371,7 @@ def _run_mano_pair(shape, seed, steps=3, edit=None, **flags):
             eta=lr,
             nesterov=cfg.nesterov,
             retract=cfg.retract_momentum,
-            mode=mode,
-            fixed_axis=fixed_axis,
+            mode=cfg.schedule,
         )
         np.testing.assert_allclose(theta, oracle_theta, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(state.momentum, buf, rtol=1e-12, atol=1e-12)
@@ -419,11 +405,11 @@ def _decay_only_on_parallel_column(history):
 _MANO_EDGE_CASES = {
     "zero-theta-column": ((5, 4), dict(edit=_zero_column), None),
     "zero-theta-column-static": (
-        (5, 4), dict(edit=_zero_column, mode="static"), None
+        (5, 4), dict(edit=_zero_column, schedule="static"), None
     ),
     "parallel-momentum-slice": (
         (4, 3),
-        dict(edit=_parallel_column, mode="static", fixed_axis=0),
+        dict(edit=_parallel_column, schedule="static"),
         _decay_only_on_parallel_column,
     ),
     "nesterov-retract-matrix": (
@@ -432,8 +418,6 @@ _MANO_EDGE_CASES = {
     "nesterov-retract-order-3": (
         (2, 3, 4), dict(nesterov=True, retract_momentum=True, steps=4), None
     ),
-    "order-3-static-axis-1": ((3, 4, 2), dict(mode="static", fixed_axis=1), None),
-    "order-3-static-axis-2": ((3, 4, 2), dict(mode="static", fixed_axis=2), None),
 }
 class TestManoStep:
     def test_matches_oracle_all_shapes(self):
@@ -446,7 +430,7 @@ class TestManoStep:
 
     def test_matches_oracle_static_axis(self):
         for i, shape in enumerate([(4, 4), (16, 8), (8, 16)]):
-            _run_mano_pair(shape, seed=300 + i, mode="static", fixed_axis=0)
+            _run_mano_pair(shape, seed=300 + i, schedule="static")
 
     def test_matches_oracle_retract_momentum(self):
         for i, shape in enumerate([(4, 4), (8, 16), (2, 3, 4)]):
@@ -496,9 +480,7 @@ class TestManoStep:
         theta = rng.standard_normal((5, 4))
         grad = rng.standard_normal((5, 4))
         grad[:, 2] *= 1e-40 / np.sqrt(np.sum(grad[:, 2] ** 2))
-        cfg = ManoConfig(
-            weight_decay=0.0, schedule=ManifoldSchedule(mode="static", fixed_axis=0)
-        )
+        cfg = ManoConfig(weight_decay=0.0, schedule="static")
         new = mano_step(theta, grad, OptimizerState(), cfg, 1e-2)
         np.testing.assert_array_equal(new[:, 2], theta[:, 2])
         moved = np.sqrt(np.sum((new - theta) ** 2, axis=0))
@@ -506,10 +488,9 @@ class TestManoStep:
             np.delete(moved, 2), 1e-2 * RESCALE_COEFF * np.sqrt(5), rtol=1e-12
         )
 
-    def test_schedule_order_must_match(self):
-        cfg = ManoConfig(schedule=ManifoldSchedule(mode="static", fixed_axis=2))
-        with pytest.raises(ValueError, match="order"):
-            mano_step(np.ones((2, 2)), np.ones((2, 2)), OptimizerState(), cfg, 1e-3)
+    def test_unknown_schedule_rejected(self):
+        with pytest.raises(ValueError, match="schedule must be one of"):
+            ManoConfig(schedule="wobbly")
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):

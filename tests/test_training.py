@@ -2,6 +2,7 @@
 and full training runs (determinism, clipping, divergence, fallbacks)."""
 
 import math
+import re
 import tracemalloc
 import weakref
 from functools import partial
@@ -43,6 +44,23 @@ class TestMakeDataset:
     def test_linreg_noise_free_targets_exact(self):
         ds = make_dataset("linreg", 50, (6, 3), seed=1)
         np.testing.assert_allclose(ds.targets, ds.features @ ds.w_star, rtol=1e-14)
+
+    def test_linreg_noise_has_its_scale_and_is_seeded(self):
+        ds = make_dataset("linreg", 4000, (6, 3), seed=1, noise=0.5)
+        residual = ds.targets - ds.features @ ds.w_star
+        assert np.std(residual) == pytest.approx(0.5, rel=0.03)
+        again = make_dataset("linreg", 4000, (6, 3), seed=1, noise=0.5)
+        np.testing.assert_array_equal(ds.targets, again.targets)
+
+    def test_blobs_more_classes_than_features_use_random_directions(self):
+        """Five centers cannot be orthogonal in two dimensions: each sits
+        ``separation`` out along a random unit direction."""
+        ds = make_dataset("blobs-classify", 2000, (2, 5), seed=3, separation=10.0)
+        assert ds.features.shape == (2000, 2)
+        assert set(np.unique(ds.targets)) == set(range(5))
+        for k in range(5):
+            center = ds.features[ds.targets == k].mean(axis=0)
+            assert np.linalg.norm(center) == pytest.approx(10.0, rel=0.05)
 
     def test_blobs_labels_and_separation(self):
         ds = make_dataset("blobs-classify", 300, (8, 3), seed=2, separation=10.0)
@@ -424,6 +442,15 @@ class TestTrainConfig:
             _small_cfg(loss="cross-entropy")
         with pytest.raises(ValueError, match="manifold_mode"):
             _small_cfg(manifold_mode="wobbly")
+        with pytest.raises(ValueError, match="task must be one of"):
+            _small_cfg(task="bogus")
+        with pytest.raises(ValueError, match="linreg requires the mse loss"):
+            _small_cfg(loss="hinge")
+
+    def test_too_few_samples_to_train_on(self):
+        cfg = TrainConfig(n_samples=1, batch_size=1, total_steps=2, warmup_steps=1)
+        with pytest.raises(ValueError, match="leaves no training samples"):
+            Trainer(cfg)
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -443,6 +470,26 @@ class TestTrainConfig:
         assert cfg.hidden == (8, 4)
         assert cfg.nesterov is True
         assert cfg.lr_max == pytest.approx(1e-3)
+
+    def test_load_config_reads_false_and_an_empty_tuple(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("nesterov = no\nhidden = ()\n")
+        cfg = load_config(path)
+        assert cfg.nesterov is False
+        assert cfg.hidden == ()
+
+    def test_load_config_rejects_an_unparsable_boolean(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("nesterov = maybe\n")
+        with pytest.raises(ValueError, match="cannot parse boolean for 'nesterov'"):
+            load_config(path)
+
+    def test_load_config_names_the_line_without_a_value(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("# comment\nnesterov\n")
+        expected = re.escape(f"{path}:2: expected 'key = value'")
+        with pytest.raises(ValueError, match=rf"^{expected}"):
+            load_config(path)
 
     @pytest.mark.parametrize("clip_norm", ["0", "-1.0", "nan"])
     def test_load_config_rejects_bad_clip_norm(self, tmp_path, clip_norm):
