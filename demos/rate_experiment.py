@@ -2,7 +2,7 @@
 
 Runs the bare update on the paired-start quadratic for three horizons,
 checks the min-gradient bound with the realized alignment constant, and
-prints the observed decay.  Doubling the horizon tenfold should shrink
+prints the observed decay.  Growing the horizon tenfold should shrink
 the smallest gradient norm by roughly sqrt(10).
 """
 
@@ -19,10 +19,11 @@ def main() -> None:
     print(f"{'T':>6} {'min ||grad||':>14} {'bound':>12} {'realized gamma':>16}")
     minima = []
     for steps in HORIZONS:
-        objective = quadratic_objective(M, M, seed=0)
-        run = run_convergence_experiment(objective, steps, c=1.0, seed=0)
+        run = run_convergence_experiment(
+            quadratic_objective(M, M, seed=0), steps, c=1.0, seed=0
+        )
         observed = run.min_grad_norm()
-        verdict, bound = run.bound_check(objective, c=1.0)
+        verdict, bound = run.bound_check()
         holds = verdict if verdict == "holds" else verdict.upper()
         print(f"{steps:>6} {observed:>14.4e} {bound:>12.4e} "
               f"{run.realized_gamma:>16.4e}  bound {holds}")

@@ -130,20 +130,20 @@ def _cmd_train(args) -> int:
 def _cmd_converge(args) -> int:
     n = args.n if args.n is not None else args.m
     if args.objective == "quadratic":
-        objective = quadratic_objective(
-            args.m, n, seed=args.seed, noise_scale=args.noise, step_scale=args.c
-        )
+        objective = quadratic_objective(args.m, n, seed=args.seed, step_scale=args.c)
     else:
-        objective = softmax_objective(args.m, n, seed=args.seed, noise_scale=args.noise)
-    run = run_convergence_experiment(objective, args.steps, c=args.c, seed=args.seed)
+        objective = softmax_objective(args.m, n, seed=args.seed)
+    run = run_convergence_experiment(
+        objective, args.steps, c=args.c, seed=args.seed, noise=args.noise
+    )
     out = _outdir(args.out)
     run.to_csv(out / "convergence.csv")
     print(f"wrote {out / 'convergence.csv'}")
     print(
-        f"objective={run.objective} steps={run.steps} eta={run.eta:.6g} "
+        f"objective={run.objective.name} steps={run.steps} eta={run.eta:.6g} "
         f"min_grad_norm={run.min_grad_norm():.6g} realized_gamma={run.realized_gamma:.6g}"
     )
-    verdict, bound = run.bound_check(objective, args.c)
+    verdict, bound = run.bound_check()
     if verdict == "skipped":
         print("bound check skipped (needs a deterministic square run)")
         return 0

@@ -17,9 +17,12 @@ eta = C / sqrt(T+1) then gives
     min_t ||grad_t||_F  <=  (C1 + C2) / sqrt(T+1)
 
 with C1 = (f0 - f_inf) / (sqrt(m) * gamma * C) and
-C2 = L * m^(3/2) * C / (2 * gamma), for square m x m parameters.  The
-runner records everything needed to check both facts on a concrete run,
-and ``ConvergenceRun.bound_check`` judges the bound at the realized gamma.
+C2 = L * m^(3/2) * C / (2 * gamma), for square m x m parameters.  An
+objective is only the function and its constants; the step scale C, the
+gradient noise and the seed are settings of the run.  The runner records
+them with everything needed to check both facts on a concrete run, and
+``ConvergenceRun.bound_check()`` judges the bound at the realized gamma
+from that record alone.
 """
 
 from __future__ import annotations
@@ -58,16 +61,14 @@ class SmoothObjective:
 
     ``evaluate`` returns ``(f(theta), grad f(theta))``.  ``smoothness``
     is a Lipschitz constant of the gradient and ``f_inf`` a lower bound
-    of f; both enter the convergence bound.  ``noise_scale`` is the
-    standard deviation of the Gaussian noise a run adds to every
-    gradient it steps with; at 0 the run is deterministic.
+    of f; both enter the convergence bound.  ``theta0``, when set, is
+    the start point every run of the objective takes.
     """
 
     dims: tuple[int, int]
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
     smoothness: float
     f_inf: float
-    noise_scale: float = 0.0
     name: str = "objective"
     theta0: np.ndarray | None = field(default=None, repr=False)
 
@@ -76,7 +77,6 @@ def quadratic_objective(
     m: int,
     n: int,
     seed: int = 0,
-    noise_scale: float = 0.0,
     step_scale: float = 1.0,
 ) -> SmoothObjective:
     """f(theta) = ||theta - target||_F^2 / 2 with a paired start point.
@@ -97,7 +97,6 @@ def quadratic_objective(
     _positive("m", m)
     _positive("n", n)
     _positive("step_scale", step_scale)
-    _non_negative("noise_scale", noise_scale)
     rng = np.random.default_rng(seed)
     theta0 = rng.standard_normal((m, n))
     directions, _ = slice_unit(rng.standard_normal((m, n)), 0)
@@ -113,7 +112,6 @@ def quadratic_objective(
         evaluate=evaluate,
         smoothness=1.0,
         f_inf=0.0,
-        noise_scale=noise_scale,
         name=f"quadratic-{m}x{n}",
         theta0=theta0,
     )
@@ -124,7 +122,6 @@ def softmax_objective(
     n: int,
     n_samples: int = 128,
     seed: int = 0,
-    noise_scale: float = 0.0,
 ) -> SmoothObjective:
     """Mean cross-entropy of linear logits on fixed synthetic data.
 
@@ -139,7 +136,6 @@ def softmax_objective(
     if not n >= 2:
         raise ValueError(f"n must be at least 2 (two classes), got {n}")
     _positive("n_samples", n_samples)
-    _non_negative("noise_scale", noise_scale)
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n_samples, m))
     labels = rng.integers(0, n, n_samples)
@@ -154,7 +150,6 @@ def softmax_objective(
         evaluate=evaluate,
         smoothness=smoothness,
         f_inf=0.0,
-        noise_scale=noise_scale,
         name=f"softmax-{m}x{n}",
     )
 
@@ -275,16 +270,24 @@ def min_grad_bound(
 class ConvergenceRun:
     """Per-step record of one experiment: objective value, true-gradient
     norm, alignment inner product, and minimum column sine, plus the run
-    configuration.  The realized gamma is the smallest of those sines."""
+    itself: the objective it ran, its step scale ``c``, the standard
+    deviation ``noise`` of its gradient noise, and its seed.  The step
+    size eta and the realized gamma, the smallest of those sines, are
+    derived from the record."""
 
-    objective: str
+    objective: SmoothObjective
     steps: int
-    eta: float
+    c: float
+    noise: float
     seed: int
     f_values: np.ndarray = field(repr=False)
     grad_norms: np.ndarray = field(repr=False)
     inner_products: np.ndarray = field(repr=False)
     min_sin_phi: np.ndarray = field(repr=False)
+
+    @property
+    def eta(self) -> float:
+        return float(self.c / np.sqrt(self.steps + 1))
 
     @property
     def realized_gamma(self) -> float:
@@ -293,20 +296,21 @@ class ConvergenceRun:
     def min_grad_norm(self) -> float:
         return float(self.grad_norms.min())
 
-    def bound_check(self, objective: SmoothObjective, c: float):
-        """``(verdict, bound)`` for this run of ``objective`` at step scale c.
+    def bound_check(self):
+        """``(verdict, bound)`` for this run.
 
-        "skipped" (a noisy or non-square objective) and "vacuous" (a zero
-        realized gamma) come with bound None; otherwise min_grad_bound at
-        the realized gamma "holds" or is "violated"."""
-        m, n = objective.dims
-        if objective.noise_scale > 0.0 or m != n:
+        "skipped" (a noisy run or a non-square objective) and "vacuous"
+        (a zero realized gamma) come with bound None; otherwise
+        min_grad_bound at the realized gamma and the run's own c "holds"
+        or is "violated"."""
+        m, n = self.objective.dims
+        if self.noise > 0.0 or m != n:
             return "skipped", None
         if self.realized_gamma <= 0.0:
             return "vacuous", None
         bound = min_grad_bound(
-            float(self.f_values[0]), objective.f_inf, objective.smoothness,
-            m, self.realized_gamma, c, self.steps,
+            float(self.f_values[0]), self.objective.f_inf, self.objective.smoothness,
+            m, self.realized_gamma, self.c, self.steps,
         )
         return ("holds" if self.min_grad_norm() <= bound else "violated"), bound
 
@@ -330,6 +334,7 @@ def run_convergence_experiment(
     steps: int,
     c: float = 1.0,
     seed: int = 0,
+    noise: float = 0.0,
 ) -> ConvergenceRun:
     """Run the momentum-free update for ``steps``+1 iterations.
 
@@ -337,18 +342,22 @@ def run_convergence_experiment(
     the objective's own ``theta0`` when it carries one, otherwise a
     seeded random draw.  At every iterate the TRUE gradient norm is
     recorded even when the step itself uses a noisy gradient: a positive
-    objective.noise_scale adds that many standard Gaussians to each
-    gradient, drawn from a generator seeded by ``seed``.  Each
-    iteration makes one column decomposition of the gradient it uses,
-    and reads S_t, gamma and the next iterate from it; the alignment
-    identity and lower bound are asserted at every step, as
+    ``noise`` adds that many standard Gaussians to each gradient, drawn
+    from a generator seeded by ``seed``; at 0 the run is deterministic.
+    Each iteration makes one column decomposition of the gradient it
+    uses, and reads S_t, gamma and the next iterate from it; the
+    alignment identity and lower bound are asserted at every step, as
     alignment_check does.  A non-finite gradient raises ValueError, a
     misshapen one ShapeMismatchError, and a degenerate slice aborts the
     run with the failing step in the message.
     """
     _non_negative("steps", steps)
     _positive("c", c)
-    eta = c / np.sqrt(steps + 1)
+    _non_negative("noise", noise)
+    count = steps + 1
+    run = ConvergenceRun(
+        objective, steps, c, noise, seed, *(np.empty(count) for _ in range(4))
+    )
     # Domain-separate from the objective's own generator: objectives are
     # seeded with plain integers, so an experiment sharing the seed must
     # not replay the same stream (a random start drawn from it would sit
@@ -359,14 +368,7 @@ def run_convergence_experiment(
     else:
         theta = rng.standard_normal(objective.dims)
 
-    count = steps + 1
-    noise = objective.noise_scale
-    scale = eta * np.sqrt(objective.dims[0])
-    f_values = np.empty(count)
-    grad_norms = np.empty(count)
-    inner_products = np.empty(count)
-    min_sin = np.empty(count)
-
+    scale = run.eta * np.sqrt(objective.dims[0])
     for t in range(count):
         f_val, grad = objective.evaluate(theta)
         if noise > 0.0:
@@ -385,19 +387,10 @@ def run_convergence_experiment(
             raise RuntimeError(
                 f"experiment aborted at step {t}: {exc}"
             ) from exc
-        f_values[t] = f_val
-        grad_norms[t] = float(_norm(grad)) if noise > 0.0 else used_fro
-        inner_products[t] = inner
-        min_sin[t] = gamma_t
+        run.f_values[t] = f_val
+        run.grad_norms[t] = float(_norm(grad)) if noise > 0.0 else used_fro
+        run.inner_products[t] = inner
+        run.min_sin_phi[t] = gamma_t
         theta = theta - scale * v_hat
 
-    return ConvergenceRun(
-        objective=objective.name,
-        steps=steps,
-        eta=float(eta),
-        seed=seed,
-        f_values=f_values,
-        grad_norms=grad_norms,
-        inner_products=inner_products,
-        min_sin_phi=min_sin,
-    )
+    return run

@@ -193,7 +193,7 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The name is kept from the one-sided Jacobi loop this replaced,
     because the benchmark tracer wraps ``tensor.jacobi_svd`` by name;
-    it changes together with that span (ROADMAP item 3).  The Jacobi
+    it changes together with that span (ROADMAP item 6).  The Jacobi
     loop lives on as the test oracle, ``scalar_jacobi_svd`` in
     ``tests/oracles.py``.
     """

@@ -10,13 +10,14 @@ spectrum and geodesic tools.
 Everything is seeded and single-threaded deterministic: two runs with
 the same TrainConfig produce bit-identical trajectory records.
 
-The model keeps a ``batch x sum(hidden)`` float64 workspace that
-``mlp_forward_backward`` reuses for the hidden activations and deltas
-on every step.  Beside it, a call makes one ``batch x max(d_in,
-hidden)`` slot: the trainer's batch is gathered into it, each backward
-product is then written over it in turn, and the batch is gathered
-again for the first layer's gradient once the slot is gone.  So a warm
-step allocates no other ``batch x width`` array.  Concurrent
+The model keeps one ``batch x width`` float64 buffer per hidden layer
+(``MlpModel._hidden_buffers``), which ``mlp_forward_backward`` reuses
+for that layer's activations and then its delta on every step.  Beside
+them, a call makes one ``batch x max(d_in, hidden)`` slot: the
+trainer's batch is gathered into it, each backward product is then
+written over it in turn, and the batch is gathered again for the first
+layer's gradient once the slot is gone.  So a warm step allocates no
+other ``batch x width`` array.  Concurrent
 ``mlp_forward_backward`` calls on one model are not supported.
 """
 
@@ -212,7 +213,15 @@ class MlpModel:
     The model also owns ``_workspace``, one float64 ``rows x width``
     buffer per hidden layer, which ``mlp_forward_backward`` fills with
     that layer's activations and then its backward delta.  So a model
-    serves one ``mlp_forward_backward`` call at a time.
+    serves one ``mlp_forward_backward`` call at a time.  The buffers
+    persist between calls for speed, not for memory: fresh buffers per
+    call give the same bytes and the same ``tracemalloc`` peak, but
+    glibc returns each freed buffer (1 MB at batch 1,024 and width 128)
+    to the kernel, and the next step faults it back in.  A 40-step Mano
+    run of the ``train-faceoff-batch`` config took 24,640-25,410 minor
+    faults with per-call buffers instead of 1,184-1,754, and 7.9-8.6 ms
+    a step instead of 7.1-7.6 ms (a shared 2-core host, one BLAS
+    thread).
     """
 
     def __init__(self, layer_sizes, loss: str = "mse", seed: int = 0):
@@ -564,12 +573,13 @@ class Trainer:
         self.model.set_parameter(i, new)
         return new
 
-    def _snapshot(self, step, name, theta, grad, layer_step):
+    def _snapshot(self, step, i, name, theta, grad, lr):
         """Write ``step{step:06d}_{name}.npz``, the file ``load_snapshots``
-        reads back, around the layer's step, and return the update
-        ``theta - new``, formed in theta's buffer.
+        reads back, around the step of parameter ``i`` at learning rate
+        ``lr``, and return the update ``theta - new``, formed in theta's
+        buffer.
 
-        ``layer_step()`` runs once ``theta`` and ``grad`` are written,
+        ``_layer_step`` runs once ``theta`` and ``grad`` are written,
         since it may write over the gradient, and puts the new value in
         the model, so theta's buffer is free for the update.  The
         benchmark's ``training.snapshot`` span therefore times the
@@ -591,7 +601,8 @@ class Trainer:
             ) as archive:
                 _write_npy(archive, "theta", theta)
                 _write_npy(archive, "grad", grad)
-                update = np.subtract(theta, layer_step(), out=theta)
+                new = self._layer_step(i, name, theta, grad, lr)
+                update = np.subtract(theta, new, out=theta)
                 momentum = state.momentum if state.momentum is not None else state.exp_avg
                 _write_npy(archive, "momentum", momentum)
                 _write_npy(archive, "update", update)
@@ -662,20 +673,19 @@ class Trainer:
             if record_now:
                 # Before the step, which may write over the gradient.
                 stats.extend(grad_stats([grad]))
-            layer_step = partial(self._layer_step, i, name, theta, grad, lr_t)
             # Only records and snapshots read the applied update.  No rule
             # returns memory that theta or its state hold, and the layer
             # step puts the new value in theta's place in the model, so
             # the update goes into theta's buffer; it is dropped before
             # the next layer steps.
             if snapshot_now and theta.ndim >= 2:
-                delta = self._snapshot(t, name, theta, grad, layer_step)
+                delta = self._snapshot(t, i, name, theta, grad, lr_t)
             else:
-                new = layer_step()
+                new = self._layer_step(i, name, theta, grad, lr_t)
                 delta = np.subtract(theta, new, out=theta) if record_now else None
             if record_now:
                 update_rms.append(rms(delta))
-            del delta, layer_step
+            del delta
         if not record_now:
             return
         eval_loss = self.model.evaluate_loss(self.eval_x, self.eval_y)

@@ -184,7 +184,7 @@ class TestConverge:
     ):
         """The command prints the verdict the run gives and exits by it."""
         monkeypatch.setattr(
-            ConvergenceRun, "bound_check", lambda run, objective, c: (verdict, bound)
+            ConvergenceRun, "bound_check", lambda run: (verdict, bound)
         )
         args = ["converge", "--m", "6", "--steps", "20", "--out", str(tmp_path)]
         assert run_cli(args) == code

@@ -108,12 +108,6 @@ class TestObjectives:
         with pytest.raises(ValueError):
             softmax_objective(4, 1)
 
-    @pytest.mark.parametrize("factory", [quadratic_objective, softmax_objective])
-    @pytest.mark.parametrize("noise", [-0.1, float("nan")])
-    def test_noise_scale_must_be_non_negative(self, factory, noise):
-        with pytest.raises(ValueError, match="noise_scale must be non-negative"):
-            factory(4, 4, noise_scale=noise)
-
 
 class TestManoSimpleStep:
     def test_matches_scalar_oracle(self):
@@ -229,10 +223,21 @@ class TestMinGradBound:
             min_grad_bound(0.0, 1.0, 1.0, 4, 0.5, 1.0, 10)  # f0 < f_inf
 
 
-def _hand_run(min_sin=(0.5, 0.25), f0=1.0) -> ConvergenceRun:
-    """A one-step run whose minimum gradient norm is 1 and gamma 1/4."""
+def _hand_objective(dims=(4, 4), smoothness=1.0, f_inf=0.0):
+    return SmoothObjective(
+        dims=dims, evaluate=lambda theta: (0.0, theta), smoothness=smoothness,
+        f_inf=f_inf,
+    )
+
+
+def _hand_run(
+    min_sin=(0.5, 0.25), f0=1.0, c=1.0, noise=0.0, **objective
+) -> ConvergenceRun:
+    """A one-step run at step scale c, so eta = c / sqrt(2), whose minimum
+    gradient norm is 1 and gamma 1/4; ``objective`` goes to
+    ``_hand_objective``."""
     return ConvergenceRun(
-        objective="x", steps=1, eta=1.0, seed=0,
+        objective=_hand_objective(**objective), steps=1, c=c, noise=noise, seed=0,
         f_values=np.array([f0, 0.5]),
         grad_norms=np.array([2.0, 1.0]),
         inner_products=np.array([1.0, 0.5]),
@@ -240,49 +245,58 @@ def _hand_run(min_sin=(0.5, 0.25), f0=1.0) -> ConvergenceRun:
     )
 
 
-def _hand_objective(dims=(4, 4), noise=0.0, smoothness=1.0, f_inf=0.0):
-    return SmoothObjective(
-        dims=dims, evaluate=lambda theta: (0.0, theta), smoothness=smoothness,
-        f_inf=f_inf, noise_scale=noise,
-    )
-
-
 class TestBoundCheck:
-    """The run judges its own bound; each of its five outcomes."""
+    """The run judges its own bound from its own record; each of its
+    five outcomes."""
 
     @pytest.mark.parametrize(
-        "objective",
-        [_hand_objective(noise=0.1), _hand_objective(dims=(4, 3))],
-        ids=["noisy", "rectangular"],
+        "settings", [{"noise": 0.1}, {"dims": (4, 3)}], ids=["noisy", "rectangular"]
     )
-    def test_skipped(self, objective):
-        assert _hand_run().bound_check(objective, 1.0) == ("skipped", None)
+    def test_skipped(self, settings):
+        assert _hand_run(**settings).bound_check() == ("skipped", None)
 
     def test_vacuous_from_one_zero_sine(self):
-        run = _hand_run(min_sin=(0.5, 0.0))
-        assert run.bound_check(_hand_objective(), 1.0) == ("vacuous", None)
+        assert _hand_run(min_sin=(0.5, 0.0)).bound_check() == ("vacuous", None)
 
     def test_holds(self):
         # C1 = 1 / (2 * 0.25) = 2, C2 = 8 / (2 * 0.25) = 16: 18 / sqrt(2) >= 1
         expected = min_grad_bound(1.0, 0.0, 1.0, 4, 0.25, 1.0, 1)
         assert expected == pytest.approx(18.0 / np.sqrt(2.0), rel=1e-15)
-        assert _hand_run().bound_check(_hand_objective(), 1.0) == ("holds", expected)
+        assert _hand_run().bound_check() == ("holds", expected)
 
     def test_violated(self):
         """With f0 = f_inf only C2 is left, and a tiny smoothness puts it
         below the observed minimum gradient norm of 1."""
-        objective = _hand_objective(smoothness=1e-6, f_inf=1.0)
-        verdict, bound = _hand_run(f0=1.0).bound_check(objective, 1.0)
+        run = _hand_run(f0=1.0, smoothness=1e-6, f_inf=1.0)
+        verdict, bound = run.bound_check()
         assert verdict == "violated"
         assert bound == min_grad_bound(1.0, 1.0, 1e-6, 4, 0.25, 1.0, 1) < 1.0
 
-    def test_realized_gamma_is_derived_not_stored(self):
+    def test_judged_at_the_runs_own_step_scale(self):
+        """A run at c = 2 is judged at c = 2, with its objective's
+        constants; no caller can hand it another scale."""
+        objective = softmax_objective(8, 8, n_samples=64, seed=2)
+        run = run_convergence_experiment(objective, 100, c=2.0, seed=2)
+        expected = min_grad_bound(
+            float(run.f_values[0]), objective.f_inf, objective.smoothness,
+            8, run.realized_gamma, 2.0, 100,
+        )
+        assert run.bound_check() == ("holds", expected)
+
+    def test_noisy_run_is_skipped(self):
+        run = run_convergence_experiment(quadratic_objective(4, 4, seed=2), 20, noise=0.05)
+        assert run.noise == 0.05
+        assert run.bound_check() == ("skipped", None)
+
+    def test_realized_gamma_and_eta_are_derived_not_stored(self):
         names = [f.name for f in dataclasses.fields(ConvergenceRun)]
-        assert "realized_gamma" not in names
-        assert len(names) == 8
+        assert "realized_gamma" not in names and "eta" not in names
+        assert len(names) == 9
         assert _hand_run().realized_gamma == 0.25
-        with pytest.raises(AttributeError):
-            _hand_run().realized_gamma = 1.0
+        assert _hand_run(c=2.0).eta == 2.0 / np.sqrt(2.0)
+        for name in ("realized_gamma", "eta"):
+            with pytest.raises(AttributeError):
+                setattr(_hand_run(), name, 1.0)
 
 
 class TestRunExperiment:
@@ -294,12 +308,12 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.grad_norms, b.grad_norms)
         np.testing.assert_array_equal(a.inner_products, b.inner_products)
 
-    def test_noise_scale_zero_matches_deterministic(self):
+    def test_zero_noise_matches_deterministic(self):
         """With no noise the run is deterministic: from the objective's
         own start point, the experiment seed changes no record."""
-        obj = quadratic_objective(5, 5, seed=4, noise_scale=0.0)
-        a = run_convergence_experiment(obj, 40, seed=3)
-        b = run_convergence_experiment(obj, 40, seed=8)
+        obj = quadratic_objective(5, 5, seed=4)
+        a = run_convergence_experiment(obj, 40, seed=3, noise=0.0)
+        b = run_convergence_experiment(obj, 40, seed=8, noise=0.0)
         np.testing.assert_array_equal(a.f_values, b.f_values)
         np.testing.assert_array_equal(a.grad_norms, b.grad_norms)
         np.testing.assert_array_equal(a.inner_products, b.inner_products)
@@ -307,7 +321,7 @@ class TestRunExperiment:
     def test_noisy_run_records_the_true_gradient_norm(self):
         """A noisy run steps with the noisy gradient but records the norm
         of the true one, bit for bit, at every iterate."""
-        obj = quadratic_objective(5, 5, seed=4, noise_scale=0.5)
+        obj = quadratic_objective(5, 5, seed=4)
         true = []
 
         def evaluate(theta):
@@ -316,7 +330,7 @@ class TestRunExperiment:
             return f_val, grad
 
         run = run_convergence_experiment(
-            dataclasses.replace(obj, evaluate=evaluate), 40, seed=3
+            dataclasses.replace(obj, evaluate=evaluate), 40, seed=3, noise=0.5
         )
         assert len(true) == 41
         expected = np.array([np.sqrt(np.sum(g * g)) for g in true])
@@ -343,13 +357,13 @@ class TestRunExperiment:
             steps=400,
         )
         assert run.min_grad_norm() <= bound
-        assert run.bound_check(obj, 1.0) == ("holds", bound)
+        assert run.bound_check() == ("holds", bound)
 
     def test_stochastic_run_differs_from_deterministic(self):
-        """A positive noise scale is what makes a run stochastic."""
-        obj = quadratic_objective(5, 5, seed=4, noise_scale=0.5)
-        det = run_convergence_experiment(quadratic_objective(5, 5, seed=4), 40, seed=3)
-        sto = run_convergence_experiment(obj, 40, seed=3)
+        """A positive noise is what makes a run stochastic."""
+        obj = quadratic_objective(5, 5, seed=4)
+        det = run_convergence_experiment(obj, 40, seed=3)
+        sto = run_convergence_experiment(obj, 40, seed=3, noise=0.5)
         assert not np.array_equal(det.f_values, sto.f_values)
         # initial point is shared, so the first objective value agrees
         assert det.f_values[0] == sto.f_values[0]
@@ -389,6 +403,11 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"experiment aborted at step 0: "):
             run_convergence_experiment(obj, 5)
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan")])
+    def test_noise_must_be_non_negative(self, noise):
+        with pytest.raises(ValueError, match="noise must be non-negative"):
+            run_convergence_experiment(quadratic_objective(4, 4), 2, noise=noise)
+
     def test_misshapen_gradient_raises(self):
         obj = SmoothObjective(
             dims=(4, 4),
@@ -414,7 +433,7 @@ class TestRunExperiment:
     def test_csv_row_bytes(self, tmp_path):
         """Every float is written as its shortest round-trip repr."""
         run = ConvergenceRun(
-            objective="x", steps=1, eta=1.0, seed=0,
+            objective=_hand_objective(), steps=1, c=1.0, noise=0.0, seed=0,
             f_values=np.array([0.1 + 0.2, 2.0]),
             grad_norms=np.array([1e-300, 0.5]),
             inner_products=np.array([2.5e-08, -0.0]),

@@ -88,12 +88,8 @@ _ENTRY_POINTS = [
     (adamw_step, _step(cfg=AdamWConfig()), ("lr",)),
     (sgdm_step, _step(), ("lr",)),
     (rsgdm_step, _step(), ("lr",)),
-    (
-        quadratic_objective,
-        {"m": 2, "n": 2},
-        ("m", "n", "step_scale", "noise_scale"),
-    ),
-    (softmax_objective, {"m": 2, "n": 2}, ("m", "n", "n_samples", "noise_scale")),
+    (quadratic_objective, {"m": 2, "n": 2}, ("m", "n", "step_scale")),
+    (softmax_objective, {"m": 2, "n": 2}, ("m", "n", "n_samples")),
     (
         min_grad_bound,
         {"f0": 1.0, "f_inf": 0.0, "smoothness": 1.0, "m": 2, "gamma": 0.5,
@@ -108,7 +104,7 @@ _ENTRY_POINTS = [
     (
         run_convergence_experiment,
         {"objective": quadratic_objective(2, 2), "steps": 2},
-        ("steps", "c"),
+        ("steps", "c", "noise"),
     ),
     (flops_mano, {"m": 2, "n": 2}, ("m", "n")),
     (flops_newton_schulz, {"m": 2, "n": 2}, ("m", "n", "iterations")),

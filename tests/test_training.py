@@ -930,7 +930,9 @@ class TestTrainer:
         1-D members, with an AdamW state's ``exp_avg`` as the momentum.
         ``theta`` and ``grad`` are written before the layer's step, which
         may write over the gradient, and ``momentum`` and ``update``
-        after it.  The update it returns, formed in theta's buffer, is
+        after it.  The step is the layer's own rule, called with its
+        state and the learning rate, and its result goes into the model.
+        The update it returns, formed in theta's buffer, is
         ``theta - new`` bit for bit."""
         cfg = _small_cfg(optimizer="adamw", in_dim=5, out_dim=3)
         trainer = Trainer(cfg, snapshot_dir=tmp_path)
@@ -943,12 +945,16 @@ class TestTrainer:
         assert grad.flags.f_contiguous and not grad.flags.c_contiguous
         old, spent, delta = theta.copy(), grad.copy(order="K"), theta - new
 
-        def layer_step():
+        def rule(theta_in, grad_in, state_in, lr):
+            assert theta_in is theta and grad_in is grad and state_in is state
+            assert lr == 0.25
             state.exp_avg = exp_avg
             grad[...] = np.nan
             return new
 
-        update = trainer._snapshot(7, "layer0.weight", theta, grad, layer_step)
+        trainer.rules["layer0.weight"] = rule
+        update = trainer._snapshot(7, 0, "layer0.weight", theta, grad, 0.25)
+        assert trainer.model.parameters()[0] is new
         assert update.tobytes() == delta.tobytes()
         assert np.shares_memory(update, theta)
         expected = tmp_path / "expected.npz"
