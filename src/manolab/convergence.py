@@ -16,8 +16,10 @@ eta = C / sqrt(T+1) then gives
 
     min_t ||grad_t||_F  <=  (C1 + C2) / sqrt(T+1)
 
-with C1 = (f0 - f_inf) / (sqrt(m) * gamma * C) and
-C2 = L * m^(3/2) * C / (2 * gamma), for square m x m parameters.  An
+with C1 = f0 / (sqrt(m) * gamma * C) and
+C2 = L * m^(3/2) * C / (2 * gamma), for square m x m parameters.  C1
+takes 0 as the lower bound of f, which every objective here has: the
+quadratic is half a squared norm and softmax a cross-entropy.  An
 objective is only the function and its constants; the step scale C, the
 gradient noise and the seed are settings of the run.  The runner records
 them with everything needed to check both facts on a concrete run, and
@@ -59,16 +61,16 @@ CONVERGENCE_CSV_HEADER = ("step", "f", "grad_norm", "S_t", "min_sin_phi")
 class SmoothObjective:
     """A differentiable objective on matrices of a fixed shape.
 
-    ``evaluate`` returns ``(f(theta), grad f(theta))``.  ``smoothness``
-    is a Lipschitz constant of the gradient and ``f_inf`` a lower bound
-    of f; both enter the convergence bound.  ``theta0``, when set, is
-    the start point every run of the objective takes.
+    ``evaluate`` returns ``(f(theta), grad f(theta))``, and f is never
+    negative: the convergence bound takes 0 as its lower bound.
+    ``smoothness`` is a Lipschitz constant of the gradient, which enters
+    the bound too.  ``theta0``, when set, is the start point every run
+    of the objective takes.
     """
 
     dims: tuple[int, int]
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
     smoothness: float
-    f_inf: float
     name: str = "objective"
     theta0: np.ndarray | None = field(default=None, repr=False)
 
@@ -111,7 +113,6 @@ def quadratic_objective(
         dims=(m, n),
         evaluate=evaluate,
         smoothness=1.0,
-        f_inf=0.0,
         name=f"quadratic-{m}x{n}",
         theta0=theta0,
     )
@@ -129,8 +130,7 @@ def softmax_objective(
     drawn once from a seeded generator.  The smoothness constant is the
     spectral bound sigma_max(X)^2 / (2 N), which dominates the Hessian
     of mean softmax cross-entropy in the logits; ``training._loss``
-    computes that loss.  f_inf is taken as 0, a valid lower bound for
-    cross-entropy.
+    computes that loss, which like any cross-entropy is never negative.
     """
     _positive("m", m)
     if not n >= 2:
@@ -149,7 +149,6 @@ def softmax_objective(
         dims=(m, n),
         evaluate=evaluate,
         smoothness=smoothness,
-        f_inf=0.0,
         name=f"softmax-{m}x{n}",
     )
 
@@ -240,7 +239,6 @@ def alignment_check(theta, grad) -> tuple[float, float, float]:
 
 def min_grad_bound(
     f0: float,
-    f_inf: float,
     smoothness: float,
     m: int,
     gamma: float,
@@ -250,18 +248,18 @@ def min_grad_bound(
     """Upper bound on min_t ||grad||_F after ``steps``+1 updates.
 
     Evaluates (C1 + C2) / sqrt(steps + 1) with
-    C1 = (f0 - f_inf) / (sqrt(m) * gamma * c) and
+    C1 = f0 / (sqrt(m) * gamma * c) and
     C2 = smoothness * m^(3/2) * c / (2 * gamma), valid for square m x m
-    parameters under the step size c / sqrt(steps + 1).
+    parameters under the step size c / sqrt(steps + 1), on an objective
+    whose lower bound is 0 (so f0, its start value, is non-negative).
     """
     _positive("gamma", gamma)
     _positive("c", c)
     _non_negative("steps", steps)
     _positive("smoothness", smoothness)
     _positive("m", m)
-    if not f0 >= f_inf:
-        raise ValueError(f"f0 must be at least f_inf, got f0={f0}, f_inf={f_inf}")
-    c1 = (f0 - f_inf) / (np.sqrt(m) * gamma * c)
+    _non_negative("f0", f0)
+    c1 = f0 / (np.sqrt(m) * gamma * c)
     c2 = smoothness * m**1.5 * c / (2.0 * gamma)
     return float((c1 + c2) / np.sqrt(steps + 1))
 
@@ -309,7 +307,7 @@ class ConvergenceRun:
         if self.realized_gamma <= 0.0:
             return "vacuous", None
         bound = min_grad_bound(
-            float(self.f_values[0]), self.objective.f_inf, self.objective.smoothness,
+            float(self.f_values[0]), self.objective.smoothness,
             m, self.realized_gamma, self.c, self.steps,
         )
         return ("holds" if self.min_grad_norm() <= bound else "violated"), bound

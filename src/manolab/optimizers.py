@@ -6,7 +6,8 @@ value, mutating only its OptimizerState (momentum buffers, moment
 estimates, step counter).  This keeps the update rules testable against
 scalar-loop oracles without dragging a training loop along.  A config
 holds only what a run can vary; the values no run varies (the rescale
-coefficient, AdamW's betas and epsilon) are module constants.
+coefficient, AdamW's betas and epsilon, the learning-rate floor) are
+module constants.
 
 The five steps share one skeleton, so each keeps only its own checks
 and direction map.  The input checks come from ``tensor``:
@@ -62,7 +63,6 @@ from .tensor import (
     CHUNK_ENTRIES,
     EPS_DIV,
     ShapeMismatchError,
-    _fraction,
     _matching,
     _non_negative,
     _norm,
@@ -83,6 +83,8 @@ RESCALE_COEFF = 0.2
 # AdamW's (beta1, beta2) and the epsilon added to sqrt(s_hat).
 ADAM_BETAS = (0.9, 0.95)
 ADAM_EPS = 1e-8
+# The cosine schedule's floor, as a fraction of its peak rate.
+MIN_LR_RATIO = 0.1
 
 # The learning rate is the ``lr`` argument of each step, which the
 # training loop takes from its schedule, so no config holds one.  The
@@ -475,13 +477,12 @@ def cosine_warmup_lr(
     total_steps: int,
     warmup_steps: int,
     lr_max: float,
-    min_ratio: float = 0.1,
 ) -> float:
     """Linear warmup into a cosine decay.
 
     Warmup ramps as ``lr_max * (step + 1) / warmup_steps`` for
     ``step < warmup_steps``; afterwards the rate follows a half cosine
-    from lr_max down to ``min_ratio * lr_max`` at ``total_steps``.
+    from lr_max down to ``MIN_LR_RATIO * lr_max`` at ``total_steps``.
     """
     _positive("total_steps", total_steps)
     if not 0 < warmup_steps < total_steps:
@@ -489,10 +490,9 @@ def cosine_warmup_lr(
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     _positive("lr_max", lr_max)
-    _fraction("min_ratio", min_ratio)
     if step < warmup_steps:
         return lr_max * (step + 1) / warmup_steps
-    lr_min = min_ratio * lr_max
+    lr_min = MIN_LR_RATIO * lr_max
     progress = (step - warmup_steps) / (total_steps - warmup_steps)
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + np.cos(np.pi * progress))
 

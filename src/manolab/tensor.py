@@ -7,11 +7,11 @@ The finiteness scan is ``_all_finite``: an array beyond
 ``_SCAN_ENTRIES`` entries is scanned a 64 KiB bool chunk at a time, so
 no scan makes an array of its input's size, and a smaller one in one
 ``np.isfinite`` call, which costs less.
-Scalar arguments go through ``_positive``, ``_non_negative``,
-``_unit_interval`` and ``_fraction``, which are written so that NaN
-fails every one of them.  Each public entry point checks its own
-inputs, so a training step scans every gradient twice (clipping,
-whose check is also the trainer's divergence check, and the step).
+Scalar arguments go through ``_positive``, ``_non_negative`` and
+``_unit_interval``, which are written so that NaN fails every one of
+them.  Each public entry point checks its own inputs, so a training
+step scans every gradient twice (clipping, whose check is also the
+trainer's divergence check, and the step).
 ``_norm`` is the package's one overflow rescue; over a whole array it
 squares a chunk at a time (``_sum_squares``), so it makes no array of
 the input's size, and ``rms`` sums the same way.  The rest is a thin
@@ -102,11 +102,6 @@ def _non_negative(name: str, value: float) -> None:
 def _unit_interval(name: str, value: float) -> None:
     if not 0.0 <= value < 1.0:
         raise ValueError(f"{name} must lie in [0, 1), got {value}")
-
-
-def _fraction(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 def _sum_squares(flat: np.ndarray, center=None):

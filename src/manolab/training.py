@@ -49,7 +49,6 @@ from .optimizers import (
     sgdm_step,
 )
 from .tensor import (
-    _fraction,
     _non_negative,
     _norm,
     _positive,
@@ -57,6 +56,11 @@ from .tensor import (
     _unit_interval,
     rms,
 )
+
+# The joint gradient norm a step is clipped to: a fixed-threshold
+# global-norm clip (Pascanu, Mikolov & Bengio, "On the difficulty of
+# training recurrent neural networks", ICML 2013).
+CLIP_NORM = 1.0
 
 # Gradient SNR denominators get this floor so constant gradients report
 # a large but finite ratio.
@@ -89,7 +93,7 @@ _RULES = {
                 momentum=c.momentum,
                 weight_decay=c.weight_decay,
                 nesterov=c.nesterov,
-                schedule=c.manifold_mode,
+                schedule=c.schedule,
                 retract_momentum=c.retract_momentum,
             ),
             _into_grad=True,
@@ -418,6 +422,11 @@ class TrajectoryRecord:
 
 @dataclass
 class TrainConfig:
+    """One training run.  ``schedule`` is Mano's axis schedule, a name
+    from ``SCHEDULE_MODES``, not the learning-rate schedule: the rate is
+    always ``cosine_warmup_lr`` from ``lr_max``, and the gradients are
+    always clipped to ``CLIP_NORM``."""
+
     task: str = "linreg"
     n_samples: int = 512
     in_dim: int = 8
@@ -429,12 +438,10 @@ class TrainConfig:
     warmup_steps: int = 100
     batch_size: int = 32
     lr_max: float = 3e-3
-    min_ratio: float = 0.1
-    clip_norm: float = 1.0
     weight_decay: float = 0.1
     momentum: float = 0.95
     nesterov: bool = False
-    manifold_mode: str = "rotating"
+    schedule: str = "rotating"
     retract_momentum: bool = False
     cadence: int = 50
     snapshot_every: int = 0
@@ -455,17 +462,16 @@ class TrainConfig:
         # Each numeric field is checked here, under its own key, rather
         # than later by whatever it is passed to under another name.
         for key in ("n_samples", "in_dim", "out_dim", "total_steps", "batch_size",
-                    "lr_max", "clip_norm", "cadence"):
+                    "lr_max", "cadence"):
             _positive(key, getattr(self, key))
         for width in self.hidden:
             _positive("hidden", width)
         for key in ("weight_decay", "snapshot_every", "noise", "separation"):
             _non_negative(key, getattr(self, key))
         _unit_interval("momentum", self.momentum)
-        _fraction("min_ratio", self.min_ratio)
         if not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("warmup_steps must lie strictly inside (0, total_steps)")
-        _check_schedule("manifold_mode", self.manifold_mode)
+        _check_schedule("schedule", self.schedule)
 
 
 def _parse_config_value(name: str, text: str, kind):
@@ -632,6 +638,9 @@ class Trainer:
         Forward/backward gets the training split and the batch's rows
         ``idx``, and gathers the batch itself, into its slot and later
         again, so the step holds no copy of the batch beside the slot.
+        The gradients are clipped in place to a joint norm of
+        ``CLIP_NORM``, and the step's rate is ``cosine_warmup_lr``'s,
+        which decays to ``MIN_LR_RATIO`` of ``lr_max``.
         Divergence is a non-finite loss, or a non-finite gradient entry:
         the clip's input check finds it, and its ValueError, the only
         one the uncapped clip raises, becomes ``TrainingDiverged``, so
@@ -654,13 +663,11 @@ class Trainer:
             raise TrainingDiverged(
                 t, f"non-finite loss or gradient (loss={loss})", records
             ) from err
-        if norm > cfg.clip_norm:
-            scale = cfg.clip_norm / norm
+        if norm > CLIP_NORM:
+            scale = CLIP_NORM / norm
             for g in grads:
                 g *= scale
-        lr_t = cosine_warmup_lr(
-            t, cfg.total_steps, cfg.warmup_steps, cfg.lr_max, cfg.min_ratio
-        )
+        lr_t = cosine_warmup_lr(t, cfg.total_steps, cfg.warmup_steps, cfg.lr_max)
         record_now = (t % cfg.cadence == 0) or (t == cfg.total_steps - 1)
         snapshot_now = snapshotting and t % cfg.snapshot_every == 0
 

@@ -207,7 +207,6 @@ def test_c05_rate_bound():
                     observed = run.min_grad_norm()
                     bound = min_grad_bound(
                         f0=float(run.f_values[0]),
-                        f_inf=objective.f_inf,
                         smoothness=objective.smoothness,
                         m=m,
                         gamma=run.realized_gamma,
@@ -365,8 +364,6 @@ def test_c08_convex_task_convergence():
                 warmup_steps=100,
                 batch_size=32,
                 lr_max=3e-3,
-                min_ratio=0.1,
-                clip_norm=1.0,
                 weight_decay=0.0,
                 cadence=100,
                 seed=0,

@@ -64,7 +64,7 @@ class TestTrain:
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(
             "task = linreg\nin_dim = 4\nout_dim = 2\noptimizer = sgdm\n"
-            "lr_max = 1e30\nclip_norm = 1e300\ntotal_steps = 40\n"
+            "lr_max = 1e30\ntotal_steps = 40\n"
             "warmup_steps = 8\n"
         )
         code = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])

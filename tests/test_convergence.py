@@ -206,27 +206,26 @@ class TestMinGradBound:
     def test_frozen_arithmetic(self):
         """f0=1, L=1, m=4, gamma=0.5, c=1, steps=99 gives
         C1 = 1, C2 = 4, bound = 5/10."""
-        bound = min_grad_bound(1.0, 0.0, 1.0, 4, 0.5, 1.0, 99)
+        bound = min_grad_bound(1.0, 1.0, 4, 0.5, 1.0, 99)
         c1 = 1.0 / (2.0 * 0.5)
         c2 = 1.0 * 8.0 / (2.0 * 0.5)
         assert bound == pytest.approx((c1 + c2) / 10.0, rel=1e-14)
 
     def test_scales_inversely_with_sqrt_steps(self):
-        b1 = min_grad_bound(1.0, 0.0, 1.0, 4, 0.5, 1.0, 99)
-        b2 = min_grad_bound(1.0, 0.0, 1.0, 4, 0.5, 1.0, 399)
+        b1 = min_grad_bound(1.0, 1.0, 4, 0.5, 1.0, 99)
+        b2 = min_grad_bound(1.0, 1.0, 4, 0.5, 1.0, 399)
         assert b2 == pytest.approx(b1 / 2.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            min_grad_bound(1.0, 0.0, 1.0, 4, 0.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            min_grad_bound(0.0, 1.0, 1.0, 4, 0.5, 1.0, 10)  # f0 < f_inf
+            min_grad_bound(1.0, 1.0, 4, 0.0, 1.0, 10)
+        with pytest.raises(ValueError, match="f0 must be non-negative"):
+            min_grad_bound(-1.0, 1.0, 4, 0.5, 1.0, 10)
 
 
-def _hand_objective(dims=(4, 4), smoothness=1.0, f_inf=0.0):
+def _hand_objective(dims=(4, 4), smoothness=1.0):
     return SmoothObjective(
-        dims=dims, evaluate=lambda theta: (0.0, theta), smoothness=smoothness,
-        f_inf=f_inf,
+        dims=dims, evaluate=lambda theta: (0.0, theta), smoothness=smoothness
     )
 
 
@@ -260,17 +259,18 @@ class TestBoundCheck:
 
     def test_holds(self):
         # C1 = 1 / (2 * 0.25) = 2, C2 = 8 / (2 * 0.25) = 16: 18 / sqrt(2) >= 1
-        expected = min_grad_bound(1.0, 0.0, 1.0, 4, 0.25, 1.0, 1)
+        expected = min_grad_bound(1.0, 1.0, 4, 0.25, 1.0, 1)
         assert expected == pytest.approx(18.0 / np.sqrt(2.0), rel=1e-15)
         assert _hand_run().bound_check() == ("holds", expected)
 
     def test_violated(self):
-        """With f0 = f_inf only C2 is left, and a tiny smoothness puts it
-        below the observed minimum gradient norm of 1."""
-        run = _hand_run(f0=1.0, smoothness=1e-6, f_inf=1.0)
+        """A tiny start value and a tiny smoothness make C1 and C2 tiny,
+        which puts the bound below the observed minimum gradient norm
+        of 1."""
+        run = _hand_run(f0=1e-6, smoothness=1e-6)
         verdict, bound = run.bound_check()
         assert verdict == "violated"
-        assert bound == min_grad_bound(1.0, 1.0, 1e-6, 4, 0.25, 1.0, 1) < 1.0
+        assert bound == min_grad_bound(1e-6, 1e-6, 4, 0.25, 1.0, 1) < 1.0
 
     def test_judged_at_the_runs_own_step_scale(self):
         """A run at c = 2 is judged at c = 2, with its objective's
@@ -278,7 +278,7 @@ class TestBoundCheck:
         objective = softmax_objective(8, 8, n_samples=64, seed=2)
         run = run_convergence_experiment(objective, 100, c=2.0, seed=2)
         expected = min_grad_bound(
-            float(run.f_values[0]), objective.f_inf, objective.smoothness,
+            float(run.f_values[0]), objective.smoothness,
             8, run.realized_gamma, 2.0, 100,
         )
         assert run.bound_check() == ("holds", expected)
@@ -349,7 +349,6 @@ class TestRunExperiment:
         run = run_convergence_experiment(obj, 400, c=1.0, seed=2)
         bound = min_grad_bound(
             f0=float(run.f_values[0]),
-            f_inf=obj.f_inf,
             smoothness=obj.smoothness,
             m=4,
             gamma=run.realized_gamma,
@@ -383,7 +382,7 @@ class TestRunExperiment:
             return f, grad
 
         obj = SmoothObjective(
-            dims=(4, 4), evaluate=evaluate, smoothness=1.0, f_inf=0.0,
+            dims=(4, 4), evaluate=evaluate, smoothness=1.0,
             theta0=base.theta0,
         )
         with pytest.raises(ValueError, match="non-finite"):
@@ -397,7 +396,6 @@ class TestRunExperiment:
             dims=(3, 3),
             evaluate=lambda theta: (0.5 * float(np.sum(theta * theta)), theta.copy()),
             smoothness=1.0,
-            f_inf=0.0,
             theta0=np.eye(3),
         )
         with pytest.raises(RuntimeError, match=r"experiment aborted at step 0: "):
@@ -413,7 +411,6 @@ class TestRunExperiment:
             dims=(4, 4),
             evaluate=lambda theta: (0.0, np.ones((4, 3))),
             smoothness=1.0,
-            f_inf=0.0,
         )
         with pytest.raises(ShapeMismatchError, match=r"\(4, 3\) != \(4, 4\)"):
             run_convergence_experiment(obj, 5)

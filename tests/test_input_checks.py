@@ -47,7 +47,6 @@ from manolab.optimizers import (
 from manolab.tensor import (
     ShapeMismatchError,
     _matching,
-    _fraction,
     _non_negative,
     _positive,
     _unit_interval,
@@ -92,9 +91,8 @@ _ENTRY_POINTS = [
     (softmax_objective, {"m": 2, "n": 2}, ("m", "n", "n_samples")),
     (
         min_grad_bound,
-        {"f0": 1.0, "f_inf": 0.0, "smoothness": 1.0, "m": 2, "gamma": 0.5,
-         "c": 1.0, "steps": 3},
-        ("f0", "f_inf", "smoothness", "m", "gamma", "c", "steps"),
+        {"f0": 1.0, "smoothness": 1.0, "m": 2, "gamma": 0.5, "c": 1.0, "steps": 3},
+        ("f0", "smoothness", "m", "gamma", "c", "steps"),
     ),
     (
         mano_simple_step,
@@ -129,8 +127,8 @@ _ENTRY_POINTS = [
     (
         TrainConfig,
         {},
-        ("batch_size", "cadence", "snapshot_every", "clip_norm", "lr_max",
-         "min_ratio", "weight_decay", "momentum", "noise", "separation"),
+        ("batch_size", "cadence", "snapshot_every", "lr_max", "weight_decay",
+         "momentum", "noise", "separation"),
     ),
 ]
 _NAN_CASES = {
@@ -256,11 +254,6 @@ class TestScalarChecks:
         with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\), got"):
             _unit_interval("x", value)
 
-    @pytest.mark.parametrize("value", [-0.1, 1.5, np.nan, np.inf])
-    def test_fraction(self, value):
-        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\], got"):
-            _fraction("x", value)
-
     def test_in_range_values_pass(self):
         _positive("x", 1e-300)
         _positive("x", 3)
@@ -268,8 +261,6 @@ class TestScalarChecks:
         _non_negative("x", 0)
         _unit_interval("x", 0.0)
         _unit_interval("x", 0.999)
-        _fraction("x", 0.0)
-        _fraction("x", 1.0)
 
 
 class TestMatching:

@@ -858,13 +858,13 @@ class TestCosineWarmupLr:
 
     def test_halfway_point(self):
         lr_max = 2.0
-        mid = cosine_warmup_lr(550, 1000, 100, lr_max, min_ratio=0.1)
+        mid = cosine_warmup_lr(550, 1000, 100, lr_max)
         assert mid == pytest.approx(lr_max * (1.0 + 0.1) / 2.0, rel=1e-12)
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=80, deadline=None)
     def test_bounded_and_positive(self, step):
-        lr = cosine_warmup_lr(step, 1000, 100, 3e-3, min_ratio=0.1)
+        lr = cosine_warmup_lr(step, 1000, 100, 3e-3)
         assert 0.0 < lr <= 3e-3 + 1e-18
 
     def test_monotone_decay_after_warmup(self):
@@ -878,8 +878,6 @@ class TestCosineWarmupLr:
             cosine_warmup_lr(0, 100, 100, 1e-3)
         with pytest.raises(ValueError):
             cosine_warmup_lr(101, 100, 10, 1e-3)
-        with pytest.raises(ValueError):
-            cosine_warmup_lr(5, 100, 10, 1e-3, min_ratio=1.5)
 
 
 class TestClipGlobalGradNorm:

@@ -14,11 +14,18 @@ from manolab.convergence import (
     ConvergenceRun,
     SmoothObjective,
     mano_simple_step,
+    min_grad_bound,
     quadratic_objective,
     run_convergence_experiment,
     softmax_objective,
 )
-from manolab.optimizers import AdamWConfig, ManoConfig, MuonConfig, rsgdm_step
+from manolab.optimizers import (
+    AdamWConfig,
+    ManoConfig,
+    MuonConfig,
+    cosine_warmup_lr,
+    rsgdm_step,
+)
 from manolab.training import TrainConfig
 
 
@@ -35,14 +42,16 @@ _BUDGET = {
     "ManoConfig": (_fields, ManoConfig, 5),
     "MuonConfig": (_fields, MuonConfig, 3),
     "AdamWConfig": (_fields, AdamWConfig, 1),
-    "TrainConfig": (_fields, TrainConfig, 23),
-    "SmoothObjective": (_fields, SmoothObjective, 6),
+    "TrainConfig": (_fields, TrainConfig, 21),
+    "SmoothObjective": (_fields, SmoothObjective, 5),
     "quadratic_objective": (_parameters, quadratic_objective, 4),
     "softmax_objective": (_parameters, softmax_objective, 4),
     "run_convergence_experiment": (_parameters, run_convergence_experiment, 5),
+    "min_grad_bound": (_parameters, min_grad_bound, 6),
     "ConvergenceRun.bound_check": (_parameters, ConvergenceRun.bound_check, 0),
     "mano_simple_step": (_parameters, mano_simple_step, 3),
     "rsgdm_step": (_parameters, rsgdm_step, 5),
+    "cosine_warmup_lr": (_parameters, cosine_warmup_lr, 4),
     "bench_kernels": (_parameters, bench_kernels, 4),
 }
 

@@ -440,8 +440,8 @@ class TestTrainConfig:
             _small_cfg(task="blobs-classify")  # needs cross-entropy
         with pytest.raises(ValueError, match="linreg requires the mse loss"):
             _small_cfg(loss="cross-entropy")
-        with pytest.raises(ValueError, match="manifold_mode"):
-            _small_cfg(manifold_mode="wobbly")
+        with pytest.raises(ValueError, match="schedule"):
+            _small_cfg(schedule="wobbly")
         with pytest.raises(ValueError, match="task must be one of"):
             _small_cfg(task="bogus")
         with pytest.raises(ValueError, match="linreg requires the mse loss"):
@@ -491,14 +491,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=rf"^{expected}"):
             load_config(path)
 
-    @pytest.mark.parametrize("clip_norm", ["0", "-1.0", "nan"])
-    def test_load_config_rejects_bad_clip_norm(self, tmp_path, clip_norm):
-        """A bad clip_norm fails at load and is named, rather than at the
-        first clipped step as a max_norm error."""
+    @pytest.mark.parametrize("key", ["clip_norm", "min_ratio", "manifold_mode"])
+    def test_load_config_rejects_removed_keys(self, tmp_path, key):
+        """The clip threshold and the rate floor are constants and the axis
+        schedule is ``schedule``, so the old keys are unknown, and the
+        message lists the new name."""
         path = tmp_path / "cfg.txt"
-        path.write_text(f"clip_norm = {clip_norm}\n")
-        with pytest.raises(ValueError, match="clip_norm must be positive"):
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(ValueError, match=rf"unknown key '{key}'") as err:
             load_config(path)
+        assert re.search(r"valid keys: .*\bschedule\b", str(err.value))
 
     @pytest.mark.parametrize(
         "key, text, message",
@@ -513,8 +515,6 @@ class TestTrainConfig:
             ("momentum", "1.5", r"must lie in \[0, 1\)"),
             ("momentum", "nan", r"must lie in \[0, 1\)"),
             ("weight_decay", "-0.1", "must be non-negative"),
-            ("min_ratio", "1.5", r"must lie in \[0, 1\]"),
-            ("min_ratio", "nan", r"must lie in \[0, 1\]"),
             ("noise", "-1", "must be non-negative"),
             ("separation", "nan", "must be non-negative"),
         ],
@@ -600,7 +600,7 @@ class TestTrainer:
     def test_recorded_global_norm_respects_clip(self):
         """At every recorded step the per-layer gradient norms recombine
         to a post-clip global norm within the cap."""
-        cfg = _small_cfg(hidden=(8,), total_steps=30, clip_norm=1.0, lr_max=0.05)
+        cfg = _small_cfg(hidden=(8,), total_steps=30, lr_max=0.05)
         records = train_run(cfg)
         by_step = {}
         for r in records:
@@ -612,7 +612,8 @@ class TestTrainer:
     def test_clip_in_place_has_the_bits_of_the_clip_copies(self, monkeypatch):
         """The trainer scales its own gradients in place; each rule gets
         what ``clip_global_grad_norm`` returns for the raw gradients."""
-        cfg = _small_cfg(hidden=(8,), total_steps=4, warmup_steps=1, clip_norm=1e-3)
+        monkeypatch.setattr(training, "CLIP_NORM", 1e-3)
+        cfg = _small_cfg(hidden=(8,), total_steps=4, warmup_steps=1)
         raw, given = [], {}
         forward_backward = training.mlp_forward_backward
 
@@ -633,21 +634,21 @@ class TestTrainer:
         trainer.run()
         assert len(raw) == cfg.total_steps
         for t, grads in enumerate(raw):
-            clipped, norm = clip_global_grad_norm(grads, cfg.clip_norm)
-            assert norm > cfg.clip_norm
+            clipped, norm = clip_global_grad_norm(grads, training.CLIP_NORM)
+            assert norm > training.CLIP_NORM
             for name, expected in zip(trainer.names, clipped):
                 assert given[name][t].tobytes() == expected.tobytes()
 
-    def test_each_gradient_goes_once_its_layer_has_stepped(self):
+    def test_each_gradient_goes_once_its_layer_has_stepped(self, monkeypatch):
         """When a layer steps, the gradient of each earlier layer of that
         step is gone, except where the Mano rule formed its result in it:
         a weight's gradient lives on only as that weight's new value, or
         with ``retract_momentum`` as its momentum.  Neither the trainer
         nor the clip keeps a list of them."""
+        monkeypatch.setattr(training, "CLIP_NORM", 1e-3)
         for retract in (False, True):
             cfg = _small_cfg(
-                hidden=(8, 8), total_steps=4, warmup_steps=1, clip_norm=1e-3,
-                retract_momentum=retract,
+                hidden=(8, 8), total_steps=4, warmup_steps=1, retract_momentum=retract,
             )
             trainer = Trainer(cfg)
             stepped = []
@@ -699,7 +700,7 @@ class TestTrainer:
             held_out, train = losses[r.step]
             assert r.eval_loss == held_out != train
 
-    def test_step_holds_one_layer_at_a_time(self, tmp_path):
+    def test_step_holds_one_layer_at_a_time(self, tmp_path, monkeypatch):
         """Traced memory of a run with one 256-wide hidden layer, every
         other step a record step (steps 0 and 4 snapshot steps too) and
         clipping in every step.
@@ -723,7 +724,6 @@ class TestTrainer:
         cfg = _small_cfg(
             n_samples=128, in_dim=512, hidden=(512,), out_dim=512,
             total_steps=5, warmup_steps=1, cadence=2, snapshot_every=4,
-            clip_norm=1e-3,
         )
         # A small run first, so the modules a snapshot imports on first
         # use are not counted.
@@ -731,6 +731,7 @@ class TestTrainer:
             _small_cfg(total_steps=2, warmup_steps=1, snapshot_every=1),
             snapshot_dir=tmp_path / "warm-up",
         )
+        monkeypatch.setattr(training, "CLIP_NORM", 1e-3)
         live, peaks, before_layers = [], [], []
         tracemalloc.start()
         try:
