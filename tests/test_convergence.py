@@ -102,6 +102,24 @@ class TestObjectives:
                 ratio = np.linalg.norm(gx - gy) / np.linalg.norm(x - y)
                 assert ratio <= obj.smoothness * 1.05
 
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: quadratic_objective(4, 4, seed=3),
+            lambda: softmax_objective(4, 3, n_samples=32, seed=3),
+        ],
+        ids=["quadratic", "softmax"],
+    )
+    def test_objective_is_non_negative(self, make, scale):
+        """``min_grad_bound`` takes 0 as the lower bound of f, so every
+        objective must stay at or above it, also far from the start."""
+        obj = make()
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            f, _ = obj.evaluate(scale * rng.standard_normal(obj.dims))
+            assert f >= 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             quadratic_objective(0, 4)
@@ -221,6 +239,17 @@ class TestMinGradBound:
             min_grad_bound(1.0, 1.0, 4, 0.0, 1.0, 10)
         with pytest.raises(ValueError, match="f0 must be non-negative"):
             min_grad_bound(-1.0, 1.0, 4, 0.5, 1.0, 10)
+
+    def test_zero_start_value_leaves_only_c2(self):
+        """f0 = 0 is the objectives' lower bound: C1 vanishes and the
+        bound is C2 / sqrt(steps + 1) = 8 / 10."""
+        bound = min_grad_bound(0.0, 1.0, 4, 0.5, 1.0, 99)
+        assert bound == pytest.approx(1.0 * 8.0 / (2.0 * 0.5) / 10.0, rel=1e-14)
+
+    @pytest.mark.parametrize("f0", [-1e-300, -np.inf])
+    def test_rejects_start_value_below_zero(self, f0):
+        with pytest.raises(ValueError, match="^f0 must be non-negative"):
+            min_grad_bound(f0, 1.0, 4, 0.5, 1.0, 10)
 
 
 def _hand_objective(dims=(4, 4), smoothness=1.0):

@@ -18,11 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manolab import optimizers
 from manolab.manifold import DegenerateSliceError
 from manolab.optimizers import (
     ADAM_BETAS,
     ADAM_EPS,
     CHUNK_ENTRIES,
+    MIN_LR_RATIO,
     NS_COEFFS,
     RESCALE_COEFF,
     AdamWConfig,
@@ -866,6 +868,22 @@ class TestCosineWarmupLr:
     def test_bounded_and_positive(self, step):
         lr = cosine_warmup_lr(step, 1000, 100, 3e-3)
         assert 0.0 < lr <= 3e-3 + 1e-18
+
+    @pytest.mark.parametrize("lr_max", [1e-3, 2.0])
+    def test_decays_to_min_lr_ratio(self, lr_max):
+        """The schedule ends at MIN_LR_RATIO * lr_max and never goes
+        below it."""
+        values = [cosine_warmup_lr(t, 200, 20, lr_max) for t in range(201)]
+        floor = MIN_LR_RATIO * lr_max
+        assert values[-1] == pytest.approx(floor, rel=1e-12)
+        assert min(values[20:]) >= floor * (1.0 - 1e-12)
+
+    def test_reads_min_lr_ratio_at_call_time(self, monkeypatch):
+        """The floor is the module constant: set it to 0.5 and the
+        halfway rate is (1 + 0.5) / 2 of lr_max."""
+        monkeypatch.setattr(optimizers, "MIN_LR_RATIO", 0.5)
+        assert cosine_warmup_lr(550, 1000, 100, 2.0) == pytest.approx(1.5, rel=1e-12)
+        assert cosine_warmup_lr(1000, 1000, 100, 2.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_monotone_decay_after_warmup(self):
         values = [cosine_warmup_lr(t, 500, 50, 1.0) for t in range(50, 501)]
