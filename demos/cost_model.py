@@ -7,16 +7,16 @@ normalization overhead is the same number for every shape; the measured
 times tell a similar story without leaving the laptop.
 """
 
-from manolab import FlopModel, bench_kernels
+from manolab import bench_kernels, flop_row
 
 SHAPES = [(256, 256), (512, 512), (1024, 1024), (1024, 256)]
 
 
 def main() -> None:
-    model = FlopModel(batch=32)
     print(f"{'shape':>12} {'normalize':>12} {'newton-schulz':>14} "
           f"{'baseline':>14} {'norm/base':>10} {'ns/base':>10}")
-    for row in model.table(SHAPES):
+    for m, n in SHAPES:
+        row = flop_row(m, n, batch=32)
         print(f"{row['m']:>5}x{row['n']:<6} {row['mano_flops']:>12} "
               f"{row['newton_schulz_flops']:>14} {row['baseline_flops']:>14} "
               f"{row['mano_overhead']:>10.4f} "

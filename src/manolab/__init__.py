@@ -5,17 +5,13 @@ and a LAPACK SVD), ``manifold`` (unit-slice geometry), ``optimizers``
 (Mano, Muon, AdamW, SGD-M, Riemannian SGD-M as pure step functions),
 ``convergence`` (rate experiments for the momentum-free update),
 ``training`` (a small MLP harness), ``diagnostics`` (spectra and
-geodesic trails), and ``bench`` (FLOP models and timings).
+geodesic trails), and ``bench`` (a FLOP model and timings).
 """
 
 from .bench import (
     BenchResult,
-    FlopModel,
     bench_kernels,
-    flops_baseline,
-    flops_mano,
-    flops_newton_schulz,
-    overhead_ratio,
+    flop_row,
 )
 from .convergence import (
     ConvergenceRun,
@@ -64,7 +60,6 @@ from .tensor import (
     as_tensor,
     jacobi_svd,
     rms,
-    svd_values,
 )
 from .training import (
     Dataset,
@@ -89,7 +84,6 @@ __all__ = [
     "ConvergenceRun",
     "Dataset",
     "DegenerateSliceError",
-    "FlopModel",
     "GeodesicTrail",
     "ManoConfig",
     "MlpModel",
@@ -108,9 +102,7 @@ __all__ = [
     "bench_kernels",
     "clip_global_grad_norm",
     "cosine_warmup_lr",
-    "flops_baseline",
-    "flops_mano",
-    "flops_newton_schulz",
+    "flop_row",
     "geodesic_oblique",
     "geodesic_sphere",
     "geodesic_stiefel_approx",
@@ -127,7 +119,6 @@ __all__ = [
     "muon_step",
     "newton_schulz",
     "oblique_normalize",
-    "overhead_ratio",
     "quadratic_objective",
     "rms",
     "rotation_axis",
@@ -137,7 +128,6 @@ __all__ = [
     "softmax_objective",
     "spearman_rho",
     "spectrum_report",
-    "svd_values",
     "tangent_project",
     "train_run",
     "trajectory_geodesics",

@@ -14,13 +14,19 @@ Counting conventions, for an m x n matrix:
 One normalized-update transform (normalize, inner, combine, normalize,
 scale) therefore costs 3mn + 2mn + 2mn + 3mn + mn = 11mn.
 
-The orthogonalizing quintic, per iteration on X (m x n, m <= n):
+The orthogonalizing quintic, per round on X (m x n, m <= n):
 2m^2 n (Gram) + 2m^3 (Gram squared) + m^2 (coefficient combine) +
-2m^2 n (apply to X) + 2mn (final scale/add), times the iteration count.
+2m^2 n (apply to X) + 2mn (final scale/add), counted at NS_ITERATIONS
+rounds, the count the trainer's Muon steps run.
 
 A transformer-style backward pass re-uses the forward matrices, so the
 baseline cost of touching an m x n parameter with batch size B is taken
-as 6mnB.  Overheads below are relative to that.
+as 6mnB.
+
+Both kernels live in one table, ``_KERNELS``: each name maps to its
+FLOP count at m x n and to one call on the seeded operands.
+``flop_row`` tabulates every kernel's count and its overhead over the
+baseline from it, and ``bench_kernels`` times every call.
 """
 
 from __future__ import annotations
@@ -36,79 +42,55 @@ from .tensor import _positive
 
 MIN_REPETITIONS = 100
 WARMUP_REPETITIONS = 10
-BENCH_KERNELS = ("mano", "newton_schulz")
 
 
-def flops_mano(m: int, n: int) -> int:
-    """Arithmetic cost of one normalized-update transform: 11mn."""
-    _positive("m", m)
-    _positive("n", n)
+def _flops_mano(m: int, n: int) -> int:
     return 11 * m * n
 
 
-def flops_newton_schulz(m: int, n: int, iterations: int = NS_ITERATIONS) -> int:
-    """Arithmetic cost of the quintic orthogonalization.
-
-    The iteration runs on the orientation with rows <= columns, so the
-    dimensions are swapped if needed before counting.
-    """
-    _positive("m", m)
-    _positive("n", n)
-    _positive("iterations", iterations)
+def _flops_newton_schulz(m: int, n: int) -> int:
+    # The quintic runs on the orientation with rows <= columns, so the
+    # count swaps the dimensions too.  NS_ITERATIONS is read per call.
     if m > n:
         m, n = n, m
-    per_iter = 2 * m * m * n + 2 * m**3 + m * m + 2 * m * m * n + 2 * m * n
-    return iterations * per_iter
+    per_round = 2 * m * m * n + 2 * m**3 + m * m + 2 * m * m * n + 2 * m * n
+    return NS_ITERATIONS * per_round
 
 
-def flops_baseline(m: int, n: int, batch: int) -> int:
-    """Forward plus backward cost of an m x n parameter at batch size B."""
+# kernel name -> (FLOP count at m x n, one call on (theta, direction))
+_KERNELS = {
+    "mano": (
+        _flops_mano,
+        lambda theta, direction: mano_transform(theta, direction, 0),
+    ),
+    "newton_schulz": (
+        _flops_newton_schulz,
+        lambda theta, direction: newton_schulz(direction),
+    ),
+}
+BENCH_KERNELS = tuple(_KERNELS)
+
+
+def flop_row(m: int, n: int, batch: int) -> dict:
+    """Modeled FLOPs of each kernel and of the 6mnB baseline at an m x n
+    parameter and batch size B, and each kernel's overhead as a fraction
+    of that baseline.
+
+    The transform's overhead is 11/(6B) for every shape; the quintic's
+    grows linearly in min(m, n).
+    """
     _positive("m", m)
     _positive("n", n)
     _positive("batch", batch)
-    return 6 * m * n * batch
-
-
-def overhead_ratio(
-    kernel: str, m: int, n: int, batch: int, iterations: int = NS_ITERATIONS
-) -> float:
-    """Optimizer arithmetic as a fraction of the training-step baseline.
-
-    For the normalized-update transform this is 11/(6B) independent of
-    shape; the quintic grows linearly in min(m, n).
-    """
-    if kernel == "mano":
-        numerator = flops_mano(m, n)
-    elif kernel == "newton_schulz":
-        numerator = flops_newton_schulz(m, n, iterations)
-    else:
-        raise ValueError(f"kernel must be one of {BENCH_KERNELS}, got {kernel!r}")
-    return numerator / flops_baseline(m, n, batch)
-
-
-@dataclass(frozen=True)
-class FlopModel:
-    """The three counts above bundled with fixed iteration and batch
-    parameters, convenient for tabulating several shapes at once."""
-
-    ns_iterations: int = NS_ITERATIONS
-    batch: int = 32
-
-    def row(self, m: int, n: int) -> dict:
-        return {
-            "m": m,
-            "n": n,
-            "mano_flops": flops_mano(m, n),
-            "newton_schulz_flops": flops_newton_schulz(m, n, self.ns_iterations),
-            "baseline_flops": flops_baseline(m, n, self.batch),
-            "mano_overhead": overhead_ratio("mano", m, n, self.batch),
-            "newton_schulz_overhead": overhead_ratio(
-                "newton_schulz", m, n, self.batch, self.ns_iterations
-            ),
-        }
-
-    def table(self, shapes) -> list[dict]:
-        return [self.row(m, n) for m, n in shapes]
+    counts = {name: flops(m, n) for name, (flops, _) in _KERNELS.items()}
+    baseline = 6 * m * n * batch
+    return {
+        "m": m,
+        "n": n,
+        **{f"{name}_flops": count for name, count in counts.items()},
+        "baseline_flops": baseline,
+        **{f"{name}_overhead": count / baseline for name, count in counts.items()},
+    }
 
 
 @dataclass
@@ -152,37 +134,35 @@ def bench_kernels(
     ``seed`` and the shape).  Every kernel is warmed up
     WARMUP_REPETITIONS times, then timed ``repetitions`` times with the
     monotonic nanosecond clock.  Timings on a shared machine wobble;
-    compare medians, not means.
+    compare medians, not means.  The repetitions, the kernels and every
+    shape are checked before anything is timed.
     """
     if not repetitions >= MIN_REPETITIONS:
         raise ValueError(
             f"need at least {MIN_REPETITIONS} repetitions, got {repetitions}"
         )
+    if not kernels:
+        raise ValueError("no kernels given")
     for kernel in kernels:
-        if kernel not in BENCH_KERNELS:
+        if kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}")
-    results: list[BenchResult] = []
+    shapes = list(shapes)
     for m, n in shapes:
         _positive("m", m)
         _positive("n", n)
+    results: list[BenchResult] = []
+    for m, n in shapes:
         rng = np.random.default_rng([seed, m, n])
         theta = rng.standard_normal((m, n))
         direction = rng.standard_normal((m, n))
         for kernel in kernels:
-            if kernel == "mano":
-                def call():
-                    mano_transform(theta, direction, 0)
-                flops = flops_mano(m, n)
-            else:
-                def call():
-                    newton_schulz(direction)
-                flops = flops_newton_schulz(m, n)
+            flops, call = _KERNELS[kernel]
             for _ in range(WARMUP_REPETITIONS):
-                call()
+                call(theta, direction)
             samples = np.empty(repetitions)
             for i in range(repetitions):
                 start = time.perf_counter_ns()
-                call()
+                call(theta, direction)
                 samples[i] = time.perf_counter_ns() - start
             results.append(
                 BenchResult(
@@ -192,7 +172,7 @@ def bench_kernels(
                     mean_ns=float(samples.mean()),
                     median_ns=float(np.median(samples)),
                     p95_ns=float(np.percentile(samples, 95)),
-                    flops=flops,
+                    flops=flops(m, n),
                 )
             )
     return results

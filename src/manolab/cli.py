@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BENCH_KERNELS, FlopModel, bench_kernels
+from .bench import BENCH_KERNELS, bench_kernels, flop_row
 from .convergence import (
     quadratic_objective,
     run_convergence_experiment,
@@ -31,7 +31,6 @@ from .convergence import (
 )
 from .diagnostics import spectrum_report, trajectory_geodesics
 from .manifold import GEODESIC_MANIFOLDS
-from .optimizers import NS_ITERATIONS
 from .training import (
     TrainingDiverged,
     load_config,
@@ -101,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flops.add_argument("--m", type=int, required=True)
     p_flops.add_argument("--n", type=int, default=None)
     p_flops.add_argument("--batch", type=int, default=32)
-    p_flops.add_argument("--ns-iterations", type=int, default=NS_ITERATIONS)
     p_flops.add_argument("--out", default=None, help="optional JSON output directory")
 
     return parser
@@ -239,8 +237,7 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_flops(args) -> int:
     n = args.n if args.n is not None else args.m
-    model = FlopModel(ns_iterations=args.ns_iterations, batch=args.batch)
-    row = model.row(args.m, n)
+    row = flop_row(args.m, n, args.batch)
     header = (
         f"{'m':>6} {'n':>6} {'mano':>14} {'newton_schulz':>14} "
         f"{'baseline':>16} {'mano/base':>12} {'ns/base':>12}"

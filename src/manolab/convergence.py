@@ -50,7 +50,7 @@ from .tensor import (
     _norm,
     _positive,
     as_tensor,
-    svd_values,
+    jacobi_svd,
 )
 from .training import _loss
 
@@ -139,7 +139,7 @@ def softmax_objective(
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n_samples, m))
     labels = rng.integers(0, n, n_samples)
-    smoothness = float(svd_values(features)[0] ** 2) / (2.0 * n_samples)
+    smoothness = float(jacobi_svd(features)[1][0] ** 2) / (2.0 * n_samples)
 
     def evaluate(theta: np.ndarray):
         loss, dz = _loss("cross-entropy", features @ theta, labels)

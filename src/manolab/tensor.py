@@ -196,8 +196,3 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if a.ndim != 2:
         raise ValueError("jacobi_svd expects a matrix")
     return np.linalg.svd(a, full_matrices=False)
-
-
-def svd_values(a) -> np.ndarray:
-    """Singular values of a matrix, descending."""
-    return jacobi_svd(a)[1]

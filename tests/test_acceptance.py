@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from manolab.bench import bench_kernels, overhead_ratio
+from manolab.bench import bench_kernels, flop_row
 from manolab.cli import run_cli
 from manolab.convergence import (
     alignment_check,
@@ -392,9 +392,9 @@ def test_c09_flop_model():
             expected = 11 / (6 * batch)
             for shape in [(4, 4), (16, 8), (8, 16), (64, 256), (1024, 1024),
                           (2048, 512), (7, 1913)]:
-                assert overhead_ratio("mano", *shape, batch) == expected
+                assert flop_row(*shape, batch)["mano_overhead"] == expected
         for m in (256, 512, 1024, 2048):
-            ratio = overhead_ratio("newton_schulz", m, m, 32)
+            ratio = flop_row(m, m, 32)["newton_schulz_overhead"]
             ideal = 5 * m / 32
             assert ideal / 2 <= ratio <= ideal * 2, (
                 f"m={m}: {ratio:.1f} vs 5m/B {ideal:.1f}"

@@ -7,59 +7,69 @@ equalities, not tolerances.
 import numpy as np
 import pytest
 
+from manolab import bench
 from manolab.bench import (
     BENCH_KERNELS,
     MIN_REPETITIONS,
+    NS_ITERATIONS,
     BenchResult,
-    FlopModel,
     bench_kernels,
-    flops_baseline,
-    flops_mano,
-    flops_newton_schulz,
-    overhead_ratio,
+    flop_row,
 )
+
+
+def _mano(m, n):
+    return flop_row(m, n, 1)["mano_flops"]
+
+
+def _newton_schulz(m, n):
+    return flop_row(m, n, 1)["newton_schulz_flops"]
 
 
 class TestFlopFormulas:
     def test_mano_frozen_values(self):
-        assert flops_mano(1024, 1024) == 11 * 1024 * 1024 == 11534336
-        assert flops_mano(1, 1) == 11
-        assert flops_mano(16, 8) == 1408
+        assert _mano(1024, 1024) == 11 * 1024 * 1024 == 11534336
+        assert _mano(1, 1) == 11
+        assert _mano(16, 8) == 1408
 
     def test_mano_symmetric(self):
-        assert flops_mano(512, 32) == flops_mano(32, 512)
+        assert _mano(512, 32) == _mano(32, 512)
 
-    def test_newton_schulz_unit_case(self):
-        """One iteration on a 1x1 matrix: each of the five matmul-shaped
-        terms and the four adds collapse to scalars, 9 flops total."""
-        assert flops_newton_schulz(1, 1, iterations=1) == 9
+    def test_newton_schulz_unit_case(self, monkeypatch):
+        """One round on a 1x1 matrix: each of the five matmul-shaped
+        terms and the four adds collapse to scalars, 9 flops a round."""
+        assert _newton_schulz(1, 1) == 9 * NS_ITERATIONS
+        monkeypatch.setattr(bench, "NS_ITERATIONS", 1)
+        assert _newton_schulz(1, 1) == 9
 
-    def test_newton_schulz_scales_with_iterations(self):
-        one = flops_newton_schulz(64, 64, iterations=1)
-        five = flops_newton_schulz(64, 64, iterations=5)
+    def test_newton_schulz_scales_with_iterations(self, monkeypatch):
+        """The count reads ``NS_ITERATIONS`` at call time."""
+        monkeypatch.setattr(bench, "NS_ITERATIONS", 1)
+        one = _newton_schulz(64, 64)
+        monkeypatch.setattr(bench, "NS_ITERATIONS", 5)
+        five = _newton_schulz(64, 64)
         assert five == 5 * one
 
     def test_newton_schulz_orientation_invariant(self):
         """The kernel transposes wide inputs, so the count must too."""
-        assert flops_newton_schulz(512, 32) == flops_newton_schulz(32, 512)
+        assert _newton_schulz(512, 32) == _newton_schulz(32, 512)
 
-    def test_newton_schulz_square_leading_term(self):
+    def test_newton_schulz_square_leading_term(self, monkeypatch):
         # 4m^3 (the two m x m products) + 2m^3 (gram) dominates at scale
+        monkeypatch.setattr(bench, "NS_ITERATIONS", 1)
         m = 1024
-        assert flops_newton_schulz(m, m, iterations=1) == pytest.approx(
-            6 * m**3, rel=0.01
-        )
+        assert _newton_schulz(m, m) == pytest.approx(6 * m**3, rel=0.01)
 
     def test_baseline(self):
-        assert flops_baseline(16, 8, 32) == 6 * 16 * 8 * 32
+        assert flop_row(16, 8, 32)["baseline_flops"] == 6 * 16 * 8 * 32
         with pytest.raises(ValueError):
-            flops_baseline(16, 8, 0)
+            flop_row(16, 8, 0)
 
     def test_positive_dims_required(self):
         with pytest.raises(ValueError):
-            flops_mano(0, 4)
+            flop_row(0, 4, 32)
         with pytest.raises(ValueError):
-            flops_newton_schulz(4, -1)
+            flop_row(4, -1, 32)
 
 
 class TestOverheadRatio:
@@ -69,38 +79,44 @@ class TestOverheadRatio:
         for batch in (1, 8, 32, 1024):
             expected = 11 / (6 * batch)
             for shape in [(4, 4), (512, 32), (2048, 2048), (7, 1913)]:
-                assert overhead_ratio("mano", *shape, batch) == expected
+                assert flop_row(*shape, batch)["mano_overhead"] == expected
 
     def test_newton_schulz_square_near_linear_in_width(self):
         """For square matrices the ratio grows like 5m/B."""
         batch = 32
         for m in (256, 512, 1024):
-            ratio = overhead_ratio("newton_schulz", m, m, batch)
+            ratio = flop_row(m, m, batch)["newton_schulz_overhead"]
             assert ratio == pytest.approx(5 * m / batch, rel=0.5 / m + 1e-12)
 
-    def test_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            overhead_ratio("shampoo", 4, 4, 32)
 
+class TestFlopRow:
+    def test_keys_in_order(self):
+        """``flops.json`` writes the row in this order."""
+        assert list(flop_row(16, 8, 32)) == [
+            "m", "n", "mano_flops", "newton_schulz_flops", "baseline_flops",
+            "mano_overhead", "newton_schulz_overhead",
+        ]
 
-class TestFlopModel:
-    def test_row_keys_and_values(self):
-        row = FlopModel(batch=32).row(16, 8)
-        assert row["m"] == 16 and row["n"] == 8
-        assert row["mano_flops"] == flops_mano(16, 8)
-        assert row["newton_schulz_flops"] == flops_newton_schulz(16, 8)
-        assert row["baseline_flops"] == flops_baseline(16, 8, 32)
-        assert row["mano_overhead"] == 11 / (6 * 32)
-
-    def test_table_order_preserved(self):
-        shapes = [(64, 64), (16, 8), (512, 512)]
-        table = FlopModel().table(shapes)
-        assert [(r["m"], r["n"]) for r in table] == shapes
-
-    def test_ns_iterations_respected(self):
-        a = FlopModel(ns_iterations=1).row(32, 32)["newton_schulz_flops"]
-        b = FlopModel(ns_iterations=5).row(32, 32)["newton_schulz_flops"]
-        assert b == 5 * a
+    @pytest.mark.parametrize(
+        "m, n, batch, mano, per_round",
+        [
+            (16, 8, 32, 1408, 5440),
+            (1024, 1024, 32, 11534336, 6445596672),
+            (7, 1913, 128, 147301, 402465),
+            (2048, 512, 8, 11534336, 2418278400),
+        ],
+    )
+    def test_values(self, m, n, batch, mano, per_round):
+        """Frozen counts; each ratio is the quotient of two exact ints."""
+        row = flop_row(m, n, batch)
+        assert row["m"] == m and row["n"] == n
+        assert row["mano_flops"] == mano
+        assert row["newton_schulz_flops"] == NS_ITERATIONS * per_round
+        assert row["baseline_flops"] == 6 * m * n * batch
+        assert row["mano_overhead"] == 11 / (6 * batch)
+        assert row["newton_schulz_overhead"] == (
+            NS_ITERATIONS * per_round / (6 * m * n * batch)
+        )
 
 
 class TestBenchResult:
@@ -150,8 +166,9 @@ class TestBenchKernels:
     def test_flops_attached_match_model(self):
         results = bench_kernels([(16, 8)], repetitions=100)
         by_kernel = {r.kernel: r for r in results}
-        assert by_kernel["mano"].flops == flops_mano(16, 8)
-        assert by_kernel["newton_schulz"].flops == flops_newton_schulz(16, 8)
+        row = flop_row(16, 8, 1)
+        assert by_kernel["mano"].flops == row["mano_flops"]
+        assert by_kernel["newton_schulz"].flops == row["newton_schulz_flops"]
 
     def test_too_few_repetitions_rejected(self):
         with pytest.raises(ValueError):
@@ -160,3 +177,18 @@ class TestBenchKernels:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
             bench_kernels([(8, 8)], repetitions=100, kernels=("fft",))
+
+    def test_empty_kernel_list_rejected(self):
+        with pytest.raises(ValueError, match="no kernels given"):
+            bench_kernels([(8, 8)], repetitions=100, kernels=())
+
+    @pytest.mark.parametrize("bad", [(0, 4), (4, 0)], ids=["m", "n"])
+    def test_every_shape_checked_before_any_timing(self, monkeypatch, bad):
+        calls = []
+        for name, (flops, _) in list(bench._KERNELS.items()):
+            monkeypatch.setitem(
+                bench._KERNELS, name, (flops, lambda *operands: calls.append(1))
+            )
+        with pytest.raises(ValueError, match="must be positive"):
+            bench_kernels([(8, 8), bad], repetitions=100)
+        assert calls == []

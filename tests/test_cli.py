@@ -221,6 +221,13 @@ class TestBench:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_kernel_list(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = run_cli(["bench", "--shapes", "8", "--kernels", ",", "--out", str(out)])
+        assert code == 1
+        assert "no kernels given" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpectraAndGeodesic:
     @pytest.fixture()
@@ -387,6 +394,11 @@ class TestFlops:
         row = json.loads((tmp_path / "flops.json").read_text())
         assert row["m"] == 16 and row["n"] == 16
         assert row["mano_flops"] == 11 * 256
+
+    def test_round_count_is_not_an_option(self, capsys):
+        """The quintic is counted at ``NS_ITERATIONS`` rounds, the count
+        the trainer's Muon steps run."""
+        assert run_cli(["flops", "--m", "16", "--ns-iterations", "5"]) == 1
 
 
 class TestExitCodes:

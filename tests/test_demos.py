@@ -2,7 +2,8 @@
 
 Each demo runs as a subprocess with the source tree on PYTHONPATH, so
 a library change that breaks a demo fails here.  ``cost_model`` is
-left out: it only times kernels and takes about ten seconds.
+not run whole, because timing its kernels takes about ten seconds; its
+FLOP table is checked in-process with the timing stubbed out.
 """
 
 import importlib.util
@@ -42,6 +43,18 @@ def _load_demo(name):
 
 
 sinkhorn_normalize = _load_demo("manifold_tour").sinkhorn_normalize
+
+
+def test_cost_model_table(monkeypatch, capsys):
+    """Every shape's row shows the transform's overhead, 11/(6*32)."""
+    demo = _load_demo("cost_model")
+    monkeypatch.setattr(demo, "bench_kernels", lambda *args, **kwargs: [])
+    demo.main()
+    rows = capsys.readouterr().out.splitlines()[1:5]
+    assert [row.split()[0] for row in rows] == [
+        "256x256", "512x512", "1024x1024", "1024x256",
+    ]
+    assert all(row.split()[4] == "0.0573" for row in rows)
 
 
 class TestSinkhorn:

@@ -16,10 +16,7 @@ import pytest
 from manolab.bench import (
     BenchResult,
     bench_kernels,
-    flops_baseline,
-    flops_mano,
-    flops_newton_schulz,
-    overhead_ratio,
+    flop_row,
 )
 from manolab.convergence import (
     alignment_check,
@@ -52,7 +49,6 @@ from manolab.tensor import (
     _unit_interval,
     jacobi_svd,
     rms,
-    svd_values,
 )
 from manolab.training import TrainConfig, grad_stats, make_dataset
 
@@ -104,14 +100,7 @@ _ENTRY_POINTS = [
         {"objective": quadratic_objective(2, 2), "steps": 2},
         ("steps", "c", "noise"),
     ),
-    (flops_mano, {"m": 2, "n": 2}, ("m", "n")),
-    (flops_newton_schulz, {"m": 2, "n": 2}, ("m", "n", "iterations")),
-    (flops_baseline, {"m": 2, "n": 2, "batch": 4}, ("m", "n", "batch")),
-    (
-        overhead_ratio,
-        {"kernel": "newton_schulz", "m": 2, "n": 2, "batch": 4},
-        ("m", "n", "batch", "iterations"),
-    ),
+    (flop_row, {"m": 2, "n": 2, "batch": 4}, ("m", "n", "batch")),
     (
         BenchResult,
         {"kernel": "mano", "shape": (2, 2), "repetitions": 100, "mean_ns": 1.0,
@@ -151,9 +140,11 @@ def test_entry_point_rejects_nan_scalar(fn, kwargs, name):
     "kwargs, name",
     [
         ({"shapes": [(np.nan, 4)]}, "m"),
+        ({"shapes": [(4, np.nan)]}, "n"),
+        ({"shapes": [(4, 4), (4, np.nan)]}, "n"),
         ({"shapes": [(4, 4)], "repetitions": np.nan}, "repetitions"),
     ],
-    ids=["m", "repetitions"],
+    ids=["m", "n", "second-shape-n", "repetitions"],
 )
 def test_bench_kernels_rejects_nan_before_timing(kwargs, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
@@ -183,14 +174,14 @@ _SCALE_CASES = [
     ),
     *(
         pytest.param(
-            lambda s=s: svd_values(s * _G), lambda s=s: s * svd_values(_G),
-            id=f"svd_values-{s:g}",
+            lambda s=s: jacobi_svd(s * _G)[1], lambda s=s: s * jacobi_svd(_G)[1],
+            id=f"jacobi_svd-{s:g}",
         )
         for s in (1e-16, 1e-25, 1e200)
     ),
     pytest.param(
         lambda: spectrum_report(1e200 * _G, _G, _G).sigma_grad,
-        lambda: 1e200 * svd_values(_G),
+        lambda: 1e200 * jacobi_svd(_G)[1],
         id="spectrum_report-1e200",
     ),
     pytest.param(

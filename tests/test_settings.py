@@ -9,7 +9,7 @@ import inspect
 
 import pytest
 
-from manolab.bench import bench_kernels
+from manolab.bench import bench_kernels, flop_row
 from manolab.convergence import (
     ConvergenceRun,
     SmoothObjective,
@@ -53,6 +53,7 @@ _BUDGET = {
     "rsgdm_step": (_parameters, rsgdm_step, 5),
     "cosine_warmup_lr": (_parameters, cosine_warmup_lr, 4),
     "bench_kernels": (_parameters, bench_kernels, 4),
+    "flop_row": (_parameters, flop_row, 3),
 }
 
 
