@@ -57,6 +57,13 @@ def _flops_newton_schulz(m: int, n: int) -> int:
     return NS_ITERATIONS * per_round
 
 
+def _dimension(name: str, value) -> None:
+    """A matrix dimension or batch size is a positive integer."""
+    _positive(name, value)
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # kernel name -> (FLOP count at m x n, one call on (theta, direction))
 _KERNELS = {
     "mano": (
@@ -79,9 +86,9 @@ def flop_row(m: int, n: int, batch: int) -> dict:
     The transform's overhead is 11/(6B) for every shape; the quintic's
     grows linearly in min(m, n).
     """
-    _positive("m", m)
-    _positive("n", n)
-    _positive("batch", batch)
+    _dimension("m", m)
+    _dimension("n", n)
+    _dimension("batch", batch)
     counts = {name: flops(m, n) for name, (flops, _) in _KERNELS.items()}
     baseline = 6 * m * n * batch
     return {
@@ -134,8 +141,9 @@ def bench_kernels(
     ``seed`` and the shape).  Every kernel is warmed up
     WARMUP_REPETITIONS times, then timed ``repetitions`` times with the
     monotonic nanosecond clock.  Timings on a shared machine wobble;
-    compare medians, not means.  The repetitions, the kernels and every
-    shape are checked before anything is timed.
+    compare medians, not means.  The repetitions, the kernels (at least
+    one, each named once) and every shape (at least one, of positive
+    integers) are checked before anything is timed.
     """
     if not repetitions >= MIN_REPETITIONS:
         raise ValueError(
@@ -143,13 +151,17 @@ def bench_kernels(
         )
     if not kernels:
         raise ValueError("no kernels given")
-    for kernel in kernels:
+    for i, kernel in enumerate(kernels):
         if kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}")
+        if kernel in kernels[:i]:
+            raise ValueError(f"kernel {kernel!r} given twice")
     shapes = list(shapes)
+    if not shapes:
+        raise ValueError("no shapes given")
     for m, n in shapes:
-        _positive("m", m)
-        _positive("n", n)
+        _dimension("m", m)
+        _dimension("n", n)
     results: list[BenchResult] = []
     for m, n in shapes:
         rng = np.random.default_rng([seed, m, n])

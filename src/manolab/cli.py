@@ -168,8 +168,6 @@ def _parse_shapes(text: str) -> list[tuple[int, int]]:
         else:
             size = int(part)
             shapes.append((size, size))
-    if not shapes:
-        raise ValueError("no shapes given")
     return shapes
 
 

@@ -162,9 +162,9 @@ def _column_tangent(theta: np.ndarray, grad: np.ndarray):
     vanishing tangent column comes back as zeros, for the caller to
     reject with ``check_slices`` if it must.
     """
-    theta_hat, norms = slice_unit(theta, 0)
+    norms = _norm(theta, 0)
     check_slices(norms, 0)
-    return slice_unit(tangent_part(grad, theta_hat, 0), 0)
+    return slice_unit(tangent_part(grad, theta / norms, 0), 0)
 
 
 def _alignment(grad: np.ndarray, v_hat: np.ndarray, v_norms: np.ndarray):
@@ -175,16 +175,22 @@ def _alignment(grad: np.ndarray, v_hat: np.ndarray, v_norms: np.ndarray):
     nonvanishing gradient.  Columns with (near-)zero gradient are
     excluded from the minimum; if every column is excluded gamma
     defaults to 1, which keeps the lower bound at zero because
-    ||grad||_F is itself zero.
+    ||grad||_F is itself zero.  The columns are masked only when one of
+    them is excluded: with every column active the masks select all of
+    them, so the unmasked minimum and sum have the same bits.
     """
     g_norms = _norm(grad, 0)
-    active = g_norms >= EPS_DIV
-    if np.any(active):
+    if g_norms.size and g_norms.min() >= EPS_DIV:
+        gamma = float(np.min(v_norms / g_norms))
+    elif np.any(active := g_norms >= EPS_DIV):
         gamma = float(np.min(v_norms[active] / g_norms[active]))
     else:
         gamma = 1.0
     inner = float(np.sum(grad * v_hat))
-    tangent_norm_sum = float(v_norms[v_norms >= EPS_DIV].sum())
+    if v_norms.size and v_norms.min() >= EPS_DIV:
+        tangent_norm_sum = float(v_norms.sum())
+    else:
+        tangent_norm_sum = float(v_norms[v_norms >= EPS_DIV].sum())
     grad_fro = float(_norm(grad))
     lower_bound = gamma * grad_fro
 

@@ -11,7 +11,12 @@ The slice geometry itself is five array-level helpers (``slice_inner``,
 ``slice_unit``, ``project_out``, its two-pass form ``tangent_part`` and
 ``check_slices``) that do no coercion or validation.  The public
 operators validate once and then call them, and so do the Riemannian
-heavy-ball step and the convergence runner.  ``check_unit`` is the
+heavy-ball step and the convergence runner.  Their degenerate-slice
+work runs only when the input needs it: one ``min()`` of the slice
+norms clears the usual input, which ``slice_unit`` then divides
+plainly, with the bits of the masked divide it keeps for input that
+has a slice below EPS_DIV or no slices at all; only such input is
+searched by ``check_slices`` for the slice to name.  ``check_unit`` is the
 one test that a point is on the manifold, shared by ``tangent_project``
 and the Riemannian heavy-ball step.
 
@@ -97,9 +102,13 @@ def slice_unit(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
     Slices with norm below EPS_DIV come back as zeros.  A caller that
     must not accept them passes ``norms`` to ``check_slices``.  The norms
-    come from ``tensor._norm``, so finite input has finite norms.
+    come from ``tensor._norm``, so finite input has finite norms.  Only
+    input with such a slice, or with no slices at all, is divided under
+    the mask; elsewhere the plain divide has the same bits for less.
     """
     norms = _norm(a, axis)
+    if norms.size and norms.min() >= EPS_DIV:
+        return a / norms, norms
     return np.divide(a, norms, out=np.zeros_like(a), where=norms >= EPS_DIV), norms
 
 
@@ -117,8 +126,12 @@ def tangent_part(m: np.ndarray, theta_hat: np.ndarray, axis: int) -> np.ndarray:
 def check_slices(norms: np.ndarray, axis: int) -> None:
     """Raise DegenerateSliceError for the first slice norm below EPS_DIV.
 
-    ``norms`` is the second value of ``slice_unit``.
+    ``norms`` is the second value of ``slice_unit``.  One ``min()``
+    clears the usual case; only input that has no slices or fails it is
+    searched for the slice to name.
     """
+    if norms.size and norms.min() >= EPS_DIV:
+        return
     bad = norms < EPS_DIV
     if np.any(bad):
         values = np.atleast_1d(np.squeeze(norms, axis))

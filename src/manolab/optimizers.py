@@ -331,6 +331,13 @@ def newton_schulz(g, iterations: int = NS_ITERATIONS) -> np.ndarray:
     A = X X^T for ``iterations`` rounds.  Each round applies the odd
     quintic a x + b x^3 + c x^5 to every singular value while leaving
     the singular vectors alone, pushing well-separated values toward 1.
+
+    Each round runs in place, in buffers made once per call: the Gram
+    matrix, its square and their product with X, so a call holds at
+    most four arrays of its input's size.  The operations are the ones of
+    ``x = a * x + (b * gram + c * (gram @ gram)) @ x``, in that order,
+    with the same bits.  X stays in the buffer of the normalized input,
+    so the result has the input's (C) order in either orientation.
     """
     g = as_tensor(g)
     if g.ndim != 2:
@@ -344,9 +351,18 @@ def newton_schulz(g, iterations: int = NS_ITERATIONS) -> np.ndarray:
     transposed = x.shape[0] > x.shape[1]
     if transposed:
         x = x.T
+    rows = x.shape[0]
+    gram, square = np.empty((rows, rows)), np.empty((rows, rows))
+    product = np.empty(x.shape)
     for _ in range(iterations):
-        gram = x @ x.T
-        x = a * x + (b * gram + c * (gram @ gram)) @ x
+        np.matmul(x, x.T, out=gram)
+        np.matmul(gram, gram, out=square)
+        gram *= b
+        square *= c
+        gram += square
+        np.matmul(gram, x, out=product)
+        x *= a
+        x += product
     return x.T if transposed else x
 
 
@@ -378,9 +394,7 @@ def muon_step(
         ortho = newton_schulz(m_used, cfg.ns_iterations)
     del m_used
     ortho *= RESCALE_COEFF * np.sqrt(max(theta.shape))
-    # A tall matrix's factor is a transposed view: the update is returned
-    # in theta's (C) order, as the one-array form wrote it.
-    return _decoupled(state, theta, np.ascontiguousarray(ortho), lr, cfg.weight_decay)
+    return _decoupled(state, theta, ortho, lr, cfg.weight_decay)
 
 
 def adamw_step(

@@ -104,11 +104,13 @@ def _unit_interval(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1), got {value}")
 
 
-def _sum_squares(flat: np.ndarray, center=None):
+def _sum_squares(flat: np.ndarray, op=None, value=None):
     """``np.sum(flat * flat)`` of a contiguous 1-D array, bit for bit, with
-    no square array above CHUNK_ENTRIES entries.  With ``center``, the
-    sum of the squared deviations ``(flat - center) ** 2``, as ``np.var``
-    takes it.
+    no square array above CHUNK_ENTRIES entries.  With a ufunc ``op``,
+    the sum of the squares of ``op(flat, value)``, taken a chunk at a
+    time too: ``np.subtract`` and the mean give the squared deviations
+    as ``np.var`` takes them, ``np.divide`` and the largest magnitude
+    the scaled squares of ``_norm``'s rescue.
 
     numpy sums a contiguous array pairwise: it splits a block at half its
     length, rounded down to a multiple of 8, and adds the two halves'
@@ -119,13 +121,13 @@ def _sum_squares(flat: np.ndarray, center=None):
     """
     n = flat.size
     if n <= CHUNK_ENTRIES:
-        if center is None:
+        if op is None:
             return np.sum(flat * flat)
-        dev = np.subtract(flat, center)
+        dev = op(flat, value)
         return np.sum(np.multiply(dev, dev, out=dev))
     half = n // 2
     half -= half % 8
-    return _sum_squares(flat[:half], center) + _sum_squares(flat[half:], center)
+    return _sum_squares(flat[:half], op, value) + _sum_squares(flat[half:], op, value)
 
 
 def _square_sums(a: np.ndarray, axis: int | None):
@@ -143,12 +145,19 @@ def _square_sums(a: np.ndarray, axis: int | None):
 def _norm(a: np.ndarray, axis: int | None = None):
     """Euclidean norm of ``a``, or of its slices along ``axis`` (reduced
     axis kept).  Only a norm whose sum of squares overflows is taken again,
-    from its entries divided by their largest magnitude (Blue, 1978)."""
+    from its entries divided by their largest magnitude (Blue, 1978).
+    Over the whole array that rescue divides and squares a chunk at a
+    time, in the order ``_square_sums`` sums, so it makes no array of
+    the input's size either."""
     keep = axis is not None
     try:  # raising on overflow costs less per call than scanning for inf
         with np.errstate(over="raise"):
             return np.sqrt(_square_sums(a, axis))
     except FloatingPointError:
+        if not keep:  # squares are never negative: the whole sum is inf
+            big = max(a.max(), -a.min())
+            flat = np.ravel(a, order="K")
+            return big * np.sqrt(_sum_squares(flat, np.divide, big))
         with np.errstate(over="ignore"):
             norms = np.sqrt(_square_sums(a, axis))
         huge = np.isinf(norms)

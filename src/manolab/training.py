@@ -191,18 +191,23 @@ def _loss(kind: str, out: np.ndarray, targets) -> tuple[float, np.ndarray]:
     if kind == "mse":
         diff = out - targets
         return float(np.mean(diff * diff)), 2.0 * diff / diff.size
-    batch = out.shape[0]
+    batch, classes = out.shape
     shifted = out - out.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(batch)
+    # The labels, in [0, classes), are picked and corrected through one
+    # index into the flat view of the C-ordered logits (logits in another
+    # order are copied after the sums above, which keep their order).
     # The picked logits are taken first; dz is then written over
     # ``shifted``, with the bits of ``np.exp(shifted - log_z[:, None])``.
-    picked = shifted[rows, targets]
+    shifted = np.ascontiguousarray(shifted)
+    flat = shifted.reshape(-1)
+    labels = np.arange(0, batch * classes, classes) + targets
+    picked = flat[labels]
     dz = np.subtract(shifted, log_z[:, None], out=shifted)
     np.exp(dz, out=dz)
-    dz[rows, targets] -= 1.0
+    flat[labels] -= 1.0
     dz /= batch
-    return float(np.mean(log_z - picked)), dz
+    return float(np.add.reduce(log_z - picked) / batch), dz
 
 
 class MlpModel:
@@ -402,7 +407,7 @@ def grad_stats(grads) -> list[tuple[float, float, float]]:
         # Memory order, the order in which numpy sums g.var()'s squares.
         flat = np.ravel(g, order="K")
         with np.errstate(over="ignore"):
-            var = float(_sum_squares(flat, np.sum(g) / g.size)) / g.size
+            var = float(_sum_squares(flat, np.subtract, np.sum(g) / g.size)) / g.size
         out.append((norm, var, norm / (var + EPS_SNR)))
     return out
 

@@ -71,6 +71,18 @@ class TestFlopFormulas:
         with pytest.raises(ValueError):
             flop_row(4, -1, 32)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((2.5, 4, 1), "m"), ((4, 8.0, 1), "n"), ((4, 4, 1.5), "batch")],
+        ids=["m", "n", "batch"],
+    )
+    def test_integer_dims_required(self, args, name):
+        """A fractional dimension used to give fractional counts
+        (``mano_flops`` 110.0 at m = 2.5); integral numpy ints pass."""
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            flop_row(*args)
+        assert flop_row(np.int64(2), 4, 1)["mano_flops"] == 88
+
 
 class TestOverheadRatio:
     def test_mano_ratio_is_exact_constant(self):
@@ -181,6 +193,40 @@ class TestBenchKernels:
     def test_empty_kernel_list_rejected(self):
         with pytest.raises(ValueError, match="no kernels given"):
             bench_kernels([(8, 8)], repetitions=100, kernels=())
+
+    def test_empty_shape_list_rejected(self):
+        with pytest.raises(ValueError, match="no shapes given"):
+            bench_kernels([], repetitions=100)
+
+    def test_kernel_named_twice_rejected(self, monkeypatch):
+        """Each kernel is timed once: a repeated name used to time it
+        twice and return both rows."""
+        calls = []
+        flops, _ = bench._KERNELS["mano"]
+        monkeypatch.setitem(
+            bench._KERNELS, "mano", (flops, lambda *operands: calls.append(1))
+        )
+        with pytest.raises(ValueError, match="'mano' given twice"):
+            bench_kernels([(8, 8)], repetitions=100, kernels=("mano", "mano"))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "shapes, name",
+        [([(8.0, 8)], "m"), ([(8, 8), (8, 2.5)], "n")],
+        ids=["m", "second-shape-n"],
+    )
+    def test_integer_dims_required(self, monkeypatch, shapes, name):
+        """A float dimension used to reach numpy's seeding and fail there
+        with a TypeError; it is a ValueError naming the dimension, raised
+        before any timing."""
+        calls = []
+        for kernel, (flops, _) in list(bench._KERNELS.items()):
+            monkeypatch.setitem(
+                bench._KERNELS, kernel, (flops, lambda *operands: calls.append(1))
+            )
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            bench_kernels(shapes, repetitions=100)
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [(0, 4), (4, 0)], ids=["m", "n"])
     def test_every_shape_checked_before_any_timing(self, monkeypatch, bad):

@@ -1,6 +1,7 @@
 """Convergence-lab tests: objectives, the bare update, alignment, bounds."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from manolab.convergence import (
     CONVERGENCE_CSV_HEADER,
     ConvergenceRun,
     SmoothObjective,
+    _alignment,
+    _column_tangent,
     alignment_check,
     mano_simple_step,
     min_grad_bound,
@@ -16,16 +19,64 @@ from manolab.convergence import (
     run_convergence_experiment,
     softmax_objective,
 )
-from manolab.manifold import DegenerateSliceError, oblique_normalize
+from manolab.manifold import DegenerateSliceError, oblique_normalize, tangent_part
 from manolab.optimizers import (
     RESCALE_COEFF,
     ManoConfig,
     OptimizerState,
     mano_step,
 )
-from manolab.tensor import ShapeMismatchError
+from manolab.tensor import EPS_DIV, ShapeMismatchError, _norm
 
 from oracles import finite_difference_grads, mano_simple_oracle
+from test_manifold import (
+    EDGE_CASES,
+    _edge_case,
+    _first_degenerate,
+    _masked_slice_unit,
+)
+
+
+def _masked_alignment(grad, v_hat, v_norms):
+    """``_alignment``'s values in the masked form: gamma over the columns
+    with gradient norm at or above EPS_DIV (1 if none), and the sum of
+    the tangent norms at or above EPS_DIV."""
+    g_norms = _norm(grad, 0)
+    active = g_norms >= EPS_DIV
+    gamma = float(np.min(v_norms[active] / g_norms[active])) if np.any(active) else 1.0
+    inner = float(np.sum(grad * v_hat))
+    grad_fro = float(_norm(grad))
+    norm_sum = float(v_norms[v_norms >= EPS_DIV].sum())
+    return inner, norm_sum, gamma * grad_fro, gamma, grad_fro
+
+
+def _masked_check(norms, step=None):
+    """Raise as ``check_slices`` does on axis 0, from the masked search;
+    with ``step``, as the runner reports it."""
+    first = _first_degenerate(norms, 0)
+    if first is not None:
+        exc = DegenerateSliceError(0, *first)
+        if step is None:
+            raise exc
+        raise RuntimeError(f"experiment aborted at step {step}: {exc}")
+
+
+def _masked_run(objective, steps, c=1.0):
+    """``run_convergence_experiment``'s records, noise-free, with every
+    slice divided and searched in the masked form."""
+    theta = objective.theta0.copy()
+    scale = c / np.sqrt(steps + 1) * np.sqrt(objective.dims[0])
+    records = np.empty((4, steps + 1))
+    for t in range(steps + 1):
+        f_val, grad = objective.evaluate(theta)
+        theta_hat, norms = _masked_slice_unit(theta, 0)
+        _masked_check(norms, t)
+        v_hat, v_norms = _masked_slice_unit(tangent_part(grad, theta_hat, 0), 0)
+        inner, _, _, gamma, grad_fro = _masked_alignment(grad, v_hat, v_norms)
+        _masked_check(v_norms, t)
+        records[:, t] = f_val, grad_fro, inner, gamma
+        theta = theta - scale * v_hat
+    return records
 
 
 class TestObjectives:
@@ -218,6 +269,68 @@ class TestAlignmentCheck:
         grad[:, 0] = hat[:, 0] + 1e-6 * rng.standard_normal(8)
         inner, _, bound = alignment_check(theta, grad)
         assert bound < 0.01 * inner
+
+
+class TestFastPathsKeepTheMaskedBits:
+    """The convergence iteration masks its columns only when one is
+    degenerate or excluded; on the edge cases of ``test_manifold`` it
+    raises what the masked form raises and records the same bits."""
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_column_tangent_and_alignment(self, case):
+        """Each edge case as the gradient (a zero column is excluded from
+        gamma, a degenerate one is left out of the tangent sum), scaled
+        so that every column is degenerate, and as theta (whose
+        degenerate columns raise)."""
+        edge = _edge_case(case)
+        other = np.random.default_rng(32).standard_normal(edge.shape)
+        for theta, grad in ((other, edge), (other, 1e-31 * edge), (edge, other)):
+            norms = _norm(theta, 0)
+            try:
+                _masked_check(norms)
+            except DegenerateSliceError as exc:
+                with pytest.raises(DegenerateSliceError, match=re.escape(str(exc))):
+                    _column_tangent(theta, grad)
+                continue
+            v_hat, v_norms = _column_tangent(theta, grad)
+            want_hat, want_norms = _masked_slice_unit(
+                tangent_part(grad, _masked_slice_unit(theta, 0)[0], 0), 0
+            )
+            assert v_hat.tobytes() == want_hat.tobytes()
+            assert v_norms.tobytes() == want_norms.tobytes()
+            got = _alignment(grad, v_hat, v_norms)
+            want = _masked_alignment(grad, v_hat, v_norms)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("role", ["theta", "grad"])
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_run(self, case, role):
+        """A run whose start point, or whose every gradient, carries the
+        edge case: it aborts with the masked form's message, or records
+        the masked form's bits."""
+        edge = _edge_case(case)
+        rng = np.random.default_rng(33)
+        if role == "theta":
+            theta0, grad = edge, rng.standard_normal(edge.shape)
+
+            def evaluate(theta):
+                return 0.0, grad
+        else:
+            theta0 = rng.standard_normal(edge.shape)
+
+            def evaluate(theta):
+                return 0.0, edge + 1e-3 * theta
+
+        obj = SmoothObjective(edge.shape, evaluate, 1.0, theta0=theta0)
+        try:
+            want = _masked_run(obj, 20)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(exc))}$"):
+                run_convergence_experiment(obj, 20)
+            return
+        run = run_convergence_experiment(obj, 20)
+        got = np.array([run.f_values, run.grad_norms, run.inner_products, run.min_sin_phi])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMinGradBound:

@@ -16,9 +16,51 @@ from manolab.manifold import (
     slice_unit,
     tangent_project,
 )
-from manolab.tensor import ShapeMismatchError
+from manolab.tensor import EPS_DIV, ShapeMismatchError, _norm
 
 from oracles import scalar_dim_inner, scalar_dim_norm
+
+
+def _masked_slice_unit(a, axis):
+    """The masked form of ``slice_unit``: every slice divided under the
+    mask of norms at or above EPS_DIV, the rest left zero."""
+    norms = _norm(a, axis)
+    return np.divide(a, norms, out=np.zeros_like(a), where=norms >= EPS_DIV), norms
+
+
+def _first_degenerate(norms, axis):
+    """``(index, norm)`` of the first slice norm below EPS_DIV, in the
+    masked search of ``check_slices``, or None."""
+    values = np.atleast_1d(np.squeeze(norms, axis))
+    bad = np.argwhere(values < EPS_DIV)
+    if not len(bad):
+        return None
+    idx = bad[0]
+    index = tuple(int(i) for i in idx) if idx.size > 1 else int(idx[0])
+    return index, float(values[tuple(idx)])
+
+
+def _edge_case(name):
+    """A random 6x4 matrix (``plain``), or one carrying an input the fast
+    paths must hand to the masked form or pass through with its bits: a
+    degenerate column (norm below EPS_DIV), a zero column, an
+    overflowing column (squares beyond the float range), 0-size slices
+    (no rows) or no slices at all (no columns)."""
+    a = np.random.default_rng(31).standard_normal((6, 4))
+    if name == "degenerate":
+        a[:, 2] *= 1e-31
+    elif name == "zero":
+        a[:, 1] = 0.0
+    elif name == "overflowing":
+        a[:, 3] *= 1e200
+    elif name == "no-rows":
+        a = a[:0]
+    elif name == "no-columns":
+        a = a[:, :0]
+    return a
+
+
+EDGE_CASES = ("plain", "degenerate", "zero", "overflowing", "no-rows", "no-columns")
 
 
 class TestSliceHelpers:
@@ -72,6 +114,33 @@ class TestSliceHelpers:
             check_slices(slice_unit(a, 1)[1], 1)
         assert err.value.index == (1, 2)
         check_slices(slice_unit(np.ones((2, 3, 4)), 1)[1], 1)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_slice_unit_has_the_bits_of_the_masked_form(self, case, axis):
+        """Input with no degenerate slice is divided plainly; the rest,
+        0-size slices included, takes the masked divide.  Either way the
+        unit slices and the norms keep the masked form's bits."""
+        a = _edge_case(case)
+        unit, norms = slice_unit(a, axis)
+        want_unit, want_norms = _masked_slice_unit(a, axis)
+        assert unit.shape == want_unit.shape
+        assert unit.tobytes() == want_unit.tobytes()
+        assert norms.tobytes() == want_norms.tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_check_slices_names_what_the_masked_search_names(self, case, axis):
+        """One ``min()`` passes the usual input; input that fails it, or
+        has no slices, raises for the slice the masked search finds."""
+        norms = slice_unit(_edge_case(case), axis)[1]
+        first = _first_degenerate(norms, axis)
+        if first is None:
+            check_slices(norms, axis)
+            return
+        with pytest.raises(DegenerateSliceError) as err:
+            check_slices(norms, axis)
+        assert (err.value.axis, err.value.index, err.value.norm) == (axis, *first)
 
     def test_one_projection_pass(self):
         rng = np.random.default_rng(3)

@@ -256,6 +256,33 @@ def test_transient_memory_within_two_parameters(call, arrays):
     )
 
 
+def test_muon_step_peaks_at_five_parameters():
+    """A warm Muon step on a 512x512 parameter holds its Nesterov
+    look-ahead and, inside ``newton_schulz``, the normalized X, the Gram
+    matrix, its square and their product with X, each made once per call
+    and filled in place: five arrays of the parameter's size, where a
+    fresh array for every product and sum made six.  On top go the
+    scratch of ``test_transient_memory_within_two_parameters``."""
+    rng = np.random.default_rng(9)
+    theta = rng.standard_normal((512, 512))
+    grads = [rng.standard_normal((512, 512)) for _ in range(3)]
+    state = OptimizerState()
+    for g in grads[:2]:
+        _STEP_CALLS["muon_step"](theta, g, state)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _STEP_CALLS["muon_step"](theta, grads[2], state)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    scratch = 8 * CHUNK_ENTRIES
+    assert peak <= 5 * theta.nbytes + scratch + 32 * 1024, (
+        f"peak {peak} B is {peak / theta.nbytes:.2f}x the parameter's bytes"
+    )
+
+
 # Every rule, Mano also with the look-ahead and with the tangent kept
 # as the momentum: (theta, grad, state).
 _OWNING_STEPS = {
@@ -717,12 +744,13 @@ class TestMuonStep:
         np.testing.assert_allclose(new, theta * (1.0 - 1e-2 * 0.1), rtol=1e-14)
 
     def test_tall_matrix_update_is_c_ordered(self):
-        """Newton-Schulz returns a transposed view for a tall matrix.  The
-        step still returns a C-ordered array, as the one-array decay
-        wrote it: a snapshot's ``.npy`` header records the order."""
+        """Newton-Schulz iterates a tall matrix transposed, in place in the
+        buffer of the normalized input, so it returns that buffer in C
+        order, and the step returns a C-ordered array, as the one-array
+        decay wrote it: a snapshot's ``.npy`` header records the order."""
         rng = np.random.default_rng(9)
         theta, grad = rng.standard_normal((128, 8)), rng.standard_normal((128, 8))
-        assert not newton_schulz(grad).flags.c_contiguous
+        assert newton_schulz(grad).flags.c_contiguous
         state = OptimizerState()
         for _ in range(2):
             new = muon_step(theta, grad, state, MuonConfig(), lr=1e-2)

@@ -16,6 +16,7 @@ from manolab.tensor import (
     CHUNK_ENTRIES,
     _all_finite,
     _norm,
+    _square_sums,
     as_tensor,
     jacobi_svd,
     rms,
@@ -127,6 +128,24 @@ class TestNorm:
         finally:
             tracemalloc.stop()
         assert peak < a.nbytes // 16
+
+    def test_whole_norm_rescue_makes_no_array_of_its_input_size(self):
+        """At 1e200 the squares of a contiguous 512x512 array (2 MiB)
+        overflow; the rescue takes max|a| from ``max()`` and ``min()`` and
+        divides and squares a chunk (64 KiB) at a time, so it peaks at a
+        few chunks, where ``np.abs(a)`` and ``a / big`` once made two
+        arrays of its size.  The norm keeps the bits of that form."""
+        a = np.random.default_rng(14).standard_normal((512, 512)) * 1e200
+        tracemalloc.start()
+        try:
+            norm = _norm(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * CHUNK_ENTRIES < a.nbytes // 10
+        big = np.abs(a).max()
+        expected = big * np.sqrt(_square_sums(a / big, None))
+        assert np.asarray(norm).tobytes() == np.asarray(expected).tobytes()
 
     def test_overflowing_norm_is_taken_from_scaled_entries(self):
         """3e200 and 4e200 square to inf; the norm is still 5e200, and

@@ -201,8 +201,25 @@ class TestForwardBackward:
         the bits of the form that makes a fresh array for each step, and
         the logits are only read."""
         rng = np.random.default_rng(shape[0] * shape[1])
-        out = scale * rng.standard_normal(shape)
-        labels = rng.integers(0, shape[1], shape[0])
+        self._check_cross_entropy_bits(
+            scale * rng.standard_normal(shape), rng.integers(0, shape[1], shape[0])
+        )
+
+    @pytest.mark.parametrize("label", ["first", "last"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(128, 32), (1024, 8)], ids=["converge", "faceoff"])
+    def test_cross_entropy_bits_with_labels_on_the_edge_classes(self, shape, order, label):
+        """The labels are picked and corrected through one flat index:
+        every label on the first class, or every one on the last, lands
+        in its own row, at the ``converge-softmax`` and
+        ``train-faceoff-batch`` shapes, and in either memory order."""
+        out = np.asarray(np.random.default_rng(3).standard_normal(shape), order=order)
+        cls = 0 if label == "first" else shape[1] - 1
+        self._check_cross_entropy_bits(out, np.full(shape[0], cls))
+
+    @staticmethod
+    def _check_cross_entropy_bits(out, labels):
+        shape = out.shape
         out.flags.writeable = False
         loss, dz = training._loss("cross-entropy", out, labels)
         batch = shape[0]
