@@ -18,7 +18,6 @@ from .convergence import (
     SmoothObjective,
     alignment_check,
     mano_simple_step,
-    min_grad_bound,
     quadratic_objective,
     run_convergence_experiment,
     softmax_objective,
@@ -114,7 +113,6 @@ __all__ = [
     "mano_step",
     "mano_transform",
     "match_singular_vectors",
-    "min_grad_bound",
     "mlp_forward_backward",
     "muon_step",
     "newton_schulz",

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizers import NS_ITERATIONS, mano_transform, newton_schulz
-from .tensor import _positive
+from .tensor import _positive, _seed
 
 MIN_REPETITIONS = 100
 WARMUP_REPETITIONS = 10
@@ -142,8 +142,8 @@ def bench_kernels(
     WARMUP_REPETITIONS times, then timed ``repetitions`` times with the
     monotonic nanosecond clock.  Timings on a shared machine wobble;
     compare medians, not means.  The repetitions, the kernels (at least
-    one, each named once) and every shape (at least one, of positive
-    integers) are checked before anything is timed.
+    one, each named once), every shape (at least one, of positive
+    integers) and the seed are checked before anything is timed.
     """
     if not repetitions >= MIN_REPETITIONS:
         raise ValueError(
@@ -162,6 +162,7 @@ def bench_kernels(
     for m, n in shapes:
         _dimension("m", m)
         _dimension("n", n)
+    _seed(seed)
     results: list[BenchResult] = []
     for m, n in shapes:
         rng = np.random.default_rng([seed, m, n])

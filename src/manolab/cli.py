@@ -162,12 +162,11 @@ def _parse_shapes(text: str) -> list[tuple[int, int]]:
         part = part.strip().lower()
         if not part:
             continue
-        if "x" in part:
-            m_txt, _, n_txt = part.partition("x")
-            shapes.append((int(m_txt), int(n_txt)))
-        else:
-            size = int(part)
-            shapes.append((size, size))
+        m_txt, x, n_txt = part.partition("x")
+        try:
+            shapes.append((int(m_txt), int(n_txt if x else m_txt)))
+        except ValueError:
+            raise ValueError(f"bad shape {part!r}: expected N or MxN") from None
     return shapes
 
 

@@ -49,6 +49,7 @@ from .tensor import (
     _non_negative,
     _norm,
     _positive,
+    _seed,
     as_tensor,
     jacobi_svd,
 )
@@ -64,8 +65,8 @@ class SmoothObjective:
     ``evaluate`` returns ``(f(theta), grad f(theta))``, and f is never
     negative: the convergence bound takes 0 as its lower bound.
     ``smoothness`` is a Lipschitz constant of the gradient, which enters
-    the bound too.  ``theta0``, when set, is the start point every run
-    of the objective takes.
+    the bound too, so it must be positive.  ``theta0``, when set, is the
+    start point every run of the objective takes.
     """
 
     dims: tuple[int, int]
@@ -73,6 +74,9 @@ class SmoothObjective:
     smoothness: float
     name: str = "objective"
     theta0: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        _positive("smoothness", self.smoothness)
 
 
 def quadratic_objective(
@@ -99,6 +103,7 @@ def quadratic_objective(
     _positive("m", m)
     _positive("n", n)
     _positive("step_scale", step_scale)
+    _seed(seed)
     rng = np.random.default_rng(seed)
     theta0 = rng.standard_normal((m, n))
     directions, _ = slice_unit(rng.standard_normal((m, n)), 0)
@@ -136,6 +141,7 @@ def softmax_objective(
     if not n >= 2:
         raise ValueError(f"n must be at least 2 (two classes), got {n}")
     _positive("n_samples", n_samples)
+    _seed(seed)
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n_samples, m))
     labels = rng.integers(0, n, n_samples)
@@ -243,44 +249,17 @@ def alignment_check(theta, grad) -> tuple[float, float, float]:
     return _alignment(grad, *_column_tangent(theta, grad))[:3]
 
 
-def min_grad_bound(
-    f0: float,
-    smoothness: float,
-    m: int,
-    gamma: float,
-    c: float,
-    steps: int,
-) -> float:
-    """Upper bound on min_t ||grad||_F after ``steps``+1 updates.
-
-    Evaluates (C1 + C2) / sqrt(steps + 1) with
-    C1 = f0 / (sqrt(m) * gamma * c) and
-    C2 = smoothness * m^(3/2) * c / (2 * gamma), valid for square m x m
-    parameters under the step size c / sqrt(steps + 1), on an objective
-    whose lower bound is 0 (so f0, its start value, is non-negative).
-    """
-    _positive("gamma", gamma)
-    _positive("c", c)
-    _non_negative("steps", steps)
-    _positive("smoothness", smoothness)
-    _positive("m", m)
-    _non_negative("f0", f0)
-    c1 = f0 / (np.sqrt(m) * gamma * c)
-    c2 = smoothness * m**1.5 * c / (2.0 * gamma)
-    return float((c1 + c2) / np.sqrt(steps + 1))
-
-
 @dataclass
 class ConvergenceRun:
     """Per-step record of one experiment: objective value, true-gradient
     norm, alignment inner product, and minimum column sine, plus the run
     itself: the objective it ran, its step scale ``c``, the standard
     deviation ``noise`` of its gradient noise, and its seed.  The step
-    size eta and the realized gamma, the smallest of those sines, are
-    derived from the record."""
+    count T (one record per iterate, T + 1 of them), the step size eta
+    and the realized gamma, the smallest of those sines, are derived
+    from the record."""
 
     objective: SmoothObjective
-    steps: int
     c: float
     noise: float
     seed: int
@@ -288,6 +267,10 @@ class ConvergenceRun:
     grad_norms: np.ndarray = field(repr=False)
     inner_products: np.ndarray = field(repr=False)
     min_sin_phi: np.ndarray = field(repr=False)
+
+    @property
+    def steps(self) -> int:
+        return len(self.f_values) - 1
 
     @property
     def eta(self) -> float:
@@ -304,18 +287,23 @@ class ConvergenceRun:
         """``(verdict, bound)`` for this run.
 
         "skipped" (a noisy run or a non-square objective) and "vacuous"
-        (a zero realized gamma) come with bound None; otherwise
-        min_grad_bound at the realized gamma and the run's own c "holds"
-        or is "violated"."""
+        (a zero realized gamma) come with bound None.  Otherwise the
+        bound is (C1 + C2) / sqrt(T + 1) of the module docstring, at the
+        realized gamma, the run's own c and its start value f0, and the
+        run "holds" or is "violated".  f0 must be non-negative, since 0
+        is the lower bound the bound takes; an objective from outside
+        the package is not held to that until here."""
         m, n = self.objective.dims
         if self.noise > 0.0 or m != n:
             return "skipped", None
-        if self.realized_gamma <= 0.0:
+        gamma = self.realized_gamma
+        if gamma <= 0.0:
             return "vacuous", None
-        bound = min_grad_bound(
-            float(self.f_values[0]), self.objective.smoothness,
-            m, self.realized_gamma, self.c, self.steps,
-        )
+        f0 = float(self.f_values[0])
+        _non_negative("f0", f0)
+        c1 = f0 / (np.sqrt(m) * gamma * self.c)
+        c2 = self.objective.smoothness * m**1.5 * self.c / (2.0 * gamma)
+        bound = float((c1 + c2) / np.sqrt(self.steps + 1))
         return ("holds" if self.min_grad_norm() <= bound else "violated"), bound
 
     def to_csv(self, path) -> None:
@@ -358,10 +346,9 @@ def run_convergence_experiment(
     _non_negative("steps", steps)
     _positive("c", c)
     _non_negative("noise", noise)
+    _seed(seed)
     count = steps + 1
-    run = ConvergenceRun(
-        objective, steps, c, noise, seed, *(np.empty(count) for _ in range(4))
-    )
+    run = ConvergenceRun(objective, c, noise, seed, *(np.empty(count) for _ in range(4)))
     # Domain-separate from the objective's own generator: objectives are
     # seeded with plain integers, so an experiment sharing the seed must
     # not replay the same stream (a random start drawn from it would sit

@@ -9,9 +9,9 @@ no scan makes an array of its input's size, and a smaller one in one
 ``np.isfinite`` call, which costs less.
 Scalar arguments go through ``_positive``, ``_non_negative`` and
 ``_unit_interval``, which are written so that NaN fails every one of
-them.  Each public entry point checks its own inputs, so a training
-step scans every gradient twice (clipping, whose check is also the
-trainer's divergence check, and the step).
+them, and seeds through ``_seed``.  Each public entry point checks its
+own inputs, so a training step scans every gradient twice (clipping,
+whose check is also the trainer's divergence check, and the step).
 ``_norm`` is the package's one overflow rescue; over a whole array it
 squares a chunk at a time (``_sum_squares``), so it makes no array of
 the input's size, and ``rms`` sums the same way.  The rest is a thin
@@ -99,6 +99,14 @@ def _non_negative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
+def _seed(value) -> None:
+    """ValueError naming the seed unless it is a non-negative integer,
+    the kind numpy's generators take (they would fail in their own
+    words)."""
+    if not (isinstance(value, (int, np.integer)) and value >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+
+
 def _unit_interval(name: str, value: float) -> None:
     if not 0.0 <= value < 1.0:
         raise ValueError(f"{name} must lie in [0, 1), got {value}")
@@ -148,22 +156,25 @@ def _norm(a: np.ndarray, axis: int | None = None):
     from its entries divided by their largest magnitude (Blue, 1978).
     Over the whole array that rescue divides and squares a chunk at a
     time, in the order ``_square_sums`` sums, so it makes no array of
-    the input's size either."""
-    keep = axis is not None
+    the input's size either.  Per slice it makes one, the scaled
+    entries, squared in place: each slice's largest magnitude comes
+    from its largest and smallest entries, not from ``np.abs(a)``."""
     try:  # raising on overflow costs less per call than scanning for inf
         with np.errstate(over="raise"):
             return np.sqrt(_square_sums(a, axis))
     except FloatingPointError:
-        if not keep:  # squares are never negative: the whole sum is inf
+        if axis is None:  # squares are never negative: the whole sum is inf
             big = max(a.max(), -a.min())
             flat = np.ravel(a, order="K")
             return big * np.sqrt(_sum_squares(flat, np.divide, big))
         with np.errstate(over="ignore"):
             norms = np.sqrt(_square_sums(a, axis))
         huge = np.isinf(norms)
-        big = np.where(huge, np.abs(a).max(axis=axis, keepdims=keep), 1.0)
+        biggest = np.maximum(a.max(axis, keepdims=True), -a.min(axis, keepdims=True))
+        big = np.where(huge, biggest, 1.0)
         scaled = a / big
-        rescued = big * np.sqrt(_square_sums(scaled, axis))
+        squares = np.multiply(scaled, scaled, out=scaled)
+        rescued = big * np.sqrt(squares.sum(axis=axis, keepdims=True))
         return np.where(huge, rescued, norms)
 
 

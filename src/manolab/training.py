@@ -10,7 +10,10 @@ spectrum and geodesic tools.
 Everything is seeded and single-threaded deterministic: two runs with
 the same TrainConfig produce bit-identical trajectory records.
 
-The model keeps one ``batch x width`` float64 buffer per hidden layer
+The forward pass is written once, ``MlpModel._forward``: ``forward``,
+and with it the eval loss, runs it on fresh per-layer arrays, and
+``mlp_forward_backward`` on the model's workspace.  The model keeps one
+``batch x width`` float64 buffer per hidden layer
 (``MlpModel._hidden_buffers``), which ``mlp_forward_backward`` reuses
 for that layer's activations and then its delta on every step.  Beside
 them, a call makes one ``batch x max(d_in, hidden)`` slot: the
@@ -52,6 +55,7 @@ from .tensor import (
     _non_negative,
     _norm,
     _positive,
+    _seed,
     _sum_squares,
     _unit_interval,
     rms,
@@ -162,6 +166,7 @@ def make_dataset(
     _positive("d_out", d_out)
     _non_negative("noise", noise)
     _non_negative("separation", separation)
+    _seed(seed)
     rng = np.random.default_rng(seed)
     if task == "linreg":
         x = rng.standard_normal((n_samples, d_in))
@@ -219,18 +224,19 @@ class MlpModel:
     entries, or softmax cross-entropy averaged over the batch with
     integer labels in [0, n_classes).
 
-    The model also owns ``_workspace``, one float64 ``rows x width``
-    buffer per hidden layer, which ``mlp_forward_backward`` fills with
-    that layer's activations and then its backward delta.  So a model
-    serves one ``mlp_forward_backward`` call at a time.  The buffers
-    persist between calls for speed, not for memory: fresh buffers per
-    call give the same bytes and the same ``tracemalloc`` peak, but
-    glibc returns each freed buffer (1 MB at batch 1,024 and width 128)
-    to the kernel, and the next step faults it back in.  A 40-step Mano
-    run of the ``train-faceoff-batch`` config took 24,640-25,410 minor
-    faults with per-call buffers instead of 1,184-1,754, and 7.9-8.6 ms
-    a step instead of 7.1-7.6 ms (a shared 2-core host, one BLAS
-    thread).
+    One forward loop, ``_forward``, serves ``forward``, which hands it a
+    fresh array per hidden layer, and ``mlp_forward_backward``, which
+    hands it ``_workspace``: one float64 ``rows x width`` buffer per
+    hidden layer, filled with that layer's activations and then its
+    backward delta.  So a model serves one ``mlp_forward_backward`` call
+    at a time.  The buffers persist between calls for speed, not for
+    memory: fresh buffers per call give the same bytes and the same
+    ``tracemalloc`` peak, but glibc returns each freed buffer (1 MB at
+    batch 1,024 and width 128) to the kernel, and the next step faults
+    it back in.  A 40-step Mano run of the ``train-faceoff-batch``
+    config took 24,640-25,410 minor faults with per-call buffers
+    instead of 1,184-1,754, and 7.9-8.6 ms a step instead of 7.1-7.6 ms
+    (a shared 2-core host, one BLAS thread).
     """
 
     def __init__(self, layer_sizes, loss: str = "mse", seed: int = 0):
@@ -241,6 +247,7 @@ class MlpModel:
             raise ValueError("layer sizes must be positive")
         if loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
+        _seed(seed)
         self.layer_sizes = sizes
         self.loss = loss
         rng = np.random.default_rng(seed)
@@ -267,14 +274,31 @@ class MlpModel:
         owner[index // 2] = value
 
     def forward(self, features: np.ndarray) -> np.ndarray:
-        acts = features
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            # In place, with the bits of ``tanh(acts @ w + b)``.
-            z = acts @ w
-            z += b
-            acts = z if i == last else np.tanh(z, out=z)
-        return acts
+        rows = len(features)
+        # A generator, so each layer's array is made only once the loop
+        # reaches that layer, and the one before it can go.
+        return self._forward(
+            features, (np.empty((rows, w)) for w in self.layer_sizes[1:-1])
+        )
+
+    def _forward(self, acts: np.ndarray, buffers) -> np.ndarray:
+        """The network's output on the batch ``acts``: the model's one
+        forward loop, which ``forward`` and ``mlp_forward_backward``
+        share.
+
+        Each hidden layer's activations are written into the next of
+        ``buffers``, one ``rows x width`` array per hidden layer, and
+        left there: ``tanh(acts @ W + b)`` formed in place, with the
+        bits of the allocating form.  The output layer's affine map
+        ``acts @ W + b`` is a fresh array, its bias added in place.
+        """
+        for w, b, buf in zip(self.weights, self.biases, buffers):
+            np.matmul(acts, w, out=buf)
+            buf += b
+            acts = np.tanh(buf, out=buf)
+        out = acts @ self.weights[-1]
+        out += self.biases[-1]
+        return out
 
     def evaluate_loss(self, features: np.ndarray, targets: np.ndarray) -> float:
         features, targets = self._checked_batch(features, targets)
@@ -325,8 +349,9 @@ def mlp_forward_backward(model: MlpModel, features, targets, *, _rows=None):
     ``model.parameters()``.  Because both losses are means, duplicating
     every sample leaves loss and gradients unchanged.
 
-    Each hidden layer's activations are written into the model's
-    workspace, and its backward delta then over them.  The call makes
+    The model's forward loop (``MlpModel._forward``) writes each hidden
+    layer's activations into the model's workspace, and the backward
+    pass writes that layer's delta over them.  The call makes
     one more ``rows x max(layer_sizes[:-1])`` float64 array, its slot,
     which holds each backward product ``dz @ W.T`` in turn.  So a warm
     call makes no other array of the batch's rows times a hidden width.
@@ -353,31 +378,25 @@ def mlp_forward_backward(model: MlpModel, features, targets, *, _rows=None):
     n = len(targets)
     slot = np.empty(n * max(model.layer_sizes[:-1]))
     if _rows is None:
-        acts = [features]
+        x = features
     else:
         d_in = model.layer_sizes[0]
-        acts = [np.take(
+        x = np.take(
             features, _rows, axis=0, out=slot[: n * d_in].reshape(n, d_in), mode="clip"
-        )]
-    last = len(model.weights) - 1
-    # zip stops at the last hidden layer: the output layer is small, so
-    # it stays a fresh array.
-    for w, b, buf in zip(model.weights, model.biases, model._hidden_buffers(n)):
-        np.matmul(acts[-1], w, out=buf)
-        buf += b
-        acts.append(np.tanh(buf, out=buf))
-    loss, dz = _loss(
-        model.loss, acts[-1] @ model.weights[last] + model.biases[last], targets
-    )
+        )
+    hidden = model._hidden_buffers(n)
+    loss, dz = _loss(model.loss, model._forward(x, hidden), targets)
     # From here the slot holds the products.
-    acts[0] = None
+    del x
 
+    last = len(model.weights) - 1
     grads = [None] * (2 * len(model.weights))
     for i in range(last, 0, -1):
-        grads[2 * i] = acts[i].T @ dz
+        # Layer i's input, the activations of hidden layer i - 1.
+        a = hidden[i - 1]
+        grads[2 * i] = a.T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
-        # acts[i] becomes tanh'(z) = 1 - a*a, then the next dz.
-        a = acts[i]
+        # a becomes tanh'(z) = 1 - a*a, then the next dz.
         width = a.shape[1]
         np.multiply(a, a, out=a)
         np.subtract(1.0, a, out=a)
@@ -474,20 +493,24 @@ class TrainConfig:
         for key in ("weight_decay", "snapshot_every", "noise", "separation"):
             _non_negative(key, getattr(self, key))
         _unit_interval("momentum", self.momentum)
+        _seed(self.seed)
         if not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("warmup_steps must lie strictly inside (0, total_steps)")
         _check_schedule("schedule", self.schedule)
 
 
-def _parse_config_value(name: str, text: str, kind):
-    text = text.strip()
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# How ``load_config`` names each field type in its messages.
+_KIND_NAMES = {
+    bool: "boolean", int: "integer", float: "number", tuple: "comma-separated integers",
+}
+
+
+def _parse_config_value(text: str, kind):
+    """``text`` as a value of ``kind``, the type of a field's default;
+    KeyError or ValueError if it is not one."""
     if kind is bool:
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ValueError(f"cannot parse boolean for {name!r}: {text!r}")
+        return _BOOLEANS[text.lower()]
     if kind in (int, float, str):
         return kind(text)
     # the only remaining field type is the tuple of hidden widths
@@ -500,7 +523,9 @@ def load_config(path) -> TrainConfig:
     """Read a flat ``key = value`` file into a TrainConfig.
 
     Blank lines and lines starting with ``#`` are skipped.  Unknown keys
-    are an error, as is a missing file (the message names the path).
+    are an error, as is a missing file (the message names the path), and
+    so is a value that does not parse as its field's type (the message
+    names the path, the line, the key and the value).
     """
     path = Path(path)
     if not path.is_file():
@@ -521,7 +546,13 @@ def load_config(path) -> TrainConfig:
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: "
                 f"{', '.join(sorted(kinds))}"
             )
-        values[key] = _parse_config_value(key, value, kinds[key])
+        kind, text = kinds[key], value.strip()
+        try:
+            values[key] = _parse_config_value(text, kind)
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"{path}:{lineno}: cannot parse {_KIND_NAMES[kind]} for {key!r}: {text!r}"
+            ) from None
     return TrainConfig(**values)
 
 

@@ -30,7 +30,6 @@ from manolab.cli import run_cli
 from manolab.convergence import (
     alignment_check,
     mano_simple_step,
-    min_grad_bound,
     quadratic_objective,
     run_convergence_experiment,
     softmax_objective,
@@ -205,14 +204,9 @@ def test_c05_rate_bound():
                         objective, steps, c=1.0, seed=seed
                     )
                     observed = run.min_grad_norm()
-                    bound = min_grad_bound(
-                        f0=float(run.f_values[0]),
-                        smoothness=objective.smoothness,
-                        m=m,
-                        gamma=run.realized_gamma,
-                        c=1.0,
-                        steps=steps,
-                    )
+                    # The bound at the realized gamma, c = 1 and T = steps.
+                    assert (run.c, run.steps) == (1.0, steps)
+                    bound = run.bound_check()[1]
                     assert observed <= bound, (
                         f"m={m} T={steps} seed={seed}: "
                         f"{observed:.3e} > {bound:.3e}"

@@ -80,6 +80,17 @@ class TestTrain:
             "layer0.weight", "layer0.bias"
         ]
 
+    def test_negative_seed_exits_one_before_the_output_directory(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("seed = 0", "seed = -1"))
+        out = tmp_path / "o"
+        assert run_cli(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_missing_config_exits_one_naming_path(self, tmp_path, capsys):
         code = run_cli(
             ["train", "--config", str(tmp_path / "ghost.cfg"), "--out", str(tmp_path)]
@@ -171,6 +182,16 @@ class TestConverge:
             r"error: experiment aborted at step 0: ", capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("objective", ["quadratic", "softmax"])
+    def test_negative_seed_exits_one_naming_it(self, tmp_path, capsys, objective):
+        out = tmp_path / "d"
+        code = run_cli(["converge", "--objective", objective, "--m", "4",
+                        "--steps", "5", "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "verdict, bound, code, line",
         [
@@ -192,6 +213,13 @@ class TestConverge:
 
 
 class TestBench:
+    def test_bad_shape_is_named(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = run_cli(["bench", "--shapes", "8,8x", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bad shape '8x': expected N or MxN\n"
+        assert not out.exists()
+
     def test_json_stable_apart_from_timings(self, tmp_path, capsys):
         args = ["bench", "--shapes", "8,4x16", "--reps", "100", "--seed", "3"]
         assert run_cli(args + ["--out", str(tmp_path / "a")]) == 0
@@ -220,6 +248,14 @@ class TestBench:
         code = run_cli(["bench", "--shapes", ",", "--out", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = run_cli(["bench", "--shapes", "8", "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
 
     def test_empty_kernel_list(self, tmp_path, capsys):
         out = tmp_path / "d"

@@ -14,7 +14,6 @@ from manolab.convergence import (
     _column_tangent,
     alignment_check,
     mano_simple_step,
-    min_grad_bound,
     quadratic_objective,
     run_convergence_experiment,
     softmax_objective,
@@ -163,7 +162,7 @@ class TestObjectives:
         ids=["quadratic", "softmax"],
     )
     def test_objective_is_non_negative(self, make, scale):
-        """``min_grad_bound`` takes 0 as the lower bound of f, so every
+        """``bound_check`` takes 0 as the lower bound of f, so every
         objective must stay at or above it, also far from the start."""
         obj = make()
         rng = np.random.default_rng(4)
@@ -176,6 +175,14 @@ class TestObjectives:
             quadratic_objective(0, 4)
         with pytest.raises(ValueError):
             softmax_objective(4, 1)
+
+    @pytest.mark.parametrize("smoothness", [0.0, -1.0, np.nan])
+    def test_smoothness_must_be_positive(self, smoothness):
+        """The smoothness enters the bound as a Lipschitz constant, so
+        the objective, where it enters the program, rejects a
+        non-positive or NaN one."""
+        with pytest.raises(ValueError, match="^smoothness must be positive"):
+            SmoothObjective((2, 2), lambda theta: (0.0, theta), smoothness)
 
 
 class TestManoSimpleStep:
@@ -333,38 +340,6 @@ class TestFastPathsKeepTheMaskedBits:
         assert got.tobytes() == want.tobytes()
 
 
-class TestMinGradBound:
-    def test_frozen_arithmetic(self):
-        """f0=1, L=1, m=4, gamma=0.5, c=1, steps=99 gives
-        C1 = 1, C2 = 4, bound = 5/10."""
-        bound = min_grad_bound(1.0, 1.0, 4, 0.5, 1.0, 99)
-        c1 = 1.0 / (2.0 * 0.5)
-        c2 = 1.0 * 8.0 / (2.0 * 0.5)
-        assert bound == pytest.approx((c1 + c2) / 10.0, rel=1e-14)
-
-    def test_scales_inversely_with_sqrt_steps(self):
-        b1 = min_grad_bound(1.0, 1.0, 4, 0.5, 1.0, 99)
-        b2 = min_grad_bound(1.0, 1.0, 4, 0.5, 1.0, 399)
-        assert b2 == pytest.approx(b1 / 2.0, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            min_grad_bound(1.0, 1.0, 4, 0.0, 1.0, 10)
-        with pytest.raises(ValueError, match="f0 must be non-negative"):
-            min_grad_bound(-1.0, 1.0, 4, 0.5, 1.0, 10)
-
-    def test_zero_start_value_leaves_only_c2(self):
-        """f0 = 0 is the objectives' lower bound: C1 vanishes and the
-        bound is C2 / sqrt(steps + 1) = 8 / 10."""
-        bound = min_grad_bound(0.0, 1.0, 4, 0.5, 1.0, 99)
-        assert bound == pytest.approx(1.0 * 8.0 / (2.0 * 0.5) / 10.0, rel=1e-14)
-
-    @pytest.mark.parametrize("f0", [-1e-300, -np.inf])
-    def test_rejects_start_value_below_zero(self, f0):
-        with pytest.raises(ValueError, match="^f0 must be non-negative"):
-            min_grad_bound(f0, 1.0, 4, 0.5, 1.0, 10)
-
-
 def _hand_objective(dims=(4, 4), smoothness=1.0):
     return SmoothObjective(
         dims=dims, evaluate=lambda theta: (0.0, theta), smoothness=smoothness
@@ -374,21 +349,32 @@ def _hand_objective(dims=(4, 4), smoothness=1.0):
 def _hand_run(
     min_sin=(0.5, 0.25), f0=1.0, c=1.0, noise=0.0, **objective
 ) -> ConvergenceRun:
-    """A one-step run at step scale c, so eta = c / sqrt(2), whose minimum
-    gradient norm is 1 and gamma 1/4; ``objective`` goes to
-    ``_hand_objective``."""
+    """A run at step scale c with one record per entry of ``min_sin``:
+    by default one step, so eta = c / sqrt(2), whose minimum gradient
+    norm is 1 and gamma 1/4; ``objective`` goes to ``_hand_objective``."""
+    rest = len(min_sin) - 1
     return ConvergenceRun(
-        objective=_hand_objective(**objective), steps=1, c=c, noise=noise, seed=0,
-        f_values=np.array([f0, 0.5]),
-        grad_norms=np.array([2.0, 1.0]),
-        inner_products=np.array([1.0, 0.5]),
+        objective=_hand_objective(**objective), c=c, noise=noise, seed=0,
+        f_values=np.array([f0] + [0.5] * rest),
+        grad_norms=np.array([2.0] + [1.0] * rest),
+        inner_products=np.array([1.0] + [0.5] * rest),
         min_sin_phi=np.array(min_sin),
     )
 
 
+def _expected_bound(f0, smoothness, m, gamma, c, steps):
+    """(C1 + C2) / sqrt(steps + 1) with C1 = f0 / (sqrt(m) * gamma * c)
+    and C2 = smoothness * m^(3/2) * c / (2 * gamma), written out here in
+    the operations and order the bound is specified in, so the program's
+    bound must match it bit for bit."""
+    c1 = f0 / (np.sqrt(m) * gamma * c)
+    c2 = smoothness * m**1.5 * c / (2.0 * gamma)
+    return float((c1 + c2) / np.sqrt(steps + 1))
+
+
 class TestBoundCheck:
     """The run judges its own bound from its own record; each of its
-    five outcomes."""
+    five outcomes, and the bound's arithmetic."""
 
     @pytest.mark.parametrize(
         "settings", [{"noise": 0.1}, {"dims": (4, 3)}], ids=["noisy", "rectangular"]
@@ -401,7 +387,7 @@ class TestBoundCheck:
 
     def test_holds(self):
         # C1 = 1 / (2 * 0.25) = 2, C2 = 8 / (2 * 0.25) = 16: 18 / sqrt(2) >= 1
-        expected = min_grad_bound(1.0, 1.0, 4, 0.25, 1.0, 1)
+        expected = _expected_bound(1.0, 1.0, 4, 0.25, 1.0, 1)
         assert expected == pytest.approx(18.0 / np.sqrt(2.0), rel=1e-15)
         assert _hand_run().bound_check() == ("holds", expected)
 
@@ -412,14 +398,45 @@ class TestBoundCheck:
         run = _hand_run(f0=1e-6, smoothness=1e-6)
         verdict, bound = run.bound_check()
         assert verdict == "violated"
-        assert bound == min_grad_bound(1e-6, 1e-6, 4, 0.25, 1.0, 1) < 1.0
+        assert bound == _expected_bound(1e-6, 1e-6, 4, 0.25, 1.0, 1) < 1.0
+
+    def test_frozen_arithmetic(self):
+        """f0=1, L=1, m=4, gamma=0.5, c=1 over 99 steps gives
+        C1 = 1, C2 = 4, bound = 5/10."""
+        run = _hand_run(min_sin=(0.5,) * 100)
+        assert run.steps == 99
+        verdict, bound = run.bound_check()
+        assert bound == _expected_bound(1.0, 1.0, 4, 0.5, 1.0, 99)
+        c1 = 1.0 / (2.0 * 0.5)
+        c2 = 1.0 * 8.0 / (2.0 * 0.5)
+        assert bound == pytest.approx((c1 + c2) / 10.0, rel=1e-14)
+        assert verdict == "violated"  # the minimum gradient norm is 1
+
+    def test_scales_inversely_with_sqrt_steps(self):
+        b1 = _hand_run(min_sin=(0.5,) * 100).bound_check()[1]
+        b2 = _hand_run(min_sin=(0.5,) * 400).bound_check()[1]
+        assert b2 == pytest.approx(b1 / 2.0, rel=1e-12)
+
+    def test_zero_start_value_leaves_only_c2(self):
+        """f0 = 0 is the objectives' lower bound: C1 vanishes and the
+        bound is C2 / sqrt(steps + 1) = 8 / 10."""
+        bound = _hand_run(min_sin=(0.5,) * 100, f0=0.0).bound_check()[1]
+        assert bound == pytest.approx(1.0 * 8.0 / (2.0 * 0.5) / 10.0, rel=1e-14)
+
+    @pytest.mark.parametrize("f0", [-1.0, -1e-300, -np.inf])
+    def test_rejects_start_value_below_zero(self, f0):
+        """0 is the lower bound the bound takes, so a start value below
+        it, which only an objective from outside the package can give,
+        is an error, not a verdict."""
+        with pytest.raises(ValueError, match="^f0 must be non-negative"):
+            _hand_run(f0=f0).bound_check()
 
     def test_judged_at_the_runs_own_step_scale(self):
         """A run at c = 2 is judged at c = 2, with its objective's
         constants; no caller can hand it another scale."""
         objective = softmax_objective(8, 8, n_samples=64, seed=2)
         run = run_convergence_experiment(objective, 100, c=2.0, seed=2)
-        expected = min_grad_bound(
+        expected = _expected_bound(
             float(run.f_values[0]), objective.smoothness,
             8, run.realized_gamma, 2.0, 100,
         )
@@ -433,12 +450,26 @@ class TestBoundCheck:
     def test_realized_gamma_and_eta_are_derived_not_stored(self):
         names = [f.name for f in dataclasses.fields(ConvergenceRun)]
         assert "realized_gamma" not in names and "eta" not in names
-        assert len(names) == 9
+        assert len(names) == 8
         assert _hand_run().realized_gamma == 0.25
         assert _hand_run(c=2.0).eta == 2.0 / np.sqrt(2.0)
         for name in ("realized_gamma", "eta"):
             with pytest.raises(AttributeError):
                 setattr(_hand_run(), name, 1.0)
+
+    def test_steps_come_from_the_record(self):
+        """T is one less than the number of records, not a field that
+        could disagree with them."""
+        assert "steps" not in [f.name for f in dataclasses.fields(ConvergenceRun)]
+        assert _hand_run().steps == 1
+        assert _hand_run(min_sin=(0.5,) * 31).steps == 30
+        with pytest.raises(AttributeError):
+            _hand_run().steps = 2
+        with pytest.raises(TypeError, match="steps"):
+            ConvergenceRun(
+                _hand_objective(), 1.0, 0.0, 0, *(np.ones(2) for _ in range(4)),
+                steps=1,
+            )
 
 
 class TestRunExperiment:
@@ -489,13 +520,9 @@ class TestRunExperiment:
     def test_bound_holds_on_quadratic(self):
         obj = quadratic_objective(4, 4, seed=2)
         run = run_convergence_experiment(obj, 400, c=1.0, seed=2)
-        bound = min_grad_bound(
-            f0=float(run.f_values[0]),
-            smoothness=obj.smoothness,
-            m=4,
-            gamma=run.realized_gamma,
-            c=1.0,
-            steps=400,
+        assert run.steps == 400
+        bound = _expected_bound(
+            float(run.f_values[0]), obj.smoothness, 4, run.realized_gamma, 1.0, 400
         )
         assert run.min_grad_norm() <= bound
         assert run.bound_check() == ("holds", bound)
@@ -572,7 +599,7 @@ class TestRunExperiment:
     def test_csv_row_bytes(self, tmp_path):
         """Every float is written as its shortest round-trip repr."""
         run = ConvergenceRun(
-            objective=_hand_objective(), steps=1, c=1.0, noise=0.0, seed=0,
+            objective=_hand_objective(), c=1.0, noise=0.0, seed=0,
             f_values=np.array([0.1 + 0.2, 2.0]),
             grad_norms=np.array([1e-300, 0.5]),
             inner_products=np.array([2.5e-08, -0.0]),

@@ -10,6 +10,8 @@ the unscaled input.  A third gives each matrix-only entry point a
 vector.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,9 @@ from manolab.bench import (
     flop_row,
 )
 from manolab.convergence import (
+    SmoothObjective,
     alignment_check,
     mano_simple_step,
-    min_grad_bound,
     quadratic_objective,
     run_convergence_experiment,
     softmax_objective,
@@ -50,7 +52,7 @@ from manolab.tensor import (
     jacobi_svd,
     rms,
 )
-from manolab.training import TrainConfig, grad_stats, make_dataset
+from manolab.training import MlpModel, TrainConfig, grad_stats, make_dataset
 
 
 def _dataset_dims(d_in=2, d_out=2):
@@ -86,9 +88,9 @@ _ENTRY_POINTS = [
     (quadratic_objective, {"m": 2, "n": 2}, ("m", "n", "step_scale")),
     (softmax_objective, {"m": 2, "n": 2}, ("m", "n", "n_samples")),
     (
-        min_grad_bound,
-        {"f0": 1.0, "smoothness": 1.0, "m": 2, "gamma": 0.5, "c": 1.0, "steps": 3},
-        ("f0", "smoothness", "m", "gamma", "c", "steps"),
+        SmoothObjective,
+        {"dims": (2, 2), "evaluate": lambda theta: (0.0, theta), "smoothness": 1.0},
+        ("smoothness",),
     ),
     (
         mano_simple_step,
@@ -149,6 +151,33 @@ def test_entry_point_rejects_nan_scalar(fn, kwargs, name):
 def test_bench_kernels_rejects_nan_before_timing(kwargs, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         bench_kernels(**kwargs)
+
+
+# Every public entry that takes a seed, with the other arguments of a
+# valid call.
+_SEEDED = {
+    "TrainConfig": (TrainConfig, {}),
+    "make_dataset": (
+        make_dataset, {"task": "blobs-classify", "n_samples": 10, "dims": (2, 2)}
+    ),
+    "MlpModel": (MlpModel, {"layer_sizes": (2, 2)}),
+    "quadratic_objective": (quadratic_objective, {"m": 2, "n": 2}),
+    "softmax_objective": (softmax_objective, {"m": 2, "n": 2}),
+    "run_convergence_experiment": (
+        run_convergence_experiment, {"objective": quadratic_objective(2, 2), "steps": 2}
+    ),
+    "bench_kernels": (bench_kernels, {"shapes": [(2, 2)]}),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, np.nan])
+@pytest.mark.parametrize("fn, kwargs", _SEEDED.values(), ids=_SEEDED.keys())
+def test_seed_must_be_a_non_negative_integer(fn, kwargs, seed):
+    """A seed numpy cannot take is rejected under its own name, before
+    numpy's generators see it and fail in their own words."""
+    expected = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        fn(**kwargs, seed=seed)
 
 
 _G, _THETA = np.random.default_rng(8).standard_normal((2, 4, 6))

@@ -14,7 +14,6 @@ from manolab.convergence import (
     ConvergenceRun,
     SmoothObjective,
     mano_simple_step,
-    min_grad_bound,
     quadratic_objective,
     run_convergence_experiment,
     softmax_objective,
@@ -47,7 +46,6 @@ _BUDGET = {
     "quadratic_objective": (_parameters, quadratic_objective, 4),
     "softmax_objective": (_parameters, softmax_objective, 4),
     "run_convergence_experiment": (_parameters, run_convergence_experiment, 5),
-    "min_grad_bound": (_parameters, min_grad_bound, 6),
     "ConvergenceRun.bound_check": (_parameters, ConvergenceRun.bound_check, 0),
     "mano_simple_step": (_parameters, mano_simple_step, 3),
     "rsgdm_step": (_parameters, rsgdm_step, 5),

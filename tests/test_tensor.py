@@ -147,6 +147,53 @@ class TestNorm:
         expected = big * np.sqrt(_square_sums(a / big, None))
         assert np.asarray(norm).tobytes() == np.asarray(expected).tobytes()
 
+    @staticmethod
+    def _slice_rescue(a, axis):
+        """The per-slice rescue in its two-array form: max|a| from
+        ``np.abs(a)``, then the squares of ``a / big`` as a fresh array."""
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
+        huge = np.isinf(norms)
+        big = np.where(huge, np.abs(a).max(axis=axis, keepdims=True), 1.0)
+        scaled = a / big
+        rescued = big * np.sqrt((scaled * scaled).sum(axis=axis, keepdims=True))
+        return np.where(huge, rescued, norms)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(512, 512), (300, 3), (37, 19), (5, 6, 7)])
+    @pytest.mark.parametrize("huge_slices", [1, 2])
+    def test_slice_rescue_has_the_bits_of_the_two_array_form(
+        self, order, shape, huge_slices
+    ):
+        """On every axis, with one or two slices whose squares overflow
+        (a positive and a negative one), the rescue gives the bits of
+        the form that took max|a| from ``np.abs(a)``."""
+        rng = np.random.default_rng(15)
+        for axis in range(len(shape)):
+            a = np.array(rng.standard_normal(shape), order=order)
+            for k, scale in list(enumerate((1e200, -3e199)))[:huge_slices]:
+                index = [k] * a.ndim
+                index[axis] = slice(None)
+                a[tuple(index)] *= scale
+            expected = self._slice_rescue(a, axis)
+            assert np.count_nonzero(expected > 1e154) == huge_slices
+            assert _norm(a, axis).tobytes() == expected.tobytes(), axis
+
+    def test_slice_rescue_makes_one_array_of_its_input_size(self):
+        """A 512x512 array (2 MiB) with one column at 1e200: the rescue
+        makes the scaled entries and squares them in place, so it peaks
+        near one array of the input's size, where ``np.abs(a)`` and the
+        squares of ``a / big`` once made it two."""
+        a = np.random.default_rng(16).standard_normal((512, 512))
+        a[:, 3] *= 1e200
+        tracemalloc.start()
+        try:
+            _norm(a, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * a.nbytes
+
     def test_overflowing_norm_is_taken_from_scaled_entries(self):
         """3e200 and 4e200 square to inf; the norm is still 5e200, and
         without an overflow warning."""

@@ -545,6 +545,24 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=rf"^{key} {message}, got"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, text, kind",
+        [
+            ("total_steps", "1e3", "integer"),
+            ("hidden", "8,x", "comma-separated integers"),
+            ("lr_max", "fast", "number"),
+            ("nesterov", "maybe", "boolean"),
+        ],
+    )
+    def test_load_config_names_a_value_that_does_not_parse(self, tmp_path, key, text, kind):
+        """The message names the file, the line, the key and the value as
+        typed, not only what the parser choked on."""
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"# comment\n{key} = {text}\n")
+        expected = re.escape(f"{path}:2: cannot parse {kind} for {key!r}: {text!r}")
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            load_config(path)
+
     def test_load_config_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("learning_rate = 3\n")
