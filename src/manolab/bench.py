@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizers import NS_ITERATIONS, mano_transform, newton_schulz
-from .tensor import _positive, _seed
+from .tensor import _choice, _positive, _seed
 
 MIN_REPETITIONS = 100
 WARMUP_REPETITIONS = 10
@@ -152,8 +152,7 @@ def bench_kernels(
     if not kernels:
         raise ValueError("no kernels given")
     for i, kernel in enumerate(kernels):
-        if kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}")
+        _choice("kernel", kernel, BENCH_KERNELS)
         if kernel in kernels[:i]:
             raise ValueError(f"kernel {kernel!r} given twice")
     shapes = list(shapes)

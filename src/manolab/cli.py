@@ -5,7 +5,8 @@ a flat config file, ``converge`` runs a rate experiment and checks the
 bound, ``bench`` times kernels, ``spectra`` and ``geodesic`` digest
 snapshot directories, and ``flops`` prints the arithmetic model.  The
 parser is built once, at import, and each subcommand names its own
-handler, which ``run_cli`` calls.
+handler, which ``run_cli`` calls.  Each file goes out through
+``_write``, the one place ``--out`` is made, when it is written.
 
 Exit codes: 0 on success, 1 for usage or validation problems or a
 diverged training run, 2 when a checked assertion (the convergence
@@ -16,9 +17,9 @@ invocation except for measured timings.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from .diagnostics import spectrum_report, trajectory_geodesics
 from .manifold import GEODESIC_MANIFOLDS
 from .training import (
     TrainingDiverged,
+    _write_csv,
     load_config,
     load_snapshots,
     train_run,
@@ -105,23 +107,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _outdir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(out: str, name: str, write, note: str = "") -> None:
+    """Make the ``out`` directory, write ``name`` in it by ``write(path)``,
+    and say so.  A command that fails first leaves no directory."""
+    path = Path(out) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write(path)
+    print(f"wrote {path}{note}")
+
+
+def _json(payload):
+    """A ``_write`` serializer: ``payload`` as indented JSON."""
+    return lambda path: path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    out = _outdir(args.out)
-    snapshot_dir = out / "snapshots" if cfg.snapshot_every > 0 else None
+    # The trainer makes snapshots/, and with it --out, once it accepts cfg.
+    snapshot_dir = Path(args.out) / "snapshots" if cfg.snapshot_every > 0 else None
     try:
         records = train_run(cfg, snapshot_dir=snapshot_dir)
     except TrainingDiverged as exc:
-        write_trajectory_csv(exc.records, out / "trajectory.csv")
+        # The records made before the failing step are written too.
+        _write(args.out, "trajectory.csv", partial(write_trajectory_csv, exc.records))
         raise
-    write_trajectory_csv(records, out / "trajectory.csv")
-    print(f"wrote {out / 'trajectory.csv'} ({len(records)} records)")
+    _write(args.out, "trajectory.csv", partial(write_trajectory_csv, records),
+           f" ({len(records)} records)")
     return 0
 
 
@@ -134,9 +145,7 @@ def _cmd_converge(args) -> int:
     run = run_convergence_experiment(
         objective, args.steps, c=args.c, seed=args.seed, noise=args.noise
     )
-    out = _outdir(args.out)
-    run.to_csv(out / "convergence.csv")
-    print(f"wrote {out / 'convergence.csv'}")
+    _write(args.out, "convergence.csv", run.to_csv)
     print(
         f"objective={run.objective.name} steps={run.steps} eta={run.eta:.6g} "
         f"min_grad_norm={run.min_grad_norm():.6g} realized_gamma={run.realized_gamma:.6g}"
@@ -176,10 +185,7 @@ def _cmd_bench(args) -> int:
     results = bench_kernels(
         shapes, repetitions=args.reps, seed=args.seed, kernels=kernels
     )
-    out = _outdir(args.out)
-    payload = [r.to_dict() for r in results]
-    (out / "bench.json").write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out / 'bench.json'}")
+    _write(args.out, "bench.json", _json([r.to_dict() for r in results]))
     for r in results:
         print(
             f"{r.kernel:>14} {r.shape[0]:>5}x{r.shape[1]:<5} "
@@ -197,9 +203,7 @@ def _cmd_spectra(args) -> int:
                 step=step, layer=layer,
             )
         reports.append(report.to_dict())
-    out = _outdir(args.out)
-    (out / "spectra.json").write_text(json.dumps(reports, indent=2) + "\n")
-    print(f"wrote {out / 'spectra.json'} ({len(reports)} reports)")
+    _write(args.out, "spectra.json", _json(reports), f" ({len(reports)} reports)")
     return 0
 
 
@@ -207,7 +211,6 @@ def _cmd_geodesic(args) -> int:
     by_layer: dict[str, list[tuple[int, Path]]] = {}
     for step, layer, path in load_snapshots(args.snapshots):
         by_layer.setdefault(layer, []).append((step, path))
-    out = _outdir(args.out)
     rows = []
     for layer in sorted(by_layer):
         thetas = []
@@ -224,11 +227,8 @@ def _cmd_geodesic(args) -> int:
         print(f"{layer}: mean {args.manifold} distance {trail.mean:.6g}{skipped}")
     if not rows:
         raise ValueError("no layer yielded a geodesic distance")
-    with open(out / "geodesic.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("layer", "pair_index", "distance"))
-        writer.writerows(rows)
-    print(f"wrote {out / 'geodesic.csv'}")
+    header = ("layer", "pair_index", "distance")
+    _write(args.out, "geodesic.csv", partial(_write_csv, header, rows))
     return 0
 
 
@@ -246,9 +246,7 @@ def _cmd_flops(args) -> int:
         f"{row['mano_overhead']:>12.6g} {row['newton_schulz_overhead']:>12.6g}"
     )
     if args.out is not None:
-        out = _outdir(args.out)
-        (out / "flops.json").write_text(json.dumps(row, indent=2) + "\n")
-        print(f"wrote {out / 'flops.json'}")
+        _write(args.out, "flops.json", _json(row))
     return 0
 
 

@@ -29,7 +29,6 @@ from that record alone.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,7 +52,7 @@ from .tensor import (
     as_tensor,
     jacobi_svd,
 )
-from .training import _loss
+from .training import _loss, _write_csv
 
 CONVERGENCE_CSV_HEADER = ("step", "f", "grad_norm", "S_t", "min_sin_phi")
 
@@ -307,18 +306,14 @@ class ConvergenceRun:
         return ("holds" if self.min_grad_norm() <= bound else "violated"), bound
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CONVERGENCE_CSV_HEADER)
-            writer.writerows(
-                zip(
-                    range(len(self.f_values)),
-                    self.f_values,
-                    self.grad_norms,
-                    self.inner_products,
-                    self.min_sin_phi,
-                )
-            )
+        rows = zip(
+            range(len(self.f_values)),
+            self.f_values,
+            self.grad_norms,
+            self.inner_products,
+            self.min_sin_phi,
+        )
+        _write_csv(CONVERGENCE_CSV_HEADER, rows, path)
 
 
 def run_convergence_experiment(
@@ -340,8 +335,8 @@ def run_convergence_experiment(
     uses, and reads S_t, gamma and the next iterate from it; the
     alignment identity and lower bound are asserted at every step, as
     alignment_check does.  A non-finite gradient raises ValueError, a
-    misshapen one ShapeMismatchError, and a degenerate slice aborts the
-    run with the failing step in the message.
+    misshapen one ShapeMismatchError, and a degenerate slice or a failed
+    alignment check aborts the run with the failing step in the message.
     """
     _non_negative("steps", steps)
     _positive("c", c)
@@ -374,7 +369,7 @@ def run_convergence_experiment(
             v_hat, v_norms = _column_tangent(theta, used)
             inner, _, _, gamma_t, used_fro = _alignment(used, v_hat, v_norms)
             check_slices(v_norms, 0)
-        except DegenerateSliceError as exc:
+        except (DegenerateSliceError, ArithmeticError) as exc:
             raise RuntimeError(
                 f"experiment aborted at step {t}: {exc}"
             ) from exc

@@ -23,7 +23,7 @@ from .manifold import (
     geodesic_sphere,
     geodesic_stiefel_approx,
 )
-from .tensor import ShapeMismatchError, _matching, as_tensor, jacobi_svd
+from .tensor import ShapeMismatchError, _choice, _matching, as_tensor, jacobi_svd
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -157,10 +157,7 @@ def trajectory_geodesics(snapshots, manifold: str, axis: int = 0) -> GeodesicTra
     manifold cannot take (a wide matrix on Stiefel) or an axis the
     snapshots lack raises ValueError up front.
     """
-    if manifold not in GEODESIC_MANIFOLDS:
-        raise ValueError(
-            f"manifold must be one of {GEODESIC_MANIFOLDS}, got {manifold!r}"
-        )
+    _choice("manifold", manifold, GEODESIC_MANIFOLDS)
     snaps = _matching(*snapshots)
     if len(snaps) < 2:
         raise ValueError("need at least two snapshots")

@@ -40,6 +40,7 @@ import numpy as np
 from .tensor import (
     EPS_DIV,
     ShapeMismatchError,
+    _choice,
     _matching,
     _non_negative,
     _norm,
@@ -68,11 +69,6 @@ class DegenerateSliceError(ValueError):
         )
 
 
-def _check_schedule(name: str, value) -> None:
-    if value not in SCHEDULE_MODES:
-        raise ValueError(f"{name} must be one of {SCHEDULE_MODES}, got {value!r}")
-
-
 def rotation_axis(schedule: str, order: int, step: int) -> int:
     """Axis normalized at ``step`` under ``schedule`` for an order-``order``
     tensor.
@@ -81,7 +77,7 @@ def rotation_axis(schedule: str, order: int, step: int) -> int:
     order); ``static`` keeps axis 0, the columns of a matrix, the
     conventional oblique manifold.
     """
-    _check_schedule("schedule", schedule)
+    _choice("schedule", schedule, SCHEDULE_MODES)
     _positive("order", order)
     _non_negative("step", step)
     return 0 if schedule == "static" else step % order

@@ -50,8 +50,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .manifold import (
+    SCHEDULE_MODES,
     _check_axis,
-    _check_schedule,
     check_slices,
     check_unit,
     rotation_axis,
@@ -63,6 +63,7 @@ from .tensor import (
     CHUNK_ENTRIES,
     EPS_DIV,
     ShapeMismatchError,
+    _choice,
     _matching,
     _non_negative,
     _norm,
@@ -104,7 +105,7 @@ class ManoConfig:
     def __post_init__(self, lr):
         _unit_interval("momentum", self.momentum)
         _non_negative("weight_decay", self.weight_decay)
-        _check_schedule("schedule", self.schedule)
+        _choice("schedule", self.schedule, SCHEDULE_MODES)
 
 
 @dataclass

@@ -9,7 +9,8 @@ no scan makes an array of its input's size, and a smaller one in one
 ``np.isfinite`` call, which costs less.
 Scalar arguments go through ``_positive``, ``_non_negative`` and
 ``_unit_interval``, which are written so that NaN fails every one of
-them, and seeds through ``_seed``.  Each public entry point checks its
+them, seeds through ``_seed``, and named choices (a task, a schedule, a
+kernel) through ``_choice``.  Each public entry point checks its
 own inputs, so a training step scans every gradient twice (clipping,
 whose check is also the trainer's divergence check, and the step).
 ``_norm`` is the package's one overflow rescue; over a whole array it
@@ -110,6 +111,11 @@ def _seed(value) -> None:
 def _unit_interval(name: str, value: float) -> None:
     if not 0.0 <= value < 1.0:
         raise ValueError(f"{name} must lie in [0, 1), got {value}")
+
+
+def _choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _sum_squares(flat: np.ndarray, op=None, value=None):

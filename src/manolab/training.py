@@ -30,6 +30,7 @@ import contextlib
 import csv
 import dataclasses
 import os
+import re
 import zipfile
 from dataclasses import dataclass
 from functools import partial
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifold import _check_schedule, oblique_normalize, slice_unit
+from .manifold import SCHEDULE_MODES, oblique_normalize, slice_unit
 from .optimizers import (
     AdamWConfig,
     ManoConfig,
@@ -52,6 +53,7 @@ from .optimizers import (
     sgdm_step,
 )
 from .tensor import (
+    _choice,
     _non_negative,
     _norm,
     _positive,
@@ -158,8 +160,7 @@ def make_dataset(
     along orthogonal directions (random directions if the feature dim
     cannot hold that many orthogonal ones); targets are integer labels.
     """
-    if task not in TASKS:
-        raise ValueError(f"task must be one of {TASKS}, got {task!r}")
+    _choice("task", task, TASKS)
     _positive("n_samples", n_samples)
     d_in, d_out = dims
     _positive("d_in", d_in)
@@ -245,8 +246,7 @@ class MlpModel:
             raise ValueError("need at least an input and an output size")
         if any(s < 1 for s in sizes):
             raise ValueError("layer sizes must be positive")
-        if loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
+        _choice("loss", loss, LOSSES)
         _seed(seed)
         self.layer_sizes = sizes
         self.loss = loss
@@ -474,12 +474,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(
-                f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}"
-            )
+        _choice("task", self.task, TASKS)
+        _choice("optimizer", self.optimizer, OPTIMIZERS)
         if self.loss != _TASK_LOSS[self.task]:
             raise ValueError(f"{self.task} requires the {_TASK_LOSS[self.task]} loss")
         self.hidden = tuple(int(h) for h in self.hidden)
@@ -496,7 +492,7 @@ class TrainConfig:
         _seed(self.seed)
         if not 0 < self.warmup_steps < self.total_steps:
             raise ValueError("warmup_steps must lie strictly inside (0, total_steps)")
-        _check_schedule("schedule", self.schedule)
+        _choice("schedule", self.schedule, SCHEDULE_MODES)
 
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -525,14 +521,17 @@ def load_config(path) -> TrainConfig:
     Blank lines and lines starting with ``#`` are skipped.  Unknown keys
     are an error, as is a missing file (the message names the path), and
     so is a value that does not parse as its field's type (the message
-    names the path, the line, the key and the value).
+    names the path, the line, the key and the value).  A value that
+    parses but that ``TrainConfig`` rejects fails with TrainConfig's
+    message after ``path:line``, the line of the first key it names (the
+    path alone if it names none of the file's keys).
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     # Each key is parsed as the type of its field's default.
     kinds = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -553,7 +552,13 @@ def load_config(path) -> TrainConfig:
             raise ValueError(
                 f"{path}:{lineno}: cannot parse {_KIND_NAMES[kind]} for {key!r}: {text!r}"
             ) from None
-    return TrainConfig(**values)
+        lines[key] = lineno
+    try:
+        return TrainConfig(**values)
+    except ValueError as exc:
+        named = [lines[word] for word in re.findall(r"\w+", str(exc)) if word in lines]
+        where = f"{path}:{named[0]}" if named else str(path)
+        raise ValueError(f"{where}: {exc}") from None
 
 
 class Trainer:
@@ -793,10 +798,16 @@ def load_snapshots(directory) -> list[tuple[int, str, Path]]:
     return found
 
 
-def write_trajectory_csv(records, path) -> None:
-    """One header row of field names, then one row per record; the csv
-    module writes each float as its repr."""
+def _write_csv(header, rows, path) -> None:
+    """The package's one CSV form: a header row, then ``rows``, each float
+    as its repr and each line ended by CRLF, the csv module's default."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(f.name for f in dataclasses.fields(TrajectoryRecord))
-        writer.writerows(map(dataclasses.astuple, records))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_trajectory_csv(records, path) -> None:
+    """One header row of field names, then one row per record."""
+    header = [f.name for f in dataclasses.fields(TrajectoryRecord)]
+    _write_csv(header, map(dataclasses.astuple, records), path)

@@ -69,9 +69,10 @@ class TestTrain:
         )
         code = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert re.match(r"error: training diverged at step 6: ", err)
+        captured = capsys.readouterr()
+        assert re.match(r"error: training diverged at step 6: ", captured.err)
         # The records made before the failing step are still written.
+        assert captured.out == f"wrote {tmp_path / 'o' / 'trajectory.csv'}\n"
         lines = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
         assert lines[0].startswith("step,train_loss,eval_loss,lr,layer,")
         # cadence 50: only step 0 was recorded, one row per parameter
@@ -88,7 +89,23 @@ class TestTrain:
         out = tmp_path / "o"
         assert run_cli(["train", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: seed must be a non-negative integer, got -1\n"
+        line = CONFIG_TEXT.splitlines().index("seed = 0") + 1
+        assert err == f"error: {cfg}:{line}: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    def test_a_config_the_trainer_rejects_leaves_no_output_directory(
+        self, tmp_path, capsys
+    ):
+        """One sample leaves none to train on once the eval split is taken:
+        the trainer refuses the config before it makes snapshots/, and no
+        trajectory is written, so --out is never made."""
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("n_samples = 64", "n_samples = 1"))
+        out = tmp_path / "o"
+        assert run_cli(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: n_samples = 1 leaves no training samples\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_missing_config_exits_one_naming_path(self, tmp_path, capsys):
@@ -381,7 +398,8 @@ class TestSpectraAndGeodesic:
         captured = capsys.readouterr()
         assert captured.err == "error: no layer yielded a geodesic distance\n"
         assert "layer0.weight: skipped: need at least two snapshots" in captured.out
-        assert not (tmp_path / "g" / "geodesic.csv").exists()
+        assert "wrote" not in captured.out
+        assert not (tmp_path / "g").exists()
 
     def test_geodesic_skips_a_layer_with_one_snapshot(self, tmp_path, capsys):
         """A layer with a single snapshot has no pair: the library's reason

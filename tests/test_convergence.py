@@ -570,6 +570,25 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"experiment aborted at step 0: "):
             run_convergence_experiment(obj, 5)
 
+    def test_failed_alignment_check_aborts_at_its_step(self):
+        """A column scaled by 1e200 leaves a tangent that is rounding
+        noise, along which the step would go uphill; the alignment
+        identity fails, and the run reports it as it reports a
+        degenerate slice, naming the step."""
+        rng = np.random.default_rng(0)
+        theta0 = rng.standard_normal((6, 4))
+        theta0[:, 2] *= 1e200
+        target = rng.standard_normal((6, 4))
+        obj = SmoothObjective(
+            dims=(6, 4), evaluate=lambda theta: (0.0, theta - target),
+            smoothness=1.0, theta0=theta0,
+        )
+        with pytest.raises(RuntimeError, match=(
+            r"^experiment aborted at step 0: alignment identity violated: "
+        )) as err:
+            run_convergence_experiment(obj, 5)
+        assert isinstance(err.value.__cause__, ArithmeticError)
+
     @pytest.mark.parametrize("noise", [-0.1, float("nan")])
     def test_noise_must_be_non_negative(self, noise):
         with pytest.raises(ValueError, match="noise must be non-negative"):
@@ -613,3 +632,35 @@ class TestRunExperiment:
             b"0,0.30000000000000004,1e-300,2.5e-08,0.3333333333333333\r\n"
             b"1,2.0,0.5,-0.0,1.0\r\n"
         )
+
+
+def _descent_residuals(run, eta):
+    """The quadratic's descent identity judged from a run's record at
+    step size ``eta``: per step, f_{t+1} - (f_t - eta*sqrt(m)*S_t +
+    eta^2*m*n/2), and the telescoped f_T - f_0 less the sum of the
+    predicted changes; both relative to f_0."""
+    m, n = run.objective.dims
+    f = run.f_values
+    change = -eta * np.sqrt(m) * run.inner_products[:-1] + eta**2 * m * n / 2.0
+    return (f[1:] - f[:-1] - change) / f[0], (f[-1] - f[0] - change.sum()) / f[0]
+
+
+class TestDescentIdentity:
+    """On the quadratic (Hessian I) a step of length eta*sqrt(m) along vhat,
+    whose n columns are unit, changes f by exactly
+    -eta*sqrt(m)*S_t + eta^2*m*n/2: the step the bound's argument takes,
+    checked from the record alone."""
+
+    @pytest.mark.parametrize("dims", [(16, 16), (8, 5), (5, 8)])
+    def test_holds_at_every_step_and_in_sum(self, dims):
+        run = run_convergence_experiment(quadratic_objective(*dims, seed=0), 1000, seed=0)
+        per_step, total = _descent_residuals(run, run.eta)
+        assert np.abs(per_step).max() <= 1e-10
+        assert abs(total) <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(16, 16), (8, 5), (5, 8)])
+    def test_fails_for_steps_one_percent_longer(self, dims):
+        run = run_convergence_experiment(quadratic_objective(*dims, seed=0), 1000, seed=0)
+        per_step, total = _descent_residuals(run, 1.01 * run.eta)
+        assert np.abs(per_step).max() > 1e-10
+        assert abs(total) > 1e-10

@@ -7,7 +7,7 @@ checks and expects a ValueError that names that scalar.  A second
 table scales the array input of each entry point that takes a norm far
 past where its squares overflow or vanish, and expects the answer of
 the unscaled input.  A third gives each matrix-only entry point a
-vector.
+vector, and a fourth each named choice a name it does not offer.
 """
 
 import re
@@ -28,8 +28,14 @@ from manolab.convergence import (
     run_convergence_experiment,
     softmax_objective,
 )
-from manolab.diagnostics import spectrum_report
-from manolab.manifold import geodesic_sphere, geodesic_stiefel_approx, rotation_axis
+from manolab.diagnostics import spectrum_report, trajectory_geodesics
+from manolab.manifold import (
+    GEODESIC_MANIFOLDS,
+    SCHEDULE_MODES,
+    geodesic_sphere,
+    geodesic_stiefel_approx,
+    rotation_axis,
+)
 from manolab.optimizers import (
     AdamWConfig,
     ManoConfig,
@@ -52,7 +58,15 @@ from manolab.tensor import (
     jacobi_svd,
     rms,
 )
-from manolab.training import MlpModel, TrainConfig, grad_stats, make_dataset
+from manolab.training import (
+    LOSSES,
+    OPTIMIZERS,
+    TASKS,
+    MlpModel,
+    TrainConfig,
+    grad_stats,
+    make_dataset,
+)
 
 
 def _dataset_dims(d_in=2, d_out=2):
@@ -178,6 +192,33 @@ def test_seed_must_be_a_non_negative_integer(fn, kwargs, seed):
     expected = re.escape(f"seed must be a non-negative integer, got {seed!r}")
     with pytest.raises(ValueError, match=f"^{expected}$"):
         fn(**kwargs, seed=seed)
+
+
+# Every named choice: the call with the name it does not offer, the
+# argument's name and the names it offers.
+_CHOICES = {
+    "rotation_axis": (lambda v: rotation_axis(v, 2, 0), "schedule", SCHEDULE_MODES),
+    "ManoConfig": (lambda v: ManoConfig(schedule=v), "schedule", SCHEDULE_MODES),
+    "TrainConfig.schedule": (lambda v: TrainConfig(schedule=v), "schedule", SCHEDULE_MODES),
+    "TrainConfig.task": (lambda v: TrainConfig(task=v), "task", TASKS),
+    "TrainConfig.optimizer": (lambda v: TrainConfig(optimizer=v), "optimizer", OPTIMIZERS),
+    "make_dataset": (lambda v: make_dataset(v, 10, (2, 2)), "task", TASKS),
+    "MlpModel": (lambda v: MlpModel((2, 2), loss=v), "loss", LOSSES),
+    "trajectory_geodesics": (
+        lambda v: trajectory_geodesics([np.eye(2)] * 2, v), "manifold", GEODESIC_MANIFOLDS
+    ),
+    "bench_kernels": (
+        lambda v: bench_kernels([(2, 2)], kernels=(v,)), "kernel", ("mano", "newton_schulz")
+    ),
+}
+
+
+@pytest.mark.parametrize("call, name, choices", _CHOICES.values(), ids=_CHOICES.keys())
+def test_a_name_not_offered_is_named_with_the_choices(call, name, choices):
+    """Every named choice fails in one form, before any work is done."""
+    expected = re.escape(f"{name} must be one of {choices}, got 'bogus'")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        call("bogus")
 
 
 _G, _THETA = np.random.default_rng(8).standard_normal((2, 4, 6))

@@ -539,10 +539,43 @@ class TestTrainConfig:
     def test_load_config_names_bad_numeric_key(self, tmp_path, key, text, message):
         """A numeric field out of range fails at load under its own key,
         not later under the name of whatever it is passed to (``lr``,
-        ``d_in``, ``n_samples`` of the dataset, ``momentum`` of a step)."""
+        ``d_in``, ``n_samples`` of the dataset, ``momentum`` of a step),
+        after the file and the line."""
         path = tmp_path / "cfg.txt"
         path.write_text(f"{key} = {text}\n")
-        with pytest.raises(ValueError, match=rf"^{key} {message}, got"):
+        where = re.escape(f"{path}:1:")
+        with pytest.raises(ValueError, match=rf"^{where} {key} {message}, got"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("total_steps = -5\n", 2, "total_steps must be positive, got -5"),
+            ("seed = 3\nschedule = wobbly\n", 3, "schedule must be one of"),
+            # the cross-field check names the key whose line broke it
+            ("total_steps = 50\n", 2, "warmup_steps must lie strictly inside"),
+            ("total_steps = 50\nwarmup_steps = 60\n", 3,
+             "warmup_steps must lie strictly inside"),
+            ("loss = cross-entropy\n", 2, "linreg requires the mse loss"),
+        ],
+        ids=["out-of-range", "choice", "cross-field", "cross-field-both", "loss"],
+    )
+    def test_load_config_names_the_line_trainconfig_rejects(
+        self, tmp_path, text, line, message
+    ):
+        """A value that parses but that TrainConfig rejects fails with
+        ``path:line`` of the key TrainConfig names, then its message."""
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"# comment\n{text}")
+        expected = re.escape(f"{path}:{line}: {message}")
+        with pytest.raises(ValueError, match=f"^{expected}"):
+            load_config(path)
+
+    def test_load_config_names_the_file_when_no_key_is_named(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("task = blobs-classify\n")
+        expected = re.escape(f"{path}: blobs-classify requires the cross-entropy loss")
+        with pytest.raises(ValueError, match=f"^{expected}$"):
             load_config(path)
 
     @pytest.mark.parametrize(
