@@ -64,11 +64,11 @@ from .tensor import (
     EPS_DIV,
     ShapeMismatchError,
     _choice,
+    _float_array,
     _matching,
     _non_negative,
     _norm,
     _positive,
-    _sum_squares,
     _unit_interval,
     as_tensor,
 )
@@ -516,19 +516,39 @@ def clip_global_grad_norm(grads, max_norm: float):
     """Scale a list of gradients so their joint Frobenius norm is capped.
 
     Returns ``(clipped, total_norm)`` where total_norm is the pre-clip
-    joint norm.  When the norm is already within ``max_norm`` the input
-    arrays are returned unchanged (no copies); with ``max_norm=np.inf``
-    that gives the joint norm alone.  Each sum of squares is
-    ``np.sum(g * g)``, taken without the square array
-    (``tensor._sum_squares``).  If the joint sum overflows, the norm is
+    joint norm.  Each gradient is coerced as ``as_tensor`` coerces it
+    (``tensor._float_array``).  When the norm is already within
+    ``max_norm`` those arrays are returned (no copies); with
+    ``max_norm=np.inf`` that gives the joint norm alone.
+
+    Each sum of squares is taken by BLAS dots of the flat gradient with
+    itself, which make no array, one per CHUNK_ENTRIES entries: OpenBLAS
+    splits a longer dot across its threads, and the split would make the
+    sum's rounding depend on the thread count.  A dot rounds differently
+    from ``np.sum(g * g)``, so the scale can differ from the pairwise
+    sum's in the last place; only the clipped gradients carry it, and
+    the recorded norms (``grad_stats``) keep numpy's bits.
+
+    Finiteness is read from the joint sum: a NaN or infinite entry
+    always makes it non-finite, and only then is each gradient scanned,
+    by ``as_tensor``, which raises ValueError at the first non-finite
+    one.  If every entry is finite the sum overflowed, and the norm is
     taken again as ``tensor._norm`` of the gradients' own ``_norm``s,
     which copies no gradient.
     """
     _positive("max_norm", max_norm)
-    grads = [as_tensor(g) for g in grads]
+    grads = [_float_array(g) for g in grads]
+    squares = 0.0
     with np.errstate(over="ignore"):
-        total = float(np.sqrt(sum(float(_sum_squares(g.reshape(-1))) for g in grads)))
-    if total == np.inf:
+        for g in grads:
+            flat = g.reshape(-1)
+            for start in range(0, flat.size, CHUNK_ENTRIES):
+                part = flat[start : start + CHUNK_ENTRIES]
+                squares += float(np.dot(part, part))
+    total = math.sqrt(squares)
+    if not math.isfinite(total):
+        for g in grads:
+            as_tensor(g)
         total = float(_norm(np.array([_norm(g) for g in grads])))
     if total <= max_norm:
         return grads, total

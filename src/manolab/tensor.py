@@ -11,8 +11,11 @@ Scalar arguments go through ``_positive``, ``_non_negative`` and
 ``_unit_interval``, which are written so that NaN fails every one of
 them, seeds through ``_seed``, and named choices (a task, a schedule, a
 kernel) through ``_choice``.  Each public entry point checks its
-own inputs, so a training step scans every gradient twice (clipping,
-whose check is also the trainer's divergence check, and the step).
+own inputs, so a training step scans every gradient once, in its step.
+The clip coerces through ``_float_array`` and reads finiteness from its
+sum of squares, which any NaN or infinite entry makes non-finite; only
+then does it scan, and that scan is also the trainer's divergence
+check.
 ``_norm`` is the package's one overflow rescue; over a whole array it
 squares a chunk at a time (``_sum_squares``), so it makes no array of
 the input's size, and ``rms`` sums the same way.  The rest is a thin
@@ -35,7 +38,8 @@ EPS_DIV = 1e-30
 # ``optimizers._decoupled`` decays at a time: their only scratch arrays,
 # 64 KiB of float64.  Chunks this size stay in cache; at 512x512 the
 # decay was faster than in one pass over the whole array, and the sum
-# as fast.
+# as fast.  The gradient clip takes one BLAS dot per chunk, below the
+# 10,000 entries beyond which OpenBLAS splits a dot across its threads.
 CHUNK_ENTRIES = 8192
 # Entries that ``_all_finite`` scans at a time, one byte each: 64 KiB.
 # At 512x512 these chunks scanned about as fast as one whole-array call,
@@ -53,11 +57,19 @@ def as_tensor(values) -> np.ndarray:
     Scalars are promoted to shape ``(1,)``.  Non-finite entries are
     rejected so NaN/Inf cannot leak into later arithmetic.
     """
+    arr = _float_array(values)
+    if not _all_finite(arr):
+        raise ValueError("tensor contains non-finite values")
+    return arr
+
+
+def _float_array(values) -> np.ndarray:
+    """``as_tensor``'s coercion without its finiteness scan, for a caller
+    that learns finiteness another way (the gradient clip, from its
+    sum of squares)."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1)
-    if not _all_finite(arr):
-        raise ValueError("tensor contains non-finite values")
     return arr
 
 

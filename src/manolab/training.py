@@ -198,7 +198,15 @@ def _loss(kind: str, out: np.ndarray, targets) -> tuple[float, np.ndarray]:
         diff = out - targets
         return float(np.mean(diff * diff)), 2.0 * diff / diff.size
     batch, classes = out.shape
-    shifted = out - out.max(axis=1, keepdims=True)
+    # One ``reduceat`` at the rows' starts in the flat C-ordered logits
+    # takes every row max.  A max is exact, so these are the bits of
+    # ``out.max(axis=1)``, up to the sign of a zero tie in logits of
+    # another order, which no output below carries.
+    starts = np.arange(0, batch * classes, classes)
+    shifted = out - np.maximum.reduceat(np.ravel(out), starts)[:, None]
+    # Made again for the labels, so they are not held beside the
+    # exponentials below, where the loss peaks.
+    del starts
     log_z = np.log(np.exp(shifted).sum(axis=1))
     # The labels, in [0, classes), are picked and corrected through one
     # index into the flat view of the C-ordered logits (logits in another
@@ -476,8 +484,14 @@ class TrainConfig:
     def __post_init__(self):
         _choice("task", self.task, TASKS)
         _choice("optimizer", self.optimizer, OPTIMIZERS)
+        # The message names the loss first and the task after it, so that
+        # ``load_config`` points at the loss's line, or at the task's in
+        # a file that leaves the loss at its default.
         if self.loss != _TASK_LOSS[self.task]:
-            raise ValueError(f"{self.task} requires the {_TASK_LOSS[self.task]} loss")
+            raise ValueError(
+                f"loss must be {_TASK_LOSS[self.task]!r} for task {self.task!r}, "
+                f"got {self.loss!r}"
+            )
         self.hidden = tuple(int(h) for h in self.hidden)
         # Each numeric field is checked here, under its own key, rather
         # than later by whatever it is passed to under another name.
@@ -523,8 +537,10 @@ def load_config(path) -> TrainConfig:
     so is a value that does not parse as its field's type (the message
     names the path, the line, the key and the value).  A value that
     parses but that ``TrainConfig`` rejects fails with TrainConfig's
-    message after ``path:line``, the line of the first key it names (the
-    path alone if it names none of the file's keys).
+    message after ``path:line``, the line of the first of the file's keys
+    it names.  Every default is valid and every message names the keys
+    it rejects, so each rejection names a key the file set; the path
+    alone stands only before a message that names none.
     """
     path = Path(path)
     if not path.is_file():
@@ -683,9 +699,10 @@ class Trainer:
         ``CLIP_NORM``, and the step's rate is ``cosine_warmup_lr``'s,
         which decays to ``MIN_LR_RATIO`` of ``lr_max``.
         Divergence is a non-finite loss, or a non-finite gradient entry:
-        the clip's input check finds it, and its ValueError, the only
-        one the uncapped clip raises, becomes ``TrainingDiverged``, so
-        the step does not scan the gradients for it again.
+        the clip sees one in its non-finite sum of squares and raises
+        ``as_tensor``'s ValueError, the only one the uncapped clip
+        raises, which becomes ``TrainingDiverged``.  So a finite step
+        scans each gradient once, in its layer's step.
         """
         cfg = self.cfg
         # The module-level name, which the benchmark's tracer wraps.

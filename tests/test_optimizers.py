@@ -10,8 +10,12 @@ schedule endpoints) and the error contract.
 import dataclasses
 import inspect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -987,6 +991,93 @@ class TestClipGlobalGradNorm:
         assert all(a is g for a, g in zip(same, grads))
         assert norm == clip_global_grad_norm(grads, 1.0)[1] > 1.0
 
+    @pytest.mark.parametrize("max_norm", [1.0, np.inf], ids=["capped", "uncapped"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["grad0", "grad1", "grad2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_any_non_finite_entry_raises(self, bad, which, where, max_norm):
+        """The clip reads finiteness from its sum of squares: one NaN or
+        infinite entry anywhere makes the sum non-finite, and the scan
+        that follows raises ``as_tensor``'s ValueError."""
+        grads = [g.copy() for g in _CLIP_GRADS]
+        flat = grads[which].reshape(-1)
+        flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = bad
+        with pytest.raises(ValueError, match="^tensor contains non-finite values$"):
+            clip_global_grad_norm(grads, max_norm)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150, 1e160])
+    def test_joint_norm_matches_an_exactly_summed_oracle(self, scale):
+        """On the wide benchmark's six gradient shapes the joint norm is
+        within 1e-13 of the norm from exactly rounded square sums
+        (``math.fsum``).  At 1e-150 the smallest squares are subnormal;
+        at 1e160 every square overflows, so the rescue gives the norm
+        (at 1e150 the sum, about 3e305, still fits)."""
+        rng = np.random.default_rng(45)
+        grads = [rng.standard_normal(shape) * scale for shape in _WIDE_GRAD_SHAPES]
+        with np.errstate(over="ignore"):
+            summed = sum(float(np.dot(g.reshape(-1), g.reshape(-1))) for g in grads)
+        assert math.isfinite(summed) == (scale < 1e160)
+        # Scaled by a power of two, exactly, so that no square under- or
+        # overflows; each square is then rounded once.
+        exp = math.frexp(max(float(np.abs(g).max()) for g in grads))[1]
+        squares = [float(v) ** 2 for g in grads for v in np.ldexp(g, -exp).ravel()]
+        expected = math.ldexp(math.sqrt(math.fsum(squares)), exp)
+        total = clip_global_grad_norm(grads, np.inf)[1]
+        assert total == pytest.approx(expected, rel=1e-13)
+
+    def test_joint_norm_does_not_depend_on_the_blas_thread_count(self):
+        """OpenBLAS splits a dot of more than 10,000 entries across its
+        threads, and the split changes the sum's rounding.  The clip
+        takes one dot per CHUNK_ENTRIES entries, so one and two BLAS
+        threads give the same bits, on gradients of 10,001 to 300,000
+        entries."""
+        script = (
+            "import numpy as np\n"
+            "from manolab.optimizers import clip_global_grad_norm\n"
+            "rng = np.random.default_rng(48)\n"
+            "for n in rng.integers(10_001, 300_000, 24):\n"
+            "    g = rng.standard_normal(n)\n"
+            "    print(clip_global_grad_norm([g], np.inf)[1].hex())\n"
+        )
+        src = str(Path(optimizers.__file__).resolve().parents[1])
+        norms = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            norms.append(run.stdout.split())
+        assert len(norms[0]) == 24
+        assert norms[0] == norms[1]
+
+    @pytest.mark.parametrize("max_norm", [1e4, np.inf], ids=["under-cap", "uncapped"])
+    def test_finite_path_makes_no_gradient_sized_array(self, max_norm):
+        """Within the cap, the clip of a 512x512 gradient (2 MiB) peaks
+        under 64 KiB: the dot makes no array and nothing is scanned."""
+        g = np.random.default_rng(46).standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            same, total = clip_global_grad_norm([g], max_norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same[0] is g and total < max_norm
+        assert peak < 64 * 1024
+
+
+# The gradient shapes of the wide benchmark config, 64 -> 512 -> 512 -> 8.
+_WIDE_GRAD_SHAPES = [(64, 512), (512,), (512, 512), (512,), (512, 8), (8,)]
+# Three of them, for placing a non-finite entry in the first, a middle
+# and the last gradient; the last one is scanned a chunk at a time.
+_CLIP_GRADS = [
+    np.random.default_rng(47).standard_normal(shape) for shape in _WIDE_GRAD_SHAPES[:3]
+]
+
 
 # Sizes around CHUNK_ENTRIES and its multiples, odd and below a split's
 # multiple of 8, and matrices of the benchmark's layer shapes.
@@ -998,8 +1089,9 @@ _SQUARE_SHAPES = [
 
 @pytest.mark.parametrize("shape", _SQUARE_SHAPES)
 def test_sum_squares_matches_np_sum_bit_for_bit(shape):
-    """The clip's square sums are numpy's pairwise sums, split the same
-    way, so the clipped norm and every output after it keep their bits."""
+    """``_sum_squares`` is numpy's pairwise sum, split the same way, so
+    ``_norm``, ``rms`` and ``grad_stats``, and every norm, variance and
+    update RMS a run records, keep numpy's bits."""
     rng = np.random.default_rng(sum(shape))
     for scale in (1e-3, 1.0, 1e3):
         g = rng.standard_normal(shape) * scale

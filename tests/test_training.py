@@ -217,6 +217,29 @@ class TestForwardBackward:
         cls = 0 if label == "first" else shape[1] - 1
         self._check_cross_entropy_bits(out, np.full(shape[0], cls))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_cross_entropy_bits_on_zero_ties_and_non_finite_logits(self, order):
+        """The row max is one ``np.maximum.reduceat`` over the flat logits.
+        Rows whose max is a tie of +0 and -0, or that hold NaN, +inf or
+        -inf, give the loss and dz bits of the ``out.max(axis=1)`` form,
+        in either memory order (an F-ordered row's max may take the
+        other zero's sign, which no output carries)."""
+        rng = np.random.default_rng(9)
+        out = -np.abs(rng.standard_normal((9, 40)))
+        out[0] = rng.choice([0.0, -0.0], 40)
+        out[1, ::3] = rng.choice([0.0, -0.0], 14)
+        out[2, 17] = np.nan
+        out[3, 5] = np.inf
+        out[4, 39] = -np.inf
+        out[5] = -np.inf
+        out[6, [0, 20]] = [np.inf, -np.inf]
+        out[7, 1::2] = 0.0
+        out[7, ::2] = -0.0
+        with np.errstate(invalid="ignore"):
+            self._check_cross_entropy_bits(
+                np.asarray(out, order=order), rng.integers(0, 40, 9)
+            )
+
     @staticmethod
     def _check_cross_entropy_bits(out, labels):
         shape = out.shape
@@ -229,7 +252,7 @@ class TestForwardBackward:
         want = np.exp(shifted - log_z[:, None])
         want[np.arange(batch), labels] -= 1.0
         want /= batch
-        assert loss == float(np.mean(log_z - picked))
+        assert np.float64(loss).tobytes() == np.mean(log_z - picked).tobytes()
         assert dz.tobytes() == want.tobytes()
 
     def test_bad_shapes(self):
@@ -426,6 +449,14 @@ class TestGradStats:
         assert stats[1][0] == pytest.approx(3.0)
 
 
+# The benchmark's ``train-mano-wide`` config: 64 -> 512 -> 512 -> 8.
+_WIDE = dict(
+    task="linreg", n_samples=1024, in_dim=64, out_dim=8, hidden=(512, 512),
+    total_steps=100, warmup_steps=10, batch_size=64, lr_max=0.01,
+    weight_decay=0.1, momentum=0.95, cadence=25,
+)
+
+
 def _small_cfg(**overrides):
     base = dict(
         task="linreg",
@@ -453,15 +484,20 @@ class TestTrainConfig:
             _small_cfg(warmup_steps=40)
         with pytest.raises(ValueError):
             _small_cfg(batch_size=0)
-        with pytest.raises(ValueError):
-            _small_cfg(task="blobs-classify")  # needs cross-entropy
-        with pytest.raises(ValueError, match="linreg requires the mse loss"):
+        with pytest.raises(
+            ValueError,
+            match="^loss must be 'cross-entropy' for task 'blobs-classify', got 'mse'$",
+        ):
+            _small_cfg(task="blobs-classify")
+        with pytest.raises(
+            ValueError, match="^loss must be 'mse' for task 'linreg', got 'cross-entropy'$"
+        ):
             _small_cfg(loss="cross-entropy")
         with pytest.raises(ValueError, match="schedule"):
             _small_cfg(schedule="wobbly")
         with pytest.raises(ValueError, match="task must be one of"):
             _small_cfg(task="bogus")
-        with pytest.raises(ValueError, match="linreg requires the mse loss"):
+        with pytest.raises(ValueError, match="^loss must be 'mse' for task 'linreg', got 'hinge'$"):
             _small_cfg(loss="hinge")
 
     def test_too_few_samples_to_train_on(self):
@@ -556,9 +592,14 @@ class TestTrainConfig:
             ("total_steps = 50\n", 2, "warmup_steps must lie strictly inside"),
             ("total_steps = 50\nwarmup_steps = 60\n", 3,
              "warmup_steps must lie strictly inside"),
-            ("loss = cross-entropy\n", 2, "linreg requires the mse loss"),
+            ("loss = cross-entropy\n", 2,
+             "loss must be 'mse' for task 'linreg', got 'cross-entropy'"),
+            # the loss is the key rejected, wherever the task stands
+            ("task = blobs-classify\nloss = mse\n", 3,
+             "loss must be 'cross-entropy' for task 'blobs-classify', got 'mse'"),
         ],
-        ids=["out-of-range", "choice", "cross-field", "cross-field-both", "loss"],
+        ids=["out-of-range", "choice", "cross-field", "cross-field-both", "loss",
+             "loss-after-task"],
     )
     def test_load_config_names_the_line_trainconfig_rejects(
         self, tmp_path, text, line, message
@@ -571,11 +612,33 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{expected}"):
             load_config(path)
 
-    def test_load_config_names_the_file_when_no_key_is_named(self, tmp_path):
+    def test_load_config_names_the_task_line_when_the_file_sets_no_loss(self, tmp_path):
+        """The loss keeps its default, so the task is the key the file set
+        that the message names."""
         path = tmp_path / "cfg.txt"
         path.write_text("task = blobs-classify\n")
-        expected = re.escape(f"{path}: blobs-classify requires the cross-entropy loss")
+        expected = re.escape(
+            f"{path}:1: loss must be 'cross-entropy' for task 'blobs-classify', got 'mse'"
+        )
         with pytest.raises(ValueError, match=f"^{expected}$"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "task = bogus", "optimizer = lbfgs", "loss = hinge", "task = blobs-classify",
+            "schedule = wobbly", "seed = -1", "warmup_steps = 0", "warmup_steps = 2000",
+            "total_steps = 100", "batch_size = 0", "cadence = 0", "snapshot_every = -1",
+        ],
+    )
+    def test_every_rejection_of_a_one_key_file_names_its_line(self, tmp_path, text):
+        """Every default is valid, so a one-key file that TrainConfig
+        rejects is rejected for that key, and every TrainConfig message
+        names a key: none falls back to the path alone.  (The numeric
+        ranges are covered by ``test_load_config_names_bad_numeric_key``.)"""
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{text}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: ')}"):
             load_config(path)
 
     @pytest.mark.parametrize(
@@ -959,28 +1022,66 @@ class TestTrainer:
         assert err.value.records == [r for r in clean if r.step < 15]
         assert {r.step for r in err.value.records} == {0, 10}
 
-    def test_plain_step_scans_each_gradient_twice(self, monkeypatch):
-        """Outside record steps, each gradient is scanned for finiteness
-        by the clip and by its layer's step, and each parameter by its
-        step; the trainer scans nothing again.  Every module's binding of
-        the scan is counted, so a trainer that imported it would be
-        seen."""
-        trainer = Trainer(_small_cfg(hidden=(5, 4)))
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_an_infinite_gradient_entry_diverges_at_its_step(self, monkeypatch, bad):
+        """One infinite entry in a weight's gradient at step 7, with a
+        finite loss, makes the clip's sum of squares infinite; the clip
+        then scans the gradients, and the trainer stops at that step."""
+        cfg = _small_cfg(hidden=(5,), total_steps=20)
+        forward_backward = training.mlp_forward_backward
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            loss, grads = forward_backward(*args, **kwargs)
+            if len(calls) == 7:
+                grads[2][1, 0] = bad
+            calls.append(loss)
+            return loss, grads
+
+        monkeypatch.setattr(training, "mlp_forward_backward", poisoned)
+        with pytest.raises(TrainingDiverged) as err:
+            train_run(cfg)
+        assert err.value.step == 7
+        assert np.isfinite(calls[7])
+        assert isinstance(err.value.__cause__, ValueError)
+        assert str(err.value.__cause__) == "tensor contains non-finite values"
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["small", "wide"])
+    def test_plain_step_scans_each_gradient_once(self, monkeypatch, wide):
+        """Outside record steps, each gradient and each parameter is
+        scanned for finiteness once, by its layer's step: the clip reads
+        finiteness from its sum of squares and scans nothing, and the
+        trainer scans nothing again.  On the benchmark's wide config
+        that is 12 scans.  Every module's binding of the scan is counted,
+        so a trainer that imported it would be seen."""
+        cfg = TrainConfig(**_WIDE) if wide else _small_cfg(hidden=(5, 4))
+        trainer = Trainer(cfg)
         batches = trainer._batches()
         trainer._step(0, next(batches), False, [])
-        scanned = []
+        scanned, in_clip = [], []
         scan = tensor._all_finite
+        clip = training.clip_global_grad_norm
 
         def counting(a):
             scanned.append(a.shape)
             return scan(a)
 
+        def clipping(*args):
+            before = len(scanned)
+            try:
+                return clip(*args)
+            finally:
+                in_clip.extend(scanned[before:])
+
         for module in (tensor, training):
             monkeypatch.setattr(module, "_all_finite", counting, raising=False)
+        monkeypatch.setattr(training, "clip_global_grad_norm", clipping)
         trainer._step(1, next(batches), False, [])
         shapes = [p.shape for p in trainer.model.parameters()]
         assert len(shapes) == 6
-        assert sorted(scanned) == sorted(3 * shapes)
+        assert in_clip == []
+        assert sorted(scanned) == sorted(2 * shapes)
+        assert len(scanned) == 12
 
     def test_snapshots_written(self, tmp_path):
         cfg = _small_cfg(hidden=(4,), total_steps=20, snapshot_every=10)
