@@ -9,7 +9,6 @@ geodesic trails), and ``bench`` (a FLOP model and timings).
 """
 
 from .bench import (
-    BenchResult,
     bench_kernels,
     flop_row,
 )
@@ -23,8 +22,6 @@ from .convergence import (
     softmax_objective,
 )
 from .diagnostics import (
-    GeodesicTrail,
-    SpectrumReport,
     match_singular_vectors,
     spearman_rho,
     spectrum_report,
@@ -61,12 +58,10 @@ from .tensor import (
     rms,
 )
 from .training import (
-    Dataset,
     MlpModel,
     TrainConfig,
     Trainer,
     TrainingDiverged,
-    TrajectoryRecord,
     grad_stats,
     load_config,
     make_dataset,
@@ -79,22 +74,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamWConfig",
-    "BenchResult",
     "ConvergenceRun",
-    "Dataset",
     "DegenerateSliceError",
-    "GeodesicTrail",
     "ManoConfig",
     "MlpModel",
     "MuonConfig",
     "OptimizerState",
     "ShapeMismatchError",
     "SmoothObjective",
-    "SpectrumReport",
     "TrainConfig",
     "Trainer",
     "TrainingDiverged",
-    "TrajectoryRecord",
     "adamw_step",
     "alignment_check",
     "as_tensor",

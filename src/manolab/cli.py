@@ -139,7 +139,7 @@ def _cmd_train(args) -> int:
 def _cmd_converge(args) -> int:
     n = args.n if args.n is not None else args.m
     if args.objective == "quadratic":
-        objective = quadratic_objective(args.m, n, seed=args.seed, step_scale=args.c)
+        objective = quadratic_objective(args.m, n, seed=args.seed, c=args.c)
     else:
         objective = softmax_objective(args.m, n, seed=args.seed)
     run = run_convergence_experiment(

@@ -82,7 +82,7 @@ def quadratic_objective(
     m: int,
     n: int,
     seed: int = 0,
-    step_scale: float = 1.0,
+    c: float = 1.0,
 ) -> SmoothObjective:
     """f(theta) = ||theta - target||_F^2 / 2 with a paired start point.
 
@@ -90,24 +90,25 @@ def quadratic_objective(
 
     The update under study moves each column orthogonally to itself, so
     column norms can only grow, by eta^2 * m per step, for a total norm
-    budget of step_scale^2 * m over a whole run (eta = step_scale /
-    sqrt(T+1)).  An arbitrary target is therefore unreachable whenever
-    one of its column norms is below the start's.  To make the minimum
-    genuinely attainable the objective carries its own start point
-    ``theta0`` and places each target column in a fresh random direction
-    at norm sqrt(||theta0 column||^2 + step_scale^2 * m / 2): half the
-    budget, so the growing norms cross the target's mid-run.  Pass the
-    run's step-size scale as ``step_scale`` if it is not the default 1.
+    budget of c^2 * m over a whole run (eta = c / sqrt(T+1)).  An
+    arbitrary target is therefore unreachable whenever one of its column
+    norms is below the start's.  To make the minimum genuinely
+    attainable the objective carries its own start point ``theta0`` and
+    places each target column in a fresh random direction at norm
+    sqrt(||theta0 column||^2 + c^2 * m / 2): half the budget, so the
+    growing norms cross the target's mid-run.  Pass the run's step-size
+    scale ``c`` (``run_convergence_experiment``'s) if it is not the
+    default 1.
     """
     _positive("m", m)
     _positive("n", n)
-    _positive("step_scale", step_scale)
+    _positive("c", c)
     _seed(seed)
     rng = np.random.default_rng(seed)
     theta0 = rng.standard_normal((m, n))
     directions, _ = slice_unit(rng.standard_normal((m, n)), 0)
     start_sq = slice_inner(theta0, theta0, 0)
-    target = directions * np.sqrt(start_sq + 0.5 * step_scale**2 * m)
+    target = directions * np.sqrt(start_sq + 0.5 * c**2 * m)
 
     def evaluate(theta: np.ndarray):
         diff = theta - target

@@ -69,6 +69,7 @@ from .tensor import (
     _non_negative,
     _norm,
     _positive,
+    _sum_squares,
     _unit_interval,
     as_tensor,
 )
@@ -389,7 +390,7 @@ def muon_step(
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, nesterov=True)
     state.momentum = m_t
-    if float(np.sqrt(np.vdot(m_used, m_used))) < EPS_DIV:
+    if float(_norm(m_used)) < EPS_DIV:
         ortho = np.zeros_like(theta)
     else:
         ortho = newton_schulz(m_used, cfg.ns_iterations)
@@ -521,13 +522,9 @@ def clip_global_grad_norm(grads, max_norm: float):
     ``max_norm`` those arrays are returned (no copies); with
     ``max_norm=np.inf`` that gives the joint norm alone.
 
-    Each sum of squares is taken by BLAS dots of the flat gradient with
-    itself, which make no array, one per CHUNK_ENTRIES entries: OpenBLAS
-    splits a longer dot across its threads, and the split would make the
-    sum's rounding depend on the thread count.  A dot rounds differently
-    from ``np.sum(g * g)``, so the scale can differ from the pairwise
-    sum's in the last place; only the clipped gradients carry it, and
-    the recorded norms (``grad_stats``) keep numpy's bits.
+    The joint sum of squares is ``tensor._sum_squares`` of all the
+    gradients, in order, which makes no array; a single gradient's norm
+    is ``tensor._norm``'s, bit for bit.
 
     Finiteness is read from the joint sum: a NaN or infinite entry
     always makes it non-finite, and only then is each gradient scanned,
@@ -538,14 +535,7 @@ def clip_global_grad_norm(grads, max_norm: float):
     """
     _positive("max_norm", max_norm)
     grads = [_float_array(g) for g in grads]
-    squares = 0.0
-    with np.errstate(over="ignore"):
-        for g in grads:
-            flat = g.reshape(-1)
-            for start in range(0, flat.size, CHUNK_ENTRIES):
-                part = flat[start : start + CHUNK_ENTRIES]
-                squares += float(np.dot(part, part))
-    total = math.sqrt(squares)
+    total = math.sqrt(_sum_squares(*grads))
     if not math.isfinite(total):
         for g in grads:
             as_tensor(g)

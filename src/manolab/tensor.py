@@ -16,9 +16,11 @@ The clip coerces through ``_float_array`` and reads finiteness from its
 sum of squares, which any NaN or infinite entry makes non-finite; only
 then does it scan, and that scan is also the trainer's divergence
 check.
-``_norm`` is the package's one overflow rescue; over a whole array it
-squares a chunk at a time (``_sum_squares``), so it makes no array of
-the input's size, and ``rms`` sums the same way.  The rest is a thin
+``_sum_squares`` is the package's one whole-array sum of squares:
+BLAS dots over chunks, so it makes no array of the input's size and its
+bits do not depend on the BLAS thread count.  The whole-array norm,
+``rms``, the recorded gradient variance and the gradient clip all take
+it.  ``_norm`` is the package's one overflow rescue.  The rest is a thin
 SVD, one call to LAPACK's ``gesdd`` through ``np.linalg.svd`` behind
 the same input checks.  The slice geometry lives in ``manifold``.
 
@@ -34,12 +36,12 @@ import numpy as np
 
 # Denominators with magnitude below this are treated as exact zeros.
 EPS_DIV = 1e-30
-# Entries that ``_sum_squares`` squares (for ``_norm`` and ``rms``) and
-# ``optimizers._decoupled`` decays at a time: their only scratch arrays,
-# 64 KiB of float64.  Chunks this size stay in cache; at 512x512 the
-# decay was faster than in one pass over the whole array, and the sum
-# as fast.  The gradient clip takes one BLAS dot per chunk, below the
-# 10,000 entries beyond which OpenBLAS splits a dot across its threads.
+# Entries that ``_sum_squares`` takes one BLAS dot of, and that
+# ``optimizers._decoupled`` decays, at a time; their only scratch
+# arrays are 64 KiB of float64.  Chunks this size stay in cache; at
+# 512x512 the decay was faster than in one pass over the whole array.
+# A chunk stays below the 10,000 entries beyond which OpenBLAS splits a
+# dot across its threads, which would change the sum's rounding.
 CHUNK_ENTRIES = 8192
 # Entries that ``_all_finite`` scans at a time, one byte each: 64 KiB.
 # At 512x512 these chunks scanned about as fast as one whole-array call,
@@ -130,63 +132,57 @@ def _choice(name: str, value, choices: tuple) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def _sum_squares(flat: np.ndarray, op=None, value=None):
-    """``np.sum(flat * flat)`` of a contiguous 1-D array, bit for bit, with
-    no square array above CHUNK_ENTRIES entries.  With a ufunc ``op``,
-    the sum of the squares of ``op(flat, value)``, taken a chunk at a
-    time too: ``np.subtract`` and the mean give the squared deviations
-    as ``np.var`` takes them, ``np.divide`` and the largest magnitude
+def _sum_squares(*arrays, op=None, value=None) -> float:
+    """The sum of the squares of every entry of ``arrays``, the package's
+    one whole-array sum of squares: BLAS dots of each array, in memory
+    order, with itself, one per CHUNK_ENTRIES entries, added up in
+    order.  A dot makes no array, and no chunk is long enough for
+    OpenBLAS to split it across its threads, so the sum has the same
+    bits at any thread count.  With a ufunc ``op``, the sum of the
+    squares of ``op(a, value)``, written a chunk at a time into one
+    scratch array: ``np.subtract`` and the mean give the squared
+    deviations of a variance, ``np.divide`` and the largest magnitude
     the scaled squares of ``_norm``'s rescue.
 
-    numpy sums a contiguous array pairwise: it splits a block at half its
-    length, rounded down to a multiple of 8, and adds the two halves'
-    sums.  The blocks here split the same way until they fit a chunk, so
-    every partial sum is the one numpy forms.  That split is numpy's
-    own, not its API: ``test_sum_squares_matches_np_sum_bit_for_bit``
-    fails if a numpy release changes it.
+    Returns a float, inf if the squares overflow (no warning) and NaN if
+    an entry is NaN or infinite.  A contiguous array (C or F) is read
+    in place; any other is raveled first.
     """
-    n = flat.size
-    if n <= CHUNK_ENTRIES:
-        if op is None:
-            return np.sum(flat * flat)
-        dev = op(flat, value)
-        return np.sum(np.multiply(dev, dev, out=dev))
-    half = n // 2
-    half -= half % 8
-    return _sum_squares(flat[:half], op, value) + _sum_squares(flat[half:], op, value)
-
-
-def _square_sums(a: np.ndarray, axis: int | None):
-    """``(a * a).sum(axis=axis)``, the reduced axis kept.  With
-    ``axis=None`` an array beyond one chunk is summed in memory order,
-    as numpy sums ``a * a``, by ``_sum_squares``, so it makes no square
-    array above CHUNK_ENTRIES entries."""
-    if axis is not None:
-        return (a * a).sum(axis=axis, keepdims=True)
-    if a.size <= CHUNK_ENTRIES:  # one chunk: the call costs more than the copy
-        return (a * a).sum()
-    return _sum_squares(np.ravel(a, order="K"))
+    total = 0.0
+    scratch = np.empty(CHUNK_ENTRIES) if op is not None else None
+    with np.errstate(over="ignore"):
+        for a in arrays:
+            flat = np.ravel(a, order="K")
+            for start in range(0, flat.size, CHUNK_ENTRIES):
+                part = flat[start : start + CHUNK_ENTRIES]
+                if op is not None:
+                    part = op(part, value, out=scratch[: part.size])
+                total += float(np.dot(part, part))
+    return total
 
 
 def _norm(a: np.ndarray, axis: int | None = None):
     """Euclidean norm of ``a``, or of its slices along ``axis`` (reduced
     axis kept).  Only a norm whose sum of squares overflows is taken again,
     from its entries divided by their largest magnitude (Blue, 1978).
-    Over the whole array that rescue divides and squares a chunk at a
-    time, in the order ``_square_sums`` sums, so it makes no array of
-    the input's size either.  Per slice it makes one, the scaled
-    entries, squared in place: each slice's largest magnitude comes
-    from its largest and smallest entries, not from ``np.abs(a)``."""
+    Over the whole array the sum is ``_sum_squares``, rescue included,
+    so a contiguous array gets no array of its size.  Per slice the
+    rescue makes one, the scaled entries, squared in place: each
+    slice's largest magnitude comes from its largest and smallest
+    entries, not from ``np.abs(a)``."""
+    if axis is None:
+        squares = _sum_squares(a)
+        if math.isfinite(squares):
+            return np.sqrt(squares)
+        # Finite entries (callers pass checked arrays): the sum overflowed.
+        big = max(a.max(), -a.min())
+        return big * np.sqrt(_sum_squares(a, op=np.divide, value=big))
     try:  # raising on overflow costs less per call than scanning for inf
         with np.errstate(over="raise"):
-            return np.sqrt(_square_sums(a, axis))
+            return np.sqrt((a * a).sum(axis=axis, keepdims=True))
     except FloatingPointError:
-        if axis is None:  # squares are never negative: the whole sum is inf
-            big = max(a.max(), -a.min())
-            flat = np.ravel(a, order="K")
-            return big * np.sqrt(_sum_squares(flat, np.divide, big))
         with np.errstate(over="ignore"):
-            norms = np.sqrt(_square_sums(a, axis))
+            norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
         huge = np.isinf(norms)
         biggest = np.maximum(a.max(axis, keepdims=True), -a.min(axis, keepdims=True))
         big = np.where(huge, biggest, 1.0)
@@ -197,20 +193,14 @@ def _norm(a: np.ndarray, axis: int | None = None):
 
 
 def rms(a) -> float:
-    """Root mean square over all entries: the bits of
-    ``np.sqrt(np.mean(c * c))``, where ``c`` is the contiguous float64
-    array ``as_tensor`` makes of ``a``, summed by ``_square_sums``, so
-    beyond that conversion it makes no array of its input's size.  Only
-    a mean square that overflows is taken again, from ``_norm``, the one
-    rescue."""
+    """Root mean square over all entries, ``_norm(a) / sqrt(a.size)`` of
+    the contiguous float64 array ``as_tensor`` makes of ``a``, so beyond
+    that conversion it makes no array of its input's size, and a mean
+    square beyond the float range still gives a finite RMS."""
     a = as_tensor(a)
     if a.size == 0:
         raise ValueError("rms of an empty tensor is undefined")
-    with np.errstate(over="ignore"):
-        mean_square = _square_sums(a, None) / a.size
-    if np.isinf(mean_square):
-        return float(_norm(a)) / math.sqrt(a.size)
-    return float(np.sqrt(mean_square))
+    return float(_norm(a)) / math.sqrt(a.size)
 
 
 def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

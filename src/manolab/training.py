@@ -423,18 +423,15 @@ def grad_stats(grads) -> list[tuple[float, float, float]]:
     """Per-tensor (Frobenius norm, entry variance, norm/(variance+eps)).
     A variance beyond the float range reads inf, and its ratio 0.
 
-    The variance has the bits of ``g.var()``: its square sum is numpy's
-    pairwise sum of the deviations, taken a chunk at a time
-    (``tensor._sum_squares``), as ``_norm`` takes the norm's, so a
-    contiguous tensor gets no temporary of its size."""
+    The norm is ``tensor._norm``'s, bit for bit.  The variance is the
+    mean of the squared deviations from the mean, summed by
+    ``tensor._sum_squares`` a chunk at a time, so a contiguous tensor
+    gets no temporary of its size."""
     out = []
     for g in grads:
         g = np.asarray(g, dtype=np.float64)
         norm = float(_norm(g))
-        # Memory order, the order in which numpy sums g.var()'s squares.
-        flat = np.ravel(g, order="K")
-        with np.errstate(over="ignore"):
-            var = float(_sum_squares(flat, np.subtract, np.sum(g) / g.size)) / g.size
+        var = _sum_squares(g, op=np.subtract, value=np.sum(g) / g.size) / g.size
         out.append((norm, var, norm / (var + EPS_SNR)))
     return out
 

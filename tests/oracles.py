@@ -49,6 +49,31 @@ def scalar_dim_norm(a, axis):
     return out
 
 
+def fsum_norm(*arrays):
+    """The Euclidean norm of every entry of ``arrays`` from one exactly
+    rounded sum of squares (``math.fsum``).  The entries are first
+    scaled by a power of two, which is exact, so that the largest lies
+    in [0.5, 1): no square then overflows, and each square is rounded
+    once, as is the sum."""
+    values = [v for a in arrays for v in np.ravel(a).tolist()]
+    big = max(map(abs, values), default=0.0)
+    if big == 0.0:
+        return 0.0
+    exp = math.frexp(big)[1]
+    scaled = [math.ldexp(v, -exp) for v in values]
+    return math.ldexp(math.sqrt(math.fsum(v * v for v in scaled)), exp)
+
+
+def fsum_var(a):
+    """The variance of the entries of ``a``: the squared deviations from
+    the exactly rounded mean, summed exactly rounded (``math.fsum``), over
+    the entry count.  Entries whose squared deviations overflow give
+    inf."""
+    values = np.ravel(a).tolist()
+    mean = math.fsum(values) / len(values)
+    return math.fsum((v - mean) * (v - mean) for v in values) / len(values)
+
+
 def scalar_dim_inner(a, b, axis):
     out = {}
     for group in slice_groups(a.shape, axis):

@@ -167,7 +167,7 @@ class TestConverge:
         )
         assert code == 0
         run = run_convergence_experiment(
-            quadratic_objective(8, 8, step_scale=2.0), 50, c=2.0
+            quadratic_objective(8, 8, c=2.0), 50, c=2.0
         )
         run.to_csv(tmp_path / "library.csv")
         assert (tmp_path / "convergence.csv").read_bytes() == (
@@ -207,6 +207,18 @@ class TestConverge:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("objective", ["quadratic", "softmax"])
+    def test_non_positive_c_exits_one_naming_it(self, tmp_path, capsys, objective):
+        """Both objectives reject ``--c -1`` under the flag's own name:
+        the quadratic objective checks it where it places its target for
+        that scale, the run checks it for the softmax one."""
+        out = tmp_path / "d"
+        code = run_cli(["converge", "--objective", objective, "--m", "4",
+                        "--steps", "5", "--c", "-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: c must be positive, got -1.0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

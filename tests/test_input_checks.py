@@ -99,7 +99,7 @@ _ENTRY_POINTS = [
     (adamw_step, _step(cfg=AdamWConfig()), ("lr",)),
     (sgdm_step, _step(), ("lr",)),
     (rsgdm_step, _step(), ("lr",)),
-    (quadratic_objective, {"m": 2, "n": 2}, ("m", "n", "step_scale")),
+    (quadratic_objective, {"m": 2, "n": 2}, ("m", "n", "c")),
     (softmax_objective, {"m": 2, "n": 2}, ("m", "n", "n_samples")),
     (
         SmoothObjective,

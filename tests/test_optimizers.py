@@ -46,10 +46,11 @@ from manolab.optimizers import (
     rsgdm_step,
     sgdm_step,
 )
-from manolab.tensor import ShapeMismatchError, _sum_squares, rms
+from manolab.tensor import ShapeMismatchError, _norm, _sum_squares, rms
 
 from oracles import (
     adamw_oracle,
+    fsum_norm,
     mano_oracle,
     ns_quintic_map,
     rsgdm_oracle,
@@ -1014,30 +1015,29 @@ class TestClipGlobalGradNorm:
         (at 1e150 the sum, about 3e305, still fits)."""
         rng = np.random.default_rng(45)
         grads = [rng.standard_normal(shape) * scale for shape in _WIDE_GRAD_SHAPES]
-        with np.errstate(over="ignore"):
-            summed = sum(float(np.dot(g.reshape(-1), g.reshape(-1))) for g in grads)
-        assert math.isfinite(summed) == (scale < 1e160)
-        # Scaled by a power of two, exactly, so that no square under- or
-        # overflows; each square is then rounded once.
-        exp = math.frexp(max(float(np.abs(g).max()) for g in grads))[1]
-        squares = [float(v) ** 2 for g in grads for v in np.ldexp(g, -exp).ravel()]
-        expected = math.ldexp(math.sqrt(math.fsum(squares)), exp)
+        assert math.isfinite(_sum_squares(*grads)) == (scale < 1e160)
         total = clip_global_grad_norm(grads, np.inf)[1]
-        assert total == pytest.approx(expected, rel=1e-13)
+        assert total == pytest.approx(fsum_norm(*grads), rel=1e-13)
 
     def test_joint_norm_does_not_depend_on_the_blas_thread_count(self):
         """OpenBLAS splits a dot of more than 10,000 entries across its
-        threads, and the split changes the sum's rounding.  The clip
-        takes one dot per CHUNK_ENTRIES entries, so one and two BLAS
-        threads give the same bits, on gradients of 10,001 to 300,000
-        entries."""
+        threads, and the split changes the sum's rounding.
+        ``_sum_squares`` takes one dot per CHUNK_ENTRIES entries, so one
+        and two BLAS threads give the same bits of the clip's joint
+        norm, ``_norm``, ``rms`` and ``grad_stats``' norm and variance,
+        on gradients of 10,001 to 300,000 entries."""
         script = (
             "import numpy as np\n"
             "from manolab.optimizers import clip_global_grad_norm\n"
+            "from manolab.tensor import _norm, rms\n"
+            "from manolab.training import grad_stats\n"
             "rng = np.random.default_rng(48)\n"
             "for n in rng.integers(10_001, 300_000, 24):\n"
-            "    g = rng.standard_normal(n)\n"
-            "    print(clip_global_grad_norm([g], np.inf)[1].hex())\n"
+            "    g = rng.standard_normal(n) + 0.5\n"
+            "    [(norm, var, _)] = grad_stats([g])\n"
+            "    values = (clip_global_grad_norm([g], np.inf)[1], _norm(g), rms(g),\n"
+            "              norm, var)\n"
+            "    print(*(float(v).hex() for v in values))\n"
         )
         src = str(Path(optimizers.__file__).resolve().parents[1])
         norms = []
@@ -1052,7 +1052,7 @@ class TestClipGlobalGradNorm:
             )
             assert run.returncode == 0, run.stderr
             norms.append(run.stdout.split())
-        assert len(norms[0]) == 24
+        assert len(norms[0]) == 5 * 24
         assert norms[0] == norms[1]
 
     @pytest.mark.parametrize("max_norm", [1e4, np.inf], ids=["under-cap", "uncapped"])
@@ -1079,8 +1079,8 @@ _CLIP_GRADS = [
 ]
 
 
-# Sizes around CHUNK_ENTRIES and its multiples, odd and below a split's
-# multiple of 8, and matrices of the benchmark's layer shapes.
+# Sizes around CHUNK_ENTRIES and its multiples, odd ones among them, and
+# matrices of the benchmark's layer shapes.
 _SQUARE_SHAPES = [
     (1,), (7,), (CHUNK_ENTRIES,), (CHUNK_ENTRIES + 1,), (2 * CHUNK_ENTRIES + 13,),
     (5 * CHUNK_ENTRIES - 3,), (64, 512), (512, 512), (512, 8), (1000, 333),
@@ -1088,14 +1088,18 @@ _SQUARE_SHAPES = [
 
 
 @pytest.mark.parametrize("shape", _SQUARE_SHAPES)
-def test_sum_squares_matches_np_sum_bit_for_bit(shape):
-    """``_sum_squares`` is numpy's pairwise sum, split the same way, so
-    ``_norm``, ``rms`` and ``grad_stats``, and every norm, variance and
-    update RMS a run records, keep numpy's bits."""
+def test_sum_squares_matches_an_exactly_summed_oracle(shape):
+    """``_sum_squares`` is within 1e-13 of the exactly rounded sum of
+    squares (``oracles.fsum_norm``), and ``_norm`` and the clip's joint
+    norm of one gradient are its root, bit for bit, so every norm a run
+    records and the norm it clips by agree."""
     rng = np.random.default_rng(sum(shape))
     for scale in (1e-3, 1.0, 1e3):
         g = rng.standard_normal(shape) * scale
-        assert float(_sum_squares(g.reshape(-1))) == float(np.sum(g * g))
+        squares = _sum_squares(g)
+        assert squares == pytest.approx(fsum_norm(g) ** 2, rel=1e-13)
+        assert float(_norm(g)) == math.sqrt(squares)
+        assert clip_global_grad_norm([g], np.inf)[1] == math.sqrt(squares)
 
 
 class TestConfigValidation:

@@ -6,6 +6,7 @@ against the independent one-sided Jacobi pair loop in
 ``oracles.scalar_jacobi_svd``, which shares no code with it.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,13 +17,12 @@ from manolab.tensor import (
     CHUNK_ENTRIES,
     _all_finite,
     _norm,
-    _square_sums,
     as_tensor,
     jacobi_svd,
     rms,
 )
 import oracles
-from oracles import scalar_jacobi_svd
+from oracles import fsum_norm, scalar_jacobi_svd
 
 
 class TestAsTensor:
@@ -103,19 +103,18 @@ class TestNorm:
         ids=["c", "f", "strided", "reversed", "permuted", "short", "0-d", "empty"],
     )
     @pytest.mark.parametrize("scale", [1.0, 1e200])
-    def test_whole_norm_has_the_bits_of_the_square_sum(self, make, scale):
+    def test_whole_norm_matches_an_exactly_summed_oracle(self, make, scale):
         """Over all entries the square sum is taken a chunk at a time, in
-        the order numpy sums ``a * a``, so the norm keeps its bits in any
-        layout; at 1e200 the squares overflow and the scaled entries
-        give the norm, with the bits of their plain square sum."""
+        memory order, and the norm is within 1e-13 of the one from an
+        exactly rounded sum (``oracles.fsum_norm``) in any layout; at
+        1e200 the squares overflow and the scaled entries give the norm.
+        A layout changes only the order of the sum: the norm has the
+        bits of its memory-order copy's."""
         x = np.random.default_rng(10).standard_normal((192, 192)) * scale
         a = make(x)
-        with np.errstate(over="ignore"):
-            expected = np.sqrt((a * a).sum())
-        if np.isinf(expected):
-            big = np.abs(a).max()
-            expected = big * np.sqrt(((a / big) * (a / big)).sum())
-        assert np.asarray(_norm(a)).tobytes() == np.asarray(expected).tobytes()
+        assert float(_norm(a)) == pytest.approx(fsum_norm(a), rel=1e-13)
+        flat = np.ravel(a, order="K").copy()
+        assert np.asarray(_norm(a)).tobytes() == np.asarray(_norm(flat)).tobytes()
 
     def test_whole_norm_makes_no_square_array(self):
         """A contiguous 512x512 array (2 MiB) is squared a chunk at a time
@@ -134,7 +133,8 @@ class TestNorm:
         overflow; the rescue takes max|a| from ``max()`` and ``min()`` and
         divides and squares a chunk (64 KiB) at a time, so it peaks at a
         few chunks, where ``np.abs(a)`` and ``a / big`` once made two
-        arrays of its size.  The norm keeps the bits of that form."""
+        arrays of its size.  The norm is within 1e-13 of the one from an
+        exactly rounded sum."""
         a = np.random.default_rng(14).standard_normal((512, 512)) * 1e200
         tracemalloc.start()
         try:
@@ -143,9 +143,7 @@ class TestNorm:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * CHUNK_ENTRIES < a.nbytes // 10
-        big = np.abs(a).max()
-        expected = big * np.sqrt(_square_sums(a / big, None))
-        assert np.asarray(norm).tobytes() == np.asarray(expected).tobytes()
+        assert float(norm) == pytest.approx(fsum_norm(a), rel=1e-13)
 
     @staticmethod
     def _slice_rescue(a, axis):
@@ -236,22 +234,17 @@ class TestRms:
         ids=["c", "f", "strided", "reversed", "small", "short", "one", "0-d"],
     )
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e100, 1e150, 1e200])
-    def test_has_the_bits_of_the_mean_square(self, make, scale):
-        """The mean square of the contiguous array ``as_tensor`` makes,
-        summed a chunk at a time beyond CHUNK_ENTRIES entries, has the
-        bits of ``np.mean(c * c)`` in any layout and at any scale below
-        overflow; a mean square that overflows is taken from ``_norm``."""
+    def test_matches_an_exactly_summed_oracle(self, make, scale):
+        """The RMS is within 1e-13 of the one from an exactly rounded sum
+        of squares, in any layout and at any scale, including 1e200,
+        where the squares overflow; it has the bits of ``_norm`` of the
+        contiguous array ``as_tensor`` makes, over the root of its size."""
         x = np.random.default_rng(12).standard_normal((192, 192)) * scale
         assert 40 * 40 < CHUNK_ENTRIES < 192 * 96  # both sides of a chunk
         c = np.ascontiguousarray(make(x))
-        with np.errstate(over="ignore"):
-            expected = np.sqrt(np.mean(c * c))
-        if np.isinf(expected):
-            assert rms(make(x)) == pytest.approx(
-                scale * rms(make(x) / scale), rel=1e-14
-            )
-        else:
-            assert rms(make(x)) == float(expected)
+        expected = fsum_norm(c) / math.sqrt(c.size)
+        assert rms(make(x)) == pytest.approx(expected, rel=1e-13)
+        assert rms(make(x)) == float(_norm(c)) / math.sqrt(c.size)
 
     def test_makes_no_array_of_its_input_size(self):
         """A contiguous 512x512 array (2 MiB) is squared and summed a chunk

@@ -10,8 +10,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from manolab import tensor, training
-from manolab.optimizers import CHUNK_ENTRIES, clip_global_grad_norm
+from manolab import optimizers, tensor, training
+from manolab.optimizers import CHUNK_ENTRIES, RESCALE_COEFF, clip_global_grad_norm
 from manolab.tensor import _SCAN_ENTRIES, _norm
 from manolab.training import (
     OPTIMIZERS,
@@ -29,7 +29,7 @@ from manolab.training import (
     write_trajectory_csv,
 )
 
-from oracles import finite_difference_grads
+from oracles import finite_difference_grads, fsum_norm, fsum_var
 
 
 class TestMakeDataset:
@@ -426,21 +426,24 @@ class TestGradStats:
          (1000, 333), (512, 512), (2, 3, 2 * CHUNK_ENTRIES + 5)],
     )
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e200])
-    def test_matches_norm_and_var_bit_for_bit(self, shape, scale):
-        """The chunked sums give the bits of ``tensor._norm(g)`` and
-        ``g.var()``, C- or F-ordered, with the entries shifted off zero so
-        that the mean matters; at 1e200 the squares overflow, the norm
-        is rescued and the variance reads inf."""
+    def test_matches_norm_and_an_exactly_summed_variance(self, shape, scale):
+        """The norm has the bits of ``tensor._norm(g)``, and it and the
+        variance are within 1e-13 of exactly rounded sums
+        (``oracles.fsum_norm``, ``oracles.fsum_var``), C- or F-ordered,
+        with the entries shifted off zero so that the mean matters; at
+        1e200 the squares overflow, the norm is rescued and the
+        variance reads inf."""
         rng = np.random.default_rng(len(shape))
         g = (rng.standard_normal(shape) + 0.5) * scale
         for a in (g, np.asfortranarray(g)):
             [(norm, var, snr)] = grad_stats([a])
-            with np.errstate(over="ignore"):
-                expected_var = float(a.var())
             assert norm == float(_norm(a))
-            assert var == expected_var
-            assert snr == norm / (expected_var + 1e-12)
-        assert (var == math.inf) == (scale == 1e200)
+            assert norm == pytest.approx(fsum_norm(a), rel=1e-13)
+            if scale == 1e200:
+                assert var == math.inf
+            else:
+                assert var == pytest.approx(fsum_var(a), rel=1e-13)
+            assert snr == norm / (var + 1e-12)
 
     def test_per_layer_lists(self):
         stats = grad_stats([np.ones(2), np.ones((3, 3))])
@@ -1277,3 +1280,74 @@ class TestTrainer:
             b"7,0.30000000000000004,1e-300,2.5e-08,layer0.weight,"
             b"0.30000000000000004,0.0,1000000000000.0,123456789.125"
         )
+
+
+# A blobs run, 8 -> 16 -> 12 -> 4: Mano steps its three weight matrices.
+_RECURSION = dict(
+    task="blobs-classify", loss="cross-entropy", n_samples=256, in_dim=8,
+    out_dim=4, hidden=(16, 12), total_steps=300, warmup_steps=30, batch_size=32,
+    lr_max=3e-2, weight_decay=0.1, cadence=50,
+)
+
+
+def _norm_recursion_error(**overrides) -> float:
+    """The largest relative error of ||theta'||^2 = (1 - lr wd)^2
+    ||theta||^2 + RESCALE_COEFF^2 lr^2 mn over every weight-matrix step
+    of a ``Trainer`` run, with the norms from exactly rounded sums
+    (``oracles.fsum_norm``).  Each step is seen through the rule the
+    trainer calls for that matrix."""
+    cfg = TrainConfig(**{**_RECURSION, **overrides})
+    trainer = Trainer(cfg)
+    errors = []
+
+    def recorded(rule):
+        def step(theta, grad, state, lr):
+            before = fsum_norm(theta) ** 2
+            new = rule(theta, grad, state, lr=lr)
+            expected = (1.0 - lr * cfg.weight_decay) ** 2 * before + (
+                RESCALE_COEFF**2 * lr**2 * theta.size
+            )
+            errors.append(abs(fsum_norm(new) ** 2 - expected) / expected)
+            return new
+
+        return step
+
+    for name, theta in zip(trainer.names, trainer.model.parameters()):
+        if theta.ndim == 2:
+            trainer.rules[name] = recorded(trainer.rules[name])
+    trainer.run()
+    assert len(errors) == 3 * cfg.total_steps
+    return max(errors)
+
+
+class TestNormRecursion:
+    """Mano cannot see a matrix's norm.  Every slice of its update is
+    tangent to its slice of theta and has norm RESCALE_COEFF sqrt(n_k),
+    so the update is orthogonal to theta and its squared norm is
+    RESCALE_COEFF^2 mn: the norm follows the learning rate and the
+    decay alone, never the gradient.  Scale-invariant weights under
+    decoupled decay settle at the balance of the two, the "rotational
+    equilibrium" of Kosson, Messmer & Jaggi (ICML 2024)."""
+
+    @pytest.mark.parametrize(
+        "variant",
+        [{}, {"nesterov": True}, {"retract_momentum": True}],
+        ids=["plain", "nesterov", "retract"],
+    )
+    @pytest.mark.parametrize("schedule", ["rotating", "static"])
+    def test_holds_at_every_weight_matrix_step(self, schedule, variant):
+        assert _norm_recursion_error(schedule=schedule, **variant) <= 1e-12
+
+    def test_fails_when_the_step_rescales_one_percent_more(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "RESCALE_COEFF", 1.01 * RESCALE_COEFF)
+        assert _norm_recursion_error() > 1e-6
+
+    def test_fails_when_the_step_skips_the_projection(self, monkeypatch):
+        """The momentum, not its tangent part, normalized slice by slice:
+        the update is no longer orthogonal to theta."""
+
+        def unprojected(theta, direction, axis, out=None):
+            return direction.copy(), 1.0 / _norm(direction, axis)
+
+        monkeypatch.setattr(optimizers, "_mano_kernel", unprojected)
+        assert _norm_recursion_error() > 1e-6
