@@ -14,13 +14,19 @@ and direction map.  The input checks come from ``tensor``:
 ``_matching`` coerces and shape-checks the arrays, and ``_positive``
 rejects a non-positive or NaN learning rate.  ``_buffer`` checks a
 state buffer, ``_heavy_ball`` accumulates momentum into it in place
-and ``_decoupled`` writes the decayed update into the direction array
-that the step gives up.  Every check runs before a step writes its
-state, so a step that raises leaves the state as it was.  On a warm
-state the plain and retracting Mano steps and the SGD-M step hold one
-new parameter-sized array, the returned one; the Nesterov Mano and the
-AdamW steps hold two.  The trainer's Mano rule hands the step its
-spent gradient to form the result in (``mano_step``'s private
+and ``_decoupled`` writes ``theta * (1 - lr * wd) - (lr * scale) * d``
+over the direction array d that the step gives up, or into a fresh
+array, in one chunked pass: each rule passes its direction's scale
+(Mano one per slice, Muon its rescale, AdamW and SGD-M one), so no
+step rescales its direction in a pass of its own.  Every check runs
+before a step writes its state, so a step that raises leaves the state
+as it was.  Each step but Mano's scans its inputs for finiteness
+(``as_tensor``); Mano reads theta's from its squared slice norms, and
+scans the gradient only in the default call (see ``mano_step``).  On a
+warm state the plain and retracting Mano steps and the SGD-M step
+hold one new parameter-sized array, the returned one; the Nesterov
+Mano and the AdamW steps hold two.  The trainer's Mano rule hands the
+step its spent gradient to form the result in (``mano_step``'s private
 ``_into_grad``): that step makes no parameter-sized array (the Nesterov
 step makes one, the look-ahead).  No step returns an array that shares memory with
 theta or with its state, so a caller may write into the old value.
@@ -31,10 +37,10 @@ Mano in one step, for a matrix theta with the active axis k:
     v    =  M - theta * <M, theta>_k / ||theta||_k^2
                                             (tangent projection at the
                                              unit-slice point theta/||theta||_k)
-    vhat =  v with unit axis-k slices
-    theta <- theta - lr * (RESCALE_COEFF * sqrt(n_k) * vhat + wd * theta)
+    theta <- theta * (1 - lr * wd) - (lr * RESCALE_COEFF * sqrt(n_k) / ||v||_k) * v
 
-where n_k is the extent of the reduced axis.  A unit-slice matrix with
+where n_k is the extent of the reduced axis, so the update's slices
+are v's, normalized to norm RESCALE_COEFF * sqrt(n_k).  A unit-slice matrix with
 n_k-entry slices has RMS 1/sqrt(n_k), so the rescale pins the RMS of the
 normalized term to RESCALE_COEFF (0.2) regardless of shape.  The axis
 k alternates between steps under the rotating schedule, which is what
@@ -185,35 +191,69 @@ def _heavy_ball(buf, grad, mu: float, nesterov: bool = False):
     return m_t, m_used
 
 
-def _decoupled(state: OptimizerState, theta, direction, eta, weight_decay):
-    """``theta - eta * (direction + weight_decay * theta)``, written into
-    ``direction``, which the caller gives up: the update with weight decay
-    decoupled from ``direction`` (Loshchilov & Hutter, "Decoupled Weight
-    Decay Regularization", 2019).  Counts the step.
+def _decoupled(
+    state: OptimizerState, theta, direction, eta, weight_decay, scale=1.0, out=None
+):
+    """``theta * (1 - eta * weight_decay) - (eta * scale) * direction``,
+    written into ``out``, by default ``direction``, which the caller gives
+    up: the update with weight decay decoupled from the direction
+    (Loshchilov & Hutter, "Decoupled Weight Decay Regularization", 2019).
+    ``scale`` is the direction's own scale: a number, or an array of
+    theta's order with one entry per slice (Mano's reduced axis kept at
+    size 1), which the caller also gives up: it is multiplied by ``eta``
+    in place.  Counts the step.
 
-    Each chunk of whole rows forms ``eta * (theta * weight_decay +
-    direction)`` in one scratch array of at most CHUNK_ENTRIES entries (or
-    one row), then writes theta minus it over that chunk of
-    ``direction``.  Each entry takes the operations of the one-array
-    form in the same order, so it gets the same bits.
+    Each chunk of whole rows takes three operations in cache: the scaled
+    direction into one scratch array of at most CHUNK_ENTRIES entries
+    (or one row), theta's decayed chunk into ``out``, and the difference.
+    A per-slice scale multiplies through ``einsum``, which broadcasts it
+    without the iterator buffer of an in-place broadcast multiply.  Each
+    entry takes the operations of the one-array form in the same order,
+    so it gets the same bits.
     """
     state.step += 1
+    out = direction if out is None else out
+    decay = 1.0 - eta * weight_decay
+    step = np.multiply(eta, scale, out=scale if np.ndim(scale) else None)
+    product = "{0},{0}->{0}".format(string.ascii_letters[: theta.ndim])
     rows = max(1, CHUNK_ENTRIES // max(1, math.prod(theta.shape[1:])))
     scratch = np.empty((min(rows, theta.shape[0]),) + theta.shape[1:])
     for start in range(0, theta.shape[0], rows):
         t, d = theta[start : start + rows], direction[start : start + rows]
-        out = scratch[: t.shape[0]]
-        np.multiply(t, weight_decay, out=out)
-        out += d
-        out *= eta
-        np.subtract(t, out, out=d)
-    return direction
+        part = scratch[: t.shape[0]]
+        if step.ndim:
+            s = step if step.shape[0] == 1 else step[start : start + rows]
+            np.einsum(product, d, s, out=part)
+        else:
+            np.multiply(d, step, out=part)
+        o = out[start : start + rows]
+        np.multiply(t, decay, out=o)
+        o -= part
+    return out
 
 
-def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int, out=None):
+def _slice_squares(theta: np.ndarray, axis: int) -> np.ndarray:
+    """theta's squared slice norms along ``axis`` (the reduced axis
+    dropped), which also vouch for its finiteness: a NaN or infinite
+    entry makes its slice's sum non-finite.  Only then is theta scanned,
+    by ``as_tensor``, which raises its ValueError at a non-finite entry;
+    a non-finite sum of finite entries is an overflow, which
+    ``_mano_kernel`` rescues.  It writes nothing, so a step takes it
+    before it writes its state."""
+    full = string.ascii_letters[: theta.ndim]
+    sq = np.einsum(f"{full},{full}->{full.replace(full[axis], '')}", theta, theta)
+    if not np.isfinite(sq).all():
+        as_tensor(theta)
+    return sq
+
+
+def _mano_kernel(
+    theta: np.ndarray, sq: np.ndarray, direction: np.ndarray, axis: int, out=None
+):
     """``(tangent, inv_norms)``: the projection of ``direction`` onto the
     tangent space at the unit-slice point theta/||theta||, and the
     reciprocals of the tangent's slice norms (reduced axis kept).
+    ``sq`` is theta's squared slice norms, ``_slice_squares``.
 
     The projection is ``direction - theta * <direction, theta> / ||theta||^2``,
     slice by slice along ``axis``, so the unit-slice point is never
@@ -236,7 +276,6 @@ def _mano_kernel(theta: np.ndarray, direction: np.ndarray, axis: int, out=None):
     full = string.ascii_letters[: theta.ndim]
     kept = full.replace(full[axis], "")
     slice_sums = f"{full},{full}->{kept}"
-    sq = np.einsum(slice_sums, theta, theta)
     inner = np.einsum(slice_sums, direction, theta)
     huge = ~(np.isfinite(sq) & np.isfinite(inner))
     coef = np.divide(
@@ -273,7 +312,7 @@ def mano_transform(theta: np.ndarray, direction: np.ndarray, axis: int):
     """
     theta, direction = _matching(theta, direction)
     _check_axis(theta, axis)
-    tangent, inv = _mano_kernel(theta, direction, axis)
+    tangent, inv = _mano_kernel(theta, _slice_squares(theta, axis), direction, axis)
     theta_hat, _ = slice_unit(theta, axis)
     return theta_hat, tangent, tangent * inv
 
@@ -291,38 +330,47 @@ def mano_step(
 
     The rotating schedule cycles through all ``theta.ndim`` axes; the
     static schedule keeps axis 0.  The normalized tangent is rescaled
-    to RMS ``RESCALE_COEFF``.  Weight decay is decoupled: it acts on
-    theta directly, not through the manifold machinery.
+    to RMS ``RESCALE_COEFF``: the rescale is the per-slice scale that
+    ``_decoupled`` gives the tangent, ``RESCALE_COEFF * sqrt(n_k) /
+    ||v||``, in the same pass as the decay, which acts on theta
+    directly, not through the manifold machinery.
+
+    theta's finiteness comes from its squared slice norms, taken before
+    the step writes its state (``_slice_squares``).  The default call
+    scans the gradient before the heavy ball writes the momentum.
 
     ``_into_grad`` is the trainer's hand-off, not part of the API: the
     caller is done with ``grad``, which shares no memory with theta or
-    the momentum, so the tangent is formed in its buffer (after
-    ``_matching``, the caller's own or a converted copy) once the
-    momentum has read it, and the new value is written over it, with
-    the default call's bits and state.
+    the momentum and whose entries it knows to be finite (the trainer's
+    clip has read a finite sum of their squares), so the gradient is
+    not scanned, and the tangent is formed in its buffer (the caller's
+    own, or a converted copy) once the momentum has read it, and the
+    new value is written over it, with the default call's bits and state.
     The step then returns that buffer, or with ``retract_momentum``
     makes it the momentum and returns the spent accumulator.  It is a
     keyword of ``mano_step`` only because the benchmark sees a Mano
     step through this name (ROADMAP item 6).
     """
-    theta, grad = _matching(theta, grad)
+    theta, grad = _matching(theta, grad, coerce=_float_array)
     axis = rotation_axis(cfg.schedule, theta.ndim, state.step)
     _positive("lr", lr)
     buf = _buffer(state, "momentum", theta)
+    sq = _slice_squares(theta, axis)
+    if not _into_grad:
+        as_tensor(grad)
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
-    tangent, inv = _mano_kernel(theta, m_used, axis, grad if _into_grad else None)
-    del m_used  # a Nesterov look-ahead is freed before the update is made
+    tangent, inv = _mano_kernel(theta, sq, m_used, axis, grad if _into_grad else None)
+    # theta's sums and a Nesterov look-ahead are freed before the update
+    del sq, m_used
     inv *= RESCALE_COEFF * np.sqrt(theta.shape[axis])
     if cfg.retract_momentum:
-        # The tangent becomes the momentum, so the spent accumulator
-        # holds the scaled direction.
-        state.momentum = tangent
-        scaled = np.multiply(tangent, inv, out=m_t)
+        # The tangent becomes the momentum, and the new value is written
+        # over the spent accumulator.
+        state.momentum, out = tangent, m_t
     else:
-        state.momentum = m_t
-        scaled = np.multiply(tangent, inv, out=tangent)
-    return _decoupled(state, theta, scaled, lr, cfg.weight_decay)
+        state.momentum, out = m_t, tangent
+    return _decoupled(state, theta, tangent, lr, cfg.weight_decay, inv, out)
 
 
 def newton_schulz(g, iterations: int = NS_ITERATIONS) -> np.ndarray:
@@ -395,8 +443,8 @@ def muon_step(
     else:
         ortho = newton_schulz(m_used, cfg.ns_iterations)
     del m_used
-    ortho *= RESCALE_COEFF * np.sqrt(max(theta.shape))
-    return _decoupled(state, theta, ortho, lr, cfg.weight_decay)
+    rescale = RESCALE_COEFF * np.sqrt(max(theta.shape))
+    return _decoupled(state, theta, ortho, lr, cfg.weight_decay, rescale)
 
 
 def adamw_step(
@@ -451,7 +499,7 @@ def sgdm_step(
     _non_negative("weight_decay", weight_decay)
     m_t, _ = _heavy_ball(_buffer(state, "momentum", theta), grad, momentum)
     state.momentum = m_t
-    return _decoupled(state, theta, m_t.copy(), lr, weight_decay)
+    return _decoupled(state, theta, m_t, lr, weight_decay, out=np.empty_like(theta))
 
 
 def rsgdm_step(

@@ -11,11 +11,14 @@ Scalar arguments go through ``_positive``, ``_non_negative`` and
 ``_unit_interval``, which are written so that NaN fails every one of
 them, seeds through ``_seed``, and named choices (a task, a schedule, a
 kernel) through ``_choice``.  Each public entry point checks its
-own inputs, so a training step scans every gradient once, in its step.
-The clip coerces through ``_float_array`` and reads finiteness from its
-sum of squares, which any NaN or infinite entry makes non-finite; only
-then does it scan, and that scan is also the trainer's divergence
-check.
+own inputs.  Two read finiteness from a sum of squares they take
+anyway, which any NaN or infinite entry makes non-finite, and scan
+only when it is: the clip, which coerces through ``_float_array`` and
+whose scan is also the trainer's divergence check, and the Mano step,
+from theta's squared slice norms.  So in a training step the clip's
+finite sum vouches for every gradient, the Mano step's hand-off scans
+neither its weight nor its gradient, and only the other rules' steps
+scan theirs.
 ``_sum_squares`` is the package's one whole-array sum of squares:
 BLAS dots over chunks, so it makes no array of the input's size and its
 bits do not depend on the BLAS thread count.  The whole-array norm,
@@ -92,10 +95,11 @@ def _all_finite(a: np.ndarray) -> bool:
     return True
 
 
-def _matching(*operands) -> list[np.ndarray]:
-    """Every operand through ``as_tensor``; ShapeMismatchError unless all
-    shapes agree."""
-    arrays = [as_tensor(a) for a in operands]
+def _matching(*operands, coerce=as_tensor) -> list[np.ndarray]:
+    """Every operand through ``coerce`` (``as_tensor``, or ``_float_array``
+    for a caller that learns finiteness another way); ShapeMismatchError
+    unless all shapes agree."""
+    arrays = [coerce(a) for a in operands]
     if any(a.shape != arrays[0].shape for a in arrays):
         shapes = ", ".join(str(a.shape) for a in arrays)
         raise ShapeMismatchError(f"operand shapes {shapes} differ")

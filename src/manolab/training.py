@@ -90,7 +90,9 @@ LOSSES = tuple(_TASK_LOSS.values())
 # ``unit_columns`` rules keep the weights on the unit-column manifold,
 # so the initial weights are projected onto it once.  The trainer is done
 # with a gradient once its layer steps, so Mano forms its result in it
-# (``_into_grad``) and makes no array of the layer's size.
+# (``_into_grad``) and makes no array of the layer's size; the clip's
+# finite sum of squares has proved the gradient finite, so the step does
+# not scan it.
 _RULES = {
     "mano": (
         lambda c: partial(
@@ -699,7 +701,9 @@ class Trainer:
         the clip sees one in its non-finite sum of squares and raises
         ``as_tensor``'s ValueError, the only one the uncapped clip
         raises, which becomes ``TrainingDiverged``.  So a finite step
-        scans each gradient once, in its layer's step.
+        scans no gradient in the clip.  The Mano rule's step, whose
+        gradient the clip's finite sum has vouched for, scans none
+        either; the other rules' steps scan theirs once.
         """
         cfg = self.cfg
         # The module-level name, which the benchmark's tracer wraps.

@@ -201,9 +201,9 @@ def _mano_on(axis, into_grad=False, **flags):
 # cover both axes of a matrix, plain, with the Nesterov look-ahead
 # (beside the tangent), and with the tangent kept as the momentum (the
 # spent accumulator is returned).  Formed in the gradient (``_into_grad``),
-# they hold only the look-ahead and scratch: ``_decoupled``'s and the
-# finiteness scan's 64 KiB bool chunk.  AdamW's scratch and update
-# overlap; SGD-M returns a copy of its momentum.
+# they hold only the look-ahead and ``_decoupled``'s scratch: that call
+# scans neither array.  AdamW's scratch and update overlap; SGD-M writes
+# its update once, into the array it returns.
 _LEAN_STEPS = {
     "mano_step-axis-0": (_mano_on(0), 1),
     "mano_step-axis-1": (_mano_on(1), 1),
@@ -362,15 +362,28 @@ _DECAY_SHAPES = [
 @pytest.mark.parametrize("shape", _DECAY_SHAPES)
 def test_decoupled_matches_the_one_array_form_bit_for_bit(shape):
     """``_decoupled`` decays in chunks of whole rows, in the direction's
-    own buffer, with the bits of ``theta - eta * (wd * theta + d)``."""
+    own buffer or in the one it is given, with the bits of
+    ``theta * (1 - eta * wd) - (eta * scale) * d``: for the scale of one
+    that AdamW and SGD-M pass, a number as Muon passes, and one scale
+    per slice along each axis as Mano passes (the reduced axis kept)."""
     rng = np.random.default_rng(6)
     theta, direction = rng.standard_normal(shape), rng.standard_normal(shape)
-    expected = theta - 0.03 * (0.1 * theta + direction)
-    state = OptimizerState()
-    out = _decoupled(state, theta, direction, 0.03, 0.1)
-    assert out is direction
-    assert out.tobytes() == expected.tobytes()
-    assert state.step == 1
+    scales = [1.0, RESCALE_COEFF * math.sqrt(max(shape))] + [
+        rng.uniform(0.5, 2.0, shape[:axis] + (1,) + shape[axis + 1 :])
+        for axis in range(len(shape))
+    ]
+    for scale in scales:
+        expected = theta * (1.0 - 0.03 * 0.1) - (0.03 * scale) * direction
+        state = OptimizerState()
+        given = direction.copy()
+        out = _decoupled(state, theta, given, 0.03, 0.1, np.copy(scale))
+        assert out is given
+        assert out.tobytes() == expected.tobytes()
+        fresh = np.empty_like(theta)
+        out = _decoupled(state, theta, direction, 0.03, 0.1, np.copy(scale), out=fresh)
+        assert out is fresh
+        assert out.tobytes() == expected.tobytes()
+        assert state.step == 2
 
 
 def _run_mano_pair(shape, seed, steps=3, edit=None, **flags):
@@ -521,6 +534,69 @@ class TestManoStep:
         np.testing.assert_allclose(
             np.delete(moved, 2), 1e-2 * RESCALE_COEFF * np.sqrt(5), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("into_grad", [False, True], ids=["public", "hand-off"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_theta_raises_before_the_state_moves(self, axis, bad, into_grad):
+        """theta's finiteness is read from its squared slice norms on both
+        paths: a NaN or infinite entry raises as_tensor's ValueError
+        before the momentum, the step counter or the gradient is
+        written."""
+        theta = np.random.default_rng(21).standard_normal((5, 4))
+        theta[3, 2] = bad
+        grad = np.ones((5, 4))
+        state = _live(step=2 + axis, momentum=(5, 4))
+        before = _buffers(state)
+        with pytest.raises(ValueError, match="^tensor contains non-finite values$"):
+            mano_step(theta, grad, state, ManoConfig(), 1e-2, _into_grad=into_grad)
+        assert state.step == 2 + axis
+        assert _buffers(state) == before
+        np.testing.assert_array_equal(grad, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_raises_on_the_public_path(self, bad):
+        """The default call scans the gradient before the heavy ball
+        writes the momentum.  (The trainer's hand-off does not: its clip
+        has proved every gradient entry finite.)"""
+        grad = np.ones((5, 4))
+        grad[0, 1] = bad
+        state = _live(momentum=(5, 4))
+        before = _buffers(state)
+        with pytest.raises(ValueError, match="^tensor contains non-finite values$"):
+            mano_step(np.eye(5, 4), grad, state, ManoConfig(), 1e-2)
+        assert state.step == 3
+        assert _buffers(state) == before
+
+    @pytest.mark.parametrize("into_grad", [False, True], ids=["public", "hand-off"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_finite_theta_with_overflowing_slice_sums_steps(self, axis, into_grad):
+        """A finite theta with one column at 1e200 overflows its squared
+        slice norms (every row's, on axis 1).  That is not a non-finite
+        entry, so the step goes on through the kernel's rescue, and each
+        entry of ordinary size moves by the update of the projection at
+        the unit-slice point, normalized here by dividing each slice by
+        its largest entry first."""
+        rng = np.random.default_rng(22)
+        theta = rng.standard_normal((6, 4))
+        theta[:, 1] *= 1e200
+        grad = rng.standard_normal((6, 4))
+        cfg = ManoConfig(weight_decay=0.0)
+        new = mano_step(
+            theta, grad.copy(), OptimizerState(step=axis), cfg, 1e-2,
+            _into_grad=into_grad,
+        )
+        scaled = theta / np.abs(theta).max(axis=axis, keepdims=True)
+        hat = scaled / np.sqrt((scaled * scaled).sum(axis=axis, keepdims=True))
+        v = grad - hat * (grad * hat).sum(axis=axis, keepdims=True)
+        unit = v / np.sqrt((v * v).sum(axis=axis, keepdims=True))
+        update = 1e-2 * RESCALE_COEFF * np.sqrt(theta.shape[axis]) * unit
+        assert np.all(np.isfinite(new))
+        ordinary = [0, 2, 3]
+        np.testing.assert_allclose(
+            (theta - new)[:, ordinary], update[:, ordinary], rtol=1e-12, atol=1e-16
+        )
+        np.testing.assert_array_equal(new[:, 1], theta[:, 1])
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule must be one of"):
@@ -701,8 +777,8 @@ class TestNewtonSchulz:
 class TestMuonStep:
     def test_composition_oracle_momentum_free(self):
         """With momentum 0 one step is exactly
-        theta - lr*(coeff*sqrt(max(m,n))*orthogonalized(g) + wd*theta),
-        on square, wide and tall matrices.
+        theta*(1 - lr*wd) - (lr*coeff*sqrt(max(m,n)))*orthogonalized(g),
+        bit for bit, on square, wide and tall matrices.
 
         For a tall matrix ``newton_schulz`` returns a transposed view, and
         a flat ``reshape(-1)`` of it is a copy, so an update written
@@ -715,9 +791,9 @@ class TestMuonStep:
             theta = rng.standard_normal(shape)
             grad = rng.standard_normal(shape)
             got = muon_step(theta, grad, OptimizerState(), cfg, 2e-2)
-            expected = theta - 2e-2 * (
-                0.2 * math.sqrt(max(shape)) * newton_schulz(grad, 5) + 0.1 * theta
-            )
+            expected = theta * (1.0 - 2e-2 * 0.1) - (
+                2e-2 * (0.2 * math.sqrt(max(shape)))
+            ) * newton_schulz(grad, 5)
             np.testing.assert_array_equal(got, expected)
             assert got.flags.c_contiguous, shape
 

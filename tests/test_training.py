@@ -1051,12 +1051,16 @@ class TestTrainer:
 
     @pytest.mark.parametrize("wide", [False, True], ids=["small", "wide"])
     def test_plain_step_scans_each_gradient_once(self, monkeypatch, wide):
-        """Outside record steps, each gradient and each parameter is
-        scanned for finiteness once, by its layer's step: the clip reads
-        finiteness from its sum of squares and scans nothing, and the
-        trainer scans nothing again.  On the benchmark's wide config
-        that is 12 scans.  Every module's binding of the scan is counted,
-        so a trainer that imported it would be seen."""
+        """Outside record steps, each bias and its gradient are scanned
+        for finiteness once, by the bias's AdamW step, and no weight or
+        weight gradient is scanned.  The clip reads finiteness from its
+        sum of squares and scans nothing: a finite sum proves every
+        gradient entry finite, so the Mano hand-off does not scan the
+        gradient again, and it reads the weight's finiteness from its
+        own squared slice norms.  The trainer scans nothing either.  On
+        the benchmark's wide config that is 6 bias-sized scans.  Every
+        module's binding of the scan is counted, so a trainer that
+        imported it would be seen."""
         cfg = TrainConfig(**_WIDE) if wide else _small_cfg(hidden=(5, 4))
         trainer = Trainer(cfg)
         batches = trainer._batches()
@@ -1081,10 +1085,11 @@ class TestTrainer:
         monkeypatch.setattr(training, "clip_global_grad_norm", clipping)
         trainer._step(1, next(batches), False, [])
         shapes = [p.shape for p in trainer.model.parameters()]
-        assert len(shapes) == 6
+        biases = [shape for shape in shapes if len(shape) == 1]
+        assert len(shapes) == 6 and len(biases) == 3
         assert in_clip == []
-        assert sorted(scanned) == sorted(2 * shapes)
-        assert len(scanned) == 12
+        assert sorted(scanned) == sorted(2 * biases)
+        assert len(scanned) == 6
 
     def test_snapshots_written(self, tmp_path):
         cfg = _small_cfg(hidden=(4,), total_steps=20, snapshot_every=10)
@@ -1346,7 +1351,7 @@ class TestNormRecursion:
         """The momentum, not its tangent part, normalized slice by slice:
         the update is no longer orthogonal to theta."""
 
-        def unprojected(theta, direction, axis, out=None):
+        def unprojected(theta, sq, direction, axis, out=None):
             return direction.copy(), 1.0 / _norm(direction, axis)
 
         monkeypatch.setattr(optimizers, "_mano_kernel", unprojected)
