@@ -7,7 +7,7 @@ normalization overhead is the same number for every shape; the measured
 times tell a similar story without leaving the laptop.
 """
 
-from manolab import bench_kernels, flop_row
+from manolab.bench import bench_kernels, flop_row
 
 SHAPES = [(256, 256), (512, 512), (1024, 1024), (1024, 256)]
 

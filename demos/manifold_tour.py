@@ -9,7 +9,7 @@ comparison.  Everything is printed, nothing is plotted.
 
 import numpy as np
 
-from manolab import (
+from manolab.manifold import (
     geodesic_oblique,
     geodesic_sphere,
     oblique_normalize,

@@ -9,8 +9,7 @@ baseline is constrained to unit columns, which is why its losses start
 on a different scale.
 """
 
-from manolab import TrainConfig, Trainer
-from manolab.training import OPTIMIZERS
+from manolab.training import OPTIMIZERS, TrainConfig, Trainer
 
 STEPS = 2000
 

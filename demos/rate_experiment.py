@@ -8,7 +8,7 @@ the smallest gradient norm by roughly sqrt(10).
 
 import numpy as np
 
-from manolab import quadratic_objective, run_convergence_experiment
+from manolab.convergence import quadratic_objective, run_convergence_experiment
 
 M = 16
 HORIZONS = (100, 1000, 10000)

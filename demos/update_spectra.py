@@ -11,8 +11,8 @@ import tempfile
 
 import numpy as np
 
-from manolab import TrainConfig, Trainer, spectrum_report, trajectory_geodesics
-from manolab.training import load_snapshots
+from manolab.diagnostics import spectrum_report, trajectory_geodesics
+from manolab.training import TrainConfig, Trainer, load_snapshots
 
 
 def main() -> None:

@@ -129,8 +129,8 @@ OPTIMIZERS = tuple(_RULES)
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or gradients went non-finite; carries the failing step and the
-    records made before it."""
+    """Loss, gradients or an update went non-finite; carries the failing
+    step and the records made before it."""
 
     def __init__(self, step: int, detail: str, records=()):
         self.step = step
@@ -703,7 +703,10 @@ class Trainer:
         raises, which becomes ``TrainingDiverged``.  So a finite step
         scans no gradient in the clip.  The Mano rule's step, whose
         gradient the clip's finite sum has vouched for, scans none
-        either; the other rules' steps scan theirs once.
+        either; the other rules' steps scan theirs once.  A step can
+        overflow from finite inputs: on a record step the update's RMS,
+        which scans it anyway, finds that, and the run diverges there,
+        with that layer's snapshot already written.
         """
         cfg = self.cfg
         # The module-level name, which the benchmark's tracer wraps.
@@ -750,7 +753,12 @@ class Trainer:
                 new = self._layer_step(i, name, theta, grad, lr_t)
                 delta = np.subtract(theta, new, out=theta) if record_now else None
             if record_now:
-                update_rms.append(rms(delta))
+                try:
+                    update_rms.append(rms(delta))
+                except ValueError as err:
+                    raise TrainingDiverged(
+                        t, f"non-finite update of {name}", records
+                    ) from err
             del delta
         if not record_now:
             return

@@ -3,7 +3,11 @@ contract, and byte determinism of the file outputs."""
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +84,31 @@ class TestTrain:
         assert [line.split(",")[4] for line in lines[1:]] == [
             "layer0.weight", "layer0.bias"
         ]
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_an_overflowing_mano_update_exits_one_as_divergence(
+        self, tmp_path, capsys
+    ):
+        """At lr 1e308 the Mano update overflows at step 0 from a finite
+        loss and gradients.  Step 0 is a record step, so its update's RMS
+        finds the overflow: the run diverges there, naming the layer, and
+        the empty trajectory is still written."""
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(
+            "task = linreg\nin_dim = 8\nout_dim = 4\noptimizer = mano\n"
+            "lr_max = 1e308\ntotal_steps = 20\nwarmup_steps = 1\n"
+            "cadence = 1\nweight_decay = 0.0\n"
+        )
+        out = tmp_path / "o"
+        assert run_cli(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: training diverged at step 0: non-finite update of layer0.weight\n"
+        )
+        assert captured.out == f"wrote {out / 'trajectory.csv'}\n"
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines == ["step,train_loss,eval_loss,lr,layer,grad_norm,grad_var,"
+                         "grad_snr,update_rms"]
 
     def test_negative_seed_exits_one_before_the_output_directory(
         self, tmp_path, capsys
@@ -465,6 +494,40 @@ class TestFlops:
         """The quintic is counted at ``NS_ITERATIONS`` rounds, the count
         the trainer's Muon steps run."""
         assert run_cli(["flops", "--m", "16", "--ns-iterations", "5"]) == 1
+
+
+def _python(*args):
+    """Run this interpreter on ``args`` with the source tree on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestEntryPoints:
+    def test_python_dash_m_runs_the_command_line(self):
+        result = _python("-m", "manolab", "flops", "--m", "4")
+        assert result.returncode == 0, result.stderr
+        header, row = result.stdout.splitlines()
+        assert header.split() == [
+            "m", "n", "mano", "newton_schulz", "baseline", "mano/base", "ns/base"
+        ]
+        assert row.split()[:3] == ["4", "4", "176"]  # 11 * 4 * 4
+
+    def test_the_package_root_binds_no_public_name(self):
+        """Each name has one import path, the module that defines it:
+        a fresh ``import manolab`` binds no public name and imports no
+        module of the package."""
+        result = _python("-c", (
+            "import sys, manolab\n"
+            "print(sorted(n for n in vars(manolab) if not n.startswith('_')))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('manolab.')))\n"
+        ))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n[]\n"
 
 
 class TestExitCodes:

@@ -12,7 +12,7 @@ import pytest
 
 from manolab import optimizers, tensor, training
 from manolab.optimizers import CHUNK_ENTRIES, RESCALE_COEFF, clip_global_grad_norm
-from manolab.tensor import _SCAN_ENTRIES, _norm
+from manolab.tensor import _norm
 from manolab.training import (
     OPTIMIZERS,
     MlpModel,
@@ -835,7 +835,7 @@ class TestTrainer:
             assert r.eval_loss == held_out != train
 
     def test_step_holds_one_layer_at_a_time(self, tmp_path, monkeypatch):
-        """Traced memory of a run with one 256-wide hidden layer, every
+        """Traced memory of a run with one 512-wide hidden layer, every
         other step a record step (steps 0 and 4 snapshot steps too) and
         clipping in every step.
 
@@ -848,12 +848,16 @@ class TestTrainer:
         the Mano step forms its tangent and then the new value in the
         gradient's buffer, and the old value's buffer takes the update.
         The snapshot is written from the arrays' own buffers and the
-        RMS squares the update in place, so neither adds a copy.  What
-        comes on top is a scratch of CHUNK_ENTRIES entries
-        (``_decoupled``'s or a square sum's), a finiteness scan's 64 KiB
-        bool chunk, and 64 KiB of slack for the batch, the output layer's
-        arrays and Python objects.  A layer is four scan chunks, so a
-        scan of one byte per entry would not fit.
+        RMS squares the update in place, so neither adds a copy.  While
+        the layers step, what comes on top is a scratch of CHUNK_ENTRIES
+        entries (``_decoupled``'s or a square sum's) and 64 KiB of slack
+        for the batch, the output layer's arrays and Python objects.  No
+        finiteness scan's 64 KiB bool chunk comes on top: the Mano steps
+        scan neither a weight nor its gradient, and the RMS scans each
+        update below that peak.  Before the layers step, the peak is
+        forward/backward's, as it forms the first weight's gradient
+        beside the other gradients, the batch's features gathered again
+        and the batch's targets.
         """
         cfg = _small_cfg(
             n_samples=128, in_dim=512, hidden=(512,), out_dim=512,
@@ -919,16 +923,18 @@ class TestTrainer:
             f"{(max(live[1:]) - held) / layer:.2f} layers live between steps"
         )
         # On top of parameters, state, dataset, workspace and gradients
-        # (or the new values formed in them) go only a chunk's scratch
-        # and a finiteness scan's chunk.
-        bound = held + param_bytes + 8 * CHUNK_ENTRIES + _SCAN_ENTRIES + slack
+        # (or the new values formed in them) goes only a chunk's scratch.
         record_peak = max(peaks[t + 1] for t in (0, 2, 4))
-        assert record_peak <= bound, (
+        assert record_peak <= held + param_bytes + 8 * CHUNK_ENTRIES + slack, (
             f"{(record_peak - held - param_bytes) / layer:.2f} layers above "
             "parameters, state, dataset and gradients"
         )
+        # Before the layers step, the batch's features (gathered again for
+        # the first weight's gradient) and its targets go on top: 128 KiB
+        # here.  The clip comes after, with one chunk's scratch.
+        batch_bytes = 8 * cfg.batch_size * (cfg.in_dim + cfg.out_dim)
         clip_peak = max(before_layers)
-        assert clip_peak <= bound, (
+        assert clip_peak <= held + param_bytes + batch_bytes + slack, (
             f"{(clip_peak - held - param_bytes) / layer:.2f} layers above "
             "parameters, state, dataset and gradients before the layer steps"
         )
@@ -1048,6 +1054,54 @@ class TestTrainer:
         assert np.isfinite(calls[7])
         assert isinstance(err.value.__cause__, ValueError)
         assert str(err.value.__cause__) == "tensor contains non-finite values"
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_an_overflowing_update_diverges_at_its_record_step(self):
+        """At lr 1e308 the Mano update of linreg 8 -> 4 overflows at step
+        0, from a finite loss and finite gradients.  Step 0 is a record
+        step, so the update's RMS finds it: the run stops there, naming
+        the layer, with no records."""
+        cfg = _small_cfg(
+            in_dim=8, out_dim=4, lr_max=1e308, total_steps=20, warmup_steps=1,
+            cadence=1, weight_decay=0.0,
+        )
+        with pytest.raises(TrainingDiverged) as err:
+            train_run(cfg)
+        assert str(err.value) == (
+            "training diverged at step 0: non-finite update of layer0.weight"
+        )
+        assert err.value.records == []
+        assert str(err.value.__cause__) == "tensor contains non-finite values"
+
+    def test_a_non_finite_update_keeps_the_records_and_the_snapshot(self, tmp_path):
+        """The second weight's step returns an infinite entry at step 3, a
+        record and snapshot step: the run stops at step 3 with the records
+        of steps 0-2, and that layer's snapshot is written whole, its
+        update non-finite, while the layers after it get none."""
+        cfg = _small_cfg(hidden=(5, 5), total_steps=10, cadence=1, snapshot_every=1)
+        clean = train_run(cfg)
+        trainer = Trainer(cfg, snapshot_dir=tmp_path)
+        rule, calls = trainer.rules["layer1.weight"], []
+
+        def poisoned(*args, **kwargs):
+            new = rule(*args, **kwargs)
+            if len(calls) == 3:
+                new[0, 0] = np.inf
+            calls.append(None)
+            return new
+
+        trainer.rules["layer1.weight"] = poisoned
+        with pytest.raises(TrainingDiverged) as err:
+            trainer.run()
+        assert str(err.value) == (
+            "training diverged at step 3: non-finite update of layer1.weight"
+        )
+        assert err.value.records == [r for r in clean if r.step < 3]
+        assert [(s, name) for s, name, _ in load_snapshots(tmp_path) if s == 3] == [
+            (3, "layer0.weight"), (3, "layer1.weight"),
+        ]
+        with np.load(tmp_path / "step000003_layer1.weight.npz") as snap:
+            assert not np.isfinite(snap["update"]).all()
 
     @pytest.mark.parametrize("wide", [False, True], ids=["small", "wide"])
     def test_plain_step_scans_each_gradient_once(self, monkeypatch, wide):
