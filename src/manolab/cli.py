@@ -197,12 +197,20 @@ def _cmd_bench(args) -> int:
 def _cmd_spectra(args) -> int:
     reports = []
     for step, layer, path in load_snapshots(args.snapshots):
-        with np.load(path) as data:
-            report = spectrum_report(
-                data["grad"], data["momentum"], data["update"],
-                step=step, layer=layer,
-            )
+        try:
+            with np.load(path) as data:
+                report = spectrum_report(
+                    data["grad"], data["momentum"], data["update"],
+                    step=step, layer=layer,
+                )
+        except ValueError as exc:
+            # A snapshot the reports cannot take (a diverged step's
+            # non-finite update, say) costs only its own report.
+            print(f"{layer}: skipped {path.name}: {exc}")
+            continue
         reports.append(report.to_dict())
+    if not reports:
+        raise ValueError("no snapshot yielded a spectrum report")
     _write(args.out, "spectra.json", _json(reports), f" ({len(reports)} reports)")
     return 0
 

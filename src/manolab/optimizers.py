@@ -16,20 +16,27 @@ rejects a non-positive or NaN learning rate.  ``_buffer`` checks a
 state buffer, ``_heavy_ball`` accumulates momentum into it in place
 and ``_decoupled`` writes ``theta * (1 - lr * wd) - (lr * scale) * d``
 over the direction array d that the step gives up, or into a fresh
-array, in one chunked pass: each rule passes its direction's scale
+array, in one pass of cache-sized blocks: each rule passes its direction's scale
 (Mano one per slice, Muon its rescale, AdamW and SGD-M one), so no
 step rescales its direction in a pass of its own.  Every check runs
 before a step writes its state, so a step that raises leaves the state
 as it was.  Each step but Mano's scans its inputs for finiteness
 (``as_tensor``); Mano reads theta's from its squared slice norms, and
 scans the gradient only in the default call (see ``mano_step``).  On a
-warm state the plain and retracting Mano steps and the SGD-M step
-hold one new parameter-sized array, the returned one; the Nesterov
-Mano and the AdamW steps hold two.  The trainer's Mano rule hands the
-step its spent gradient to form the result in (``mano_step``'s private
-``_into_grad``): that step makes no parameter-sized array (the Nesterov
-step makes one, the look-ahead).  No step returns an array that shares memory with
-theta or with its state, so a caller may write into the old value.
+warm state the Mano steps and the SGD-M step hold one new
+parameter-sized array, the returned one (a Nesterov Mano step adds a
+look-ahead of one block of rows); the AdamW step holds two and the
+Muon step four.  The trainer's Mano rule hands the step its spent
+gradient to form the result in (``mano_step``'s private
+``_into_grad``): that step makes no parameter-sized array.  No step
+returns an array that shares memory with theta or with its state, so a
+caller may write into the old value.
+
+The Mano step runs its passes over blocks of whole rows that stay in
+cache between passes (``_BLOCK_ENTRIES``, as ``_decoupled``'s blocks):
+one sweep of heavy ball, projection and decay per block when a block
+holds whole slices, three sweeps when the slices are columns across
+every block.
 
 Mano in one step, for a matrix theta with the active axis k:
 
@@ -93,6 +100,18 @@ ADAM_BETAS = (0.9, 0.95)
 ADAM_EPS = 1e-8
 # The cosine schedule's floor, as a fraction of its peak rate.
 MIN_LR_RATIO = 0.1
+
+# Entries of theta that a Mano step carries through its passes at a
+# time, in whole rows: 512 KiB of float64 per array, so a block of
+# theta, the momentum, the gradient and the tangent fit a 2 MiB L2
+# cache together.
+_BLOCK_ENTRIES = 8 * CHUNK_ENTRIES
+# The entries ``einsum`` takes through one inner loop (numpy's NPY_BUFSIZE,
+# fixed when numpy is built; ``np.setbufsize`` does not change it).  A
+# row longer than this is summed in pieces whose bounds depend on where
+# the block starts, so a block of such rows would round differently from
+# the whole array: an array with longer rows is one block.
+_EINSUM_BUFFER = 8192
 
 # The learning rate is the ``lr`` argument of each step, which the
 # training loop takes from its schedule, so no config holds one.  The
@@ -170,13 +189,14 @@ def _buffer(state: OptimizerState, name: str, theta: np.ndarray) -> np.ndarray |
     return buf
 
 
-def _heavy_ball(buf, grad, mu: float, nesterov: bool = False):
+def _heavy_ball(buf, grad, mu: float, nesterov: bool = False, look=None):
     """``(m_t, m_used)``: momentum, and the direction (Nesterov look-ahead
     if asked for).
 
     ``m_t = mu * buf + grad`` is accumulated into ``buf`` in place; with
     no buffer it is ``0.0 + grad``, a copy of grad (adding 0.0 turns -0.0
-    into 0.0, as ``mu * 0 + grad`` would).  The look-ahead is a new array.
+    into 0.0, as ``mu * 0 + grad`` would).  The look-ahead is written
+    into ``look``, or a new array (``_look_ahead``).
     """
     if buf is None:
         m_t = np.add(grad, 0.0)
@@ -186,14 +206,17 @@ def _heavy_ball(buf, grad, mu: float, nesterov: bool = False):
         m_t += grad
     if not nesterov:
         return m_t, m_t
-    m_used = np.multiply(m_t, mu)
+    return m_t, _look_ahead(m_t, grad, mu, look)
+
+
+def _look_ahead(m_t, grad, mu: float, out=None):
+    """The Nesterov direction ``mu * m_t + grad``, in ``out`` or a new array."""
+    m_used = np.multiply(m_t, mu, out=out)
     m_used += grad
-    return m_t, m_used
+    return m_used
 
 
-def _decoupled(
-    state: OptimizerState, theta, direction, eta, weight_decay, scale=1.0, out=None
-):
+def _decoupled(theta, direction, eta, weight_decay, scale=1.0, out=None):
     """``theta * (1 - eta * weight_decay) - (eta * scale) * direction``,
     written into ``out``, by default ``direction``, which the caller gives
     up: the update with weight decay decoupled from the direction
@@ -201,35 +224,43 @@ def _decoupled(
     ``scale`` is the direction's own scale: a number, or an array of
     theta's order with one entry per slice (Mano's reduced axis kept at
     size 1), which the caller also gives up: it is multiplied by ``eta``
-    in place.  Counts the step.
+    in place.  The caller counts the step.
 
-    Each chunk of whole rows takes three operations in cache: the scaled
-    direction into one scratch array of at most CHUNK_ENTRIES entries
-    (or one row), theta's decayed chunk into ``out``, and the difference.
-    A per-slice scale multiplies through ``einsum``, which broadcasts it
-    without the iterator buffer of an in-place broadcast multiply.  Each
-    entry takes the operations of the one-array form in the same order,
-    so it gets the same bits.
+    It works in blocks of whole rows of about _BLOCK_ENTRIES entries,
+    which stay in cache: one multiply writes a block's scaled direction
+    into ``out``, then each chunk of at most CHUNK_ENTRIES entries (or
+    one row) of the block takes theta's decayed chunk into one scratch
+    and the difference over ``out``.  A per-slice scale broadcasts
+    through numpy's iterator buffer (64 KiB), which is freed before the
+    scratch is made, so the two are never held together.  Each entry
+    takes the operations of the one-array form in the same order, so it
+    gets the same bits, and so does a block of rows decayed on its own
+    with its rows of the scale.
     """
-    state.step += 1
     out = direction if out is None else out
     decay = 1.0 - eta * weight_decay
     step = np.multiply(eta, scale, out=scale if np.ndim(scale) else None)
-    product = "{0},{0}->{0}".format(string.ascii_letters[: theta.ndim])
     rows = max(1, CHUNK_ENTRIES // max(1, math.prod(theta.shape[1:])))
-    scratch = np.empty((min(rows, theta.shape[0]),) + theta.shape[1:])
-    for start in range(0, theta.shape[0], rows):
-        t, d = theta[start : start + rows], direction[start : start + rows]
-        part = scratch[: t.shape[0]]
-        if step.ndim:
-            s = step if step.shape[0] == 1 else step[start : start + rows]
-            np.einsum(product, d, s, out=part)
-        else:
-            np.multiply(d, step, out=part)
-        o = out[start : start + rows]
-        np.multiply(t, decay, out=o)
-        o -= part
+    block = rows * (_BLOCK_ENTRIES // CHUNK_ENTRIES)
+    for first in range(0, theta.shape[0], block):
+        t, o = theta[first : first + block], out[first : first + block]
+        s = step if np.ndim(step) == 0 or len(step) == 1 else step[first : first + block]
+        np.multiply(direction[first : first + block], s, out=o)
+        scratch = np.empty((min(rows, len(o)),) + theta.shape[1:])
+        for start in range(0, len(o), rows):
+            part = o[start : start + rows]
+            decayed = np.multiply(t[start : start + rows], decay, out=scratch[: len(part)])
+            np.subtract(decayed, part, out=part)
+        del scratch, decayed
     return out
+
+
+def _slice_forms(ndim: int, axis: int) -> tuple[str, str]:
+    """The ``einsum`` forms of a slice sum along ``axis`` of two arrays of
+    order ``ndim`` and of an array scaled by one number per slice."""
+    full = string.ascii_letters[:ndim]
+    kept = full.replace(full[axis], "")
+    return f"{full},{full}->{kept}", f"{full},{kept}->{full}"
 
 
 def _slice_squares(theta: np.ndarray, axis: int) -> np.ndarray:
@@ -238,13 +269,57 @@ def _slice_squares(theta: np.ndarray, axis: int) -> np.ndarray:
     entry makes its slice's sum non-finite.  Only then is theta scanned,
     by ``as_tensor``, which raises its ValueError at a non-finite entry;
     a non-finite sum of finite entries is an overflow, which
-    ``_mano_kernel`` rescues.  It writes nothing, so a step takes it
-    before it writes its state."""
-    full = string.ascii_letters[: theta.ndim]
-    sq = np.einsum(f"{full},{full}->{full.replace(full[axis], '')}", theta, theta)
+    ``_rescue`` takes again.  It writes nothing, so a step takes it
+    before it writes its state, over all of theta at once."""
+    sq = np.asarray(np.einsum(_slice_forms(theta.ndim, axis)[0], theta, theta))
     if not np.isfinite(sq).all():
         as_tensor(theta)
     return sq
+
+
+def _coefficients(inner, sq):
+    """``(coef, huge)``: the projection coefficients ``<d, theta> /
+    ||theta||^2`` of each slice, from the slice sums ``inner`` (of the
+    direction with theta) and ``sq`` (theta's squared norms), and the
+    mask of the slices whose sums overflowed.  A slice of theta with norm
+    below EPS_DIV gets a zero coefficient, so it is not projected out,
+    as in ``slice_unit``; an overflowed slice gets zero too, until
+    ``_rescue`` fills it."""
+    huge = ~(np.isfinite(sq) & np.isfinite(inner))
+    coef = np.divide(
+        inner, sq, out=np.zeros_like(sq), where=(np.sqrt(sq) >= EPS_DIV) & ~huge
+    )
+    return coef, huge
+
+
+def _rescue(coef, huge, theta, direction, axis):
+    """Fills ``coef`` at the ``huge`` slices from theta's slices through
+    ``slice_unit``, which divides a slice by its largest entry first."""
+    # <d, t> / |t|^2 = <d, t / |t|> / |t|
+    theta_hat, norms = slice_unit(theta, axis)
+    np.divide(
+        slice_inner(direction, theta_hat, axis), norms,
+        out=np.expand_dims(coef, axis), where=np.expand_dims(huge, axis),
+    )
+
+
+def _inverse_norms(squares, tangent, axis, out):
+    """The reciprocals of the tangent's slice norms, written over ``out``
+    (an array of their shape) and returned with the reduced axis kept,
+    from its squared slice norms ``squares``: zero where a norm is below
+    EPS_DIV, so that slice contributes nothing to the step.  A norm
+    whose sum overflowed is taken again by ``tensor._norm``, which
+    divides the slice by its largest entry first."""
+    norms = np.sqrt(squares)
+    huge = np.isinf(norms)
+    if huge.any():
+        norms = np.where(huge, np.squeeze(_norm(tangent, axis), axis), norms)
+    out.fill(0.0)
+    np.divide(1.0, norms, out=out, where=norms >= EPS_DIV)
+    # A reshape, not ``np.expand_dims``: each call of that leaves 48 B
+    # traced (numpy 2.4, up to about 2,000 calls), which a step per
+    # block would fill sooner.
+    return out.reshape(tangent.shape[:axis] + (1,) + tangent.shape[axis + 1 :])
 
 
 def _mano_kernel(
@@ -253,49 +328,31 @@ def _mano_kernel(
     """``(tangent, inv_norms)``: the projection of ``direction`` onto the
     tangent space at the unit-slice point theta/||theta||, and the
     reciprocals of the tangent's slice norms (reduced axis kept).
-    ``sq`` is theta's squared slice norms, ``_slice_squares``.
+    ``sq`` is theta's squared slice norms, ``_slice_squares``, which the
+    reciprocals are written over once the coefficients have read it.
 
     The projection is ``direction - theta * <direction, theta> / ||theta||^2``,
     slice by slice along ``axis``, so the unit-slice point is never
     formed.  ``einsum`` takes the slice sums without a product array and
     scales theta by the coefficients without a broadcast buffer, so
-    ``tangent`` is the only parameter-sized array made, and none when
+    ``tangent`` is the only array of theta's size made, and none when
     it is formed in ``out`` (a buffer that holds neither theta nor
-    ``direction``), with the same bits.  As in
-    ``slice_unit``, a theta slice with norm below EPS_DIV is not
-    projected out, and a tangent slice with norm below EPS_DIV gets a
-    zero reciprocal, so it contributes nothing to the step.
+    ``direction``), with the same bits.  Degenerate slices get zeros
+    (``_coefficients``, ``_inverse_norms``).
 
     ``einsum`` overflows to inf or NaN without a warning, so the
     slice-sized sums are tested instead.  Only the slices whose sums
-    overflowed take them again: theta's through ``slice_unit`` and the
-    tangent's through ``tensor._norm``, which divide a slice by its
-    largest entry first.  Every other slice keeps the plain sums, which
-    make no product array.
+    overflowed take them again (``_rescue``, ``_inverse_norms``); every
+    other slice keeps the plain sums, which make no product array.
     """
-    full = string.ascii_letters[: theta.ndim]
-    kept = full.replace(full[axis], "")
-    slice_sums = f"{full},{full}->{kept}"
-    inner = np.einsum(slice_sums, direction, theta)
-    huge = ~(np.isfinite(sq) & np.isfinite(inner))
-    coef = np.divide(
-        inner, sq, out=np.zeros_like(sq), where=(np.sqrt(sq) >= EPS_DIV) & ~huge
-    )
+    sums, scaled = _slice_forms(theta.ndim, axis)
+    coef, huge = _coefficients(np.einsum(sums, direction, theta), sq)
     if huge.any():
-        # <d, t> / |t|^2 = <d, t / |t|> / |t|
-        theta_hat, norms = slice_unit(theta, axis)
-        np.divide(
-            slice_inner(direction, theta_hat, axis), norms,
-            out=np.expand_dims(coef, axis), where=np.expand_dims(huge, axis),
-        )
-    tangent = np.einsum(f"{full},{kept}->{full}", theta, coef, out=out)
+        _rescue(coef, huge, theta, direction, axis)
+    tangent = np.einsum(scaled, theta, coef, out=out)
     np.subtract(direction, tangent, out=tangent)
-    norms = np.sqrt(np.einsum(slice_sums, tangent, tangent))
-    huge = np.isinf(norms)
-    if huge.any():
-        norms = np.where(huge, np.squeeze(_norm(tangent, axis), axis), norms)
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= EPS_DIV)
-    return tangent, np.expand_dims(inv, axis)
+    squares = np.einsum(sums, tangent, tangent)
+    return tangent, _inverse_norms(squares, tangent, axis, out=sq)
 
 
 def mano_transform(theta: np.ndarray, direction: np.ndarray, axis: int):
@@ -335,9 +392,22 @@ def mano_step(
     ||v||``, in the same pass as the decay, which acts on theta
     directly, not through the manifold machinery.
 
-    theta's finiteness comes from its squared slice norms, taken before
-    the step writes its state (``_slice_squares``).  The default call
-    scans the gradient before the heavy ball writes the momentum.
+    theta's finiteness comes from its squared slice norms, taken whole
+    before the step writes its state (``_slice_squares``).  The default
+    call scans the gradient before the heavy ball writes the momentum.
+
+    The rest runs over blocks of whole rows, _BLOCK_ENTRIES entries
+    each, so every pass over a block finds it in cache.  When the
+    reduced axis is not axis 0, a block holds whole slices, and one
+    sweep takes each block through the heavy ball, ``_mano_kernel`` and
+    ``_decoupled``, with the bits of the same passes over the whole
+    array (``_EINSUM_BUFFER`` says when a block could break them).
+    When it is axis 0, the column sums build up over the blocks in
+    three sweeps: the heavy ball and ``<m, theta>``; the tangent and
+    its norms; the decay.  Added up block by block, the column sums
+    round differently from whole-array ones, which moves the update by
+    rounding (within 1e-13 of its largest entry).  A Nesterov
+    look-ahead is formed a block at a time, in a scratch of one block.
 
     ``_into_grad`` is the trainer's hand-off, not part of the API: the
     caller is done with ``grad``, which shares no memory with theta or
@@ -358,19 +428,69 @@ def mano_step(
     sq = _slice_squares(theta, axis)
     if not _into_grad:
         as_tensor(grad)
+    state.step += 1
 
-    m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, cfg.nesterov)
-    tangent, inv = _mano_kernel(theta, sq, m_used, axis, grad if _into_grad else None)
-    # theta's sums and a Nesterov look-ahead are freed before the update
-    del sq, m_used
-    inv *= RESCALE_COEFF * np.sqrt(theta.shape[axis])
+    # A cold momentum of zeros takes the heavy ball to 0.0 + grad, as
+    # ``_heavy_ball`` does without a buffer.
+    m_t = np.zeros_like(theta) if buf is None else buf
+    tangent = grad if _into_grad else np.empty_like(theta)
     if cfg.retract_momentum:
         # The tangent becomes the momentum, and the new value is written
         # over the spent accumulator.
         state.momentum, out = tangent, m_t
     else:
         state.momentum, out = m_t, tangent
-    return _decoupled(state, theta, tangent, lr, cfg.weight_decay, inv, out)
+    mu, rescale = cfg.momentum, RESCALE_COEFF * np.sqrt(theta.shape[axis])
+    row = math.prod(theta.shape[1:])
+    # Rows longer than einsum's buffer, or empty ones: one block.
+    rows = _BLOCK_ENTRIES // row if 0 < row <= _EINSUM_BUFFER else max(len(theta), 1)
+    blocks = [slice(r, r + rows) for r in range(0, max(len(theta), 1), rows)]
+    look = np.empty((rows,) + theta.shape[1:]) if cfg.nesterov else None
+
+    def direction(b, accumulate=True):
+        """The direction on the rows ``b``: the momentum, accumulated
+        into ``m_t`` on the block's first call, or its look-ahead."""
+        m, g = m_t[b], grad[b]
+        scratch = None if look is None else look[: len(m)]
+        if accumulate:
+            return _heavy_ball(m, g, mu, cfg.nesterov, scratch)[1]
+        return m if look is None else _look_ahead(m, g, mu, scratch)
+
+    if axis:
+        for b in blocks:
+            t, inv = _mano_kernel(theta[b], sq[b], direction(b), axis, tangent[b])
+            inv *= rescale
+            _decoupled(theta[b], t, lr, cfg.weight_decay, inv, out[b])
+        return out
+
+    sums, scaled = _slice_forms(theta.ndim, 0)
+    inner = _summed(np.einsum(sums, direction(b), theta[b]) for b in blocks)
+    coef, huge = _coefficients(inner, sq)
+    if huge.any():
+        whole = m_t if look is None else _look_ahead(m_t, grad, mu)
+        _rescue(coef, huge, theta, whole, 0)
+
+    def tangent_rows(b):
+        d = direction(b, accumulate=False)
+        t = np.einsum(scaled, theta[b], coef, out=tangent[b])
+        return np.subtract(d, t, out=t)
+
+    squares = _summed(np.einsum(sums, t, t) for t in map(tangent_rows, blocks))
+    inv = _inverse_norms(squares, tangent, 0, out=sq)
+    # The slice vectors are freed before the decay, where the step peaks.
+    del inner, coef, huge, squares, look
+    inv *= rescale
+    return _decoupled(theta, tangent, lr, cfg.weight_decay, inv, out)
+
+
+def _summed(parts):
+    """The sum of the arrays ``parts``, added in order as they come, in
+    the first one's buffer."""
+    parts = iter(parts)
+    total = next(parts)
+    for part in parts:
+        total += part
+    return total
 
 
 def newton_schulz(g, iterations: int = NS_ITERATIONS) -> np.ndarray:
@@ -382,12 +502,9 @@ def newton_schulz(g, iterations: int = NS_ITERATIONS) -> np.ndarray:
     quintic a x + b x^3 + c x^5 to every singular value while leaving
     the singular vectors alone, pushing well-separated values toward 1.
 
-    Each round runs in place, in buffers made once per call: the Gram
-    matrix, its square and their product with X, so a call holds at
-    most four arrays of its input's size.  The operations are the ones of
-    ``x = a * x + (b * gram + c * (gram @ gram)) @ x``, in that order,
-    with the same bits.  X stays in the buffer of the normalized input,
-    so the result has the input's (C) order in either orientation.
+    The input is checked and normalized into a new array, which
+    ``_newton_schulz`` iterates in place, so a call holds at most four
+    arrays of its input's size.
     """
     g = as_tensor(g)
     if g.ndim != 2:
@@ -396,8 +513,20 @@ def newton_schulz(g, iterations: int = NS_ITERATIONS) -> np.ndarray:
     fro = float(_norm(g))
     if fro < EPS_DIV:
         raise ValueError("newton_schulz undefined for a zero matrix")
+    return _newton_schulz(g / fro, iterations)
+
+
+def _newton_schulz(x: np.ndarray, iterations: int) -> np.ndarray:
+    """``newton_schulz``'s rounds on ``x``, a C-ordered matrix already
+    divided by its Frobenius norm, which is overwritten.
+
+    Each round runs in place, in buffers made once per call: the Gram
+    matrix, its square and their product with X.  The operations are
+    the ones of ``x = a * x + (b * gram + c * (gram @ gram)) @ x``, in
+    that order, with the same bits.  X stays in ``x``'s buffer, so the
+    result has its (C) order in either orientation.
+    """
     a, b, c = NS_COEFFS
-    x = g / fro
     transposed = x.shape[0] > x.shape[1]
     if transposed:
         x = x.T
@@ -429,6 +558,12 @@ def muon_step(
     ``RESCALE_COEFF * sqrt(max(m, n))`` so its RMS is comparable to the
     Mano update; weight decay is decoupled.  A zero momentum signal
     yields a zero update (plus decay) rather than an error.
+
+    The step divides its own Nesterov look-ahead by its norm in place
+    and iterates it there (``_newton_schulz``), so it holds four arrays
+    of the parameter's size, with the bits of ``newton_schulz`` of the
+    look-ahead.  Only a look-ahead with a non-finite norm is scanned,
+    which raises at a non-finite entry, as ``newton_schulz`` would.
     """
     theta, grad = _matching(theta, grad)
     if theta.ndim != 2:
@@ -438,13 +573,18 @@ def muon_step(
 
     m_t, m_used = _heavy_ball(buf, grad, cfg.momentum, nesterov=True)
     state.momentum = m_t
-    if float(_norm(m_used)) < EPS_DIV:
+    fro = float(_norm(m_used))
+    if not math.isfinite(fro):
+        as_tensor(m_used)
+    if fro < EPS_DIV:
         ortho = np.zeros_like(theta)
     else:
-        ortho = newton_schulz(m_used, cfg.ns_iterations)
+        m_used /= fro
+        ortho = _newton_schulz(m_used, cfg.ns_iterations)
     del m_used
     rescale = RESCALE_COEFF * np.sqrt(max(theta.shape))
-    return _decoupled(state, theta, ortho, lr, cfg.weight_decay, rescale)
+    state.step += 1
+    return _decoupled(theta, ortho, lr, cfg.weight_decay, rescale)
 
 
 def adamw_step(
@@ -481,7 +621,8 @@ def adamw_step(
     update = np.divide(avg, 1.0 - beta1**t)
     update /= scratch
     del scratch
-    return _decoupled(state, theta, update, lr, cfg.weight_decay)
+    state.step += 1
+    return _decoupled(theta, update, lr, cfg.weight_decay)
 
 
 def sgdm_step(
@@ -499,7 +640,8 @@ def sgdm_step(
     _non_negative("weight_decay", weight_decay)
     m_t, _ = _heavy_ball(_buffer(state, "momentum", theta), grad, momentum)
     state.momentum = m_t
-    return _decoupled(state, theta, m_t, lr, weight_decay, out=np.empty_like(theta))
+    state.step += 1
+    return _decoupled(theta, m_t, lr, weight_decay, out=np.empty_like(theta))
 
 
 def rsgdm_step(

@@ -43,6 +43,9 @@ EPS_DIV = 1e-30
 # ``optimizers._decoupled`` decays, at a time; their only scratch
 # arrays are 64 KiB of float64.  Chunks this size stay in cache; at
 # 512x512 the decay was faster than in one pass over the whole array.
+# The Mano step works in blocks of eight chunks
+# (``optimizers._BLOCK_ENTRIES``) and decays each block a chunk at a
+# time, so its scratch stays this size too.
 # A chunk stays below the 10,000 entries beyond which OpenBLAS splits a
 # dot across its threads, which would change the sum's rounding.
 CHUNK_ENTRIES = 8192

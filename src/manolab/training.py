@@ -379,8 +379,10 @@ def mlp_forward_backward(model: MlpModel, features, targets, *, _rows=None):
     gradient, once nothing refers to the slot: a row gather costs less
     than keeping the batch beside a product.  The gather is
     ``np.take(..., mode="clip")``, because the default mode copies into
-    a buffer of the batch's size before writing ``out``.  The rows are
-    not checked: the trainer's are always in range.
+    a buffer of the batch's size before writing ``out``.  The batch's
+    targets, gathered once, are dropped as soon as the loss has read
+    them, so they are not held beside the gradients.  The rows are not
+    checked: the trainer's are always in range.
     """
     features, targets = model._checked_batch(features, targets)
     if _rows is not None:
@@ -396,8 +398,9 @@ def mlp_forward_backward(model: MlpModel, features, targets, *, _rows=None):
         )
     hidden = model._hidden_buffers(n)
     loss, dz = _loss(model.loss, model._forward(x, hidden), targets)
-    # From here the slot holds the products.
-    del x
+    # From here the slot holds the products, and nothing reads the
+    # batch's targets.
+    del x, targets
 
     last = len(model.weights) - 1
     grads = [None] * (2 * len(model.weights))

@@ -4,13 +4,16 @@ Everything here is written as plain scalar loops (python floats, math
 module, index-by-index access) precisely so it shares no code path with
 the package: agreement between an optimized routine and its loop
 transliteration is then meaningful evidence.  Slow is fine; these only
-run on small instances.
+run on small instances.  The exceptions are the whole-array numpy
+forms (``mano_one_array``), which pin the bits of a routine that works
+in blocks to those of the same operations on the whole array.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import string
 
 import numpy as np
 
@@ -138,6 +141,65 @@ def mano_oracle(
         )
     new_buf = tangent.copy() if retract else momentum
     return new_theta, new_buf
+
+
+def _max_scaled_norms(a, axis):
+    """Slice norms of ``a`` along ``axis`` (reduced axis kept); a slice
+    whose sum of squares overflows is divided by its largest magnitude
+    first."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((a * a).sum(axis=axis, keepdims=True))
+    huge = np.isinf(norms)
+    if not huge.any():
+        return norms
+    biggest = np.maximum(a.max(axis, keepdims=True), -a.min(axis, keepdims=True))
+    big = np.where(huge, biggest, 1.0)
+    scaled = a / big
+    return np.where(huge, big * np.sqrt((scaled * scaled).sum(axis=axis, keepdims=True)), norms)
+
+
+def mano_one_array(
+    theta, grad, buf, axis, mu, weight_decay, rescale, eta, nesterov=False, retract=False
+):
+    """One Mano step in whole-array numpy passes: the arithmetic of a
+    step that takes every slice sum of the whole array in one ``einsum``
+    call, as ``mano_step`` did before it ran in blocks of rows.
+
+    Returns ``(new_theta, new_buffer)``.  Each entry takes the
+    operations of the step in its order, so a blocked step has these
+    bits wherever its slice sums are the whole array's.  A slice whose
+    sums overflow is taken again from the slice divided by its largest
+    magnitude; degenerate slices (norm below EPS) get zero coefficients
+    and zero reciprocal norms.
+    """
+    full = string.ascii_letters[: theta.ndim]
+    kept = full.replace(full[axis], "")
+    sums, scaled = f"{full},{full}->{kept}", f"{full},{kept}->{full}"
+    momentum = (np.zeros_like(theta) if buf is None else buf) * mu + grad
+    used = momentum * mu + grad if nesterov else momentum
+
+    sq = np.einsum(sums, theta, theta)
+    inner = np.einsum(sums, used, theta)
+    huge = ~(np.isfinite(sq) & np.isfinite(inner))
+    ok = (np.sqrt(sq) >= EPS) & ~huge
+    coef = np.where(ok, inner / np.where(ok, sq, 1.0), 0.0)
+    if huge.any():
+        norms = _max_scaled_norms(theta, axis)
+        norms = np.where(norms >= EPS, norms, np.inf)
+        rescued = (used * (theta / norms)).sum(axis=axis, keepdims=True) / norms
+        coef = np.where(huge, np.squeeze(rescued, axis), coef)
+    tangent = used - np.einsum(scaled, theta, coef)
+
+    t_norms = np.sqrt(np.einsum(sums, tangent, tangent))
+    if np.isinf(t_norms).any():
+        t_norms = np.where(
+            np.isinf(t_norms), np.squeeze(_max_scaled_norms(tangent, axis), axis), t_norms
+        )
+    big_enough = t_norms >= EPS
+    inv = np.where(big_enough, 1.0 / np.where(big_enough, t_norms, 1.0), 0.0)
+    step = eta * (np.expand_dims(inv, axis) * (rescale * np.sqrt(theta.shape[axis])))
+    new_theta = theta * (1.0 - eta * weight_decay) - step * tangent
+    return new_theta, tangent if retract else momentum
 
 
 def adamw_oracle(theta, grad, exp_avg, exp_avg_sq, step, beta1, beta2, eps, weight_decay, eta):

@@ -376,6 +376,60 @@ class TestSpectraAndGeodesic:
             for key in ("sigma_grad", "sigma_momentum", "sigma_update"):
                 assert len(report[key]) == 512
 
+    def test_spectra_skips_a_non_finite_snapshot_naming_it(
+        self, snapshot_dir, tmp_path, capsys
+    ):
+        """A snapshot with a non-finite update, as a diverged step leaves,
+        is skipped with its layer and file named; every other report is
+        written, with the bytes it has without that file, and the command
+        exits 0."""
+        bad = snapshot_dir / "step000010_layer0.weight.npz"
+        with np.load(bad) as data:
+            arrays = dict(data)
+        bad.unlink()
+        code = run_cli(
+            ["spectra", "--snapshots", str(snapshot_dir), "--out", str(tmp_path / "a")]
+        )
+        assert code == 0
+        arrays["update"][1, 2] = np.inf
+        np.savez(bad, **arrays)
+        capsys.readouterr()
+        code = run_cli(
+            ["spectra", "--snapshots", str(snapshot_dir), "--out", str(tmp_path / "b")]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert (
+            "layer0.weight: skipped step000010_layer0.weight.npz: "
+            "tensor contains non-finite values\n"
+        ) in out
+        assert "(3 reports)" in out
+        reports = json.loads((tmp_path / "b" / "spectra.json").read_text())
+        assert [r["step"] for r in reports] == [0, 20, 30]
+        assert (
+            (tmp_path / "b" / "spectra.json").read_bytes()
+            == (tmp_path / "a" / "spectra.json").read_bytes()
+        )
+
+    def test_spectra_exits_one_when_no_snapshot_yields_a_report(
+        self, tmp_path, capsys
+    ):
+        """Skipping every snapshot leaves nothing to write: exit 1 with no
+        output directory, each skip still named."""
+        snapshots = tmp_path / "snapshots"
+        snapshots.mkdir()
+        arrays = {k: np.ones((4, 3)) for k in ("theta", "grad", "momentum", "update")}
+        arrays["grad"][0, 0] = np.nan
+        np.savez(snapshots / "step000000_layer0.weight.npz", **arrays)
+        code = run_cli(
+            ["spectra", "--snapshots", str(snapshots), "--out", str(tmp_path / "s")]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no snapshot yielded a spectrum report\n"
+        assert "layer0.weight: skipped step000000_layer0.weight.npz: " in captured.out
+        assert not (tmp_path / "s").exists()
+
     def test_geodesic_output(self, snapshot_dir, tmp_path, capsys):
         code = run_cli(
             ["geodesic", "--snapshots", str(snapshot_dir), "--manifold", "oblique",

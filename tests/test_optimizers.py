@@ -51,6 +51,7 @@ from manolab.tensor import ShapeMismatchError, _norm, _sum_squares, rms
 from oracles import (
     adamw_oracle,
     fsum_norm,
+    mano_one_array,
     mano_oracle,
     ns_quintic_map,
     rsgdm_oracle,
@@ -181,6 +182,17 @@ def test_raising_step_leaves_state_untouched(call, make_state):
     assert _buffers(state) == before
 
 
+@pytest.mark.parametrize("call", _STEP_CALLS.values(), ids=_STEP_CALLS.keys())
+def test_each_step_counts_itself_once(call):
+    """Each step counts itself (``_decoupled``, which every rule but
+    Riemannian SGD-M ends with, does not)."""
+    theta = np.eye(4, 3)  # unit columns, for rsgdm_step
+    state = OptimizerState()
+    for count in range(1, 4):
+        call(theta, np.full((4, 3), 0.5), state)
+        assert state.step == count
+
+
 def _mano_on(axis, into_grad=False, **flags):
     """A Mano step on the rotating schedule that a fresh state first takes
     at step ``axis``, so a matrix's third step normalizes ``axis`` again;
@@ -197,46 +209,51 @@ def _mano_on(axis, into_grad=False, **flags):
 
 
 # Warm steps whose transient peak is bounded, with the parameter-sized
-# arrays each holds at once, the returned one included.  The Mano cases
-# cover both axes of a matrix, plain, with the Nesterov look-ahead
-# (beside the tangent), and with the tangent kept as the momentum (the
-# spent accumulator is returned).  Formed in the gradient (``_into_grad``),
+# arrays each holds at once, the returned one included, and whether it
+# holds a Nesterov look-ahead of one block of rows.  The Mano cases
+# cover both axes of a matrix, plain, with the look-ahead (beside the
+# tangent), and with the tangent kept as the momentum (the spent
+# accumulator is returned).  Formed in the gradient (``_into_grad``),
 # they hold only the look-ahead and ``_decoupled``'s scratch: that call
-# scans neither array.  AdamW's scratch and update overlap; SGD-M writes
-# its update once, into the array it returns.
+# scans neither array.  AdamW's scratch and update overlap; SGD-M
+# writes its update once, into the array it returns.
 _LEAN_STEPS = {
-    "mano_step-axis-0": (_mano_on(0), 1),
-    "mano_step-axis-1": (_mano_on(1), 1),
-    "mano_step-axis-0-nesterov": (_mano_on(0, nesterov=True), 2),
-    "mano_step-axis-1-nesterov": (_mano_on(1, nesterov=True), 2),
-    "mano_step-axis-0-retract": (_mano_on(0, retract_momentum=True), 1),
-    "mano_step-axis-1-retract": (_mano_on(1, retract_momentum=True), 1),
-    "mano_step-axis-0-into-grad": (_mano_on(0, True), 0),
-    "mano_step-axis-1-into-grad": (_mano_on(1, True), 0),
-    "mano_step-axis-0-nesterov-into-grad": (_mano_on(0, True, nesterov=True), 1),
-    "mano_step-axis-1-nesterov-into-grad": (_mano_on(1, True, nesterov=True), 1),
+    "mano_step-axis-0": (_mano_on(0), 1, False),
+    "mano_step-axis-1": (_mano_on(1), 1, False),
+    "mano_step-axis-0-nesterov": (_mano_on(0, nesterov=True), 1, True),
+    "mano_step-axis-1-nesterov": (_mano_on(1, nesterov=True), 1, True),
+    "mano_step-axis-0-retract": (_mano_on(0, retract_momentum=True), 1, False),
+    "mano_step-axis-1-retract": (_mano_on(1, retract_momentum=True), 1, False),
+    "mano_step-axis-0-into-grad": (_mano_on(0, True), 0, False),
+    "mano_step-axis-1-into-grad": (_mano_on(1, True), 0, False),
+    "mano_step-axis-0-nesterov-into-grad": (_mano_on(0, True, nesterov=True), 0, True),
+    "mano_step-axis-1-nesterov-into-grad": (_mano_on(1, True, nesterov=True), 0, True),
     **{
         f"mano_step-axis-{axis}-retract-into-grad": (
-            _mano_on(axis, True, retract_momentum=True), 0
+            _mano_on(axis, True, retract_momentum=True), 0, False
         )
         for axis in (0, 1)
     },
-    "adamw_step": (_STEP_CALLS["adamw_step"], 2),
-    "sgdm_step": (_STEP_CALLS["sgdm_step"], 1),
+    "adamw_step": (_STEP_CALLS["adamw_step"], 2, False),
+    "sgdm_step": (_STEP_CALLS["sgdm_step"], 1, False),
 }
 
 
 @pytest.mark.parametrize(
-    "call, arrays", _LEAN_STEPS.values(), ids=_LEAN_STEPS.keys()
+    "call, arrays, look", _LEAN_STEPS.values(), ids=_LEAN_STEPS.keys()
 )
-def test_transient_memory_within_two_parameters(call, arrays):
+def test_transient_memory_within_two_parameters(call, arrays, look):
     """Peak traced allocation of one step on a warm state, above its level
     at entry and counting the returned array, stays within ``arrays``
-    times the parameter's bytes.  On top go ``_decoupled``'s scratch
+    times the parameter's bytes, plus a block of whole rows of
+    ``optimizers._BLOCK_ENTRIES`` entries for a Nesterov look-ahead
+    (a third of the parameter here; a whole-array look-ahead would not
+    fit).  On top go ``_decoupled``'s scratch
     (CHUNK_ENTRIES entries, in whole rows) and 32 KiB for the per-slice
     vectors (a few hundred entries each), einsum's own workspace and
-    the finiteness scan's 64 KiB chunk, which comes before the other
-    scratch.  The parameter is three scan chunks, so a scan of one byte
+    the finiteness scan's 64 KiB chunk and the decay's broadcast
+    buffer (64 KiB), each of which comes and goes before the scratch
+    is made.  The parameter is three scan chunks, so a scan of one byte
     per entry (192 KiB) would not fit that allowance.  Each call gets
     its own gradient, which a step may write into."""
     rng = np.random.default_rng(8)
@@ -256,18 +273,21 @@ def test_transient_memory_within_two_parameters(call, arrays):
         tracemalloc.stop()
     assert new_theta.shape == theta.shape
     scratch = 8 * theta.shape[1] * max(1, CHUNK_ENTRIES // theta.shape[1])
+    if look:
+        scratch += 8 * theta.shape[1] * (optimizers._BLOCK_ENTRIES // theta.shape[1])
     assert peak <= arrays * theta.nbytes + scratch + 32 * 1024, (
         f"peak {peak} B is {peak / theta.nbytes:.2f}x the parameter's bytes"
     )
 
 
-def test_muon_step_peaks_at_five_parameters():
+def test_muon_step_peaks_at_four_parameters():
     """A warm Muon step on a 512x512 parameter holds its Nesterov
-    look-ahead and, inside ``newton_schulz``, the normalized X, the Gram
-    matrix, its square and their product with X, each made once per call
-    and filled in place: five arrays of the parameter's size, where a
-    fresh array for every product and sum made six.  On top go the
-    scratch of ``test_transient_memory_within_two_parameters``."""
+    look-ahead, which it normalizes in place and iterates there, and,
+    inside ``_newton_schulz``, the Gram matrix, its square and their
+    product with X, each made once per call and filled in place: four
+    arrays of the parameter's size, where a normalized copy of the
+    look-ahead made five.  On top go the scratch of
+    ``test_transient_memory_within_two_parameters``."""
     rng = np.random.default_rng(9)
     theta = rng.standard_normal((512, 512))
     grads = [rng.standard_normal((512, 512)) for _ in range(3)]
@@ -283,7 +303,7 @@ def test_muon_step_peaks_at_five_parameters():
     finally:
         tracemalloc.stop()
     scratch = 8 * CHUNK_ENTRIES
-    assert peak <= 5 * theta.nbytes + scratch + 32 * 1024, (
+    assert peak <= 4 * theta.nbytes + scratch + 32 * 1024, (
         f"peak {peak} B is {peak / theta.nbytes:.2f}x the parameter's bytes"
     )
 
@@ -374,16 +394,14 @@ def test_decoupled_matches_the_one_array_form_bit_for_bit(shape):
     ]
     for scale in scales:
         expected = theta * (1.0 - 0.03 * 0.1) - (0.03 * scale) * direction
-        state = OptimizerState()
         given = direction.copy()
-        out = _decoupled(state, theta, given, 0.03, 0.1, np.copy(scale))
+        out = _decoupled(theta, given, 0.03, 0.1, np.copy(scale))
         assert out is given
         assert out.tobytes() == expected.tobytes()
         fresh = np.empty_like(theta)
-        out = _decoupled(state, theta, direction, 0.03, 0.1, np.copy(scale), out=fresh)
+        out = _decoupled(theta, direction, 0.03, 0.1, np.copy(scale), out=fresh)
         assert out is fresh
         assert out.tobytes() == expected.tobytes()
-        assert state.step == 2
 
 
 def _run_mano_pair(shape, seed, steps=3, edit=None, **flags):
@@ -634,6 +652,96 @@ class TestManoStep:
         assert state.step == 0
 
 
+# Shapes for the blocked Mano step (blocks of whole rows, about
+# optimizers._BLOCK_ENTRIES entries each): a row count that is not a
+# multiple of the block's, one row longer than a block, 1 x n and n x 1
+# (two blocks of one entry per row), and order-3 tensors in blocks.
+_BLOCK_SHAPES = [
+    (300, 512), (3, optimizers._BLOCK_ENTRIES + 1), (1, 700), (700, 1),
+    (optimizers._BLOCK_ENTRIES + 9, 1), (37, 30, 200), (3, 5, 4),
+]
+
+
+def _blocked_steps(theta, grads, flags, into_grad, steps=None):
+    """Rotating-schedule Mano steps from ``theta`` over ``grads``, each
+    checked against ``oracles.mano_one_array`` from the same state: bit
+    for bit when the reduced axis is not 0, whose slices a block holds
+    whole, and within 1e-13 of each array's largest entry when it is
+    axis 0, whose sums build up over the blocks.  The momentum (the
+    tangent with ``retract_momentum``) is checked the same way."""
+    cfg = ManoConfig(momentum=0.9, weight_decay=0.05, **flags)
+    state = OptimizerState()
+    for grad in grads:
+        axis = state.step % theta.ndim
+        expected, expected_buf = mano_one_array(
+            theta, grad, state.momentum, axis, cfg.momentum, cfg.weight_decay,
+            RESCALE_COEFF, 3e-2, cfg.nesterov, cfg.retract_momentum,
+        )
+        given = grad.copy()
+        new = mano_step(theta, given, state, cfg, 3e-2, _into_grad=into_grad)
+        if into_grad:
+            assert (state.momentum if cfg.retract_momentum else new) is given
+        for got, want in ((new, expected), (state.momentum, expected_buf)):
+            if axis:
+                assert got.tobytes() == want.tobytes(), (theta.shape, axis)
+            else:
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        theta = new
+    return theta
+
+
+class TestManoBlocks:
+    @pytest.mark.parametrize("into_grad", [False, True], ids=["public", "hand-off"])
+    @pytest.mark.parametrize("flags", _FLAGS.values(), ids=_FLAGS.keys())
+    @pytest.mark.parametrize("shape", _BLOCK_SHAPES, ids=str)
+    def test_matches_the_one_array_form(self, shape, flags, into_grad):
+        """Every axis of each shape, cold and warm, on the public path and
+        the trainer's hand-off, plain, Nesterov and retracting."""
+        rng = np.random.default_rng(70)
+        grads = [rng.standard_normal(shape) for _ in range(len(shape) + 1)]
+        _blocked_steps(rng.standard_normal(shape), grads, flags, into_grad)
+
+    @pytest.mark.parametrize("flags", _FLAGS.values(), ids=_FLAGS.keys())
+    def test_degenerate_and_overflowing_slices_in_later_blocks(self, flags):
+        """A zero row of theta and of the gradients in the last block (a
+        degenerate slice on axis 1: a zero coefficient and a zero
+        reciprocal norm), a theta row at 1e200 and a gradient row at
+        1e160 in later blocks (theta's and the tangent's slice sums
+        overflow on axis 1 and are taken again from the max-scaled
+        slice), and on axis 0 the columns that those rows make
+        overflow."""
+        rng = np.random.default_rng(71)
+        theta = rng.standard_normal((300, 512))
+        grads = [rng.standard_normal(theta.shape) for _ in range(3)]
+        theta[-1] = 0.0
+        theta[200] *= 1e200
+        for grad in grads:
+            grad[-1] = 0.0
+            grad[150] *= 1e160
+        new = _blocked_steps(theta, grads, flags, into_grad=True)
+        assert np.isfinite(new).all()
+        np.testing.assert_array_equal(new[-1], 0.0)
+
+    @pytest.mark.parametrize("into_grad", [False, True], ids=["public", "hand-off"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_theta_in_the_last_block_leaves_the_state(self, axis, into_grad):
+        """theta's slice sums are taken whole before any block is stepped,
+        so a NaN in the last block raises before the momentum, the step
+        counter or the gradient moves."""
+        rng = np.random.default_rng(72)
+        theta = rng.standard_normal((300, 512))
+        theta[-1, -1] = np.nan
+        grad = rng.standard_normal(theta.shape)
+        kept = grad.copy()
+        state = _live(step=2 + axis, momentum=theta.shape)
+        before = _buffers(state)
+        with pytest.raises(ValueError, match="^tensor contains non-finite values$"):
+            mano_step(theta, grad, state, ManoConfig(), 1e-2, _into_grad=into_grad)
+        assert state.step == 2 + axis
+        assert _buffers(state) == before
+        assert grad.tobytes() == kept.tobytes()
+
+
 class TestManoTransform:
     def test_tangency_and_unit_slices(self):
         rng = np.random.default_rng(42)
@@ -796,6 +904,27 @@ class TestMuonStep:
             ) * newton_schulz(grad, 5)
             np.testing.assert_array_equal(got, expected)
             assert got.flags.c_contiguous, shape
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 16), (16, 4)])
+    def test_warm_steps_have_the_bits_of_newton_schulz(self, shape):
+        """The step iterates its own look-ahead in place, with the bits of
+        the public ``newton_schulz`` of that look-ahead, which normalizes
+        a copy: warm steps on square, wide and tall matrices, against
+        the one-array composition and a momentum kept by hand."""
+        rng = np.random.default_rng(31)
+        cfg = MuonConfig(momentum=0.9, weight_decay=0.1)
+        theta, state = rng.standard_normal(shape), OptimizerState()
+        buf = np.zeros(shape)
+        for _ in range(4):
+            grad = rng.standard_normal(shape)
+            buf = buf * 0.9 + grad
+            look = buf * 0.9 + grad
+            expected = theta * (1.0 - 2e-2 * 0.1) - (
+                2e-2 * (RESCALE_COEFF * np.sqrt(max(shape)))
+            ) * newton_schulz(look, cfg.ns_iterations)
+            theta = muon_step(theta, grad, state, cfg, 2e-2)
+            assert theta.tobytes() == expected.tobytes()
+            assert state.momentum.tobytes() == buf.tobytes()
 
     def test_momentum_accumulates_like_sgdm(self):
         rng = np.random.default_rng(13)

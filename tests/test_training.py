@@ -856,8 +856,8 @@ class TestTrainer:
         scan neither a weight nor its gradient, and the RMS scans each
         update below that peak.  Before the layers step, the peak is
         forward/backward's, as it forms the first weight's gradient
-        beside the other gradients, the batch's features gathered again
-        and the batch's targets.
+        beside the other gradients and the batch's features, gathered
+        again; the batch's targets are gone by then.
         """
         cfg = _small_cfg(
             n_samples=128, in_dim=512, hidden=(512,), out_dim=512,
@@ -930,9 +930,9 @@ class TestTrainer:
             "parameters, state, dataset and gradients"
         )
         # Before the layers step, the batch's features (gathered again for
-        # the first weight's gradient) and its targets go on top: 128 KiB
-        # here.  The clip comes after, with one chunk's scratch.
-        batch_bytes = 8 * cfg.batch_size * (cfg.in_dim + cfg.out_dim)
+        # the first weight's gradient) go on top: 64 KiB here.  The clip
+        # comes after, with one chunk's scratch.
+        batch_bytes = 8 * cfg.batch_size * cfg.in_dim
         clip_peak = max(before_layers)
         assert clip_peak <= held + param_bytes + batch_bytes + slack, (
             f"{(clip_peak - held - param_bytes) / layer:.2f} layers above "
@@ -1403,10 +1403,11 @@ class TestNormRecursion:
 
     def test_fails_when_the_step_skips_the_projection(self, monkeypatch):
         """The momentum, not its tangent part, normalized slice by slice:
-        the update is no longer orthogonal to theta."""
+        with every projection coefficient zero, on every axis, the update
+        is no longer orthogonal to theta."""
 
-        def unprojected(theta, sq, direction, axis, out=None):
-            return direction.copy(), 1.0 / _norm(direction, axis)
+        def unprojected(inner, sq):
+            return np.zeros_like(sq), np.zeros(np.shape(sq), dtype=bool)
 
-        monkeypatch.setattr(optimizers, "_mano_kernel", unprojected)
+        monkeypatch.setattr(optimizers, "_coefficients", unprojected)
         assert _norm_recursion_error() > 1e-6
