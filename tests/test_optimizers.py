@@ -372,17 +372,19 @@ def test_mano_step_into_grad_has_the_default_bits(schedule, flags):
 
 # Shapes around CHUNK_ENTRIES: 1-D shorter and longer than a chunk, square,
 # tall and wide matrices whose row counts are not a multiple of the rows
-# in a chunk, a row longer than a chunk, and a 3-tensor.
+# in a chunk, a row longer than a chunk, a 3-tensor, and a matrix of four
+# blocks of eight 40-row chunks, the last block partial.
 _DECAY_SHAPES = [
     (7,), (CHUNK_ENTRIES + 5,), (150, 150), (1000, 24), (30, 1000),
-    (3, CHUNK_ENTRIES + 1), (2, 3, CHUNK_ENTRIES // 4 + 1),
+    (3, CHUNK_ENTRIES + 1), (2, 3, CHUNK_ENTRIES // 4 + 1), (1000, 200),
 ]
 
 
 @pytest.mark.parametrize("shape", _DECAY_SHAPES)
 def test_decoupled_matches_the_one_array_form_bit_for_bit(shape):
-    """``_decoupled`` decays in chunks of whole rows, in the direction's
-    own buffer or in the one it is given, with the bits of
+    """``_decoupled`` decays in blocks of whole rows, a chunk at a time,
+    in the direction's own buffer or in the one it is given, with the
+    bits of
     ``theta * (1 - eta * wd) - (eta * scale) * d``: for the scale of one
     that AdamW and SGD-M pass, a number as Muon passes, and one scale
     per slice along each axis as Mano passes (the reduced axis kept)."""
